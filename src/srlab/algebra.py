@@ -173,8 +173,21 @@ def ad_matrix(c: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[u, w] through the structure constants, batched over leading axes."""
-    return np.einsum("kij,...i,...j->...k", c, u, w)
+    """[u, w]^k = sum_ij c[k, i, j] u_i w_j, batched over leading axes.
+
+    Only the nonzero structure constants are visited (two per bracket
+    direction on the nilpotent models), each adding c u_i w_j into its
+    output slice in turn.  The leading axes of u and w broadcast against
+    each other, and every batch entry is computed alone, so a slice of a
+    batched call equals the unbatched call exactly.
+    """
+    u = np.asarray(u)
+    w = np.asarray(w)
+    shape = np.broadcast_shapes(u.shape[:-1], w.shape[:-1]) + (c.shape[0],)
+    out = np.zeros(shape, dtype=np.result_type(c, u, w))
+    for k, i, j in zip(*np.nonzero(c)):
+        out[..., k] += c[k, i, j] * u[..., i] * w[..., j]
+    return out
 
 
 def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:

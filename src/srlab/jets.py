@@ -399,10 +399,16 @@ class Polynomial(TestFunction):
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)
+        if points.ndim == 1:
+            points = points[None]  # a single point evaluates to shape (1,)
         sp = get_space(self.dim, self.degree)
         exps = sp.exponents[: sp.terms(self.degree)]
-        mono = np.prod(points[..., None, :] ** exps[None, :, :], axis=-1)
-        return mono @ self.coefficients
+        # powers 0..degree of every coordinate, gathered per monomial
+        powers = points[..., None] ** np.arange(self.degree + 1)
+        mono = np.prod(powers[..., np.arange(self.dim), exps], axis=-1)
+        # the gather leaves mono strided, and a strided matmul can round
+        # differently from the contiguous one
+        return np.ascontiguousarray(mono) @ self.coefficients
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
         points = np.asarray(points, dtype=float)

@@ -270,7 +270,7 @@ def _su2_pair_algebra_to_coords(model: LieModel, a: np.ndarray, b: np.ndarray) -
     rh = 0.5 * b
     rv = a - rh
     raw = np.concatenate([rh, rv], axis=-1)
-    return np.einsum("ab,...b->...a", np.linalg.inv(model.onframe.T).T, raw)
+    return np.einsum("ab,...b->...a", model.onframe.Tinv.T, raw)
 
 
 def _su2_pair_compose(model: LieModel, u: np.ndarray, w: np.ndarray) -> np.ndarray:

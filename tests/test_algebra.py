@@ -1,0 +1,73 @@
+import numpy as np
+import pytest
+
+from srlab import algebra
+from srlab.models import get_model
+
+SHIPPED = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
+
+
+def einsum_bracket(c, u, w):
+    """The dense formula [u, w]^k = sum_ij c[k, i, j] u_i w_j."""
+    return np.einsum("kij,...i,...j->...k", c, u, w)
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_bracket_equals_einsum_on_shipped_models(name):
+    m = get_model(name)
+    rng = np.random.default_rng(11)
+    for c in (m.structure_constants, m.onframe.c):
+        u = rng.standard_normal((3, 50, m.dim))
+        w = rng.standard_normal((3, 50, m.dim))
+        out = algebra.bracket(c, u, w)
+        assert out.shape == (3, 50, m.dim)
+        assert np.array_equal(out, einsum_bracket(c, u, w))
+
+
+def test_bracket_matches_einsum_on_dense_constants():
+    rng = np.random.default_rng(12)
+    d = 5
+    c = rng.standard_normal((d, d, d))
+    c = c - np.swapaxes(c, 1, 2)
+    u, w = rng.standard_normal((2, 40, d))
+    assert np.count_nonzero(c) == d * d * (d - 1)
+    assert np.allclose(algebra.bracket(c, u, w), einsum_bracket(c, u, w), rtol=1e-13, atol=1e-13)
+
+
+def test_bracket_matches_einsum_on_rescaled_metric():
+    m = get_model("engel").with_frame_metric(np.diag([2.0, 0.5, 3.0, 0.7]))
+    c = m.onframe.c
+    assert not np.all(np.isin(c, (-1.0, 0.0, 1.0)))
+    rng = np.random.default_rng(13)
+    u, w = rng.standard_normal((2, 30, m.dim))
+    assert np.allclose(algebra.bracket(c, u, w), einsum_bracket(c, u, w), rtol=1e-13, atol=1e-13)
+
+
+def test_bracket_broadcasts_starts_against_shared_noise():
+    m = get_model("heisenberg")
+    c = m.onframe.c
+    rng = np.random.default_rng(14)
+    u = rng.standard_normal((4, 25, 3))
+    w = rng.standard_normal((1, 25, 3))
+    out = algebra.bracket(c, u, w)
+    assert out.shape == (4, 25, 3)
+    assert np.array_equal(out, einsum_bracket(c, u, w))
+    one = algebra.bracket(c, u[0, 0], w[0, 0])
+    assert one.shape == (3,)
+    assert one[2] == u[0, 0, 0] * w[0, 0, 1] - u[0, 0, 1] * w[0, 0, 0]
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_bracket_batch_slices_equal_single_calls(name):
+    # _evolve rides every stencil start on the same noise; a start's
+    # states must not depend on which other starts share the batch
+    m = get_model(name)
+    c = m.onframe.c
+    rng = np.random.default_rng(15)
+    u = rng.standard_normal((5, 20, m.dim))
+    w = rng.standard_normal((1, 20, m.dim))
+    batch = algebra.bracket(c, u, w)
+    for s in range(5):
+        assert np.array_equal(batch[s], algebra.bracket(c, u[s], w[0]))
+        for n in (0, 7, 19):
+            assert np.array_equal(batch[s, n], algebra.bracket(c, u[s, n], w[0, n]))

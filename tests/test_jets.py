@@ -60,6 +60,37 @@ def test_polynomial_lift_reproduces_values():
         assert eval_jet(j, d) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def direct_eval(f, points):
+    """prod(points ** exps) @ coefficients, one monomial at a time."""
+    sp = get_space(f.dim, f.degree)
+    exps = sp.exponents[: sp.terms(f.degree)]
+    return np.prod(points[..., None, :] ** exps, axis=-1) @ f.coefficients
+
+
+@pytest.mark.parametrize("dim,degree", [(3, 0), (3, 2), (4, 3), (6, 4), (2, 4)])
+def test_polynomial_eval_matches_direct_formula(dim, degree):
+    rng = np.random.default_rng(31 + 7 * dim + degree)
+    f = Polynomial.random(dim, degree, rng)
+    for shape in ((200, dim), (3, 40, dim)):
+        pts = rng.uniform(-2.0, 2.0, shape)
+        out = f.eval(pts)
+        assert out.shape == shape[:-1]
+        assert np.array_equal(out, direct_eval(f, pts))
+
+
+def test_polynomial_eval_shapes():
+    rng = np.random.default_rng(37)
+    for degree in (0, 4):
+        f = Polynomial.random(3, degree, rng)
+        x = rng.uniform(-1.0, 1.0, 3)
+        assert f.eval(x).shape == (1,)
+        assert f.eval(x)[0] == pytest.approx(float(direct_eval(f, x[None])[0]), rel=1e-14)
+        assert f.eval(np.zeros((0, 3))).shape == (0,)
+        assert f.eval(rng.uniform(-1.0, 1.0, (5, 3))).shape == (5,)
+        assert f.eval(rng.uniform(-1.0, 1.0, (2, 5, 3))).shape == (2, 5)
+    assert Polynomial(3, 0, [2.5]).eval(np.ones((4, 3))).tolist() == [2.5] * 4
+
+
 def test_truncation_is_prefix():
     rng = np.random.default_rng(5)
     f = Polynomial.random(2, 4, rng)

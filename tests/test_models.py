@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from srlab import algebra
 from srlab.models import (
@@ -193,6 +194,48 @@ def test_compose_batched_matches_loop():
     batch = m.compose(us, w)
     for k in range(8):
         assert np.allclose(batch[k], m.compose(us[k], w), atol=1e-14)
+    # BCH composition is exact per batch entry
+    for name in ("heisenberg", "engel"):
+        m = get_model(name)
+        us = rng.uniform(-0.3, 0.3, (8, m.dim))
+        ws = rng.uniform(-0.2, 0.2, (8, m.dim))
+        batch = m.compose(us, ws)
+        shared = m.compose(us, ws[0])
+        for k in range(8):
+            assert np.array_equal(batch[k], m.compose(us[k], ws[k])), name
+            assert np.array_equal(shared[k], m.compose(us[k], ws[0])), name
+
+
+_COMPOSE_MODELS = {name: get_model(name) for name in ("heisenberg", "engel", "su2-pair",
+                                                      "free-nilpotent-3")}
+
+
+def _coords(dim: int, bound: float):
+    return st.lists(st.floats(-bound, bound), min_size=dim, max_size=dim).map(np.array)
+
+
+@st.composite
+def _model_and_points(draw, count):
+    name = draw(st.sampled_from(sorted(_COMPOSE_MODELS)))
+    m = _COMPOSE_MODELS[name]
+    return m, [draw(_coords(m.dim, 0.5)) for _ in range(count)]
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_and_points(3))
+def test_compose_associativity_property(case):
+    m, (u, v, w) = case
+    lhs = m.compose(m.compose(u, v), w)
+    rhs = m.compose(u, m.compose(v, w))
+    assert np.allclose(lhs, rhs, atol=1e-12), m.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(_model_and_points(1))
+def test_compose_with_inverse_is_identity_property(case):
+    m, (u,) = case
+    assert np.allclose(m.compose(u, m.inverse(u)), 0.0, atol=1e-12), m.name
+    assert np.allclose(m.compose(m.inverse(u), u), 0.0, atol=1e-12), m.name
 
 
 def test_heisenberg_compose_closed_form():
