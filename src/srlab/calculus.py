@@ -142,10 +142,16 @@ def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
 def _constants_tuple(constants) -> tuple[float, float, float, float]:
     if hasattr(constants, "as_tuple"):
         return constants.as_tuple()
-    if hasattr(constants, "n") and hasattr(constants, "rho1"):
-        return (constants.n, constants.rho1, constants.rho20, constants.rho21)
     n, r1, r20, r21 = constants
     return (n, r1, r20, r21)
+
+
+def _cd_sides(v: dict, l, constants) -> tuple:
+    """Both sides of the CD inequality (see `cd_residual`); l and v broadcast."""
+    n, rho1, rho20, rho21 = _constants_tuple(constants)
+    lhs = v["G2h"] + l * v["G2v"]
+    rhs = v["L"] ** 2 / n + (rho1 - 1.0 / l) * v["Gh"] + (rho20 + l * rho21) * v["Gv"]
+    return lhs, rhs
 
 
 def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT_ORDER):
@@ -157,13 +163,21 @@ def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT
     """
     if l <= 0:
         raise ValueError(f"weight l must be positive, got {l}")
-    n, rho1, rho20, rho21 = _constants_tuple(constants)
     j = _as_jet(model, f, x, order)
     calc = get_calc(model, j.base_point, j.order)
-    v = _core_values(calc, j)
-    lhs = v["G2h"] + l * v["G2v"]
-    rhs = v["L"] ** 2 / n + (rho1 - 1.0 / l) * v["Gh"] + (rho20 + l * rho21) * v["Gv"]
+    lhs, rhs = _cd_sides(_core_values(calc, j), l, constants)
     return lhs - rhs
+
+
+def _double_gamma(v: dict, l: float, c: float, rho_h: float, m_hv: float) -> tuple:
+    """Slack of both gradient-of-gradient bounds from `_core_values(want="double")`."""
+    q1 = rho_h - 1.0 / c
+    q2 = -c * m_hv**2
+    first = v["Gh"] * (
+        v["G2h"] + l * v["G2v"] - (q1 - 1.0 / l) * v["Gh"] - q2 * v["Gv"]
+    ) - 0.25 * v["GhGh"]
+    second = v["Gv"] * v["G2v"] - 0.25 * v["GhGv"]
+    return first, second
 
 
 def double_gamma_residuals(
@@ -194,12 +208,7 @@ def double_gamma_residuals(
         m_hv = m_hv if m_hv is not None else m_hv_
     j = _as_jet(model, f, x, order)
     calc = get_calc(model, j.base_point, j.order)
-    v = _core_values(calc, j, want="double")
-    q1 = rho_h - 1.0 / c
-    q2 = -c * m_hv**2
-    first = v["Gh"] * (v["G2h"] + l * v["G2v"] - (q1 - 1.0 / l) * v["Gh"] - q2 * v["Gv"]) - 0.25 * v["GhGh"]
-    second = v["Gv"] * v["G2v"] - 0.25 * v["GhGv"]
-    return first, second
+    return _double_gamma(_core_values(calc, j, want="double"), l, c, rho_h, m_hv)
 
 
 def condb_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
@@ -215,23 +224,20 @@ def condb_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     return _core_values(calc, j, want="condb")["condb"]
 
 
+def _commutation_pair(calc: FrameCalc, j: Jet) -> tuple[np.ndarray, np.ndarray]:
+    """L (Delta f) and Delta (L f) for the full Laplacian Delta."""
+    a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
+    b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
+    return a, b
+
+
 def commutation_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     """|L (Delta f) - Delta (L f)| at x for the full Laplacian Delta."""
     j = _as_jet(model, f, x, order)
     if j.order < 4:
         raise ValueError("commutation residual needs jet order >= 4")
-    calc = get_calc(model, j.base_point, j.order)
-    a = calc.sublaplacian(calc.full_laplacian(j)).value
-    b = calc.full_laplacian(calc.sublaplacian(j)).value
-    return np.abs(np.asarray(a) - np.asarray(b))
-
-
-def commutation_scale(model: LieModel, f, x, order: int = DEFAULT_ORDER):
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
-    a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
-    b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
-    return np.abs(a - b), 1.0 + np.abs(a) + np.abs(b)
+    a, b = _commutation_pair(get_calc(model, j.base_point, j.order), j)
+    return np.abs(a - b)
 
 
 def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
@@ -335,7 +341,6 @@ def cd_residual_sweep(
     Returns (residuals, scales) with shape (n_points, n_functions,
     len(l_grid)); scales are 1 + |LHS| + |RHS| for tolerance scaling.
     """
-    n, rho1, rho20, rho21 = _constants_tuple(constants)
     rng = np.random.default_rng(seed)
     n_terms = get_space(model.dim, degree).terms(degree)
     coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
@@ -346,13 +351,8 @@ def cd_residual_sweep(
     for p, x in enumerate(points):
         calc = get_calc(model, x, DEFAULT_ORDER)
         j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        v = _core_values(calc, j)
-        lhs = v["G2h"][:, None] + l_arr[None, :] * v["G2v"][:, None]
-        rhs = (
-            v["L"][:, None] ** 2 / n
-            + (rho1 - 1.0 / l_arr)[None, :] * v["Gh"][:, None]
-            + (rho20 + l_arr * rho21)[None, :] * v["Gv"][:, None]
-        )
+        v = {k: np.asarray(val)[:, None] for k, val in _core_values(calc, j).items()}
+        lhs, rhs = _cd_sides(v, l_arr[None, :], constants)
         residuals[p] = lhs - rhs
         scales[p] = 1.0 + np.abs(lhs) + np.abs(rhs)
     return residuals, scales
@@ -377,16 +377,11 @@ def double_gamma_sweep(
     first = np.empty((n_points, n_functions))
     second = np.empty_like(first)
     scales = np.empty_like(first)
-    q1 = rho_h - 1.0 / c
-    q2 = -c * m_hv**2
     for p, x in enumerate(points):
         calc = get_calc(model, x, DEFAULT_ORDER)
         j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
         v = _core_values(calc, j, want="double")
-        first[p] = v["Gh"] * (
-            v["G2h"] + l * v["G2v"] - (q1 - 1.0 / l) * v["Gh"] - q2 * v["Gv"]
-        ) - 0.25 * v["GhGh"]
-        second[p] = v["Gv"] * v["G2v"] - 0.25 * v["GhGv"]
+        first[p], second[p] = _double_gamma(v, l, c, rho_h, m_hv)
         scales[p] = 1.0 + np.abs(v["Gh"]) * (1.0 + np.abs(v["G2h"])) + np.abs(v["GhGh"])
     return first, second, scales
 
@@ -436,8 +431,7 @@ def commutation_sweep(
     for p, x in enumerate(points):
         calc = get_calc(model, x, DEFAULT_ORDER)
         j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
-        b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
+        a, b = _commutation_pair(calc, j)
         res[p] = np.abs(a - b)
         scales[p] = 1.0 + np.abs(a) + np.abs(b)
     return res, scales

@@ -109,18 +109,14 @@ def cmd_suite_run(args):
     except (suite.ConfigError, OSError, json.JSONDecodeError) as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
-    seed = args.seed if args.seed is not None else args.global_seed
-    if seed is not None:
-        cfg["seed"] = seed
-    json_out = args.json if args.json is not None else args.global_json
-    if json_out is not None:
-        cfg["output"]["json"] = json_out
-    csv_dir = args.csv_dir if args.csv_dir is not None else args.global_csv_dir
-    if csv_dir is not None:
-        cfg["output"]["csv_dir"] = csv_dir
-    jobs = args.jobs if args.jobs is not None else args.global_jobs
-    if jobs is not None:
-        cfg["jobs"] = jobs
+    if args.seed is not None:
+        cfg["seed"] = args.seed
+    if args.json is not None:
+        cfg["output"]["json"] = args.json
+    if args.csv_dir is not None:
+        cfg["output"]["csv_dir"] = args.csv_dir
+    if args.jobs is not None:
+        cfg["jobs"] = args.jobs
     if args.checks:
         cfg["checks"] = args.checks
     try:
@@ -146,14 +142,6 @@ def build_parser() -> argparse.ArgumentParser:
         prog="srlab",
         description="curvature-dimension verification lab for sub-Riemannian models",
     )
-    p.add_argument("--seed", dest="global_seed", type=int, default=None,
-                   help="override the RNG seed")
-    p.add_argument("--json", dest="global_json", default=None,
-                   help="JSON report path (suite runs)")
-    p.add_argument("--csv-dir", dest="global_csv_dir", default=None,
-                   help="CSV output directory (suite runs)")
-    p.add_argument("--jobs", dest="global_jobs", type=int, default=None,
-                   help="worker pool size (suite runs)")
     sub = p.add_subparsers(dest="command", required=True)
 
     q = sub.add_parser("models", help="list and validate the shipped models")
@@ -199,10 +187,10 @@ def build_parser() -> argparse.ArgumentParser:
     qq = q.add_subparsers(dest="suite_command", required=True)
     r = qq.add_parser("run", help="run configured checks")
     r.add_argument("--config", default=None, help="JSON configuration path")
-    r.add_argument("--seed", type=int, default=None)
+    r.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     r.add_argument("--json", default=None, help="write the JSON report here")
     r.add_argument("--csv-dir", default=None, help="write CSV tables here")
-    r.add_argument("--jobs", type=int, default=None)
+    r.add_argument("--jobs", type=int, default=None, help="worker pool size")
     r.add_argument("--checks", nargs="+", default=None, help="subset of check ids")
     r.set_defaults(fn=cmd_suite_run)
     return p

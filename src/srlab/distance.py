@@ -24,7 +24,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import LieModel
+from .models import LieModel, is_heisenberg
 
 
 @dataclass
@@ -196,8 +196,7 @@ def cc_distance(
     if not np.any(rel):
         return DistanceEstimate(0.0, 0.0, 0.0, "geodesic-shooting")
 
-    base = model.name.split("+")[0]
-    if base in ("heisenberg", "free-nilpotent-2"):
+    if is_heisenberg(model):
         value = _heisenberg_from_identity(rel)
         lower = _nilpotent_lower(model, rel)
         upper = _nilpotent_upper(model, x, y)

@@ -8,11 +8,15 @@ increments compose through exact group multiplication, the walk stays
 on the group, constants are preserved exactly, and the estimator of
 P_t 1 is identically 1.
 
+One path engine, `mc_semigroup_many`, makes every estimate: plain
+integrands are averaged over the paths from x, and `Gradient` entries
+add a stencil of group-translated starts.  All starts ride the same
+increments in one simulation, so the two sides of an inequality share
+their noise and the stencil differences lose almost all of theirs.
+
 Streams are counter-based (Philox keyed by seed and chunk index), so
 estimates are bit-reproducible for fixed settings regardless of how
-chunks are scheduled.  Gradient estimates use common random numbers
-across a symmetric stencil of group-translated starting points, which
-removes almost all of the noise of the finite difference.
+chunks are scheduled.
 """
 
 from __future__ import annotations
@@ -64,6 +68,33 @@ class GradientEstimate:
         return dict(self.__dict__)
 
 
+@dataclass(frozen=True)
+class Gradient:
+    """Integrand entry estimating Gamma^which(P_t f)(x) by stencil differences.
+
+    Its starts are the group translates x exp(+-delta E_i) over the
+    frame directions `which` selects ("h", "v" or "hv").  They ride the
+    same Brownian increments, so each directional derivative is a
+    difference of strongly coupled means.  The squared-norm estimate
+    subtracts the noise bias tr(Cov), and the error bar comes from the
+    delta method on the directional means.
+    """
+
+    f: object
+    which: str = "h"
+    delta: float = 1e-3
+
+
+class Squared:
+    """f^2 as an integrand."""
+
+    def __init__(self, f):
+        self.f = f
+
+    def eval(self, points: np.ndarray) -> np.ndarray:
+        return np.asarray(self.f.eval(points)) ** 2
+
+
 def _chunks(paths: int) -> list[int]:
     out = [CHUNK] * (paths // CHUNK)
     if paths % CHUNK:
@@ -96,6 +127,28 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
     return states
 
 
+def _stencil_dirs(model: LieModel, which: str) -> list[int]:
+    if which == "h":
+        return list(range(model.dim_h))
+    if which == "v":
+        return list(range(model.dim_h, model.dim))
+    if which == "hv":
+        return list(range(model.dim))
+    raise ValueError(f"unknown gradient selector {which!r}")
+
+
+def _stencil_starts(model: LieModel, x: np.ndarray, grad: Gradient) -> np.ndarray:
+    """x exp(+delta E_i), x exp(-delta E_i) for each stencil direction i."""
+    dirs = _stencil_dirs(model, grad.which)
+    starts = np.empty((2 * len(dirs), model.dim))
+    for a, i in enumerate(dirs):
+        e = np.zeros(model.dim)
+        e[i] = grad.delta
+        starts[2 * a] = model.compose(x, e)
+        starts[2 * a + 1] = model.compose(x, -e)
+    return starts
+
+
 def mc_semigroup_many(
     model: LieModel,
     integrands: list,
@@ -104,55 +157,75 @@ def mc_semigroup_many(
     paths: int,
     steps: int,
     seed: int,
-) -> list[SemigroupEstimate]:
-    """Estimate P_t f(x) for several integrands over one set of paths.
+) -> list:
+    """Estimate several integrands at x over one set of paths.
 
+    A plain integrand f gives a SemigroupEstimate of P_t f(x); a
+    `Gradient` entry gives a GradientEstimate.  The start x and every
+    stencil start are evolved together, one `_evolve` call per chunk.
     Sharing paths gives the estimates a common probability space, which
     the inequality checks need (their two sides must see the same
-    noise).
+    noise).  The plain estimates carry the covariance of their means in
+    settings["mean_cov"], for downstream delta methods.
     """
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be >= 1")
     if t < 0:
         raise ValueError("negative time")
     x = np.asarray(x, dtype=float)
-    k = len(integrands)
-    sums = np.zeros(k)
-    sumsq = np.zeros(k)
-    cross = np.zeros((k, k))
+    plain = [f for f in integrands if not isinstance(f, Gradient)]
+    groups = [f for f in integrands if isinstance(f, Gradient)] + ([plain] if plain else [])
+    blocks = [x[None, :] if g is plain else _stencil_starts(model, x, g) for g in groups]
+    rows = np.cumsum([0] + [len(b) for b in blocks])
+    starts = np.concatenate(blocks)
+    # per group: sum, sum of squares and cross products of its rows
+    sums = [[0.0, 0.0, 0.0] for _ in groups]
     for idx, size in enumerate(_chunks(paths)):
-        rng = _stream(seed, idx)
-        states = _evolve(model, x[None, :], t, steps, size, rng)[0]
-        vals = np.stack([np.asarray(f.eval(states), dtype=float) for f in integrands])
-        sums += vals.sum(axis=1)
-        sumsq += (vals**2).sum(axis=1)
-        cross += vals @ vals.T
-    means = sums / paths
-    out = []
-    for i, f in enumerate(integrands):
-        var = max(sumsq[i] / paths - means[i] ** 2, 0.0)
-        if paths > 1:
-            var *= paths / (paths - 1)
-        out.append(
-            SemigroupEstimate(
-                value=float(means[i]),
-                std_error=float(np.sqrt(var / paths)),
-                t=t,
-                x=x.tolist(),
-                method="mc",
-                paths=paths,
-                steps=steps,
-                seed=seed,
+        states = _evolve(model, starts, t, steps, size, _stream(seed, idx))
+        for acc, g, lo, hi in zip(sums, groups, rows, rows[1:]):
+            if g is plain:
+                vals = np.stack([np.asarray(f.eval(states[lo]), dtype=float) for f in plain])
+            else:
+                corners = np.stack([np.asarray(g.f.eval(s), dtype=float) for s in states[lo:hi]])
+                vals = (corners[0::2] - corners[1::2]) / (2.0 * g.delta)
+            acc[0] = acc[0] + vals.sum(axis=1)
+            acc[1] = acc[1] + (vals**2).sum(axis=1)
+            acc[2] = acc[2] + vals @ vals.T
+
+    common = dict(t=t, paths=paths, steps=steps, seed=seed)
+    bessel = paths / (paths - 1) if paths > 1 else 1.0
+    grad_out, plain_out = [], []
+    for g, (total, total_sq, cross) in zip(groups, sums):
+        means = total / paths
+        cov_mean = (cross / paths - np.outer(means, means)) * bessel / paths
+        if g is not plain:
+            var = float(4.0 * means @ cov_mean @ means + 2.0 * np.sum(cov_mean**2))
+            grad_out.append(
+                GradientEstimate(
+                    value=float(means @ means - np.trace(cov_mean)),
+                    std_error=float(np.sqrt(max(var, 0.0))),
+                    directional=means.tolist(),
+                    which=g.which,
+                    x=x.tolist(),
+                    delta=g.delta,
+                    **common,
+                )
             )
-        )
-    # attach the covariance of the means for downstream delta methods
-    cov = cross / paths - np.outer(means, means)
-    if paths > 1:
-        cov *= paths / (paths - 1)
-    for est in out:
-        est.settings["mean_cov"] = (cov / paths).tolist()
-        est.settings["means"] = means.tolist()
-    return out
+            continue
+        for i in range(len(plain)):
+            var = max(total_sq[i] / paths - means[i] ** 2, 0.0) * bessel
+            plain_out.append(
+                SemigroupEstimate(
+                    value=float(means[i]),
+                    std_error=float(np.sqrt(var / paths)),
+                    x=x.tolist(),
+                    method="mc",
+                    settings={"mean_cov": cov_mean.tolist(), "means": means.tolist()},
+                    **common,
+                )
+            )
+    grad_it, plain_it = iter(grad_out), iter(plain_out)
+    return [next(grad_it if isinstance(f, Gradient) else plain_it) for f in integrands]
 
 
 def mc_semigroup(
@@ -162,31 +235,26 @@ def mc_semigroup(
     return mc_semigroup_many(model, [f], x, t, paths, steps, seed)[0]
 
 
-def mc_variance(
-    model: LieModel, f, x, t: float, paths: int, steps: int, seed: int
-) -> tuple[float, float]:
-    """Estimate of P_t f^2 - (P_t f)^2 with a delta-method error bar."""
+def variance(est_f: SemigroupEstimate, est_f2: SemigroupEstimate) -> tuple[float, float]:
+    """P_t f^2 - (P_t f)^2 with a delta-method error bar.
 
-    class _Sq:
-        def eval(self, pts):
-            return np.asarray(f.eval(pts)) ** 2
-
-    est_f, est_f2 = mc_semigroup_many(model, [f, _Sq()], x, t, paths, steps, seed)
+    est_f and est_f2 are the estimates of f and `Squared(f)`, the only
+    plain integrands of one `mc_semigroup_many` pass.
+    """
     m1, m2 = est_f.value, est_f2.value
     cov = np.asarray(est_f.settings["mean_cov"])
+    if cov.shape != (2, 2):
+        raise ValueError("variance needs a pass whose plain integrands are f and f^2")
     grad = np.array([-2.0 * m1, 1.0])
     var = float(grad @ cov @ grad)
     return m2 - m1**2, float(np.sqrt(max(var, 0.0)))
 
 
-def _stencil_dirs(model: LieModel, which: str) -> list[int]:
-    if which == "h":
-        return list(range(model.dim_h))
-    if which == "v":
-        return list(range(model.dim_h, model.dim))
-    if which == "hv":
-        return list(range(model.dim))
-    raise ValueError(f"unknown gradient selector {which!r}")
+def mc_variance(
+    model: LieModel, f, x, t: float, paths: int, steps: int, seed: int
+) -> tuple[float, float]:
+    """Estimate of P_t f^2 - (P_t f)^2 with a delta-method error bar."""
+    return variance(*mc_semigroup_many(model, [f, Squared(f)], x, t, paths, steps, seed))
 
 
 def mc_gradient(
@@ -200,53 +268,13 @@ def mc_gradient(
     seed: int = 0,
     delta: float = 1e-3,
 ) -> GradientEstimate:
-    """Estimate Gamma^which(P_t f)(x) by stencil differences.
+    """Estimate Gamma^which(P_t f)(x) by stencil differences (see `Gradient`)."""
+    return mc_semigroup_many(model, [Gradient(f, which, delta)], x, t, paths, steps, seed)[0]
 
-    Starting points are the group translates x exp(+-delta E_i); all
-    stencil corners ride the same Brownian increments, so each
-    directional derivative is a difference of strongly coupled means.
-    The squared-norm estimate subtracts the noise bias tr(Cov) and the
-    error bar comes from the delta method on the directional means.
-    """
-    x = np.asarray(x, dtype=float)
-    dirs = _stencil_dirs(model, which)
-    m = len(dirs)
-    starts = np.empty((2 * m, model.dim))
-    for a, i in enumerate(dirs):
-        e = np.zeros(model.dim)
-        e[i] = delta
-        starts[2 * a] = model.compose(x, e)
-        starts[2 * a + 1] = model.compose(x, -e)
-    sums = np.zeros(m)
-    cross = np.zeros((m, m))
-    for idx, size in enumerate(_chunks(paths)):
-        rng = _stream(seed, idx)
-        states = _evolve(model, starts, t, steps, size, rng)
-        vals = np.stack(
-            [np.asarray(f.eval(states[r]), dtype=float) for r in range(2 * m)]
-        )
-        g = (vals[0::2] - vals[1::2]) / (2.0 * delta)  # (m, size)
-        sums += g.sum(axis=1)
-        cross += g @ g.T
-    means = sums / paths
-    cov = cross / paths - np.outer(means, means)
-    if paths > 1:
-        cov *= paths / (paths - 1)
-    cov_mean = cov / paths
-    value = float(means @ means - np.trace(cov_mean))
-    var = float(4.0 * means @ cov_mean @ means + 2.0 * np.sum(cov_mean**2))
-    return GradientEstimate(
-        value=value,
-        std_error=float(np.sqrt(max(var, 0.0))),
-        directional=means.tolist(),
-        which=which,
-        t=t,
-        x=x.tolist(),
-        paths=paths,
-        steps=steps,
-        seed=seed,
-        delta=delta,
-    )
+
+def gamma_mixed(gh: GradientEstimate, gv: GradientEstimate, l: float) -> tuple[float, float]:
+    """Gamma^h + l Gamma^v from the two gradient estimates, with combined error bar."""
+    return gh.value + l * gv.value, float(np.hypot(gh.std_error, l * gv.std_error))
 
 
 def mc_gamma_mixed(
@@ -261,11 +289,10 @@ def mc_gamma_mixed(
     delta: float = 1e-3,
 ) -> tuple[float, float]:
     """Gamma^h(P_t f) + l Gamma^v(P_t f) at x, with combined error bar."""
-    gh = mc_gradient(model, f, x, t, "h", paths, steps, seed, delta)
-    gv = mc_gradient(model, f, x, t, "v", paths, steps, seed, delta)
-    val = gh.value + l * gv.value
-    err = float(np.hypot(gh.std_error, l * gv.std_error))
-    return val, err
+    gh, gv = mc_semigroup_many(
+        model, [Gradient(f, "h", delta), Gradient(f, "v", delta)], x, t, paths, steps, seed
+    )
+    return gamma_mixed(gh, gv, l)
 
 
 class FrameGammaIntegrand:

@@ -303,6 +303,13 @@ def build_heisenberg() -> LieModel:
     )
 
 
+def is_heisenberg(model: LieModel) -> bool:
+    """Whether the orthonormal-frame constants, which `compose` uses, are heisenberg's."""
+    if model.group != "nilpotent" or (model.dim_h, model.dim) != (2, 3):
+        return False
+    return np.array_equal(model.onframe.c, build_heisenberg().structure_constants)
+
+
 def build_free_nilpotent(n: int) -> LieModel:
     """Free step-2 nilpotent group on n generators.
 

@@ -28,7 +28,7 @@ import numpy as np
 import scipy.sparse as sp
 from scipy.sparse.linalg import cg
 
-from .models import LieModel
+from .models import LieModel, is_heisenberg
 
 
 def _centered_diff(n: int, h: float) -> sp.csr_matrix:
@@ -70,7 +70,7 @@ class HeisenbergHeatSolver:
         dt: float = 0.01,
         cg_tol: float = 1e-10,
     ):
-        if model.name.split("+")[0] not in ("heisenberg", "free-nilpotent-2"):
+        if not is_heisenberg(model):
             raise ValueError("the grid solver is implemented for the Heisenberg model")
         self.model = model
         self.bounds = tuple(float(b) for b in bounds)

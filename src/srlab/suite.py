@@ -34,8 +34,6 @@ from . import calculus, distance, geometry, heat, pde, schedules, spectral
 from .jets import Constant, Coordinate, GaussianBump, Polynomial, get_space
 from .models import get_model, validate
 
-STEP2_MODELS = ("heisenberg", "free-nilpotent-3", "su2-pair")
-PARALLEL_MODELS = ("heisenberg", "free-nilpotent-3", "su2-pair")
 ALL_MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
 
 
@@ -151,8 +149,9 @@ def load_config(doc: dict | str | None) -> dict:
     return cfg
 
 
-def _models_in(cfg, allowed) -> list[str]:
-    return [m for m in cfg["models"] if m in allowed]
+def _models_where(cfg, eligible) -> list[str]:
+    """The configured models whose validation report satisfies `eligible`."""
+    return [m for m in cfg["models"] if eligible(validate(get_model(m)))]
 
 
 def _l_grid(n: int) -> np.ndarray:
@@ -222,7 +221,7 @@ def check_cd_sweep(cfg, seed) -> list[CheckResult]:
     n_f = cfg["cd"]["functions"]
     n_p = cfg["cd"]["points"]
     grid = _l_grid(cfg["cd"]["l_points"])
-    for name in _models_in(cfg, STEP2_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.step == 2):
         work, consts = _constants_for(name)
         res, scale = calculus.cd_residual_sweep(
             work, consts, n_f, n_p, grid, seed=derive_seed(seed, f"cd:{name}")
@@ -248,7 +247,7 @@ def check_cd_sweep(cfg, seed) -> list[CheckResult]:
 def check_double_gamma(cfg, seed) -> list[CheckResult]:
     out = []
     s = cfg["double_gamma"]
-    for name in _models_in(cfg, PARALLEL_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
         model = get_model(name)
         rep = geometry.geometry_report(model, normalize=False)
         first, second, scale = calculus.double_gamma_sweep(
@@ -280,7 +279,7 @@ def check_double_gamma(cfg, seed) -> list[CheckResult]:
 def check_condition_b(cfg, seed) -> list[CheckResult]:
     out = []
     n = cfg["condb"]["samples"]
-    for name in _models_in(cfg, STEP2_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.step == 2):
         model = get_model(name)
         res, scale = calculus.condb_sweep(
             model, n, seed=derive_seed(seed, f"condb:{name}")
@@ -319,7 +318,7 @@ def check_condition_b(cfg, seed) -> list[CheckResult]:
 def check_commutation(cfg, seed) -> list[CheckResult]:
     out = []
     s = cfg["commutation"]
-    for name in _models_in(cfg, PARALLEL_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
         model = get_model(name)
         res, scale = calculus.commutation_sweep(
             model, s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
@@ -341,7 +340,7 @@ def check_commutation(cfg, seed) -> list[CheckResult]:
 
 def check_ricci_compare(cfg, seed) -> list[CheckResult]:
     out = []
-    for name in _models_in(cfg, PARALLEL_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
         model = get_model(name)
         worst = geometry.riemann_ricci_compare(
             model, cfg["ricci"]["directions"], seed=derive_seed(seed, f"ricci:{name}")
@@ -375,7 +374,7 @@ def check_constants(cfg, seed) -> list[CheckResult]:
             abs(consts.rho21 - dec.rho21),
             abs(consts.n - dec.n),
         )
-        if name in PARALLEL_MODELS:
+        if validate(model).fully_parallel:
             dev = max(dev, rep.M_HV, rep.M_grad_v)
         out.append(
             _mk(
@@ -493,34 +492,23 @@ def _gradient_cases(model, cfg, seed):
     return cases
 
 
-def check_gradient_bound_a(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    _, consts = _constants_for("heisenberg")
+def _gradient_check(cfg, seed, model, cid, anchor, label, integrands, sides):
+    """One MC pass per gradient case; the margin is rhs - lhs.
+
+    integrands(f) lists what a case's pass estimates, and sides(t,
+    *estimates) turns the estimates into (lhs, rhs, std_error).
+    """
     g = cfg["gradient"]
-    l = 1.0
-    alpha = min(consts.rho1 - 1.0 / l, consts.rho21 + consts.rho20 / l)
     out = []
     for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
-        s = derive_seed(seed, f"grad-a:{k}")
-        lhs, lhs_err = heat.mc_gamma_mixed(
-            model, f, x, t, l, g["paths"], g["steps"], s, g["delta"]
-        )
-        rhs_est = heat.mc_semigroup(
-            model,
-            heat.FrameGammaIntegrand(model, f, "mixed", l),
-            x,
-            t,
-            g["paths"],
-            g["steps"],
-            s,
-        )
-        rhs = np.exp(-alpha * t) * rhs_est.value
-        err = float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
+        s = derive_seed(seed, f"{label}:{k}")
+        ests = heat.mc_semigroup_many(model, integrands(f), x, t, g["paths"], g["steps"], s)
+        lhs, rhs, err = sides(t, *ests)
         out.append(
             _mk(
-                "gradient-bound-a",
-                "GradBound(a)",
-                "heisenberg",
+                cid,
+                anchor,
+                model.name,
                 rhs - lhs,
                 3.0 * err,
                 seed,
@@ -534,73 +522,68 @@ def check_gradient_bound_a(cfg, seed) -> list[CheckResult]:
     return out
 
 
+def check_gradient_bound_a(cfg, seed) -> list[CheckResult]:
+    model = get_model("heisenberg")
+    _, consts = _constants_for("heisenberg")
+    delta = cfg["gradient"]["delta"]
+    l = 1.0
+    alpha = min(consts.rho1 - 1.0 / l, consts.rho21 + consts.rho20 / l)
+
+    def integrands(f):
+        return [
+            heat.Gradient(f, "h", delta),
+            heat.Gradient(f, "v", delta),
+            heat.FrameGammaIntegrand(model, f, "mixed", l),
+        ]
+
+    def sides(t, gh, gv, rhs_est):
+        lhs, lhs_err = heat.gamma_mixed(gh, gv, l)
+        rhs = np.exp(-alpha * t) * rhs_est.value
+        return lhs, rhs, float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
+
+    return _gradient_check(
+        cfg, seed, model, "gradient-bound-a", "GradBound(a)", "grad-a", integrands, sides
+    )
+
+
 def check_gradient_bound_b(cfg, seed) -> list[CheckResult]:
     model = get_model("heisenberg")
     _, consts = _constants_for("heisenberg")
-    g = cfg["gradient"]
+    delta = cfg["gradient"]["delta"]
     k1 = max(0.0, -consts.rho1)
     k2 = max(0.0, -consts.rho21)
-    out = []
-    for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
-        s = derive_seed(seed, f"grad-b:{k}")
-        gh = heat.mc_gradient(model, f, x, t, "h", g["paths"], g["steps"], s, g["delta"])
-        var, var_err = heat.mc_variance(model, f, x, t, g["paths"], g["steps"], s)
+
+    def integrands(f):
+        return [heat.Gradient(f, "h", delta), f, heat.Squared(f)]
+
+    def sides(t, gh, est_f, est_f2):
+        var, var_err = heat.variance(est_f, est_f2)
         factor = 1.0 + 2.0 / consts.rho20 + (k1 + k2 / consts.rho20) * t
-        margin = factor * var - t * gh.value
-        err = float(np.hypot(factor * var_err, t * gh.std_error))
-        out.append(
-            _mk(
-                "gradient-bound-b",
-                "GradBound(b)",
-                "heisenberg",
-                margin,
-                3.0 * err,
-                seed,
-                std_error=err,
-                case=k,
-                t=t,
-                lhs=t * gh.value,
-                rhs=factor * var,
-            )
-        )
-    return out
+        return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
+
+    return _gradient_check(
+        cfg, seed, model, "gradient-bound-b", "GradBound(b)", "grad-b", integrands, sides
+    )
 
 
 def check_vertical_gradient(cfg, seed) -> list[CheckResult]:
     model = get_model("heisenberg")
-    g = cfg["gradient"]
-    out = []
-    for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
-        s = derive_seed(seed, f"grad-v:{k}")
-        gv = heat.mc_gradient(model, f, x, t, "v", g["paths"], g["steps"], s, g["delta"])
+    delta = cfg["gradient"]["delta"]
+
+    def integrands(f):
+        return [
+            heat.Gradient(f, "v", delta),
+            heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
+        ]
+
+    def sides(t, gv, rhs_est):
         lhs = float(np.sqrt(max(gv.value, 0.0)))
         lhs_err = gv.std_error / (2.0 * lhs) if lhs > 1e-12 else gv.std_error
-        rhs_est = heat.mc_semigroup(
-            model,
-            heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
-            x,
-            t,
-            g["paths"],
-            g["steps"],
-            s,
-        )
-        err = float(np.hypot(lhs_err, rhs_est.std_error))
-        out.append(
-            _mk(
-                "vertical-gradient",
-                "CondARiemann",
-                "heisenberg",
-                rhs_est.value - lhs,
-                3.0 * err,
-                seed,
-                std_error=err,
-                case=k,
-                t=t,
-                lhs=lhs,
-                rhs=rhs_est.value,
-            )
-        )
-    return out
+        return lhs, rhs_est.value, float(np.hypot(lhs_err, rhs_est.std_error))
+
+    return _gradient_check(
+        cfg, seed, model, "vertical-gradient", "CondARiemann", "grad-v", integrands, sides
+    )
 
 
 # -- PDE-based checks ---------------------------------------------------
@@ -900,7 +883,7 @@ def check_poincare_decay(cfg, seed) -> list[CheckResult]:
 def check_schedules(cfg, seed) -> list[CheckResult]:
     out = []
     s = cfg["schedules"]
-    for name in _models_in(cfg, PARALLEL_MODELS):
+    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
         _, consts = _constants_for(name)
         built, skipped = schedules.builtin_schedules(
             consts, s["horizon"], n=s["grid"]

@@ -6,6 +6,8 @@ point (0, 0, z) is at 2 sqrt(pi |z|) (the isoperimetric circle lifting
 area z).
 """
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -29,6 +31,14 @@ def test_vertical_point(heis):
     for z in (0.25, 1.0, 4.0):
         est = dist.cc_distance(heis, np.zeros(3), [0.0, 0.0, z])
         assert est.value == pytest.approx(2.0 * np.sqrt(np.pi * z), rel=1e-10)
+
+
+def test_renamed_heisenberg_takes_closed_form(heis):
+    renamed = dataclasses.replace(heis, name="h3")
+    x, y = [0.1, -0.2, 0.3], [0.4, 0.2, -0.5]
+    est = dist.cc_distance(renamed, x, y)
+    assert est.method == "geodesic-shooting"
+    assert est.value == dist.cc_distance(heis, x, y).value
 
 
 def test_coincident_points(heis):

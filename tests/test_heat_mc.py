@@ -119,6 +119,38 @@ def test_vertical_gradient_bound_sample(heis):
     assert rhs.value - lhs >= -3.0 * err
 
 
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
+def test_one_pass_equals_separate_passes(name):
+    # every start rides one simulation; each estimate keeps the numbers
+    # it has when simulated alone
+    m = get_model(name)
+    rng = np.random.default_rng(21)
+    f = Polynomial.random(m.dim, 3, rng)
+    g = Polynomial.random(m.dim, 2, rng)
+    x = rng.uniform(-0.3, 0.3, m.dim)
+    gh, gv, eg = heat.mc_semigroup_many(
+        m, [heat.Gradient(f, "h"), heat.Gradient(f, "v"), g], x, 0.4, 600, 6, 23
+    )
+    assert gh == heat.mc_gradient(m, f, x, 0.4, "h", 600, 6, 23)
+    assert gv == heat.mc_gradient(m, f, x, 0.4, "v", 600, 6, 23)
+    assert eg == heat.mc_semigroup(m, g, x, 0.4, 600, 6, 23)
+
+
+def test_mc_variance_is_delta_method_on_one_pass(heis):
+    f = Polynomial.monomial(3, (2, 0, 0))
+
+    class Sq:
+        def eval(self, pts):
+            return np.asarray(f.eval(pts)) ** 2
+
+    est_f, est_f2 = heat.mc_semigroup_many(heis, [f, Sq()], np.zeros(3), 0.5, 3000, 20, 17)
+    m1, m2 = est_f.value, est_f2.value
+    grad = np.array([-2.0 * m1, 1.0])
+    var = float(grad @ np.asarray(est_f.settings["mean_cov"]) @ grad)
+    expected = (m2 - m1**2, float(np.sqrt(max(var, 0.0))))
+    assert heat.mc_variance(heis, f, np.zeros(3), 0.5, 3000, 20, 17) == expected
+
+
 def test_mc_variance_estimator(heis):
     # x-marginal is Brownian: var(x_t^2) = 2 t^2
     v, sv = heat.mc_variance(
@@ -141,3 +173,17 @@ def test_invalid_settings(heis):
         heat.mc_semigroup(heis, f, np.zeros(3), -1.0, 10, 10, seed=0)
     with pytest.raises(ValueError):
         heat.mc_gradient(heis, f, np.zeros(3), 1.0, "bogus", 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_gradient(heis, f, np.zeros(3), 1.0, "h", 0, 10, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_gradient(heis, f, np.zeros(3), -1.0, "h", 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_gamma_mixed(heis, f, np.zeros(3), 1.0, 1.0, 0, 10, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_gamma_mixed(heis, f, np.zeros(3), -1.0, 1.0, 10, 10, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_variance(heis, f, np.zeros(3), 1.0, 10, 0, seed=0)
+    with pytest.raises(ValueError):
+        heat.mc_semigroup_many(
+            heis, [f, heat.Gradient(f, "bogus")], np.zeros(3), 1.0, 10, 10, seed=0
+        )

@@ -1,5 +1,7 @@
 """Grid solver checks: structure, conservation, and cross-estimators."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -30,6 +32,12 @@ def test_operator_is_symmetric(solver):
 def test_only_heisenberg_supported():
     with pytest.raises(ValueError):
         pde.HeisenbergHeatSolver(get_model("engel"))
+    heis = get_model("heisenberg")
+    with pytest.raises(ValueError):
+        pde.HeisenbergHeatSolver(heis.with_frame_metric(np.diag([1.0, 1.0, 4.0])))
+    # eligibility is structural: a renamed Heisenberg model is accepted
+    renamed = dataclasses.replace(heis, name="h3")
+    pde.HeisenbergHeatSolver(renamed, shape=(5, 5, 5))
 
 
 def test_time_zero_field_is_sample(solver, bump):

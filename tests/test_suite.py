@@ -132,8 +132,12 @@ def test_cli_suite_subset_runs_and_writes(tmp_path, capsys):
     assert cli_main(args + ["--json", str(out1)]) == 0
     assert cli_main(args + ["--json", str(out2)]) == 0
     assert out1.read_bytes() == out2.read_bytes()
+    assert json.loads(out1.read_text())["seed"] == 7
     out = capsys.readouterr().out
     assert "pass=" in out
+    # the run options belong to `suite run` only
+    with pytest.raises(SystemExit):
+        cli_main(["--seed", "7", "suite", "run", "--checks", "validate-models"])
 
 
 def test_cli_constants_handles_infeasible_models(capsys):
