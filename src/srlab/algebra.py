@@ -278,5 +278,8 @@ def frame_coefficients(
         if np.linalg.norm(m, ord=np.inf) <= _SERIES_SAFE_NORM:
             out[i] = _dexpinv_series(m[None])[0]
         else:
-            out[i] = np.real(funm(m.astype(complex), np.vectorize(_dexpinv_scalar)))
+            # funm's error estimate is spurious for the repeated eigenvalues
+            # of ad matrices, so it is taken back instead of printed
+            value, _ = funm(m.astype(complex), np.vectorize(_dexpinv_scalar), disp=False)
+            out[i] = np.real(value)
     return out.reshape(ad.shape)

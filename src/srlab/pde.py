@@ -136,14 +136,20 @@ class HeisenbergHeatSolver:
         return float(np.abs(u).sum() * self.cell_volume)
 
     def interpolate(self, u: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of a grid field at coordinate points."""
+        """Trilinear interpolation of a grid field at coordinate points.
+
+        Points must lie in the closed box; a point outside it (or NaN)
+        raises ValueError instead of reading the nearest face.
+        """
         points = np.atleast_2d(np.asarray(points, dtype=float))
         out = np.zeros(len(points))
         idx = []
         frac = []
         for k in range(3):
             ax = self.axes[k]
-            p = np.clip(points[:, k], ax[0], ax[-1])
+            p = points[:, k]
+            if not np.all((p >= ax[0]) & (p <= ax[-1])):
+                raise ValueError(f"points outside the grid box on axis {k}")
             j = np.clip(np.searchsorted(ax, p) - 1, 0, len(ax) - 2)
             idx.append(j)
             frac.append((p - ax[j]) / (ax[j + 1] - ax[j]))
@@ -206,22 +212,6 @@ class HeisenbergHeatSolver:
         if ti != len(times):
             raise ValueError("some requested times were not multiples of dt")
         return out
-
-
-def pde_semigroup(
-    model: LieModel,
-    f,
-    t,
-    bounds: tuple = (4.0, 4.0, 4.0),
-    shape: tuple = (45, 45, 45),
-    dt: float = 0.01,
-    flux_limit: float = 1e-3,
-) -> list[PDEField]:
-    """Evolve an initial profile and return snapshots at the given times."""
-    solver = HeisenbergHeatSolver(model, bounds, shape, dt)
-    u0 = solver.sample(f)
-    times = [t] if np.isscalar(t) else list(t)
-    return solver.evolve(u0, times, flux_limit)
 
 
 def dump_field_csv(solver: HeisenbergHeatSolver, field: PDEField, path) -> None:

@@ -18,6 +18,13 @@ kept out of the JSON payload, and results are sorted before writing.
 
 The anchor field names the inequality catalog entry a result
 certifies; the catalog is documented in the README.
+
+Checks that run on every configured model are rows of data: a row id,
+an anchor, an eligibility test on the model's structure (step,
+parallelism, declared constants; never its name) and a measurement of
+one model.  One driver, `_per_model`, walks the configured models for
+each row.  Checks on one fixed model (the Heisenberg group, or the
+su2-pair spectrum) stay functions.
 """
 
 from __future__ import annotations
@@ -149,11 +156,6 @@ def load_config(doc: dict | str | None) -> dict:
     return cfg
 
 
-def _models_where(cfg, eligible) -> list[str]:
-    """The configured models whose validation report satisfies `eligible`."""
-    return [m for m in cfg["models"] if eligible(validate(get_model(m)))]
-
-
 def _l_grid(n: int) -> np.ndarray:
     return np.logspace(-1.0, 1.0, n)
 
@@ -167,27 +169,156 @@ def _constants_for(name: str):
 
 
 # ----------------------------------------------------------------------
-# Checks
+# Per-model checks: rows (row id, anchor, eligible, measure)
 # ----------------------------------------------------------------------
 
 
-def check_validate_models(cfg, seed) -> list[CheckResult]:
-    out = []
-    for name in cfg["models"]:
-        report = validate(get_model(name))
-        margin = -max(report.jacobi_residual, report.antisymmetry_residual)
-        out.append(
-            _mk(
-                "validate-models",
-                "metric-preserving",
-                name,
-                margin,
-                1e-12,
-                seed,
-                report=report.to_json(),
-            )
+def _per_model(*rows):
+    """A check emitting each row for every configured model it accepts.
+
+    eligible(model) decides from the model's structure whether a row
+    applies; measure(cfg, seed, name) returns (margin, tolerance,
+    details).  Rows run in order, each over cfg["models"] in order.
+    """
+
+    def check(cfg, seed) -> list[CheckResult]:
+        out = []
+        for cid, anchor, eligible, measure in rows:
+            for name in cfg["models"]:
+                if eligible(get_model(name)):
+                    margin, tol, details = measure(cfg, seed, name)
+                    out.append(_mk(cid, anchor, name, margin, tol, seed, **details))
+        return out
+
+    return check
+
+
+def _any(model) -> bool:
+    return True
+
+
+def _declared(model) -> bool:
+    return model.declared_constants is not None
+
+
+def _step2(model) -> bool:
+    return validate(model).step == 2
+
+
+def _beyond_step2(model) -> bool:
+    return validate(model).step > 2
+
+
+def _parallel(model) -> bool:
+    return validate(model).fully_parallel
+
+
+def _validation(cfg, seed, name):
+    report = validate(get_model(name))
+    margin = -max(report.jacobi_residual, report.antisymmetry_residual)
+    return margin, 1e-12, {"report": report.to_json()}
+
+
+def _constants(cfg, seed, name):
+    model = get_model(name)
+    rep = geometry.geometry_report(model)
+    consts = geometry.assemble_constants(model)
+    dec = model.declared_constants
+    dev = max(
+        abs(consts.rho1 - dec.rho1),
+        abs(consts.rho20 - dec.rho20),
+        abs(consts.rho21 - dec.rho21),
+        abs(consts.n - dec.n),
+    )
+    if validate(model).fully_parallel:
+        dev = max(dev, rep.M_HV, rep.M_grad_v)
+    return -dev, 1e-9, {"constants": consts.to_json(), "geometry": rep.to_json()}
+
+
+def _cd_sweep(cfg, seed, name):
+    s = cfg["cd"]
+    grid = _l_grid(s["l_points"])
+    work, consts = _constants_for(name)
+    res, scale = calculus.cd_residual_sweep(
+        work, consts, s["functions"], s["points"], grid, seed=derive_seed(seed, f"cd:{name}")
+    )
+    ratio = res / scale
+    details = {
+        "functions": s["functions"],
+        "points": s["points"],
+        "l_grid": list(grid),
+        "mean_margin": float(ratio.mean()),
+    }
+    return float(ratio.min()), 1e-9, details
+
+
+def _double_gamma(cfg, seed, name):
+    s = cfg["double_gamma"]
+    model = get_model(name)
+    rep = geometry.geometry_report(model, normalize=False)
+    first, second, scale = calculus.double_gamma_sweep(
+        model, s["functions"], s["points"], s["l"], s["c"], rep.rho_H, rep.M_HV,
+        seed=derive_seed(seed, f"dg:{name}"),
+    )
+    first, second = float((first / scale).min()), float((second / scale).min())
+    return min(first, second), 1e-9, {"first_min": first, "second_min": second}
+
+
+def _condb(cfg, seed, name):
+    n = cfg["condb"]["samples"]
+    return calculus.condb_sweep(get_model(name), n, seed=derive_seed(seed, f"condb:{name}"))
+
+
+def _condition_b(cfg, seed, name):
+    res, scale = _condb(cfg, seed, name)
+    details = {"samples": cfg["condb"]["samples"], "max_absolute": float(res.max())}
+    return -float((res / scale).max()), 1e-12, details
+
+
+def _condition_b_violation(cfg, seed, name):
+    res, _ = _condb(cfg, seed, name)
+    frac = float((res > 1e-6).mean())
+    return frac - 0.1, 0.0, {"violating_fraction": frac, "samples": cfg["condb"]["samples"]}
+
+
+def _commutation(cfg, seed, name):
+    s = cfg["commutation"]
+    res, scale = calculus.commutation_sweep(
+        get_model(name), s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
+    )
+    details = {"functions": s["functions"], "points": s["points"]}
+    return -float((res / scale).max()), 1e-9, details
+
+
+def _ricci_compare(cfg, seed, name):
+    n = cfg["ricci"]["directions"]
+    worst = geometry.riemann_ricci_compare(
+        get_model(name), n, seed=derive_seed(seed, f"ricci:{name}")
+    )
+    return -worst, 1e-10, {"directions": n}
+
+
+def _schedules(cfg, seed, name):
+    s = cfg["schedules"]
+    _, consts = _constants_for(name)
+    built, skipped = schedules.builtin_schedules(consts, s["horizon"], n=s["grid"])
+    worst = np.inf
+    for sched in built:
+        worst = min(worst, schedules.admissibility_margins(sched, consts).margin)
+    details = {"schedules": [sched.label for sched in built], "skipped": skipped}
+    if consts.rho1 > 0:
+        mono = schedules.ratio_monotonicity(
+            schedules.gradient_variance_exponential(consts, s["horizon"], s["grid"])
         )
-    return out
+        details["ratio_monotonicity_min"] = float(mono)
+        if mono <= 0:
+            worst = min(worst, -1.0)
+    return float(worst), 1e-8, details
+
+
+# ----------------------------------------------------------------------
+# Single-model checks
+# ----------------------------------------------------------------------
 
 
 def check_cd_sharpness(cfg, seed) -> list[CheckResult]:
@@ -195,222 +326,20 @@ def check_cd_sharpness(cfg, seed) -> list[CheckResult]:
     z = Coordinate(3, 2)
     worst = 0.0
     for l in _l_grid(cfg["cd"]["l_points"]):
-        worst = max(
-            worst,
-            abs(
-                calculus.cd_residual(
-                    model, z, np.zeros(3), l, model.declared_constants
-                )
-            ),
-        )
-    return [
-        _mk(
-            "cd-sharpness",
-            "CDstar",
-            "heisenberg",
-            -worst,
-            1e-12,
-            seed,
-            witness="vertical coordinate at identity",
-        )
-    ]
-
-
-def check_cd_sweep(cfg, seed) -> list[CheckResult]:
-    out = []
-    n_f = cfg["cd"]["functions"]
-    n_p = cfg["cd"]["points"]
-    grid = _l_grid(cfg["cd"]["l_points"])
-    for name in _models_where(cfg, lambda rep: rep.step == 2):
-        work, consts = _constants_for(name)
-        res, scale = calculus.cd_residual_sweep(
-            work, consts, n_f, n_p, grid, seed=derive_seed(seed, f"cd:{name}")
-        )
-        ratio = res / scale
-        out.append(
-            _mk(
-                "cd-sweep",
-                "CDstar",
-                name,
-                float(ratio.min()),
-                1e-9,
-                seed,
-                functions=n_f,
-                points=n_p,
-                l_grid=list(grid),
-                mean_margin=float(ratio.mean()),
-            )
-        )
-    return out
-
-
-def check_double_gamma(cfg, seed) -> list[CheckResult]:
-    out = []
-    s = cfg["double_gamma"]
-    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
-        model = get_model(name)
-        rep = geometry.geometry_report(model, normalize=False)
-        first, second, scale = calculus.double_gamma_sweep(
-            model,
-            s["functions"],
-            s["points"],
-            s["l"],
-            s["c"],
-            rep.rho_H,
-            rep.M_HV,
-            seed=derive_seed(seed, f"dg:{name}"),
-        )
-        margin = float(min((first / scale).min(), (second / scale).min()))
-        out.append(
-            _mk(
-                "double-gamma",
-                "DoubleGamma",
-                name,
-                margin,
-                1e-9,
-                seed,
-                first_min=float((first / scale).min()),
-                second_min=float((second / scale).min()),
-            )
-        )
-    return out
-
-
-def check_condition_b(cfg, seed) -> list[CheckResult]:
-    out = []
-    n = cfg["condb"]["samples"]
-    for name in _models_where(cfg, lambda rep: rep.step == 2):
-        model = get_model(name)
-        res, scale = calculus.condb_sweep(
-            model, n, seed=derive_seed(seed, f"condb:{name}")
-        )
-        out.append(
-            _mk(
-                "condition-b",
-                "CondB",
-                name,
-                -float((res / scale).max()),
-                1e-12,
-                seed,
-                samples=n,
-                max_absolute=float(res.max()),
-            )
-        )
-    if "engel" in cfg["models"]:
-        model = get_model("engel")
-        res, _ = calculus.condb_sweep(model, n, seed=derive_seed(seed, "condb:engel"))
-        frac = float((res > 1e-6).mean())
-        out.append(
-            _mk(
-                "condition-b-violation",
-                "CondB",
-                "engel",
-                frac - 0.1,
-                0.0,
-                seed,
-                violating_fraction=frac,
-                samples=n,
-            )
-        )
-    return out
-
-
-def check_commutation(cfg, seed) -> list[CheckResult]:
-    out = []
-    s = cfg["commutation"]
-    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
-        model = get_model(name)
-        res, scale = calculus.commutation_sweep(
-            model, s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
-        )
-        out.append(
-            _mk(
-                "commutation",
-                "srLDeltaCommute",
-                name,
-                -float((res / scale).max()),
-                1e-9,
-                seed,
-                functions=s["functions"],
-                points=s["points"],
-            )
-        )
-    return out
-
-
-def check_ricci_compare(cfg, seed) -> list[CheckResult]:
-    out = []
-    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
-        model = get_model(name)
-        worst = geometry.riemann_ricci_compare(
-            model, cfg["ricci"]["directions"], seed=derive_seed(seed, f"ricci:{name}")
-        )
-        out.append(
-            _mk(
-                "ricci-compare",
-                "RiemannRicci",
-                name,
-                -worst,
-                1e-10,
-                seed,
-                directions=cfg["ricci"]["directions"],
-            )
-        )
-    return out
-
-
-def check_constants(cfg, seed) -> list[CheckResult]:
-    out = []
-    for name in cfg["models"]:
-        model = get_model(name)
-        if model.declared_constants is None:
-            continue
-        rep = geometry.geometry_report(model)
-        consts = geometry.assemble_constants(model)
-        dec = model.declared_constants
-        dev = max(
-            abs(consts.rho1 - dec.rho1),
-            abs(consts.rho20 - dec.rho20),
-            abs(consts.rho21 - dec.rho21),
-            abs(consts.n - dec.n),
-        )
-        if validate(model).fully_parallel:
-            dev = max(dev, rep.M_HV, rep.M_grad_v)
-        out.append(
-            _mk(
-                "constants",
-                "rhoSR2",
-                name,
-                -dev,
-                1e-9,
-                seed,
-                constants=consts.to_json(),
-                geometry=rep.to_json(),
-            )
-        )
-    return out
+        res = calculus.cd_residual(model, z, np.zeros(3), l, model.declared_constants)
+        worst = max(worst, abs(res))
+    witness = "vertical coordinate at identity"
+    return [_mk("cd-sharpness", "CDstar", "heisenberg", -worst, 1e-12, seed, witness=witness)]
 
 
 def check_spectral_gap(cfg, seed) -> list[CheckResult]:
     rho = cfg["spectral"]["rho"]
-    j_max = cfg["spectral"]["j_max"]
-    lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(rho, j_max)
+    _, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(rho, cfg["spectral"]["j_max"])
     out = []
     for chk, cid in ((alpha_chk, "spectral-alpha"), (gap_chk, "spectral-gap")):
         margin = chk["margin"] if chk["stable"] else -np.inf
-        out.append(
-            _mk(
-                cid,
-                chk["anchor"],
-                f"su2-pair-rho{rho:g}",
-                margin,
-                0.0,
-                seed,
-                bound=chk["bound"],
-                neg_lambda1=chk["neg_lambda1"],
-                stable=chk["stable"],
-            )
-        )
+        details = {k: chk[k] for k in ("bound", "neg_lambda1", "stable")}
+        out.append(_mk(cid, chk["anchor"], f"su2-pair-rho{rho:g}", margin, 0.0, seed, **details))
     return out
 
 
@@ -779,23 +708,23 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
             note="conservative direction: lower distance bound in the exponent",
         )
     )
-    # kernel variant on a 3-point sample
+    # kernel variant on a 3-point sample: p_t(pts[0], z) at t0 and t1,
+    # one evolution per source z
     pts = [np.zeros(3), np.array([0.5, 0.2, 0.0]), np.array([-0.3, 0.4, 0.1])]
     t0, t1 = 0.4, 0.8
+    kernel = [pde.heat_kernel(model, pts[0], z, [t0, t1], solver=solver) for z in pts]
     kworst = np.inf
-    for y in pts[1:]:
-        k0 = pde.heat_kernel(model, pts[0], y, [t0], solver=solver)[0]
-        for z in pts:
-            if np.allclose(z, y):
+    for i in range(1, len(pts)):
+        for j in range(len(pts)):
+            if j == i:
                 continue
-            k1 = pde.heat_kernel(model, pts[0], z, [t1], solver=solver)[0]
-            dyz = distance.cc_distance(model, y, z)
+            dyz = distance.cc_distance(model, pts[i], pts[j])
             rhs = (
-                k1.value
+                kernel[j][1].value
                 * (t1 / t0) ** (consts.N / 2.0)
                 * np.exp(consts.D * dyz.lower**2 / (2.0 * (t1 - t0)))
             )
-            kworst = min(kworst, (rhs - k0.value) / abs(rhs))
+            kworst = min(kworst, (rhs - kernel[i][0].value) / abs(rhs))
     out.append(
         _mk(
             "harnack-kernel",
@@ -880,42 +809,6 @@ def check_poincare_decay(cfg, seed) -> list[CheckResult]:
     ]
 
 
-def check_schedules(cfg, seed) -> list[CheckResult]:
-    out = []
-    s = cfg["schedules"]
-    for name in _models_where(cfg, lambda rep: rep.fully_parallel):
-        _, consts = _constants_for(name)
-        built, skipped = schedules.builtin_schedules(
-            consts, s["horizon"], n=s["grid"]
-        )
-        worst = np.inf
-        labels = []
-        for sched in built:
-            chk = schedules.admissibility_margins(sched, consts)
-            worst = min(worst, chk.margin)
-            labels.append(sched.label)
-        details = {"schedules": labels, "skipped": skipped}
-        if consts.rho1 > 0:
-            mono = schedules.ratio_monotonicity(
-                schedules.gradient_variance_exponential(consts, s["horizon"], s["grid"])
-            )
-            details["ratio_monotonicity_min"] = float(mono)
-            if mono <= 0:
-                worst = min(worst, -1.0)
-        out.append(
-            _mk(
-                "schedules",
-                "ALambdaC",
-                name,
-                float(worst),
-                1e-8,
-                seed,
-                **details,
-            )
-        )
-    return out
-
-
 def check_distance(cfg, seed) -> list[CheckResult]:
     model = get_model("heisenberg")
     rng = np.random.default_rng(derive_seed(seed, "dist"))
@@ -950,14 +843,17 @@ def check_distance(cfg, seed) -> list[CheckResult]:
 
 
 CHECKS = {
-    "validate-models": check_validate_models,
-    "constants": check_constants,
+    "validate-models": _per_model(("validate-models", "metric-preserving", _any, _validation)),
+    "constants": _per_model(("constants", "rhoSR2", _declared, _constants)),
     "cd-sharpness": check_cd_sharpness,
-    "cd-sweep": check_cd_sweep,
-    "double-gamma": check_double_gamma,
-    "condition-b": check_condition_b,
-    "commutation": check_commutation,
-    "ricci-compare": check_ricci_compare,
+    "cd-sweep": _per_model(("cd-sweep", "CDstar", _step2, _cd_sweep)),
+    "double-gamma": _per_model(("double-gamma", "DoubleGamma", _parallel, _double_gamma)),
+    "condition-b": _per_model(
+        ("condition-b", "CondB", _step2, _condition_b),
+        ("condition-b-violation", "CondB", _beyond_step2, _condition_b_violation),
+    ),
+    "commutation": _per_model(("commutation", "srLDeltaCommute", _parallel, _commutation)),
+    "ricci-compare": _per_model(("ricci-compare", "RiemannRicci", _parallel, _ricci_compare)),
     "spectral-gap": check_spectral_gap,
     "semigroup-identity": check_semigroup_identity,
     "semigroup-x2": check_semigroup_x2,
@@ -968,7 +864,7 @@ CHECKS = {
     "harnack": check_harnack,
     "kernel-decay": check_kernel_decay,
     "poincare-decay": check_poincare_decay,
-    "schedules": check_schedules,
+    "schedules": _per_model(("schedules", "ALambdaC", _parallel, _schedules)),
     "distance": check_distance,
 }
 

@@ -1,5 +1,6 @@
 import numpy as np
 import pytest
+from scipy.linalg import funm
 
 from srlab import algebra
 from srlab.models import get_model
@@ -71,3 +72,20 @@ def test_bracket_batch_slices_equal_single_calls(name):
         assert np.array_equal(batch[s], algebra.bracket(c, u[s], w[0]))
         for n in (0, 7, 19):
             assert np.array_equal(batch[s, n], algebra.bracket(c, u[s, n], w[0, n]))
+
+
+def test_frame_coefficients_beyond_the_series_region_are_silent(capsys):
+    # su2-pair points whose ad matrix leaves the series region take the
+    # dense matrix-function route, whose error estimate is spurious there
+    c = get_model("su2-pair").onframe.c
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 6))
+    ad = algebra.ad_matrix(c, pts)
+    beyond = np.linalg.norm(ad, ord=np.inf, axis=(-2, -1)) > algebra._SERIES_SAFE_NORM
+    assert beyond.sum() >= 4
+    F = algebra.frame_coefficients(c, pts)
+    assert capsys.readouterr().out == ""
+    # the values are those of the default (printing) call
+    f = np.vectorize(algebra._dexpinv_scalar)
+    for m, got, dense in zip(ad, F, beyond):
+        if dense:
+            assert np.array_equal(got, np.real(funm(m.astype(complex), f)))

@@ -107,6 +107,31 @@ def test_interpolation_matches_grid_nodes(solver, bump):
     assert solver.interpolate(u0, pt) == pytest.approx(u0[12, 20, 5], rel=1e-12)
 
 
+def test_interpolation_accepts_faces_and_rejects_points_outside(solver, bump):
+    u0 = solver.sample(bump)
+    lower = np.array([ax[0] for ax in solver.axes])
+    upper = np.array([ax[-1] for ax in solver.axes])
+    assert solver.interpolate(u0, lower) == u0[0, 0, 0]
+    assert solver.interpolate(u0, upper) == u0[-1, -1, -1]
+    face = np.array([upper[0], 0.3, -0.2])
+    assert np.isfinite(solver.interpolate(u0, face))
+    outside = upper.copy()
+    outside[2] = np.nextafter(upper[2], np.inf)
+    for bad in (outside, -outside, np.array([0.0, np.nan, 0.0])):
+        with pytest.raises(ValueError):
+            solver.interpolate(u0, np.vstack([np.zeros(3), bad]))
+
+
+def test_kernel_at_two_times_equals_separate_evolutions(solver):
+    m = get_model("heisenberg")
+    x, y = np.zeros(3), np.array([0.5, 0.2, 0.0])
+    both = pde.heat_kernel(m, x, y, [0.2, 0.4], solver=solver)
+    apart = [pde.heat_kernel(m, x, y, [t], solver=solver)[0] for t in (0.2, 0.4)]
+    assert [(k.t, k.value, k.mass_ratio) for k in both] == [
+        (k.t, k.value, k.mass_ratio) for k in apart
+    ]
+
+
 def test_field_csv_dump(tmp_path, solver, bump):
     field = solver.evolve(solver.sample(bump), [0.1])[0]
     out = tmp_path / "field.csv"

@@ -1,9 +1,11 @@
 """Suite orchestration: configuration, verdicts, reports, CLI."""
 
+import dataclasses
 import json
 
 import pytest
 
+import srlab.models as models
 import srlab.suite as su
 from srlab.cli import main as cli_main
 
@@ -91,6 +93,64 @@ def test_report_files(tmp_path):
     assert (csv_dir / "timings.csv").exists()
     # runtimes never enter the JSON payload
     assert "runtime" not in json.dumps(doc)
+
+
+PER_MODEL_CHECKS = [
+    "validate-models",
+    "constants",
+    "cd-sweep",
+    "double-gamma",
+    "condition-b",
+    "commutation",
+    "ricci-compare",
+    "schedules",
+]
+
+
+def cheap_per_model_config(models):
+    return {
+        "models": models,
+        "checks": PER_MODEL_CHECKS,
+        "cd": {"functions": 20, "points": 1, "l_points": 3},
+        "double_gamma": {"functions": 5, "points": 1},
+        "condb": {"samples": 20},
+        "commutation": {"functions": 2, "points": 1},
+        "ricci": {"directions": 3},
+        "schedules": {"horizon": 1.0, "grid": 128},
+    }
+
+
+def row_models(report):
+    return {(row["check_id"], row["model"]) for row in report["results"]}
+
+
+def test_per_model_eligibility_comes_from_structure():
+    report, code = su.run_suite(cheap_per_model_config(list(su.ALL_MODELS)))
+    assert code == 0
+    step2 = ("heisenberg", "free-nilpotent-3", "su2-pair")
+    expected = {("validate-models", m) for m in su.ALL_MODELS}
+    expected.add(("condition-b-violation", "engel"))
+    for cid in ("constants", "cd-sweep", "double-gamma", "condition-b", "commutation",
+                "ricci-compare", "schedules"):
+        expected |= {(cid, m) for m in step2}
+    assert row_models(report) == expected
+
+    engel_only, _ = su.run_suite(cheap_per_model_config(["engel"]))
+    assert row_models(engel_only) == {
+        ("validate-models", "engel"),
+        ("condition-b-violation", "engel"),
+    }
+
+
+def test_per_model_rows_ignore_the_model_name(monkeypatch):
+    # an Engel group registered under another name gets Engel's rows
+    renamed = dataclasses.replace(models.build_engel(), name="step3")
+    monkeypatch.setitem(models.MODEL_BUILDERS, "step3", lambda: renamed)
+    report, _ = su.run_suite(cheap_per_model_config(["step3"]))
+    assert row_models(report) == {
+        ("validate-models", "step3"),
+        ("condition-b-violation", "step3"),
+    }
 
 
 def test_check_seed_derivation_is_stable():
