@@ -3,14 +3,13 @@
 The coordinate components of the frame in exponential coordinates are
 given by the series f(ad_u) with f(z) = z / (1 - e^(-z)); evaluating
 that series in jet arithmetic at a base point yields the component
-functions to any Taylor order.  Applying a frame field to a jet is then
-a linear map on jet coefficients, precomputed here as small dense
-matrices per differentiation order.
+functions to any Taylor order, held as one jet with batch shape (d, d).
+Applying a frame field to a jet is then a linear map on jet
+coefficients, assembled as small dense matrices per differentiation
+order by a `FrameCalc` that is built per point and not cached.
 """
 
 from __future__ import annotations
-
-from collections import OrderedDict
 
 import numpy as np
 
@@ -19,30 +18,24 @@ from .jets import Jet, coordinate_jet, get_space
 from .models import LieModel
 
 
-def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> list[list[Jet]]:
-    """Component jets F[j][i] of frame field i along coordinate j at x.
+def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
+    """Component jets of the frame fields at x, as one jet of batch (d, d).
 
-    Components refer to the orthonormalized frame and its exponential
-    chart.  For nilpotent models the series terminates exactly; for
-    compact models it is truncated deep inside its convergence region.
+    ``coeffs[j, i]`` is field i along coordinate j.  Components refer
+    to the orthonormalized frame and its exponential chart.  For
+    nilpotent models the series terminates exactly; for compact models
+    it is truncated deep inside its convergence region.
     """
     x = np.asarray(x, dtype=float)
     c = model.onframe.c
     d = model.dim
-    coords = [coordinate_jet(j, x, order) for j in range(d)]
-    zero = coords[0] * 0.0
-
-    def jet_max(j: Jet) -> float:
-        return float(np.max(np.abs(j.coeffs)))
-
-    ad = [[zero for _ in range(d)] for _ in range(d)]
-    for m in range(d):
-        for j in range(d):
-            entry = zero
-            for i in range(d):
-                if c[m, i, j] != 0.0:
-                    entry = entry + c[m, i, j] * coords[i]
-            ad[m][j] = entry
+    sp = get_space(d, order)
+    n = sp.terms(order)
+    # ad[m, l] = sum_i c[m, i, l] u_i.  Every sum here runs as a loop in
+    # index order, not through einsum, whose summation order can vary.
+    ad = np.zeros((d, d, n))
+    for i in range(d):
+        ad = ad + c[:, i, :, None] * coordinate_jet(i, x, order).coeffs
 
     if model.onframe.nil_step is None:
         norm = float(np.linalg.norm(algebra.ad_matrix(c, x), ord=np.inf))
@@ -56,28 +49,21 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> list[list[Je
         terms = model.onframe.nil_step + 1
 
     bern = algebra.bernoulli_plus(terms)
-    out = [[zero if m != j else zero + 1.0 for j in range(d)] for m in range(d)]
-    power = [[zero if m != j else zero + 1.0 for j in range(d)] for m in range(d)]
+    out = np.zeros((d, d, n))
+    out[np.arange(d), np.arange(d), 0] = 1.0
+    power = out
     fact = 1.0
     for k in range(1, terms + 1):
-        nxt = [[zero for _ in range(d)] for _ in range(d)]
-        for m in range(d):
-            for j in range(d):
-                entry = zero
-                for l in range(d):
-                    if jet_max(ad[m][l]) != 0.0 and jet_max(power[l][j]) != 0.0:
-                        entry = entry + ad[m][l] * power[l][j]
-                nxt[m][j] = entry
+        nxt = np.zeros((d, d, n))
+        for l in range(d):
+            nxt = nxt + sp.multiply(ad[:, l, None], power[None, l], order)
         power = nxt
-        if all(jet_max(power[m][j]) == 0.0 for m in range(d) for j in range(d)):
+        if not power.any():
             break
         fact *= k
         if bern[k] != 0.0:
-            coeff = bern[k] / fact
-            for m in range(d):
-                for j in range(d):
-                    out[m][j] = out[m][j] + coeff * power[m][j]
-    return out
+            out = out + bern[k] / fact * power
+    return Jet(x, order, out)
 
 
 class FrameCalc:
@@ -103,8 +89,8 @@ class FrameCalc:
         if op is None:
             sp = self._space
             for j in range(self.model.dim):
-                cj = self._chart[j][i].truncated(m - 1)
-                mat = sp.multiplication_matrix(cj.coeffs, m - 1) @ sp.derivative_matrix(j, m)
+                cj = self._chart.coeffs[j, i, : sp.terms(m - 1)]
+                mat = sp.multiplication_matrix(cj, m - 1) @ sp.derivative_matrix(j, m)
                 op = mat if op is None else op + mat
             self.ops[i][m] = op
         return op
@@ -142,22 +128,8 @@ class FrameCalc:
         return out
 
 
-_CALC_CACHE: OrderedDict[tuple, FrameCalc] = OrderedDict()
-_CALC_CACHE_MAX = 512
-
-
 def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:
-    x = np.asarray(x, dtype=float)
-    key = (model.fingerprint, x.tobytes())
-    calc = _CALC_CACHE.get(key)
-    if calc is None or calc.order < order:
-        calc = FrameCalc(model, x, order)
-        _CALC_CACHE[key] = calc
-        if len(_CALC_CACHE) > _CALC_CACHE_MAX:
-            _CALC_CACHE.popitem(last=False)
-    else:
-        _CALC_CACHE.move_to_end(key)
-    return calc
+    return FrameCalc(model, x, order)
 
 
 def apply_field(model: LieModel, i: int, jet: Jet) -> Jet:

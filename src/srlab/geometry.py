@@ -157,6 +157,24 @@ def ricci_h(model: LieModel) -> tuple[float, np.ndarray]:
     return rho, ric
 
 
+def _mixed_ricci_block(c: np.ndarray, gam: np.ndarray, n: int) -> np.ndarray:
+    """Vertical-horizontal block b[s, i] of the mixed Ricci form.
+
+    Half the trace of the covariant derivative of the curvature
+    R[s, i, j] = c[s, i, j] (vertical s, horizontal i, j).
+    """
+    d = c.shape[0]
+    rr = np.zeros((d, d, d))
+    rr[n:, :n, :n] = c[n:, :n, :n]
+    # (nabla_a R)[s, i, j]
+    nr = (
+        np.einsum("sau,uij->asij", gam, rr)
+        - np.einsum("mai,smj->asij", gam, rr)
+        - np.einsum("maj,sim->asij", gam, rr)
+    )
+    return 0.5 * np.einsum("asai->si", nr)[n:, :n]
+
+
 def mixed_bounds(model: LieModel) -> tuple[float, float, float]:
     """(M_HV, M_grad_v, rho_Lv) from derivatives of curvature and v*.
 
@@ -172,15 +190,7 @@ def mixed_bounds(model: LieModel) -> tuple[float, float, float]:
     c = model.onframe.c
     gam = algebra.adapted_gamma(c, n)
 
-    rr = np.zeros((d, d, d))  # R[s, i, j] with vertical s, horizontal i, j
-    rr[n:, :n, :n] = c[n:, :n, :n]
-    # (nabla_a R)[s, i, j]
-    nr = (
-        np.einsum("sau,uij->asij", gam, rr)
-        - np.einsum("mai,smj->asij", gam, rr)
-        - np.einsum("maj,sim->asij", gam, rr)
-    )
-    b = 0.5 * np.einsum("asai->si", nr)[n:, :n]
+    b = _mixed_ricci_block(c, gam, n)
     M_HV = float(np.linalg.svd(b, compute_uv=False)[0]) if b.size else 0.0
 
     w = algebra.nabla_cometric(gam, slice(n, d), d)
@@ -451,14 +461,7 @@ def riemann_ricci_compare(
     ric_h_full = np.einsum("iijk->jk", r_ad[:n, :n, :, :])
     ric_v_full = np.einsum("ssjk->jk", r_ad[n:, n:, :, :])
 
-    rr = np.zeros((d, d, d))
-    rr[n:, :n, :n] = c[n:, :n, :n]
-    nr = (
-        np.einsum("sau,uij->asij", gam, rr)
-        - np.einsum("mai,smj->asij", gam, rr)
-        - np.einsum("maj,sim->asij", gam, rr)
-    )
-    b = 0.5 * np.einsum("asai->si", nr)[n:, :n]
+    b = _mixed_ricci_block(c, gam, n)
 
     rng = np.random.default_rng(seed)
     dirs = rng.standard_normal((n_directions, d))

@@ -294,22 +294,11 @@ def polynomial_shift_matrix(
     diff = a[None, :, :] - b[:, None, :]
     valid = np.all(diff >= 0, axis=-1)
     diff = np.where(valid[..., None], diff, 0)
-    binom = np.ones((n_out, n_in))
-    powers = np.ones((n_out, n_in))
-    x = np.asarray(x, dtype=float)
-    for k in range(dim):
-        binom *= _binom_table(a[None, :, k], b[:, None, k])
-        powers *= x[k] ** diff[:, :, k]
+    top = max(degree, order) + 1
+    pascal = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
+    binom = np.prod(pascal[a[None, :, :], b[:, None, :]], axis=-1)
+    powers = np.prod(np.asarray(x, dtype=float) ** diff, axis=-1)
     return np.where(valid, binom * powers, 0.0)
-
-
-def _binom_table(nn, kk):
-    nn = np.broadcast_to(nn, np.broadcast_shapes(nn.shape, kk.shape))
-    kk = np.broadcast_to(kk, nn.shape)
-    out = np.zeros(nn.shape)
-    for idx in np.ndindex(nn.shape):
-        out[idx] = math.comb(int(nn[idx]), int(kk[idx])) if nn[idx] >= kk[idx] else 0.0
-    return out
 
 
 def lift_polynomials(

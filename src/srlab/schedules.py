@@ -18,7 +18,7 @@ wrong analytic derivative cannot go unnoticed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -75,9 +75,7 @@ def _margins(
     constants,
     use_analytic: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n, rho1, rho20, rho21 = (
-        constants.as_tuple() if hasattr(constants, "as_tuple") else constants
-    )
+    n, rho1, rho20, rho21 = _astuple(constants)
     it = s.interior()
     t, a, l, b = s.t[it], s.a[it], s.l[it], s.b[it]
     if np.any(a <= 0) or np.any(l <= 0):
@@ -293,21 +291,11 @@ def gradient_reverse(
 
 def entropy_schedule(constants, T: float, n: int = DEFAULT_GRID) -> Schedule:
     """Entropy-kind schedule with b = 0; pairs with log-gradient bounds."""
-    g = gradient_variance_exponential(constants, T, n)
-    return Schedule(
+    return replace(
+        gradient_variance_exponential(constants, T, n),
         label="entropy",
         kind="entropy",
-        T=T,
-        t=g.t,
-        a=g.a,
-        l=g.l,
-        b=g.b,
-        C=g.C,
         provenance="entropy bound weight",
-        da=g.da,
-        dl=g.dl,
-        db=g.db,
-        degenerate=g.degenerate,
     )
 
 

@@ -9,7 +9,7 @@ composition law.
 import numpy as np
 import pytest
 
-from srlab import frames
+from srlab import algebra, frames
 from srlab.jets import Coordinate, Polynomial
 from srlab.models import get_model
 
@@ -21,14 +21,14 @@ def test_heisenberg_chart_fields():
     x = np.array([0.7, -1.3, 0.4])
     chart = frames.chart_field_jets(m, x, 2)
     # A1 = d/dx - y/2 d/dz
-    assert chart[0][0].value == 1.0
-    assert chart[1][0].value == 0.0
-    assert chart[2][0].value == pytest.approx(-x[1] / 2)
+    assert chart.value[0, 0] == 1.0
+    assert chart.value[1, 0] == 0.0
+    assert chart.value[2, 0] == pytest.approx(-x[1] / 2)
     # A2 = d/dy + x/2 d/dz
-    assert chart[2][1].value == pytest.approx(x[0] / 2)
+    assert chart.value[2, 1] == pytest.approx(x[0] / 2)
     # V = d/dz
-    assert chart[2][2].value == 1.0
-    assert chart[0][2].value == 0.0
+    assert chart.value[2, 2] == 1.0
+    assert chart.value[0, 2] == 0.0
 
 
 def test_engel_chart_fields():
@@ -36,12 +36,23 @@ def test_engel_chart_fields():
     m = get_model("engel")
     x = np.array([0.8, 0.3, -0.2, 0.5])
     chart = frames.chart_field_jets(m, x, 2)
-    assert chart[1][1].value == 1.0
-    assert chart[2][1].value == pytest.approx(x[0] / 2)
-    assert chart[3][1].value == pytest.approx(x[0] ** 2 / 12)
+    assert chart.value[1, 1] == 1.0
+    assert chart.value[2, 1] == pytest.approx(x[0] / 2)
+    assert chart.value[3, 1] == pytest.approx(x[0] ** 2 / 12)
     # E1 = d1 - x2/2 d3 - (x3/2 + x1 x2 / 12) d4
-    assert chart[2][0].value == pytest.approx(-x[1] / 2)
-    assert chart[3][0].value == pytest.approx(-x[2] / 2 - x[0] * x[1] / 12)
+    assert chart.value[2, 0] == pytest.approx(-x[1] / 2)
+    assert chart.value[3, 0] == pytest.approx(-x[2] / 2 - x[0] * x[1] / 12)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_chart_values_match_numeric_frame(name):
+    """The jet chart's values equal the matrix series of the numeric route."""
+    m = get_model(name)
+    rng = np.random.default_rng(23)
+    for x in rng.uniform(-0.3, 0.3, (5, m.dim)):
+        chart = frames.chart_field_jets(m, x, 3)
+        numeric = algebra.frame_coefficients(m.onframe.c, x, nil_step=m.onframe.nil_step)
+        np.testing.assert_allclose(chart.value, numeric, rtol=0, atol=1e-14)
 
 
 def test_apply_field_hand_values():

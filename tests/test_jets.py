@@ -1,3 +1,5 @@
+import math
+
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
@@ -12,6 +14,7 @@ from srlab.jets import (
     TrigPolynomial,
     get_space,
     lift_polynomials,
+    polynomial_shift_matrix,
 )
 
 
@@ -49,15 +52,47 @@ def test_sine_series_coefficients():
     assert j.coeffs[sp.index[(3, 0, 0)]] == pytest.approx(-1.0 / 6.0)
 
 
-def test_polynomial_lift_reproduces_values():
+@pytest.mark.parametrize("dim", [2, 3, 4, 6])
+def test_polynomial_lift_reproduces_values(dim):
     rng = np.random.default_rng(3)
-    f = Polynomial.random(3, 4, rng)
-    x = rng.uniform(-1, 1, 3)
+    f = Polynomial.random(dim, 4, rng)
+    x = rng.uniform(-1, 1, dim)
     j = f.lift(x, 4)
     for _ in range(5):
-        d = rng.uniform(-0.7, 0.7, 3)
+        d = rng.uniform(-0.7, 0.7, dim)
         expected = float(np.squeeze(f.eval(x + d)))
         assert eval_jet(j, d) == pytest.approx(expected, rel=1e-12, abs=1e-12)
+
+
+def reference_shift_matrix(x, dim, degree, order):
+    """binom(alpha, beta) x^(alpha - beta), one coordinate and entry at a time."""
+    sp_in, sp_out = get_space(dim, degree), get_space(dim, order)
+    a = sp_in.exponents[: sp_in.terms(degree)]
+    b = sp_out.exponents[: sp_out.terms(order)]
+    diff = a[None, :, :] - b[:, None, :]
+    valid = np.all(diff >= 0, axis=-1)
+    diff = np.where(valid[..., None], diff, 0)
+    binom = np.ones(valid.shape)
+    powers = np.ones(valid.shape)
+    for k in range(dim):
+        for r, s in np.ndindex(valid.shape):
+            n, m = int(a[s, k]), int(b[r, k])
+            binom[r, s] *= math.comb(n, m) if n >= m else 0.0
+        powers *= x[k] ** diff[:, :, k]
+    return np.where(valid, binom * powers, 0.0)
+
+
+@pytest.mark.parametrize(
+    "dim,degree,order", [(2, 4, 4), (3, 0, 4), (3, 4, 4), (4, 3, 4), (6, 4, 4), (6, 4, 2)]
+)
+def test_shift_matrix_matches_reference(dim, degree, order):
+    rng = np.random.default_rng(29 + dim + degree + order)
+    for _ in range(3):
+        x = rng.uniform(-1.5, 1.5, dim)
+        x[0] = 0.0
+        x[-1] = -abs(x[-1])
+        m = polynomial_shift_matrix(x, dim, degree, order)
+        assert np.array_equal(m, reference_shift_matrix(x, dim, degree, order))
 
 
 def direct_eval(f, points):
