@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import geometry
 from .frames import FrameCalc, get_calc
 from .jets import Jet, get_space, lift_polynomials
 from .models import LieModel
@@ -27,10 +28,10 @@ from .models import LieModel
 DEFAULT_ORDER = 4
 
 
-def _as_jet(model: LieModel, f, x: np.ndarray, order: int) -> Jet:
-    if isinstance(f, Jet):
-        return f
-    return f.lift(np.asarray(x, dtype=float), order)
+def _at(model: LieModel, f, x, order: int) -> tuple[FrameCalc, Jet]:
+    """Frame operators and jet of f at x; a Jet f brings its own point and order."""
+    j = f if isinstance(f, Jet) else f.lift(np.asarray(x, dtype=float), order)
+    return get_calc(model, j.base_point, j.order), j
 
 
 def _sum_squares(parts: list[Jet]) -> Jet:
@@ -52,16 +53,17 @@ def _pair_value(parts1: list[Jet], parts2: list[Jet]) -> np.ndarray:
 
 def sublaplacian(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     """L f at x."""
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
+    calc, j = _at(model, f, x, order)
     return calc.sublaplacian(j).value
 
 
 def gamma(model: LieModel, f, g=None, x=None, which: str = "h", order: int = DEFAULT_ORDER):
     """Gamma^which(f, g) at x; g defaults to f."""
-    jf = _as_jet(model, f, x, order)
-    jg = jf if g is None or g is f else _as_jet(model, g, x, order)
-    calc = get_calc(model, jf.base_point, jf.order)
+    calc, jf = _at(model, f, x, order)
+    if g is None or g is f:
+        jg = jf
+    else:
+        jg = g if isinstance(g, Jet) else g.lift(np.asarray(x, dtype=float), order)
     pf = calc.horizontal(jf) if which == "h" else calc.vertical(jf)
     pg = pf if jg is jf else (calc.horizontal(jg) if which == "h" else calc.vertical(jg))
     return _pair_value(pf, pg)
@@ -79,10 +81,9 @@ def gamma2(
 
     "mixed" returns Gamma2^h + l Gamma2^v and needs l > 0.
     """
-    j = _as_jet(model, f, x, order)
+    calc, j = _at(model, f, x, order)
     if j.order < 3:
         raise ValueError(f"Gamma2 needs a jet of order >= 3, got {j.order}")
-    calc = get_calc(model, j.base_point, j.order)
     vals = _core_values(calc, j)
     if which == "h":
         return vals["G2h"]
@@ -130,28 +131,51 @@ def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
         else:
             out["GhGv"] = 0.0
     if want == "condb":
-        AGv = [calc.apply(i, Gv) for i in range(calc.model.dim_h)] if Gv is not None else []
-        VGh = [calc.apply(s, Gh) for s in range(calc.model.dim_h, calc.model.dim)]
-        hv = sum(np.asarray(a.value) * np.asarray(b.value) for a, b in zip(Af, AGv)) if AGv else 0.0
-        vh = sum(np.asarray(a.value) * np.asarray(b.value) for a, b in zip(Vf, VGh)) if VGh else 0.0
+        hv = _pair_value(Af, calc.horizontal(Gv)) if Gv is not None else 0.0
+        vh = _pair_value(Vf, calc.vertical(Gh)) if Vf else 0.0
         out["condb"] = np.abs(hv - vh)
         out["condb_scale"] = 1.0 + np.abs(hv) + np.abs(vh)
     return out
 
 
-def _constants_tuple(constants) -> tuple[float, float, float, float]:
-    if hasattr(constants, "as_tuple"):
-        return constants.as_tuple()
-    n, r1, r20, r21 = constants
-    return (n, r1, r20, r21)
+# ----------------------------------------------------------------------
+# Measures (calc, jet) -> (residual..., scale) for the scalar API and sweeps
+# ----------------------------------------------------------------------
 
 
-def _cd_sides(v: dict, l, constants) -> tuple:
-    """Both sides of the CD inequality (see `cd_residual`); l and v broadcast."""
-    n, rho1, rho20, rho21 = _constants_tuple(constants)
+def _cd(calc: FrameCalc, j: Jet, l, constants) -> tuple:
+    """CD residual (see `cd_residual`) and scale; the weights l take the last axes."""
+    n, rho1, rho20, rho21 = geometry.constants_tuple(constants)
+    axes = tuple(range(-np.ndim(l), 0))
+    v = {k: np.expand_dims(val, axes) for k, val in _core_values(calc, j).items()}
     lhs = v["G2h"] + l * v["G2v"]
     rhs = v["L"] ** 2 / n + (rho1 - 1.0 / l) * v["Gh"] + (rho20 + l * rho21) * v["Gv"]
-    return lhs, rhs
+    return lhs - rhs, 1.0 + np.abs(lhs) + np.abs(rhs)
+
+
+def _double_gamma(calc: FrameCalc, j: Jet, l: float, c: float, rho_h: float, m_hv: float) -> tuple:
+    """Slack of both gradient-of-gradient bounds (see `double_gamma_residuals`) and scale."""
+    v = _core_values(calc, j, want="double")
+    q1 = rho_h - 1.0 / c
+    q2 = -c * m_hv**2
+    first = v["Gh"] * (
+        v["G2h"] + l * v["G2v"] - (q1 - 1.0 / l) * v["Gh"] - q2 * v["Gv"]
+    ) - 0.25 * v["GhGh"]
+    second = v["Gv"] * v["G2v"] - 0.25 * v["GhGv"]
+    return first, second, 1.0 + np.abs(v["Gh"]) * (1.0 + np.abs(v["G2h"])) + np.abs(v["GhGh"])
+
+
+def _condb(calc: FrameCalc, j: Jet) -> tuple:
+    """Condition-B residual (see `condb_residual`) and scale."""
+    v = _core_values(calc, j, want="condb")
+    return v["condb"], v["condb_scale"]
+
+
+def _commutation(calc: FrameCalc, j: Jet) -> tuple:
+    """|L (Delta f) - Delta (L f)| for the full Laplacian Delta, and scale."""
+    a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
+    b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
+    return np.abs(a - b), 1.0 + np.abs(a) + np.abs(b)
 
 
 def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT_ORDER):
@@ -163,21 +187,7 @@ def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT
     """
     if l <= 0:
         raise ValueError(f"weight l must be positive, got {l}")
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
-    lhs, rhs = _cd_sides(_core_values(calc, j), l, constants)
-    return lhs - rhs
-
-
-def _double_gamma(v: dict, l: float, c: float, rho_h: float, m_hv: float) -> tuple:
-    """Slack of both gradient-of-gradient bounds from `_core_values(want="double")`."""
-    q1 = rho_h - 1.0 / c
-    q2 = -c * m_hv**2
-    first = v["Gh"] * (
-        v["G2h"] + l * v["G2v"] - (q1 - 1.0 / l) * v["Gh"] - q2 * v["Gv"]
-    ) - 0.25 * v["GhGh"]
-    second = v["Gv"] * v["G2v"] - 0.25 * v["GhGv"]
-    return first, second
+    return _cd(*_at(model, f, x, order), l, constants)[0]
 
 
 def double_gamma_residuals(
@@ -199,16 +209,11 @@ def double_gamma_residuals(
     """
     if l <= 0 or c <= 0:
         raise ValueError("l and c must be positive")
-    if rho_h is None or m_hv is None:
-        from . import geometry
-
-        rho_h_, _ = geometry.ricci_h(model)
-        m_hv_, _, _ = geometry.mixed_bounds(model)
-        rho_h = rho_h if rho_h is not None else rho_h_
-        m_hv = m_hv if m_hv is not None else m_hv_
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
-    return _double_gamma(_core_values(calc, j, want="double"), l, c, rho_h, m_hv)
+    if rho_h is None:
+        rho_h = geometry.ricci_h(model)[0]
+    if m_hv is None:
+        m_hv = geometry.mixed_bounds(model)[0]
+    return _double_gamma(*_at(model, f, x, order), l, c, rho_h, m_hv)[:2]
 
 
 def condb_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
@@ -217,27 +222,18 @@ def condb_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     Vanishes identically exactly when both co-metrics are parallel for
     the adapted connection, which fails beyond step 2.
     """
-    j = _as_jet(model, f, x, order)
+    calc, j = _at(model, f, x, order)
     if j.order < 2:
         raise ValueError("condition-B residual needs jet order >= 2")
-    calc = get_calc(model, j.base_point, j.order)
-    return _core_values(calc, j, want="condb")["condb"]
-
-
-def _commutation_pair(calc: FrameCalc, j: Jet) -> tuple[np.ndarray, np.ndarray]:
-    """L (Delta f) and Delta (L f) for the full Laplacian Delta."""
-    a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
-    b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
-    return a, b
+    return _condb(calc, j)[0]
 
 
 def commutation_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     """|L (Delta f) - Delta (L f)| at x for the full Laplacian Delta."""
-    j = _as_jet(model, f, x, order)
+    calc, j = _at(model, f, x, order)
     if j.order < 4:
         raise ValueError("commutation residual needs jet order >= 4")
-    a, b = _commutation_pair(get_calc(model, j.base_point, j.order), j)
-    return np.abs(a - b)
+    return _commutation(calc, j)[0]
 
 
 def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
@@ -247,8 +243,7 @@ def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     u Gamma^h(log u) = Gamma^h(u)/u.  Exact on jets; returns the two
     absolute residuals at x.
     """
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
+    calc, j = _at(model, f, x, order)
     logu = j.log()
     ulogu = j * logu
     lhs1 = calc.sublaplacian(ulogu).value
@@ -296,8 +291,7 @@ def gamma_point_report(
     g=None,
     order: int = DEFAULT_ORDER,
 ) -> GammaPointReport:
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
+    calc, j = _at(model, f, x, order)
     v = _core_values(calc, j)
     report = GammaPointReport(
         model=model.name,
@@ -326,6 +320,25 @@ def random_points(model: LieModel, n: int, rng: np.random.Generator, radius: flo
     return rng.uniform(-r, r, (n, model.dim))
 
 
+def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: int,
+           radius: float = 1.0) -> list:
+    """One seeded coefficient batch shared by seeded points, as (point, coeffs) pairs."""
+    rng = np.random.default_rng(seed)
+    n_terms = get_space(model.dim, degree).terms(degree)
+    coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
+    return [(x, coeffs) for x in random_points(model, n_points, rng, radius)]
+
+
+def _sweep(model: LieModel, draws, degree: int, measure) -> tuple:
+    """Every part of measure(calc, jet), stacked over (point, coeffs) draws."""
+    parts = []
+    for x, coeffs in draws:
+        calc = get_calc(model, x, DEFAULT_ORDER)
+        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
+        parts.append(np.broadcast_arrays(*measure(calc, j)))
+    return tuple(np.stack(p) for p in zip(*parts))
+
+
 def cd_residual_sweep(
     model: LieModel,
     constants,
@@ -341,21 +354,9 @@ def cd_residual_sweep(
     Returns (residuals, scales) with shape (n_points, n_functions,
     len(l_grid)); scales are 1 + |LHS| + |RHS| for tolerance scaling.
     """
-    rng = np.random.default_rng(seed)
-    n_terms = get_space(model.dim, degree).terms(degree)
-    coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
-    points = random_points(model, n_points, rng, radius)
     l_arr = np.asarray(list(l_grid), dtype=float)
-    residuals = np.empty((n_points, n_functions, len(l_arr)))
-    scales = np.empty_like(residuals)
-    for p, x in enumerate(points):
-        calc = get_calc(model, x, DEFAULT_ORDER)
-        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        v = {k: np.asarray(val)[:, None] for k, val in _core_values(calc, j).items()}
-        lhs, rhs = _cd_sides(v, l_arr[None, :], constants)
-        residuals[p] = lhs - rhs
-        scales[p] = 1.0 + np.abs(lhs) + np.abs(rhs)
-    return residuals, scales
+    draws = _draws(model, n_functions, n_points, degree, seed, radius)
+    return _sweep(model, draws, degree, lambda calc, j: _cd(calc, j, l_arr, constants))
 
 
 def double_gamma_sweep(
@@ -370,20 +371,8 @@ def double_gamma_sweep(
     seed: int = 0,
 ):
     """Residuals of both gradient-of-gradient bounds over a seeded sweep."""
-    rng = np.random.default_rng(seed)
-    n_terms = get_space(model.dim, degree).terms(degree)
-    coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
-    points = random_points(model, n_points, rng)
-    first = np.empty((n_points, n_functions))
-    second = np.empty_like(first)
-    scales = np.empty_like(first)
-    for p, x in enumerate(points):
-        calc = get_calc(model, x, DEFAULT_ORDER)
-        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        v = _core_values(calc, j, want="double")
-        first[p], second[p] = _double_gamma(v, l, c, rho_h, m_hv)
-        scales[p] = 1.0 + np.abs(v["Gh"]) * (1.0 + np.abs(v["G2h"])) + np.abs(v["GhGh"])
-    return first, second, scales
+    draws = _draws(model, n_functions, n_points, degree, seed)
+    return _sweep(model, draws, degree, lambda calc, j: _double_gamma(calc, j, l, c, rho_h, m_hv))
 
 
 def condb_sweep(
@@ -402,16 +391,9 @@ def condb_sweep(
     n_points = max(1, n_samples // funcs_per_point)
     n_terms = get_space(model.dim, degree).terms(degree)
     points = random_points(model, n_points, rng, radius)
-    res = []
-    scl = []
-    for x in points:
-        coeffs = rng.uniform(-1.0, 1.0, (funcs_per_point, n_terms))
-        calc = get_calc(model, x, DEFAULT_ORDER)
-        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        v = _core_values(calc, j, want="condb")
-        res.append(np.atleast_1d(v["condb"]))
-        scl.append(np.atleast_1d(v["condb_scale"]))
-    return np.concatenate(res)[:n_samples], np.concatenate(scl)[:n_samples]
+    draws = ((x, rng.uniform(-1.0, 1.0, (funcs_per_point, n_terms))) for x in points)
+    res, scales = _sweep(model, draws, degree, _condb)
+    return res.reshape(-1)[:n_samples], scales.reshape(-1)[:n_samples]
 
 
 def commutation_sweep(
@@ -422,25 +404,12 @@ def commutation_sweep(
     seed: int = 0,
 ):
     """Commutation residuals |[L, Delta] f| over a seeded sweep."""
-    rng = np.random.default_rng(seed)
-    n_terms = get_space(model.dim, degree).terms(degree)
-    coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
-    points = random_points(model, n_points, rng)
-    res = np.empty((n_points, n_functions))
-    scales = np.empty_like(res)
-    for p, x in enumerate(points):
-        calc = get_calc(model, x, DEFAULT_ORDER)
-        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        a, b = _commutation_pair(calc, j)
-        res[p] = np.abs(a - b)
-        scales[p] = 1.0 + np.abs(a) + np.abs(b)
-    return res, scales
+    return _sweep(model, _draws(model, n_functions, n_points, degree, seed), degree, _commutation)
 
 
 def qform_oracle_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     """Two-route check of Gamma^h: frame sum vs (L(f^2) - 2 f L f)/2."""
-    j = _as_jet(model, f, x, order)
-    calc = get_calc(model, j.base_point, j.order)
+    calc, j = _at(model, f, x, order)
     frame_sum = np.asarray(_sum_squares(calc.horizontal(j)).value)
     via_l = 0.5 * (
         np.asarray(calc.sublaplacian(j * j).value)

@@ -47,15 +47,13 @@ def cmd_constants(args):
 
 
 def cmd_cd_check(args):
-    model = get_model(args.model)
-    work = geometry.normalize_vertical(model)
-    consts = geometry.assemble_constants(model)
+    work, consts = suite._constants_for(args.model)
     res, scale = calculus.cd_residual_sweep(
         work,
         consts,
         args.functions,
         args.points,
-        np.logspace(-1, 1, 9),
+        suite._l_grid(9),
         seed=args.seed,
     )
     ratio = res / scale

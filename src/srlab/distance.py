@@ -5,7 +5,8 @@ Three routes, in decreasing order of sharpness:
 * Heisenberg: exact geodesics.  Distances from the identity solve a
   single scalar equation in the rotation angle of the optimal control,
   handled by a bracketing root solve; left invariance reduces general
-  pairs to this case.
+  pairs to this case.  Next to the vertical axis, where the angle is
+  unresolved, the triangle inequality through (0, 0, z) brackets it.
 * Step-2 nilpotent groups: exact lower bound from the abelianization
   (horizontal curves project to Euclidean curves of the same length)
   and an explicit admissible curve for the upper bound: a straight
@@ -41,8 +42,8 @@ class DistanceEstimate:
         return dict(self.__dict__)
 
 
-def _heisenberg_from_identity(p: np.ndarray) -> float:
-    """Exact distance from the identity in exponential coordinates."""
+def _heisenberg_from_identity(p: np.ndarray) -> float | None:
+    """Exact distance from the identity, None where the angle is unresolved."""
     x, y, z = p
     rho = float(np.hypot(x, y))
     az = abs(float(z))
@@ -62,11 +63,12 @@ def _heisenberg_from_identity(p: np.ndarray) -> float:
 
     lo, hi = 1e-9, 2.0 * np.pi - 1e-9
     if m(hi) < target:
-        # target beyond solver bracket (endpoint almost on the center);
-        # the vertical geodesic plus a horizontal segment is admissible
-        return 2.0 * np.sqrt(np.pi * az) + rho
+        # target beyond solver bracket (endpoint almost on the center)
+        return None
     phi = brentq(lambda q: m(q) - target, lo, hi, xtol=1e-14, rtol=1e-15)
-    return float(rho * phi / (2.0 * np.sin(0.5 * phi)))
+    value = float(rho * phi / (2.0 * np.sin(0.5 * phi)))
+    # as phi -> 2 pi the length loses its digits; d lies within rho of 2 sqrt(pi |z|)
+    return value if abs(value - 2.0 * np.sqrt(np.pi * az)) <= rho else None
 
 
 def _nilpotent_lower(model: LieModel, rel: np.ndarray) -> float:
@@ -185,10 +187,11 @@ def cc_distance(
 ) -> DistanceEstimate:
     """Distance estimate between coordinate points x and y.
 
-    Heisenberg pairs are exact (geodesic shooting); other step-2
-    nilpotent models return the projection/commutator-loop bracket with
-    its midpoint as the value; remaining models fall back to the
-    lattice search.
+    Heisenberg pairs are exact (geodesic shooting) except next to the
+    vertical axis, where a triangle-inequality bracket is returned;
+    other step-2 nilpotent models return the projection/commutator-loop
+    bracket with its midpoint as the value; remaining models fall back
+    to the lattice search.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -198,6 +201,10 @@ def cc_distance(
 
     if is_heisenberg(model):
         value = _heisenberg_from_identity(rel)
+        if value is None:
+            axis = float(2.0 * np.sqrt(np.pi * abs(rel[2])))
+            rho = float(np.hypot(rel[0], rel[1]))
+            return DistanceEstimate(axis, axis - rho, axis + rho, "bracket")
         lower = _nilpotent_lower(model, rel)
         upper = _nilpotent_upper(model, x, y)
         return DistanceEstimate(

@@ -107,25 +107,22 @@ class FrameCalc:
     def vertical(self, jet: Jet) -> list[Jet]:
         return [self.apply(s, jet) for s in range(self.model.dim_h, self.model.dim)]
 
-    def sublaplacian(self, jet: Jet) -> Jet:
+    def _laplacian(self, jet: Jet, fields: range, kappa: np.ndarray) -> Jet:
+        """sum of E_i E_i f over fields, minus the trace correction kappa . E f."""
         out = None
-        for i in range(self.model.dim_h):
+        for i in fields:
             term = self.apply(i, self.apply(i, jet))
             out = term if out is None else out + term
         for k in range(self.model.dim):
-            if self.kappa_h[k] != 0.0:
-                out = out - self.kappa_h[k] * self.apply(k, jet)
+            if kappa[k] != 0.0:
+                out = out - kappa[k] * self.apply(k, jet)
         return out
 
+    def sublaplacian(self, jet: Jet) -> Jet:
+        return self._laplacian(jet, range(self.model.dim_h), self.kappa_h)
+
     def full_laplacian(self, jet: Jet) -> Jet:
-        out = None
-        for a in range(self.model.dim):
-            term = self.apply(a, self.apply(a, jet))
-            out = term if out is None else out + term
-        for k in range(self.model.dim):
-            if self.kappa_full[k] != 0.0:
-                out = out - self.kappa_full[k] * self.apply(k, jet)
-        return out
+        return self._laplacian(jet, range(self.model.dim), self.kappa_full)
 
 
 def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:

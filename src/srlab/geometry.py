@@ -16,7 +16,6 @@ involved except for the optional sphere-search cross checks.
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
 
 import numpy as np
@@ -68,6 +67,11 @@ class CDConstants:
             if isinstance(v, float) and not np.isfinite(v):
                 doc[k] = str(v)
         return doc
+
+
+def constants_tuple(constants) -> tuple[int, float, float, float]:
+    """(n, rho1, rho20, rho21) of a constants record or a plain 4-tuple."""
+    return constants.as_tuple() if hasattr(constants, "as_tuple") else tuple(constants)
 
 
 # ----------------------------------------------------------------------
@@ -209,11 +213,8 @@ def mixed_bounds(model: LieModel) -> tuple[float, float, float]:
 
 
 # ----------------------------------------------------------------------
-# Geometry report (cached per model)
+# Geometry report
 # ----------------------------------------------------------------------
-
-_REPORT_CACHE: dict[tuple[str, bool], GeometryReport] = {}
-_REPORT_LOCK = threading.Lock()
 
 
 def geometry_report(model: LieModel, normalize: bool = True) -> GeometryReport:
@@ -223,10 +224,6 @@ def geometry_report(model: LieModel, normalize: bool = True) -> GeometryReport:
     that makes M_R = 1, so normalization is applied first whenever the
     curvature is nondegenerate; pass normalize=False for raw bounds.
     """
-    key = (model.fingerprint, normalize)
-    cached = _REPORT_CACHE.get(key)
-    if cached is not None:
-        return cached
     work = model
     normalized = False
     if normalize:
@@ -237,7 +234,7 @@ def geometry_report(model: LieModel, normalize: bool = True) -> GeometryReport:
     M_R, m_R = curvature_bounds(work)
     rho, _ = ricci_h(work)
     M_HV, M_grad_v, rho_Lv = mixed_bounds(work)
-    report = GeometryReport(
+    return GeometryReport(
         model=model.name,
         M_R=M_R,
         m_R=m_R,
@@ -247,9 +244,6 @@ def geometry_report(model: LieModel, normalize: bool = True) -> GeometryReport:
         rho_Lv=rho_Lv,
         normalized=normalized,
     )
-    with _REPORT_LOCK:
-        _REPORT_CACHE[key] = report
-    return report
 
 
 # ----------------------------------------------------------------------
@@ -374,7 +368,7 @@ def resolve_weight(report: GeometryReport, objective: str) -> float:
 
 
 def assemble_constants(
-    model_or_report,
+    model: LieModel,
     c: float | str = "optimize",
     objective: str = "max_alpha",
 ) -> CDConstants:
@@ -385,23 +379,8 @@ def assemble_constants(
     their hypotheses (rho20 > 0, and positivity where required) hold,
     otherwise left as None.
     """
-    if isinstance(model_or_report, GeometryReport):
-        report = model_or_report
-        n = None
-    else:
-        report = geometry_report(model_or_report)
-        n = model_or_report.dim_h
-    if n is None:
-        raise ValueError("pass the model, or use assemble_from_report with explicit n")
-    return assemble_from_report(report, n, c, objective)
-
-
-def assemble_from_report(
-    report: GeometryReport,
-    n: int,
-    c: float | str = "optimize",
-    objective: str = "max_alpha",
-) -> CDConstants:
+    report = geometry_report(model)
+    n = model.dim_h
     if isinstance(c, str):
         c_val = resolve_weight(report, objective)
     else:

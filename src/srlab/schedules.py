@@ -22,6 +22,8 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
+from .geometry import constants_tuple
+
 DEFAULT_GRID = 2048
 
 
@@ -75,7 +77,7 @@ def _margins(
     constants,
     use_analytic: bool,
 ) -> tuple[np.ndarray, np.ndarray]:
-    n, rho1, rho20, rho21 = _astuple(constants)
+    n, rho1, rho20, rho21 = constants_tuple(constants)
     it = s.interior()
     t, a, l, b = s.t[it], s.a[it], s.l[it], s.b[it]
     if np.any(a <= 0) or np.any(l <= 0):
@@ -167,7 +169,7 @@ def gradient_constant_weight(
     constants, T: float, l: float = 1.0, n: int = DEFAULT_GRID
 ) -> Schedule:
     """Constant l with exponentially decaying a; always admissible."""
-    _, rho1, rho20, rho21 = _astuple(constants)
+    _, rho1, rho20, rho21 = constants_tuple(constants)
     alpha = min(rho1 - 1.0 / l, rho21 + rho20 / l)
     t = _grid(T, n)
     a = np.exp(-alpha * t)
@@ -189,7 +191,7 @@ def gradient_constant_weight(
 
 def gradient_variance_linear(constants, T: float, n: int = DEFAULT_GRID) -> Schedule:
     """Linear a and l vanishing at T; yields the variance bound."""
-    _, rho1, rho20, rho21 = _astuple(constants)
+    _, rho1, rho20, rho21 = constants_tuple(constants)
     if rho20 <= 0:
         raise ValueError("variance schedule needs rho20 > 0")
     k1 = max(0.0, -rho1)
@@ -220,7 +222,7 @@ def gradient_variance_exponential(
     Degenerates to the linear schedule when rho1 = 0, in which case the
     schedule is flagged and equals grad-b with k1 = k2 = 0.
     """
-    _, rho1, rho20, rho21 = _astuple(constants)
+    _, rho1, rho20, rho21 = constants_tuple(constants)
     if rho1 < 0 or rho21 < 0 or rho20 <= 0:
         raise ValueError("exponential schedule needs rho1, rho21 >= 0 and rho20 > 0")
     t = _grid(T, n)
@@ -268,7 +270,7 @@ def gradient_reverse(
     constants, T: float, l0: float = 1.0, n: int = DEFAULT_GRID
 ) -> Schedule:
     """Increasing a = t with negative C; bounds variance from below."""
-    _, rho1, rho20, rho21 = _astuple(constants)
+    _, rho1, rho20, rho21 = constants_tuple(constants)
     if rho1 < 0 or rho20 < 0 or rho21 < 0:
         raise ValueError("reverse schedule needs nonnegative constants")
     t = _grid(T, n)
@@ -308,7 +310,7 @@ def liyau_schedule(
     both conditions hold with equality, so the margins here are a pure
     probe of the checker's numerical floor.
     """
-    _, rho1, rho20, rho21 = _astuple(constants)
+    _, rho1, rho20, rho21 = constants_tuple(constants)
     if rho20 <= 0 or alpha <= 0:
         raise ValueError("power schedule needs rho20 > 0 and alpha > 0")
     t = _grid(T, n)
@@ -333,10 +335,6 @@ def liyau_schedule(
         dl=np.full_like(t, -rho20 / (alpha + 2.0)),
         db=np.nan_to_num(db, nan=0.0, posinf=0.0, neginf=0.0),
     )
-
-
-def _astuple(constants):
-    return constants.as_tuple() if hasattr(constants, "as_tuple") else tuple(constants)
 
 
 def builtin_schedules(

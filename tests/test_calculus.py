@@ -10,8 +10,9 @@ import numpy as np
 import pytest
 
 import srlab.calculus as calc
-from srlab.jets import Constant, Coordinate, Polynomial, ShiftedSquare
-from srlab.models import build_abelian, get_model
+from srlab import geometry
+from srlab.jets import Constant, Coordinate, Polynomial, ShiftedSquare, get_space
+from srlab.models import build_abelian, get_model, validate
 
 HEIS_CONSTANTS = (2, 0.0, 0.5, 0.0)
 
@@ -192,3 +193,56 @@ def test_gamma_point_report(heis):
     assert rep.gamma_h_fg == pytest.approx(0.0, abs=1e-14)
     doc = rep.to_json()
     assert "0.5" in doc["gamma2_mixed"]
+
+
+def _shared_draws(m, n_functions, n_points, degree, seed):
+    """The draws of the cd, double-gamma and commutation sweeps, from their seed."""
+    rng = np.random.default_rng(seed)
+    coeffs = rng.uniform(-1.0, 1.0, (n_functions, get_space(m.dim, degree).terms(degree)))
+    return calc.random_points(m, n_points, rng), coeffs
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
+def test_sweeps_match_scalar_api(name):
+    """Every sweep entry equals the scalar function on its (function, point)."""
+    m = get_model(name)
+    tol = 1e-13
+
+    def close(a, b, scale):
+        assert np.all(np.abs(np.asarray(a) - np.asarray(b)) <= tol * scale), name
+
+    if validate(m).step == 2:
+        work, consts = geometry.normalize_vertical(m), geometry.assemble_constants(m)
+        grid = np.logspace(-1.0, 1.0, 3)
+        res, scale = calc.cd_residual_sweep(work, consts, 4, 2, grid, seed=1)
+        points, coeffs = _shared_draws(work, 4, 2, 4, seed=1)
+        for p, x in enumerate(points):
+            for i, cf in enumerate(coeffs):
+                for k, l in enumerate(grid):
+                    one = calc.cd_residual(work, Polynomial(m.dim, 4, cf), x, l, consts)
+                    close(res[p, i, k], one, scale[p, i, k])
+
+    first, second, scale = calc.double_gamma_sweep(m, 4, 2, 1.0, 2.0, 0.5, 0.3, seed=2)
+    points, coeffs = _shared_draws(m, 4, 2, 3, seed=2)
+    for p, x in enumerate(points):
+        for i, cf in enumerate(coeffs):
+            one = calc.double_gamma_residuals(m, Polynomial(m.dim, 3, cf), x, 1.0, 2.0, 0.5, 0.3)
+            close(first[p, i], one[0], scale[p, i])
+            close(second[p, i], one[1], scale[p, i])
+
+    res, scale = calc.commutation_sweep(m, 4, 2, seed=3)
+    points, coeffs = _shared_draws(m, 4, 2, 4, seed=3)
+    for p, x in enumerate(points):
+        for i, cf in enumerate(coeffs):
+            one = calc.commutation_residual(m, Polynomial(m.dim, 4, cf), x)
+            close(res[p, i], one, scale[p, i])
+
+    # condition B draws its coefficients per point, after all the points
+    res, scale = calc.condb_sweep(m, 6, seed=4, funcs_per_point=3)
+    rng = np.random.default_rng(4)
+    points = calc.random_points(m, 2, rng)
+    n_terms = get_space(m.dim, 4).terms(4)
+    for p, x in enumerate(points):
+        for i, cf in enumerate(rng.uniform(-1.0, 1.0, (3, n_terms))):
+            one = calc.condb_residual(m, Polynomial(m.dim, 4, cf), x)
+            close(res[3 * p + i], one, scale[3 * p + i])

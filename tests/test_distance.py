@@ -33,6 +33,22 @@ def test_vertical_point(heis):
         assert est.value == pytest.approx(2.0 * np.sqrt(np.pi * z), rel=1e-10)
 
 
+def test_near_vertical_axis_is_bracketed(heis):
+    # d(0, p) lies within rho = |(x, y)| of d(0, (0, 0, z)) by the
+    # triangle inequality; next to the axis the angle solve cannot
+    # resolve it (rho 1e-9 loses digits, rho 1e-10 leaves the root
+    # bracket), so the triangle bracket is returned, not called exact
+    for rho, z in ((1e-9, 1.0), (1e-10, 1.0), (1e-9, -4.0)):
+        est = dist.cc_distance(heis, np.zeros(3), [rho, 0.0, z])
+        axis = 2.0 * np.sqrt(np.pi * abs(z))
+        assert est.method == "bracket"
+        assert (est.lower, est.value, est.upper) == (axis - rho, axis, axis + rho)
+    # farther out the solve stays exact and inside the same bracket
+    est = dist.cc_distance(heis, np.zeros(3), [1e-7, 0.0, 1.0])
+    assert est.method == "geodesic-shooting"
+    assert abs(est.value - 2.0 * np.sqrt(np.pi)) <= 1e-7
+
+
 def test_renamed_heisenberg_takes_closed_form(heis):
     renamed = dataclasses.replace(heis, name="h3")
     x, y = [0.1, -0.2, 0.3], [0.4, 0.2, -0.5]

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
+from scipy.linalg import expm, logm
 
 from srlab import algebra
 from srlab.models import (
@@ -228,6 +229,25 @@ def test_compose_associativity_property(case):
     lhs = m.compose(m.compose(u, v), w)
     rhs = m.compose(u, m.compose(v, w))
     assert np.allclose(lhs, rhs, atol=1e-12), m.name
+
+
+@settings(max_examples=60, deadline=None)
+@given(_coords(6, 0.3), _coords(6, 0.3))
+def test_su2_pair_compose_matches_adjoint_representation(u, w):
+    """ad(u * w) = log(exp(ad u) exp(ad w)), since Ad(exp u) = exp(ad u).
+
+    Entries stay within 0.3: at 0.5 the principal logarithm already
+    changes branch.  Engel is left out because its degree-3 BCH term
+    lies in the center, which ad cannot see; the associativity
+    property above covers it.
+    """
+    m = _COMPOSE_MODELS["su2-pair"]
+
+    def ad(v):
+        return algebra.ad_matrix(m.onframe.c, v)
+
+    via_logm = np.real(logm(expm(ad(u)) @ expm(ad(w))))
+    assert np.allclose(ad(m.compose(u, w)), via_logm, rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)
