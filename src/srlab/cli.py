@@ -47,7 +47,13 @@ def cmd_constants(args):
 
 
 def cmd_cd_check(args):
-    work, consts = suite._constants_for(args.model)
+    try:
+        work, consts = suite._constants_for(args.model)
+    except ValueError as err:
+        # as in `constants`: step-3 models have no positive-constant set;
+        # exit 2, not 1, which means a violation was found
+        _print({"model": args.model, "constants_error": str(err)})
+        return 2
     res, scale = calculus.cd_residual_sweep(
         work,
         consts,

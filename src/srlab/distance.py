@@ -119,8 +119,8 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
 
     rho = float(model.params.get("rho", 1.0))
     a, b = _su2_pair_coords_to_algebra(model, rel)
-    d1 = np.linalg.norm(a, axis=-1) / np.sqrt(2.0 * rho)
-    d2 = np.linalg.norm(b, axis=-1) / (2.0 * np.sqrt(2.0 * rho))
+    d1 = np.linalg.norm(a, axis=0) / np.sqrt(2.0 * rho)
+    d2 = np.linalg.norm(b, axis=0) / (2.0 * np.sqrt(2.0 * rho))
     return float(max(d1, d2))
 
 

@@ -6,7 +6,10 @@ element on the right by exp(sqrt(h) sum_i xi_i A_i) with independent
 standard normals xi over the orthonormal horizontal frame.  Because
 increments compose through exact group multiplication, the walk stays
 on the group, constants are preserved exactly, and the estimator of
-P_t 1 is identically 1.
+P_t 1 is identically 1.  Path states stay in the group's native form
+(`LieModel.lift`/`mul`): coordinates on nilpotent groups, a pair of
+unit quaternions on su2-pair, converted to coordinates by one log per
+path at the end of the walk.
 
 One path engine, `mc_semigroup_many`, makes every estimate: plain
 integrands are averaged over the paths from x, and `Gradient` entries
@@ -110,21 +113,23 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
             rng: np.random.Generator) -> np.ndarray:
     """Final states of `size` paths from each start; common noise across starts.
 
-    starts has shape (S, d); returns (S, size, d).
+    starts has shape (S, d); returns (S, size, d).  The walk multiplies
+    native group elements (`LieModel.lift`/`mul`) and converts back to
+    coordinates once, at the end.
     """
     n = model.dim_h
     d = model.dim
-    states = np.broadcast_to(starts[:, None, :], (starts.shape[0], size, d)).copy()
     if t == 0 or steps == 0:
-        return states
+        return np.broadcast_to(starts[:, None, :], (starts.shape[0], size, d)).copy()
     h = t / steps
     sqh = np.sqrt(h)
-    w = np.zeros((size, d))
+    g = model.lift(starts[:, None, :])
+    w = np.zeros((1, size, d))
     for _ in range(steps):
         xi = rng.standard_normal((size, n))
-        w[:, :n] = sqh * xi
-        states = model.compose(states, w[None, :, :])
-    return states
+        w[0, :, :n] = sqh * xi
+        g = model.mul(g, model.lift(w))
+    return model.coords(g)
 
 
 def _stencil_dirs(model: LieModel, which: str) -> list[int]:

@@ -12,7 +12,10 @@ relative to the orthonormalized frame: the coordinate vector ``u``
 labels the group element ``exp(sum_a u_a F_a)`` where ``F_a`` is the
 orthonormal frame.  Group multiplication in these coordinates is exact
 for the shipped models (polynomial BCH for nilpotent groups, closed
-form on SU(2) factors).
+form on SU(2) factors).  `LieModel.lift`, `mul` and `coords` expose the
+group's native form (the coordinates themselves on nilpotent groups, a
+pair of unit quaternions on SU(2) x SU(2)), so that a long product
+such as a random walk converts to coordinates only once.
 """
 
 from __future__ import annotations
@@ -162,20 +165,36 @@ class LieModel:
 
     # -- group composition ---------------------------------------------
 
-    def compose(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-        """Coordinates of exp(u) exp(w), batched over leading axes."""
+    def lift(self, u: np.ndarray) -> np.ndarray:
+        """The group element exp(u) in the model's native form.
+
+        Nilpotent groups are held in their coordinates; su2-pair holds
+        a pair of unit quaternions, shape (8,) + u.shape[:-1] (see
+        `_su2_pair_lift`).
+        """
         u = np.asarray(u, dtype=float)
-        w = np.asarray(w, dtype=float)
+        return _su2_pair_lift(self, u) if self.group == "su2-pair" else u
+
+    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+        """Product g h of native group elements, batched over their batch axes."""
+        if self.group == "su2-pair":
+            return _su2_pair_mul(g, h)
         if self.group == "nilpotent":
             step = self.onframe.nil_step
             if step is None:
                 raise CompositionError(
                     f"model {self.name!r} tagged nilpotent has no finite step"
                 )
-            return algebra.bch_compose(self.onframe.c, u, w, step)
-        if self.group == "su2-pair":
-            return _su2_pair_compose(self, u, w)
+            return algebra.bch_compose(self.onframe.c, g, h, step)
         raise CompositionError(f"no exact composition backend for {self.group!r}")
+
+    def coords(self, g: np.ndarray) -> np.ndarray:
+        """Exponential coordinates of a native group element (inverse of `lift`)."""
+        return _su2_pair_coords(self, g) if self.group == "su2-pair" else g
+
+    def compose(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+        """Coordinates of exp(u) exp(w), batched over leading axes."""
+        return self.coords(self.mul(self.lift(u), self.lift(w)))
 
     def inverse(self, u: np.ndarray) -> np.ndarray:
         """Coordinates of exp(u)^(-1) = exp(-u)."""
@@ -230,56 +249,86 @@ class LieModel:
 
 
 def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    w1, v1 = p[..., :1], p[..., 1:]
-    w2, v2 = q[..., :1], q[..., 1:]
-    w = w1 * w2 - np.sum(v1 * v2, axis=-1, keepdims=True)
-    v = w1 * v2 + w2 * v1 + np.cross(v1, v2)
-    return np.concatenate([w, v], axis=-1)
+    """Quaternion product on component-first arrays, shape (4, ...)."""
+    p0, p1, p2, p3 = p
+    q0, q1, q2, q3 = q
+    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    out[0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3)
+    out[1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
+    out[2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
+    out[3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
+    return out
+
+
+def _norm3(v: np.ndarray) -> np.ndarray:
+    # summed left to right, as np.linalg.norm sums a last axis of length 3
+    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
 
 
 def _quat_exp(v: np.ndarray) -> np.ndarray:
-    """exp of the algebra element with X-basis coefficients v."""
-    theta = np.linalg.norm(v, axis=-1, keepdims=True)
+    """exp of the algebra element with X-basis coefficients v, shape (3, ...)."""
+    theta = _norm3(v)
     half = 0.5 * theta
     small = theta < 1e-12
     sinc = np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, theta))
-    return np.concatenate([np.cos(half), sinc * v], axis=-1)
+    out = np.empty((4,) + theta.shape)
+    out[0] = np.cos(half)
+    out[1:] = sinc * v
+    return out
 
 
 def _quat_log(q: np.ndarray) -> np.ndarray:
-    """X-basis coefficients of the principal logarithm."""
-    w = q[..., :1]
-    v = q[..., 1:]
-    vn = np.linalg.norm(v, axis=-1, keepdims=True)
+    """X-basis coefficients of the principal logarithm, shape (3, ...).
+
+    The angle lies in [0, 2 pi]; at -1 (angle 2 pi) the axis is
+    undetermined and the first one is taken.
+    """
+    w = q[0]
+    v = q[1:]
+    vn = _norm3(v)
     theta = 2.0 * np.arctan2(vn, w)
-    small = vn < 1e-12
-    scale = np.where(small, 2.0, theta / np.where(small, 1.0, vn))
-    return scale * v
+    small = (vn < 1e-12) & (w > 0)
+    cut = (vn == 0) & (w < 0)
+    scale = np.where(small, 2.0, theta / np.where(small | cut, 1.0, vn))
+    out = scale * v
+    out[0] = np.where(cut, theta, out[0])
+    return out
 
 
 def _su2_pair_coords_to_algebra(model: LieModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Split orthonormal coordinates into X-coefficients per group factor."""
+    """X-coefficients per group factor, each of shape (3,) + u.shape[:-1]."""
     n = model.dim_h
-    raw = np.einsum("ab,...a->...b", model.onframe.T, u)
-    rh, rv = raw[..., :n], raw[..., n:]
+    # C order: einsum would otherwise return a strided view of a
+    # component-last buffer, which slows every quaternion operation
+    raw = np.einsum("ab,...a->b...", model.onframe.T, u, order="C")
+    rh, rv = raw[:n], raw[n:]
     return rh + rv, 2.0 * rh
 
 
-def _su2_pair_algebra_to_coords(model: LieModel, a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    n = model.dim_h
+# A native su2-pair element is an (8, ...) array: row 2k + f holds
+# quaternion component k of factor f, so that reshaping to (4, 2, ...)
+# lets one quaternion operation act on both factors.
+
+
+def _su2_pair_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
+    a, b = _su2_pair_coords_to_algebra(model, u)
+    return _quat_exp(np.stack([a, b], axis=1)).reshape((8,) + a.shape[1:])
+
+
+def _su2_pair_mul(g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    batch = np.broadcast_shapes(g.shape[1:], h.shape[1:])
+
+    def pair(x):  # batch axes aligned from the right, as for coordinates
+        return x.reshape((4, 2) + (1,) * (len(batch) + 1 - x.ndim) + x.shape[1:])
+
+    return _quat_mul(pair(g), pair(h)).reshape((8,) + batch)
+
+
+def _su2_pair_coords(model: LieModel, g: np.ndarray) -> np.ndarray:
+    a, b = _quat_log(g.reshape((4, 2) + g.shape[1:])).swapaxes(0, 1)
     rh = 0.5 * b
     rv = a - rh
-    raw = np.concatenate([rh, rv], axis=-1)
-    return np.einsum("ab,...b->...a", model.onframe.Tinv.T, raw)
-
-
-def _su2_pair_compose(model: LieModel, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    u, w = np.broadcast_arrays(u, w)
-    au, bu = _su2_pair_coords_to_algebra(model, u)
-    aw, bw = _su2_pair_coords_to_algebra(model, w)
-    qa = _quat_mul(_quat_exp(au), _quat_exp(aw))
-    qb = _quat_mul(_quat_exp(bu), _quat_exp(bw))
-    return _su2_pair_algebra_to_coords(model, _quat_log(qa), _quat_log(qb))
+    return np.einsum("ab,b...->...a", model.onframe.Tinv.T, np.concatenate([rh, rv]))
 
 
 # ----------------------------------------------------------------------

@@ -165,6 +165,40 @@ def test_su2_walk_stays_normalized():
     assert est.value == 1.0
 
 
+def _compose_walk(m, starts, t, steps, size, rng):
+    """The walk as one `compose` per step: the second route for `heat._evolve`."""
+    states = np.broadcast_to(starts[:, None, :], (len(starts), size, m.dim)).copy()
+    w = np.zeros((size, m.dim))
+    for _ in range(steps):
+        w[:, : m.dim_h] = np.sqrt(t / steps) * rng.standard_normal((size, m.dim_h))
+        states = m.compose(states, w[None])
+    return states
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "su2-pair"])
+def test_native_walk_matches_compose_loop(name):
+    m = get_model(name)
+    starts = np.random.default_rng(31).uniform(-0.5, 0.5, (3, m.dim))
+    got = heat._evolve(m, starts, 0.8, 60, 300, heat._stream(7, 0))
+    ref = _compose_walk(m, starts, 0.8, 60, 300, heat._stream(7, 0))
+    if m.group == "nilpotent":
+        # native form is the coordinates: the same arithmetic
+        assert np.array_equal(got, ref)
+    else:
+        # one log per path instead of one per step
+        assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "su2-pair"])
+def test_walk_without_time_or_steps_keeps_the_starts(name):
+    m = get_model(name)
+    starts = np.random.default_rng(32).uniform(-0.5, 0.5, (2, m.dim))
+    expected = np.broadcast_to(starts[:, None, :], (2, 5, m.dim))
+    for t, steps in ((0.0, 4), (0.5, 0)):
+        got = heat._evolve(m, starts, t, steps, 5, heat._stream(8, 0))
+        assert np.array_equal(got, expected)
+
+
 def test_invalid_settings(heis):
     f = Constant(3, 1.0)
     with pytest.raises(ValueError):

@@ -7,6 +7,8 @@ from srlab import algebra
 from srlab.models import (
     DeclaredConstants,
     LieModel,
+    _quat_exp,
+    _quat_log,
     build_abelian,
     build_engel,
     build_free_nilpotent,
@@ -205,6 +207,84 @@ def test_compose_batched_matches_loop():
         for k in range(8):
             assert np.array_equal(batch[k], m.compose(us[k], ws[k])), name
             assert np.array_equal(shared[k], m.compose(us[k], ws[0])), name
+
+
+def _reference_su2_pair_compose(m, u, w):
+    """su2-pair composition on quaternions stored along the last axis,
+    through `concatenate` and `cross`: the formula the native
+    component-first form replaced, kept as its reference."""
+
+    def qmul(p, q):
+        w1, v1 = p[..., :1], p[..., 1:]
+        w2, v2 = q[..., :1], q[..., 1:]
+        w = w1 * w2 - np.sum(v1 * v2, axis=-1, keepdims=True)
+        return np.concatenate([w, w1 * v2 + w2 * v1 + np.cross(v1, v2)], axis=-1)
+
+    def qexp(v):
+        theta = np.linalg.norm(v, axis=-1, keepdims=True)
+        small = theta < 1e-12
+        sinc = np.where(small, 0.5, np.sin(0.5 * theta) / np.where(small, 1.0, theta))
+        return np.concatenate([np.cos(0.5 * theta), sinc * v], axis=-1)
+
+    def qlog(q):
+        vn = np.linalg.norm(q[..., 1:], axis=-1, keepdims=True)
+        theta = 2.0 * np.arctan2(vn, q[..., :1])
+        small = vn < 1e-12
+        return np.where(small, 2.0, theta / np.where(small, 1.0, vn)) * q[..., 1:]
+
+    def algebra_pair(x):
+        raw = np.einsum("ab,...a->...b", m.onframe.T, x)
+        return raw[..., :3] + raw[..., 3:], 2.0 * raw[..., :3]
+
+    u, w = np.broadcast_arrays(u, w)
+    (au, bu), (aw, bw) = algebra_pair(u), algebra_pair(w)
+    a = qlog(qmul(qexp(au), qexp(aw)))
+    rh = 0.5 * qlog(qmul(qexp(bu), qexp(bw)))
+    raw = np.concatenate([rh, a - rh], axis=-1)
+    return np.einsum("ab,...b->...a", m.onframe.Tinv.T, raw)
+
+
+@pytest.mark.parametrize("scale", [1e-3, 0.3, 2.0, 10.0])
+def test_su2_pair_compose_matches_reference(scale):
+    m = get_model("su2-pair")
+    rng = np.random.default_rng(3)
+    u, w = scale * rng.standard_normal((2, 5000, 6))
+    assert np.array_equal(m.compose(u, w), _reference_su2_pair_compose(m, u, w))
+    us, ws = u[:4, None], w[None, :5]
+    assert np.array_equal(m.compose(us, ws), _reference_su2_pair_compose(m, us, ws))
+    assert np.array_equal(m.compose(u[0], w[0]), _reference_su2_pair_compose(m, u[0], w[0]))
+
+
+def test_su2_pair_native_form_round_trip():
+    m = get_model("su2-pair")
+    u = np.random.default_rng(4).uniform(-1.0, 1.0, (3, 4, 6))
+    g = m.lift(u)
+    assert g.shape == (8, 3, 4)
+    assert np.allclose(np.sum(g.reshape(4, 2, 3, 4) ** 2, axis=0), 1.0, atol=1e-15)
+    assert np.allclose(m.coords(g), u, atol=1e-14)
+    assert np.array_equal(m.coords(m.mul(g, m.lift(np.zeros(6)))), m.compose(u, np.zeros(6)))
+
+
+@pytest.mark.parametrize(
+    "q",
+    [
+        [-1.0, 0.0, 0.0, 0.0],
+        [-np.sqrt(1.0 - 1e-26), 1e-13, 0.0, 0.0],
+        [-np.sqrt(1.0 - 1e-26), 0.0, -6e-14, 8e-14],
+        [np.sqrt(1.0 - 1e-26), 0.0, 1e-13, 0.0],
+    ],
+)
+def test_quat_log_inverts_exp_at_the_cut(q):
+    q = np.array(q)
+    assert np.allclose(_quat_exp(_quat_log(q)), q, rtol=0.0, atol=1e-15)
+
+
+def test_su2_pair_compose_keeps_a_full_turn():
+    # factor a = exp(2 pi X_1) = -1: the principal log is the full turn
+    m = get_model("su2-pair")
+    u = np.zeros(6)
+    u[3] = 2.0 * np.pi / m.onframe.T[3, 3]
+    assert np.allclose(m.compose(u, np.zeros(6)), u, rtol=0.0, atol=1e-14)
 
 
 _COMPOSE_MODELS = {name: get_model(name) for name in ("heisenberg", "engel", "su2-pair",

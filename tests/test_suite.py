@@ -209,6 +209,14 @@ def test_cli_constants_handles_infeasible_models(capsys):
     assert "M_grad_v" in out
 
 
+def test_cli_cd_check_reports_infeasible_constants(capsys):
+    # exit 2 keeps "no constants to check" apart from 1, a violation found
+    assert cli_main(["cd-check", "engel", "--functions", "5", "--points", "1"]) == 2
+    doc = json.loads(capsys.readouterr().out)
+    assert doc == {"model": "engel", "constants_error": doc["constants_error"]}
+    assert "empty feasible window" in doc["constants_error"]
+
+
 def test_cli_spectral_and_distance(capsys):
     assert cli_main(["spectral", "--rho", "1.0", "--jmax", "2"]) == 0
     assert cli_main(["distance", "heisenberg", "--x", "0", "0", "0",
