@@ -29,6 +29,7 @@ su2-pair spectrum) stay functions.
 
 from __future__ import annotations
 
+import contextvars
 import hashlib
 import json
 import time
@@ -516,16 +517,71 @@ def check_vertical_gradient(cfg, seed) -> list[CheckResult]:
 
 
 # -- PDE-based checks ---------------------------------------------------
+#
+# The PDE checks read one heat semigroup.  Inside `run_suite` they share
+# one solver per `pde` config and one evolution per shared source, run
+# once to every snapshot time that source's readers use; a check called
+# outside a run builds its own solver and evolves only what it reads.
+
+# source: (its initial field on a solver's grid, the snapshot times read)
+PDE_SOURCES = {
+    # li-yau, harnack, poincare-decay
+    "bump": (
+        lambda solver: solver.sample(GaussianBump(np.zeros(3), 0.5)),
+        (0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0),
+    ),
+    # kernel-decay, harnack-kernel
+    "origin-kernel": (
+        lambda solver: pde.kernel_source(solver, np.zeros(3))[0],
+        (0.2, 0.4, 0.6, 0.8, 1.0),
+    ),
+}
+
+# the memo of the suite run in progress; None outside run_suite
+_RUN_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
+    "srlab_run_memo", default=None
+)
+
+
+def _run_memo(key, build):
+    """build(), made once per suite run and then read from the run's memo."""
+    memo = _RUN_MEMO.get()
+    if memo is None:
+        return build()
+    if key not in memo:
+        # threads racing on one key build bit-equal values; the first stays
+        memo.setdefault(key, build())
+    return memo[key]
 
 
 def _pde_solver(cfg):
     p = cfg["pde"]
-    return pde.HeisenbergHeatSolver(
-        get_model("heisenberg"),
-        bounds=tuple(p["bounds"]),
-        shape=tuple(p["shape"]),
-        dt=p["dt"],
+    return _run_memo(
+        ("solver", json.dumps(p, sort_keys=True)),
+        lambda: pde.HeisenbergHeatSolver(
+            get_model("heisenberg"),
+            bounds=tuple(p["bounds"]),
+            shape=tuple(p["shape"]),
+            dt=p["dt"],
+        ),
     )
+
+
+def _pde_fields(solver, source, times) -> dict:
+    """Snapshots of a shared PDE source at the given times, keyed by time.
+
+    Times outside the source's declared set raise ValueError.
+    """
+    initial, declared = PDE_SOURCES[source]
+    undeclared = sorted(set(times) - set(declared))
+    if undeclared:
+        raise ValueError(f"times {undeclared} are not declared for PDE source {source!r}")
+    wanted = declared if _RUN_MEMO.get() is not None else sorted(set(times))
+    fields = _run_memo(
+        (source, solver),
+        lambda: dict(zip(wanted, solver.evolve(initial(solver), wanted))),
+    )
+    return {t: fields[t] for t in times}
 
 
 def _sample_points(rng, n, radius=1.2):
@@ -538,10 +594,10 @@ def check_liyau(cfg, seed) -> list[CheckResult]:
     model = get_model("heisenberg")
     _, consts = _constants_for("heisenberg")
     solver = _pde_solver(cfg)
-    f = GaussianBump(np.zeros(3), 0.5)
     times = [0.3, 0.5, 1.0]
-    u0 = solver.sample(f)
-    fields = solver.evolve(u0, times)
+    snaps = _pde_fields(solver, "bump", [0.0] + times)
+    u0 = snaps[0.0].values
+    fields = [snaps[t] for t in times]
     rng = np.random.default_rng(derive_seed(seed, "liyau-pts"))
     pts = np.vstack([np.zeros((1, 3)), _sample_points(rng, 8, radius=0.8)])
     out = []
@@ -668,12 +724,8 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
     model = get_model("heisenberg")
     _, consts = _constants_for("heisenberg")
     solver = _pde_solver(cfg)
-    f = GaussianBump(np.zeros(3), 0.5)
     pairs_t = [(0.3, 0.5), (0.4, 0.8), (0.5, 1.0)]
-    times = sorted({t for p in pairs_t for t in p})
-    fields = {
-        fld.t: fld for fld in solver.evolve(solver.sample(f), times)
-    }
+    fields = _pde_fields(solver, "bump", {t for p in pairs_t for t in p})
     rng = np.random.default_rng(derive_seed(seed, "harnack-pts"))
     out = []
     count = 0
@@ -709,10 +761,14 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
         )
     )
     # kernel variant on a 3-point sample: p_t(pts[0], z) at t0 and t1,
-    # one evolution per source z
+    # one evolution per source z (the origin's is the shared one)
     pts = [np.zeros(3), np.array([0.5, 0.2, 0.0]), np.array([-0.3, 0.4, 0.1])]
     t0, t1 = 0.4, 0.8
-    kernel = [pde.heat_kernel(model, pts[0], z, [t0, t1], solver=solver) for z in pts]
+    origin = _pde_fields(solver, "origin-kernel", [t0, t1])
+    kernel = [[float(solver.interpolate(origin[t].values, pts[0])) for t in (t0, t1)]] + [
+        [k.value for k in pde.heat_kernel(model, pts[0], z, [t0, t1], solver=solver)]
+        for z in pts[1:]
+    ]
     kworst = np.inf
     for i in range(1, len(pts)):
         for j in range(len(pts)):
@@ -720,11 +776,11 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
                 continue
             dyz = distance.cc_distance(model, pts[i], pts[j])
             rhs = (
-                kernel[j][1].value
+                kernel[j][1]
                 * (t1 / t0) ** (consts.N / 2.0)
                 * np.exp(consts.D * dyz.lower**2 / (2.0 * (t1 - t0)))
             )
-            kworst = min(kworst, (rhs - kernel[i][0].value) / abs(rhs))
+            kworst = min(kworst, (rhs - kernel[i][0]) / abs(rhs))
     out.append(
         _mk(
             "harnack-kernel",
@@ -741,12 +797,11 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
 
 
 def check_kernel_decay(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
     _, consts = _constants_for("heisenberg")
     solver = _pde_solver(cfg)
     tgrid = [0.2, 0.4, 0.6, 0.8, 1.0]
-    readings = pde.heat_kernel(model, np.zeros(3), np.zeros(3), tgrid, solver=solver)
-    vals = np.array([r.value for r in readings])
+    fields = _pde_fields(solver, "origin-kernel", tgrid)
+    vals = np.array([float(solver.interpolate(fields[t].values, np.zeros(3))) for t in tgrid])
     # on-diagonal kernel must decrease along the grid
     dec_margin = float(np.min(vals[:-1] - vals[1:]) / vals[0])
     out = [
@@ -783,13 +838,11 @@ def check_kernel_decay(cfg, seed) -> list[CheckResult]:
 
 
 def check_poincare_decay(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
     _, consts = _constants_for("heisenberg")
     solver = _pde_solver(cfg)
-    f = GaussianBump(np.zeros(3), 0.5)
     tgrid = [0.2, 0.4, 0.6, 0.8, 1.0]
-    fields = solver.evolve(solver.sample(f), [0.0] + tgrid)
-    norms = [solver.l1_norm(solver.gamma_h(fld.values)) for fld in fields]
+    fields = _pde_fields(solver, "bump", [0.0] + tgrid)
+    norms = [solver.l1_norm(solver.gamma_h(fields[t].values)) for t in [0.0] + tgrid]
     base = norms[0]
     k = min(consts.rho1, consts.rho21)
     margins = [
@@ -908,18 +961,29 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
         return cid, rows, elapsed
 
     jobs = int(cfg.get("jobs", 1))
-    if jobs > 1:
-        from concurrent.futures import ThreadPoolExecutor
+    token = _RUN_MEMO.set({})
+    try:
+        if jobs > 1:
+            from concurrent.futures import ThreadPoolExecutor
 
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            for cid, rows, elapsed in pool.map(run_one, requested):
+            with ThreadPoolExecutor(max_workers=jobs) as pool:
+                # each task runs in a copy of this thread's context, which
+                # holds the run memo
+                futures = [
+                    pool.submit(contextvars.copy_context().run, run_one, cid)
+                    for cid in requested
+                ]
+                for fut in futures:
+                    cid, rows, elapsed = fut.result()
+                    results.extend(rows)
+                    timings[cid] = elapsed
+        else:
+            for cid in requested:
+                cid, rows, elapsed = run_one(cid)
                 results.extend(rows)
                 timings[cid] = elapsed
-    else:
-        for cid in requested:
-            cid, rows, elapsed = run_one(cid)
-            results.extend(rows)
-            timings[cid] = elapsed
+    finally:
+        _RUN_MEMO.reset(token)
 
     results.sort(key=lambda r: (r.check_id, r.model, r.digest))
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}

@@ -81,9 +81,8 @@ def test_kernel_symmetry():
 def test_kernel_mass_sub_markov():
     m = get_model("heisenberg")
     solver = pde.HeisenbergHeatSolver(m, BOUNDS, SHAPE, dt=0.01)
-    width = 1.5 * max(solver.spacing)
-    u0 = solver.sample(GaussianBump(np.zeros(3), width))
-    u0 /= solver.mass(u0)
+    u0, _ = pde.kernel_source(solver, np.zeros(3))
+    assert solver.mass(u0) == pytest.approx(1.0, rel=1e-12)
     fields = solver.evolve(u0, [0.5])
     assert solver.mass(fields[0].values) <= 1.0 + 1e-9
 
@@ -94,6 +93,27 @@ def test_truncation_escalates():
     u0 = tight.sample(GaussianBump(np.zeros(3), 0.5))
     with pytest.raises(pde.TruncationError):
         tight.evolve(u0, [1.0])
+
+
+def test_truncation_does_not_depend_on_requested_times():
+    m = get_model("heisenberg")
+    tight = pde.HeisenbergHeatSolver(m, (1.5, 1.5, 1.5), (21, 21, 21), dt=0.01)
+    u0 = tight.sample(GaussianBump(np.zeros(3), 0.5))
+    messages = []
+    for times in ([1.0], [0.01 * k for k in range(1, 101)]):
+        with pytest.raises(pde.TruncationError) as err:
+            tight.evolve(u0, times)
+        messages.append(str(err.value))
+    assert messages[0] == messages[1]  # the same first offending step
+    assert "t=1;" not in messages[0]
+
+
+def test_snapshots_are_read_only(solver, bump):
+    field = solver.evolve(solver.sample(bump), [0.0, 0.01])[1]
+    with pytest.raises(ValueError):
+        field.values[0, 0, 0] = 1.0
+    with pytest.raises(ValueError):
+        field.values += 1.0
 
 
 def test_times_must_align_with_dt(solver, bump):
@@ -151,3 +171,22 @@ def test_gamma_h_of_field_matches_analytic(solver):
     g = solver.gamma_h(u)
     inner = g[2:-2, 2:-2, 2:-2]
     assert np.allclose(inner, 1.0, atol=1e-10)
+
+
+def test_heisenberg_kernel_on_diagonal():
+    for t in (0.3, 1.0):
+        assert pde.heisenberg_kernel(np.zeros(3), t)[0] == pytest.approx(
+            1.0 / (4.0 * t * t), rel=1e-10
+        )
+
+
+def test_heisenberg_kernel_mass_and_vertical_variance():
+    # the Levy area z has variance t^2/4; a coarse 25^3 grid holds the mass
+    t = 1.0
+    axes = [np.linspace(-b, b, 25) for b in (5.0, 5.0, 4.0)]
+    cell = np.prod([ax[1] - ax[0] for ax in axes])
+    pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
+    p = pde.heisenberg_kernel(pts, t)
+    assert p.min() >= 0.0
+    assert p.sum() * cell == pytest.approx(1.0, abs=2e-3)
+    assert (p * pts[:, 2] ** 2).sum() * cell == pytest.approx(t * t / 4.0, rel=2e-3)

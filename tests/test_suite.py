@@ -2,10 +2,14 @@
 
 import dataclasses
 import json
+import sys
+import threading
 
+import numpy as np
 import pytest
 
 import srlab.models as models
+import srlab.pde as pde
 import srlab.suite as su
 from srlab.cli import main as cli_main
 
@@ -78,6 +82,72 @@ def test_jobs_do_not_change_the_report():
     assert json.dumps(r1["results"], sort_keys=True) == json.dumps(
         r2["results"], sort_keys=True
     )
+
+
+PDE_CHECKS = ["li-yau", "harnack", "kernel-decay", "poincare-decay"]
+PDE_GRID = {"bounds": [5.5, 5.5, 3.3], "shape": [37, 37, 31], "dt": 0.01}
+
+
+def test_pde_checks_share_one_evolution_per_source(monkeypatch):
+    solves = 0
+    cg = pde.cg
+
+    def counting_cg(*args, **kwargs):
+        nonlocal solves
+        solves += 1
+        return cg(*args, **kwargs)
+
+    monkeypatch.setattr(pde, "cg", counting_cg)
+    cfg = su.load_config({"pde": PDE_GRID})
+    # the unshared route: each check called on its own, outside a run
+    direct = [r.to_json() for cid in PDE_CHECKS for r in su.CHECKS[cid](cfg, cfg["seed"])]
+    direct.sort(key=lambda r: (r["check_id"], r["model"], r["digest"]))
+    assert solves == 670
+    solves = 0
+    report, code = su.run_suite({"checks": PDE_CHECKS, "pde": PDE_GRID})
+    assert solves == 390
+    assert code == 0
+    assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
+    threaded, _ = su.run_suite({"checks": PDE_CHECKS, "pde": PDE_GRID, "jobs": 2})
+    assert json.dumps(threaded["results"], sort_keys=True) == json.dumps(
+        direct, sort_keys=True
+    )
+
+
+def test_pde_source_rejects_undeclared_times():
+    solver = pde.HeisenbergHeatSolver(models.get_model("heisenberg"), shape=(5, 5, 5))
+    with pytest.raises(ValueError, match="not declared"):
+        su._pde_fields(solver, "bump", [0.3, 0.7])
+    with pytest.raises(ValueError, match="not declared"):
+        su._pde_fields(solver, "origin-kernel", [0.0])
+
+
+def test_run_memo_keeps_the_first_value_under_threads():
+    memo = {}
+    n = 8
+    barrier = threading.Barrier(n)
+    results = [None] * n
+
+    def build():
+        barrier.wait(timeout=10)  # every thread builds before any stores
+        return np.zeros(1)
+
+    def worker(i):
+        su._RUN_MEMO.set(memo)
+        results[i] = su._run_memo("key", build)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
+        for th in threads:
+            th.start()
+        for th in threads:
+            th.join(timeout=20)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(th.is_alive() for th in threads)
+    assert all(r is memo["key"] for r in results)
 
 
 def test_report_files(tmp_path):
