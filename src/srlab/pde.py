@@ -22,7 +22,6 @@ the sub-Markov property mass can only decrease.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -287,40 +286,3 @@ def heat_kernel(
         for fld in fields
     ]
 
-
-def _levy_integrand(s: float, r2t: float) -> float:
-    """(s / sinh s) exp(-r2t s coth s), through exp(-2s) so large s cannot overflow."""
-    if s < 1e-8:
-        return math.exp(-r2t)
-    q = -math.expm1(-2.0 * s)  # 1 - exp(-2s)
-    return 2.0 * s * math.exp(-s) / q * math.exp(-r2t * s * (2.0 - q) / q)
-
-
-def heisenberg_kernel(points, t: float) -> np.ndarray:
-    """Exact heat kernel p_t(0 -> p) of L/2 on the Heisenberg group.
-
-    Levy's area formula (Levy 1951; Gaveau, Acta Math. 139 (1977)) in
-    this module's conventions X = d_x - y/2 d_z, Y = d_y + x/2 d_z:
-
-        p_t(x, y, z) = 1/(2 pi^2 t) int_0^inf cos(lam z) (lam t/2) / sinh(lam t/2)
-                       exp(-(x^2 + y^2)/(2t) (lam t/2) coth(lam t/2)) d lam,
-
-    integrated by `scipy.integrate.quad` in s = lam t/2.  The kernel
-    depends on x^2 + y^2 and |z| only, so each distinct pair is
-    integrated once.  An oracle for tests; no suite check reads it.
-    """
-    from scipy.integrate import quad  # the suite never needs it at import
-
-    pts = np.atleast_2d(np.asarray(points, dtype=float))
-    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
-    keys, inverse = np.unique(
-        np.stack([r2, np.abs(pts[:, 2])], axis=1), axis=0, return_inverse=True
-    )
-    vals = np.array(
-        [
-            quad(_levy_integrand, 0.0, np.inf, args=(a / (2.0 * t),), weight="cos",
-                 wvar=2.0 * z / t)[0]
-            for a, z in keys
-        ]
-    )
-    return vals[inverse.ravel()] / (math.pi**2 * t**2)

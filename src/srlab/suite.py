@@ -521,7 +521,8 @@ def check_vertical_gradient(cfg, seed) -> list[CheckResult]:
 # The PDE checks read one heat semigroup.  Inside `run_suite` they share
 # one solver per `pde` config and one evolution per shared source, run
 # once to every snapshot time that source's readers use; a check called
-# outside a run builds its own solver and evolves only what it reads.
+# outside a run builds its own solver and evolves its own sources to the
+# same times.
 
 # source: (its initial field on a solver's grid, the snapshot times read)
 PDE_SOURCES = {
@@ -576,10 +577,10 @@ def _pde_fields(solver, source, times) -> dict:
     undeclared = sorted(set(times) - set(declared))
     if undeclared:
         raise ValueError(f"times {undeclared} are not declared for PDE source {source!r}")
-    wanted = declared if _RUN_MEMO.get() is not None else sorted(set(times))
+    declared = sorted(set(declared))  # evolve returns snapshots in time order
     fields = _run_memo(
         (source, solver),
-        lambda: dict(zip(wanted, solver.evolve(initial(solver), wanted))),
+        lambda: dict(zip(declared, solver.evolve(initial(solver), declared))),
     )
     return {t: fields[t] for t in times}
 

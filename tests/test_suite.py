@@ -102,7 +102,7 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     # the unshared route: each check called on its own, outside a run
     direct = [r.to_json() for cid in PDE_CHECKS for r in su.CHECKS[cid](cfg, cfg["seed"])]
     direct.sort(key=lambda r: (r["check_id"], r["model"], r["digest"]))
-    assert solves == 670
+    assert solves == 690  # harnack-kernel evolves the origin source to 1.0
     solves = 0
     report, code = su.run_suite({"checks": PDE_CHECKS, "pde": PDE_GRID})
     assert solves == 390
@@ -120,6 +120,14 @@ def test_pde_source_rejects_undeclared_times():
         su._pde_fields(solver, "bump", [0.3, 0.7])
     with pytest.raises(ValueError, match="not declared"):
         su._pde_fields(solver, "origin-kernel", [0.0])
+
+
+def test_pde_source_times_need_not_be_sorted(monkeypatch):
+    solver = pde.HeisenbergHeatSolver(models.get_model("heisenberg"), shape=(9, 9, 9))
+    initial, _ = su.PDE_SOURCES["bump"]
+    monkeypatch.setitem(su.PDE_SOURCES, "bump", (initial, (0.02, 0.0, 0.01, 0.02)))
+    fields = su._pde_fields(solver, "bump", [0.02, 0.0, 0.01])
+    assert {t: f.t for t, f in fields.items()} == {0.02: 0.02, 0.0: 0.0, 0.01: 0.01}
 
 
 def test_run_memo_keeps_the_first_value_under_threads():
