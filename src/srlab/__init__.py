@@ -28,18 +28,14 @@ from .jets import (
     Polynomial,
     ShiftedSquare,
     TestFunction,
-    TrigPolynomial,
 )
-from .frames import apply_field
 from .calculus import (
-    GammaPointReport,
     cd_residual,
     commutation_residual,
     condb_residual,
     double_gamma_residuals,
     gamma,
     gamma2,
-    gamma_point_report,
     sublaplacian,
 )
 from .geometry import (

@@ -16,8 +16,6 @@ is floating point roundoff.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-
 import numpy as np
 
 from . import geometry
@@ -255,58 +253,6 @@ def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
     r1 = np.abs(np.asarray(lhs1) - rhs1)
     r2 = np.abs(np.asarray(u0) * np.asarray(Ghlog) - np.asarray(Gh) / np.asarray(u0))
     return r1, r2
-
-
-# ----------------------------------------------------------------------
-# Point report
-# ----------------------------------------------------------------------
-
-
-@dataclass
-class GammaPointReport:
-    """All first- and second-order form values at a single point."""
-
-    model: str
-    point: list
-    Lf: float
-    gamma_h: float
-    gamma_v: float
-    gamma2_h: float
-    gamma2_v: float
-    gamma2_mixed: dict = field(default_factory=dict)  # l -> value
-    gamma_h_fg: float | None = None
-    gamma_v_fg: float | None = None
-
-    def to_json(self) -> dict:
-        doc = dict(self.__dict__)
-        doc["gamma2_mixed"] = {f"{k:g}": v for k, v in self.gamma2_mixed.items()}
-        return doc
-
-
-def gamma_point_report(
-    model: LieModel,
-    f,
-    x,
-    l_grid=(0.1, 1.0, 10.0),
-    g=None,
-    order: int = DEFAULT_ORDER,
-) -> GammaPointReport:
-    calc, j = _at(model, f, x, order)
-    v = _core_values(calc, j)
-    report = GammaPointReport(
-        model=model.name,
-        point=list(np.asarray(x, dtype=float)),
-        Lf=float(v["L"]),
-        gamma_h=float(v["Gh"]),
-        gamma_v=float(v["Gv"]),
-        gamma2_h=float(v["G2h"]),
-        gamma2_v=float(v["G2v"]),
-        gamma2_mixed={float(l): float(v["G2h"] + l * v["G2v"]) for l in l_grid},
-    )
-    if g is not None:
-        report.gamma_h_fg = float(gamma(model, f, g, x, "h", order))
-        report.gamma_v_fg = float(gamma(model, f, g, x, "v", order))
-    return report
 
 
 # ----------------------------------------------------------------------

@@ -17,6 +17,25 @@ def _print(doc):
     print(json.dumps(doc, indent=2, sort_keys=True, default=str))
 
 
+def _bad_input(message) -> int:
+    # exit 2, not 1, which means a violation was found
+    print(f"error: {message}", file=sys.stderr)
+    return 2
+
+
+def _positive(kind):
+    """argparse type: a number of the given kind that is > 0."""
+
+    def parse(text):
+        value = kind(text)
+        if not value > 0:
+            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        return value
+
+    parse.__name__ = kind.__name__  # argparse names the kind in its message
+    return parse
+
+
 def cmd_models(args):
     for name in sorted(MODEL_BUILDERS):
         model = get_model(name)
@@ -80,9 +99,12 @@ def cmd_cd_check(args):
 def cmd_heat(args):
     model = get_model(args.model)
     f = Polynomial.monomial(model.dim, tuple([2] + [0] * (model.dim - 1)))
-    est = heat.mc_semigroup(
-        model, f, np.zeros(model.dim), args.t, args.paths, args.steps, args.seed
-    )
+    try:
+        est = heat.mc_semigroup(
+            model, f, np.zeros(model.dim), args.t, args.paths, args.steps, args.seed
+        )
+    except ValueError as err:
+        return _bad_input(err)
     _print(est.to_json())
     return 0
 
@@ -95,13 +117,21 @@ def cmd_distance(args):
     else:
         x = np.asarray(args.x, dtype=float)
         y = np.asarray(args.y, dtype=float)
-    est = distance.cc_distance(model, x, y, epsilon=args.epsilon)
+        if x.shape != (model.dim,) or y.shape != (model.dim,):
+            return _bad_input(f"--x and --y need {model.dim} coordinates on {args.model}")
+    try:
+        est = distance.cc_distance(model, x, y, epsilon=args.epsilon)
+    except ValueError as err:
+        return _bad_input(err)
     _print({"x": list(x), "y": list(y), "estimate": est.to_json()})
     return 0
 
 
 def cmd_spectral(args):
-    lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
+    try:
+        lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
+    except ValueError as err:
+        return _bad_input(err)
     _print({"lambda1": lam1, "alpha_bound": alpha_chk, "gap_bound": gap_chk})
     ok = alpha_chk["margin"] >= 0 and gap_chk["margin"] >= 0 and alpha_chk["stable"]
     return 0 if ok else 1
@@ -153,21 +183,21 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_models)
 
     q = sub.add_parser("constants", help="geometry report and derived constants")
-    q.add_argument("model")
+    q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--objective", default="max_alpha",
                    choices=["max_alpha", "rho1_zero", "max_rho2"])
     q.add_argument("--raw", action="store_true", help="skip vertical normalization")
     q.set_defaults(fn=cmd_constants)
 
     q = sub.add_parser("cd-check", help="sampled curvature-dimension residuals")
-    q.add_argument("model")
-    q.add_argument("--functions", type=int, default=1000)
-    q.add_argument("--points", type=int, default=10)
+    q.add_argument("model", choices=sorted(MODEL_BUILDERS))
+    q.add_argument("--functions", type=_positive(int), default=1000)
+    q.add_argument("--points", type=_positive(int), default=10)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_cd_check)
 
     q = sub.add_parser("heat", help="Monte Carlo semigroup sample")
-    q.add_argument("model")
+    q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--t", type=float, default=1.0)
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument("--steps", type=int, default=100)
@@ -175,15 +205,15 @@ def build_parser() -> argparse.ArgumentParser:
     q.set_defaults(fn=cmd_heat)
 
     q = sub.add_parser("distance", help="Carnot-Caratheodory distance estimate")
-    q.add_argument("model")
+    q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--x", type=float, nargs="+", default=None)
     q.add_argument("--y", type=float, nargs="+", default=None)
-    q.add_argument("--epsilon", type=float, default=0.1)
+    q.add_argument("--epsilon", type=_positive(float), default=0.1)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_distance)
 
     q = sub.add_parser("spectral", help="spectral gap oracle on SU(2) x SU(2)")
-    q.add_argument("--rho", type=float, default=1.0)
+    q.add_argument("--rho", type=_positive(float), default=1.0)
     q.add_argument("--jmax", type=float, default=2.0)
     q.set_defaults(fn=cmd_spectral)
 

@@ -127,7 +127,11 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
 def _graph_estimate(
     model: LieModel, x: np.ndarray, y: np.ndarray, epsilon: float, pad: float
 ) -> float:
-    """Dijkstra over an epsilon-lattice with exact horizontal steps."""
+    """Dijkstra over an epsilon-lattice with exact horizontal steps.
+
+    Raises ValueError when the lattice would be too large or the
+    snapped steps never reach the node of y.
+    """
     d = model.dim
     n = model.dim_h
     lo = np.minimum(x, y) - pad
@@ -175,7 +179,10 @@ def _graph_estimate(
             if dv < dist.get(v, np.inf):
                 dist[v] = dv
                 heapq.heappush(heap, (dv, v))
-    raise RuntimeError("lattice search exhausted without reaching the target")
+    raise ValueError(
+        "lattice search exhausted without reaching the target; "
+        "snapped horizontal steps do not connect the endpoints at this epsilon"
+    )
 
 
 def cc_distance(
@@ -189,9 +196,10 @@ def cc_distance(
 
     Heisenberg pairs are exact (geodesic shooting) except next to the
     vertical axis, where a triangle-inequality bracket is returned;
-    other step-2 nilpotent models return the projection/commutator-loop
-    bracket with its midpoint as the value; remaining models fall back
-    to the lattice search.
+    other step-2 nilpotent models clip the lattice search to the
+    projection/commutator-loop bracket, or return that bracket with its
+    midpoint as the value where the lattice fails; remaining models use
+    the lattice search alone and raise ValueError where it fails.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)

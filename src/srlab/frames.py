@@ -129,12 +129,6 @@ def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:
     return FrameCalc(model, x, order)
 
 
-def apply_field(model: LieModel, i: int, jet: Jet) -> Jet:
-    """Jet of E_i f from the jet of f, one order lower."""
-    calc = get_calc(model, jet.base_point, jet.order)
-    return calc.apply(i, jet)
-
-
 # ----------------------------------------------------------------------
 # Pointwise numeric evaluation along the frame (no jets)
 # ----------------------------------------------------------------------

@@ -36,7 +36,7 @@ CHUNK = 1 << 14
 
 @dataclass
 class SemigroupEstimate:
-    """One Monte Carlo (or PDE) reading of P_t f at a point."""
+    """One Monte Carlo reading of P_t f at a point."""
 
     value: float
     std_error: float
@@ -66,9 +66,6 @@ class GradientEstimate:
     steps: int
     seed: int
     delta: float
-
-    def to_json(self) -> dict:
-        return dict(self.__dict__)
 
 
 @dataclass(frozen=True)

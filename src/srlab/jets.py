@@ -319,7 +319,6 @@ class TestFunction:
     """Base class for functions the verification sweeps sample over."""
 
     __test__ = False  # keep pytest from collecting this as a test case
-    kind = "abstract"
     dim: int
 
     def eval(self, points: np.ndarray) -> np.ndarray:
@@ -331,39 +330,9 @@ class TestFunction:
     def lift(self, x: np.ndarray, order: int) -> Jet:
         raise NotImplementedError
 
-    def to_json(self) -> dict:
-        raise NotImplementedError
-
-    @staticmethod
-    def from_json(doc: dict) -> "TestFunction":
-        kind = doc["kind"]
-        if kind == "polynomial":
-            return Polynomial(doc["dim"], doc["degree"], np.asarray(doc["coefficients"]))
-        if kind == "trig-polynomial":
-            return TrigPolynomial(
-                doc["dim"],
-                np.asarray(doc["amplitudes"]),
-                np.asarray(doc["frequencies"]),
-                np.asarray(doc["phases"]),
-            )
-        if kind == "constant":
-            return Constant(doc["dim"], doc["value"])
-        if kind == "coordinate":
-            return Coordinate(doc["dim"], doc["axis"])
-        if kind == "gaussian":
-            return GaussianBump(np.asarray(doc["center"]), doc["width"], doc.get("height", 1.0))
-        if kind == "shifted-square":
-            return ShiftedSquare(
-                Polynomial(doc["dim"], doc["degree"], np.asarray(doc["coefficients"])),
-                doc["epsilon"],
-            )
-        raise ValueError(f"unknown test function kind {kind!r}")
-
 
 class Polynomial(TestFunction):
     """Dense polynomial over the graded monomial basis."""
-
-    kind = "polynomial"
 
     def __init__(self, dim: int, degree: int, coefficients: np.ndarray):
         self.dim = dim
@@ -416,70 +385,8 @@ class Polynomial(TestFunction):
     def lift(self, x: np.ndarray, order: int) -> Jet:
         return lift_polynomials(self.coefficients, self.degree, x, order)
 
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "degree": self.degree,
-            "coefficients": self.coefficients.tolist(),
-        }
-
-
-class TrigPolynomial(TestFunction):
-    """Finite sum of plane waves a cos(k . u + phase)."""
-
-    kind = "trig-polynomial"
-
-    def __init__(self, dim, amplitudes, frequencies, phases):
-        self.dim = dim
-        self.amplitudes = np.asarray(amplitudes, dtype=float)
-        self.frequencies = np.asarray(frequencies, dtype=float)
-        self.phases = np.asarray(phases, dtype=float)
-
-    @staticmethod
-    def random(dim: int, n_waves: int, rng: np.random.Generator, max_freq: int = 2):
-        return TrigPolynomial(
-            dim,
-            rng.uniform(-1.0, 1.0, n_waves),
-            rng.integers(-max_freq, max_freq + 1, (n_waves, dim)).astype(float),
-            rng.uniform(0.0, 2.0 * np.pi, n_waves),
-        )
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        arg = np.asarray(points) @ self.frequencies.T + self.phases
-        return np.cos(arg) @ self.amplitudes
-
-    def eval_grad(self, points: np.ndarray) -> np.ndarray:
-        arg = np.asarray(points) @ self.frequencies.T + self.phases
-        return -(np.sin(arg) * self.amplitudes) @ self.frequencies
-
-    def lift(self, x: np.ndarray, order: int) -> Jet:
-        x = np.asarray(x, dtype=float)
-        sp = get_space(self.dim, order)
-        n = sp.terms(order)
-        exps = sp.exponents[:n]
-        degs = sp.degrees[:n]
-        arg = self.frequencies @ x + self.phases  # (m,)
-        # d^alpha cos(k.u + p) = prod k^alpha * cos(k.u + p + |alpha| pi/2)
-        kpow = np.prod(self.frequencies[:, None, :] ** exps[None, :, :], axis=-1)
-        phase = np.cos(arg[:, None] + degs[None, :] * np.pi / 2.0)
-        fact = np.array([math.prod(math.factorial(int(e)) for e in a) for a in exps])
-        coeffs = (self.amplitudes @ (kpow * phase)) / fact
-        return Jet(x, order, coeffs)
-
-    def to_json(self) -> dict:
-        return {
-            "kind": self.kind,
-            "dim": self.dim,
-            "amplitudes": self.amplitudes.tolist(),
-            "frequencies": self.frequencies.tolist(),
-            "phases": self.phases.tolist(),
-        }
-
 
 class Constant(TestFunction):
-    kind = "constant"
-
     def __init__(self, dim: int, value: float):
         self.dim = dim
         self.value = float(value)
@@ -493,13 +400,8 @@ class Constant(TestFunction):
     def lift(self, x, order):
         return constant_jet(self.value, x, order)
 
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim, "value": self.value}
-
 
 class Coordinate(TestFunction):
-    kind = "coordinate"
-
     def __init__(self, dim: int, axis: int):
         self.dim = dim
         self.axis = axis
@@ -515,14 +417,9 @@ class Coordinate(TestFunction):
     def lift(self, x, order):
         return coordinate_jet(self.axis, x, order)
 
-    def to_json(self):
-        return {"kind": self.kind, "dim": self.dim, "axis": self.axis}
-
 
 class GaussianBump(TestFunction):
     """height * exp(-|u - center|^2 / (2 width^2)); positive and bounded."""
-
-    kind = "gaussian"
 
     def __init__(self, center: np.ndarray, width: float, height: float = 1.0):
         self.center = np.asarray(center, dtype=float)
@@ -542,14 +439,6 @@ class GaussianBump(TestFunction):
         quad = _quadratic_poly(self.center, -1.0 / (2.0 * self.width**2))
         return self.height * quad.lift(x, order).exp()
 
-    def to_json(self):
-        return {
-            "kind": self.kind,
-            "center": self.center.tolist(),
-            "width": self.width,
-            "height": self.height,
-        }
-
 
 def _quadratic_poly(center: np.ndarray, scale: float) -> Polynomial:
     """Polynomial scale * |u - center|^2."""
@@ -568,8 +457,6 @@ def _quadratic_poly(center: np.ndarray, scale: float) -> Polynomial:
 class ShiftedSquare(TestFunction):
     """p^2 + epsilon for a polynomial p; strictly positive everywhere."""
 
-    kind = "shifted-square"
-
     def __init__(self, poly: Polynomial, epsilon: float = 1e-3):
         self.poly = poly
         self.dim = poly.dim
@@ -584,9 +471,3 @@ class ShiftedSquare(TestFunction):
     def lift(self, x, order):
         p = self.poly.lift(x, order)
         return p * p + self.epsilon
-
-    def to_json(self):
-        doc = self.poly.to_json()
-        doc["kind"] = self.kind
-        doc["epsilon"] = self.epsilon
-        return doc

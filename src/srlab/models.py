@@ -20,8 +20,6 @@ such as a random walk converts to coordinates only once.
 
 from __future__ import annotations
 
-import hashlib
-import json
 from dataclasses import dataclass, field
 from functools import cached_property
 
@@ -64,7 +62,7 @@ class LieModel:
     Attributes
     ----------
     name : str
-        Identifier used in reports and caches.
+        Identifier used in reports.
     dim_h : int
         Rank of the horizontal bundle.
     dim_v : int
@@ -79,7 +77,7 @@ class LieModel:
         Composition backend: "nilpotent" or "su2-pair".
     params : dict
         Extra construction data (e.g. the curvature scale of SU(2)
-        factors), kept for serialization and composition.
+        factors), read by the su2-pair distance lower bound.
     """
 
     name: str
@@ -106,23 +104,6 @@ class LieModel:
         object.__setattr__(self, "structure_constants", c)
         object.__setattr__(self, "frame_metric", m)
 
-    # -- identity ------------------------------------------------------
-
-    @cached_property
-    def fingerprint(self) -> str:
-        h = hashlib.sha256()
-        h.update(self.name.encode())
-        h.update(np.int64([self.dim_h, self.dim_v]).tobytes())
-        h.update(self.structure_constants.tobytes())
-        h.update(self.frame_metric.tobytes())
-        return h.hexdigest()
-
-    def __eq__(self, other) -> bool:
-        return isinstance(other, LieModel) and self.fingerprint == other.fingerprint
-
-    def __hash__(self) -> int:
-        return hash(self.fingerprint)
-
     # -- derived structure ---------------------------------------------
 
     @property
@@ -140,11 +121,6 @@ class LieModel:
             Tinv=np.linalg.inv(T),
             nil_step=algebra.nilpotency_step(c_on),
         )
-
-    @cached_property
-    def bracket_generating(self) -> bool:
-        ok, _ = algebra.bracket_filtration(self.structure_constants, self.dim_h)
-        return ok
 
     @cached_property
     def step(self) -> int:
@@ -199,45 +175,6 @@ class LieModel:
     def inverse(self, u: np.ndarray) -> np.ndarray:
         """Coordinates of exp(u)^(-1) = exp(-u)."""
         return -np.asarray(u, dtype=float)
-
-    # -- serialization ---------------------------------------------------
-
-    def to_json(self) -> dict:
-        return {
-            "name": self.name,
-            "dim_h": self.dim_h,
-            "dim_v": self.dim_v,
-            "structure_constants": self.structure_constants.tolist(),
-            "frame_metric": self.frame_metric.tolist(),
-            "declared_constants": (
-                None
-                if self.declared_constants is None
-                else {
-                    "n": self.declared_constants.n,
-                    "rho1": self.declared_constants.rho1,
-                    "rho20": self.declared_constants.rho20,
-                    "rho21": self.declared_constants.rho21,
-                }
-            ),
-            "group": self.group,
-            "params": self.params,
-        }
-
-    @staticmethod
-    def from_json(doc: dict | str) -> "LieModel":
-        if isinstance(doc, str):
-            doc = json.loads(doc)
-        dc = doc.get("declared_constants")
-        return LieModel(
-            name=doc["name"],
-            dim_h=int(doc["dim_h"]),
-            dim_v=int(doc["dim_v"]),
-            structure_constants=np.asarray(doc["structure_constants"], dtype=float),
-            frame_metric=np.asarray(doc["frame_metric"], dtype=float),
-            declared_constants=None if dc is None else DeclaredConstants(**dc),
-            group=doc.get("group", "nilpotent"),
-            params=doc.get("params", {}),
-        )
 
 
 # ----------------------------------------------------------------------

@@ -211,15 +211,6 @@ class HeisenbergHeatSolver:
         return out
 
 
-def dump_field_csv(solver: HeisenbergHeatSolver, field: PDEField, path) -> None:
-    """Write a grid snapshot as x,y,z,u rows for external plotting."""
-    pts = solver.grid_points().reshape(-1, 3)
-    vals = field.values.reshape(-1, 1)
-    data = np.hstack([pts, vals])
-    header = "x,y,z,u"
-    np.savetxt(path, data, delimiter=",", header=header, comments="")
-
-
 @dataclass
 class KernelEstimate:
     """Heat kernel reading p_t(x, y) from a regularized point source."""

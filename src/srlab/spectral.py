@@ -69,11 +69,6 @@ class SpectralGapResult:
     stability_delta: float
     n_blocks: int
 
-    def to_json(self) -> dict:
-        doc = dict(self.__dict__)
-        doc["attained_at"] = list(self.attained_at)
-        return doc
-
 
 def _gap_scan(rho: float, j_max: float) -> tuple[float, tuple, int]:
     best = np.inf

@@ -184,17 +184,6 @@ def test_log_identities_exact(heis):
     assert r2 <= 1e-11
 
 
-def test_gamma_point_report(heis):
-    z = Coordinate(3, 2)
-    rep = calc.gamma_point_report(heis, z, np.zeros(3), l_grid=(0.5, 1.0), g=Coordinate(3, 0))
-    assert rep.gamma_v == pytest.approx(1.0)
-    assert rep.gamma2_h == pytest.approx(0.5)
-    assert rep.gamma2_mixed[0.5] == pytest.approx(0.5)
-    assert rep.gamma_h_fg == pytest.approx(0.0, abs=1e-14)
-    doc = rep.to_json()
-    assert "0.5" in doc["gamma2_mixed"]
-
-
 def _shared_draws(m, n_functions, n_points, degree, seed):
     """The draws of the cd, double-gamma and commutation sweeps, from their seed."""
     rng = np.random.default_rng(seed)

@@ -118,6 +118,21 @@ def test_engel_graph_fallback():
     assert est.lower == pytest.approx(0.5)  # horizontal projection
 
 
+def test_step2_lattice_miss_returns_bracket():
+    # at epsilon 0.2 the snapped horizontal steps never reach the goal
+    # node; like an oversized lattice, that falls back to the
+    # projection/commutator-loop bracket and its midpoint
+    m = get_model("free-nilpotent-3")
+    x, y = np.random.default_rng(0).uniform(-0.5, 0.5, (2, 6))
+    with pytest.raises(ValueError, match="exhausted"):
+        dist._graph_estimate(m, x, y, 0.2, 0.5)
+    est = dist.cc_distance(m, x, y, epsilon=0.2)
+    assert (est.method, est.epsilon) == ("bracket", 0.2)
+    assert est.lower == pytest.approx(0.6818440454767043, rel=1e-12)
+    assert est.upper == pytest.approx(9.001948387403186, rel=1e-12)
+    assert est.value == 0.5 * (est.lower + est.upper)
+
+
 def test_su2_pair_one_parameter_subgroup():
     m = get_model("su2-pair")
     est = dist.cc_distance(m, np.zeros(6), [0.25, 0, 0, 0, 0, 0], epsilon=0.125)

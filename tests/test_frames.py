@@ -59,14 +59,15 @@ def test_apply_field_hand_values():
     m = get_model("heisenberg")
     z = Coordinate(3, 2)
     j = z.lift(np.zeros(3), 4)
-    a1z = frames.apply_field(m, 0, j)
+    calc = frames.get_calc(m, j.base_point, j.order)
+    a1z = calc.apply(0, j)
     # A1 z = -y/2
     assert a1z.value == 0.0
     sp = a1z.space
     assert a1z.coeffs[sp.index[(0, 1, 0)]] == pytest.approx(-0.5)
-    a2z = frames.apply_field(m, 1, j)
+    a2z = calc.apply(1, j)
     assert a2z.coeffs[sp.index[(1, 0, 0)]] == pytest.approx(0.5)
-    vz = frames.apply_field(m, 2, j)
+    vz = calc.apply(2, j)
     assert vz.value == 1.0
     assert np.all(vz.coeffs[1:] == 0.0)
 
@@ -126,9 +127,10 @@ def test_leibniz_rule_through_fields():
     x = rng.uniform(-0.3, 0.3, 6)
     f = Polynomial.random(6, 2, rng).lift(x, 4)
     g = Polynomial.random(6, 2, rng).lift(x, 4)
+    calc = frames.get_calc(m, x, 4)
     for i in (0, 2, 4):
-        lhs = frames.apply_field(m, i, f * g)
-        rhs = frames.apply_field(m, i, f) * g + f * frames.apply_field(m, i, g)
+        lhs = calc.apply(i, f * g)
+        rhs = calc.apply(i, f) * g + f * calc.apply(i, g)
         scale = 1.0 + np.max(np.abs(lhs.coeffs)) + np.max(np.abs(rhs.coeffs))
         assert np.max(np.abs(lhs.coeffs - rhs.coeffs)) <= 1e-12 * scale
 
@@ -137,7 +139,7 @@ def test_apply_field_order_exhausted():
     m = get_model("heisenberg")
     j = Coordinate(3, 0).lift(np.zeros(3), 0)
     with pytest.raises(ValueError):
-        frames.apply_field(m, 0, j)
+        frames.get_calc(m, j.base_point, j.order).apply(0, j)
 
 
 def test_su2_chart_rejects_far_points():

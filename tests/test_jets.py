@@ -6,12 +6,9 @@ from hypothesis import given, settings, strategies as st
 
 from srlab.jets import (
     Constant,
-    Coordinate,
     GaussianBump,
     Polynomial,
     ShiftedSquare,
-    TestFunction,
-    TrigPolynomial,
     get_space,
     lift_polynomials,
     polynomial_shift_matrix,
@@ -39,17 +36,6 @@ def test_constant_lift():
     j = Constant(3, 2.5).lift(np.array([1.0, -2.0, 0.5]), 4)
     assert j.coeffs[0] == 2.5
     assert np.all(j.coeffs[1:] == 0.0)
-
-
-def test_sine_series_coefficients():
-    # sin(u1) = cos(u1 - pi/2); Taylor at 0: 0, 1, 0, -1/6
-    f = TrigPolynomial(3, [1.0], [[1, 0, 0]], [-np.pi / 2])
-    j = f.lift(np.zeros(3), 3)
-    sp = j.space
-    assert j.coeffs[sp.index[(0, 0, 0)]] == pytest.approx(0.0, abs=1e-15)
-    assert j.coeffs[sp.index[(1, 0, 0)]] == pytest.approx(1.0)
-    assert j.coeffs[sp.index[(2, 0, 0)]] == pytest.approx(0.0, abs=1e-15)
-    assert j.coeffs[sp.index[(3, 0, 0)]] == pytest.approx(-1.0 / 6.0)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
@@ -199,29 +185,10 @@ def test_batched_lift_matches_single():
         assert np.allclose(batch.coeffs[k], single.coeffs, rtol=1e-13, atol=1e-14)
 
 
-@pytest.mark.parametrize(
-    "fn",
-    [
-        Polynomial.monomial(3, (1, 1, 0), 2.0),
-        TrigPolynomial(3, [0.5, -1.0], [[1, 0, 2], [0, 1, 0]], [0.1, 1.2]),
-        Constant(3, -4.0),
-        Coordinate(3, 2),
-        GaussianBump(np.array([0.1, 0.2, 0.3]), 0.8, 2.0),
-        ShiftedSquare(Polynomial.monomial(3, (2, 0, 0)), 1e-3),
-    ],
-)
-def test_serialization_roundtrip(fn):
-    rng = np.random.default_rng(17)
-    pts = rng.uniform(-1, 1, (10, 3))
-    back = TestFunction.from_json(fn.to_json())
-    assert np.allclose(back.eval(pts), fn.eval(pts), rtol=1e-14, atol=1e-14)
-
-
 def test_eval_grad_matches_finite_differences():
     rng = np.random.default_rng(19)
     fns = [
         Polynomial.random(3, 4, rng),
-        TrigPolynomial.random(3, 4, rng),
         GaussianBump(np.array([0.0, 0.1, -0.2]), 0.6),
     ]
     pts = rng.uniform(-0.8, 0.8, (5, 3))

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
-from scipy.linalg import expm, logm
+from hypothesis import example, given, settings, strategies as st
+from scipy.linalg import expm
 
 from srlab import algebra
 from srlab.models import (
@@ -54,7 +54,7 @@ def test_engel_posts():
     m = build_engel()
     assert m.dim == 4
     assert m.step == 3
-    assert m.bracket_generating
+    assert validate(m).bracket_generating
     assert algebra.jacobi_residual(m.structure_constants) == 0.0
     assert m.declared_constants is None
 
@@ -150,14 +150,6 @@ def test_models_are_immutable():
         m.structure_constants[0, 0, 0] = 1.0
     with pytest.raises(Exception):
         m.dim_h = 5
-
-
-def test_json_roundtrip():
-    for name in ("heisenberg", "engel", "su2-pair", "free-nilpotent-3"):
-        m = get_model(name)
-        back = LieModel.from_json(m.to_json())
-        assert back == m
-        assert back.group == m.group
 
 
 def test_abelian_model_flags():
@@ -313,21 +305,23 @@ def test_compose_associativity_property(case):
 
 @settings(max_examples=60, deadline=None)
 @given(_coords(6, 0.3), _coords(6, 0.3))
+@example(np.array([0.28125, 0, 0, 0.28125, 0.25, 0.25]),
+         np.array([0.28125, 0, 0, 0.296875, 0.25, 0.25]))
 def test_su2_pair_compose_matches_adjoint_representation(u, w):
-    """ad(u * w) = log(exp(ad u) exp(ad w)), since Ad(exp u) = exp(ad u).
+    """exp(ad(u * w)) = exp(ad u) exp(ad w), since Ad(exp u) = exp(ad u).
 
-    Entries stay within 0.3: at 0.5 the principal logarithm already
-    changes branch.  Engel is left out because its degree-3 BCH term
-    lies in the center, which ad cannot see; the associativity
-    property above covers it.
+    Compared in the group, not through logm: with entries within 0.3
+    ad(u * w) can still have an eigenvalue beyond i pi (3.1477 i at the
+    explicit example), where the principal logarithm changes branch.
+    Engel is left out because its degree-3 BCH term lies in the center,
+    which ad cannot see; the associativity property above covers it.
     """
     m = _COMPOSE_MODELS["su2-pair"]
 
-    def ad(v):
-        return algebra.ad_matrix(m.onframe.c, v)
+    def Ad(v):
+        return expm(algebra.ad_matrix(m.onframe.c, v))
 
-    via_logm = np.real(logm(expm(ad(u)) @ expm(ad(w))))
-    assert np.allclose(ad(m.compose(u, w)), via_logm, rtol=0.0, atol=1e-12)
+    assert np.allclose(Ad(m.compose(u, w)), Ad(u) @ Ad(w), rtol=0.0, atol=1e-12)
 
 
 @settings(max_examples=60, deadline=None)

@@ -154,15 +154,6 @@ def test_kernel_at_two_times_equals_separate_evolutions(solver):
     ]
 
 
-def test_field_csv_dump(tmp_path, solver, bump):
-    field = solver.evolve(solver.sample(bump), [0.1])[0]
-    out = tmp_path / "field.csv"
-    pde.dump_field_csv(solver, field, out)
-    lines = out.read_text().splitlines()
-    assert lines[0] == "x,y,z,u"
-    assert len(lines) == 1 + np.prod(SHAPE)
-
-
 def test_gamma_h_of_field_matches_analytic(solver):
     # for f = x the frame gradient has Gamma^h = 1 identically
     class _X:

@@ -2,8 +2,11 @@
 
 import dataclasses
 import json
+import os
+import subprocess
 import sys
 import threading
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -12,6 +15,8 @@ import srlab.models as models
 import srlab.pde as pde
 import srlab.suite as su
 from srlab.cli import main as cli_main
+
+ROOT = Path(__file__).resolve().parents[1]
 
 LIGHT_CHECKS = [
     "validate-models",
@@ -299,5 +304,42 @@ def test_cli_spectral_and_distance(capsys):
     assert cli_main(["spectral", "--rho", "1.0", "--jmax", "2"]) == 0
     assert cli_main(["distance", "heisenberg", "--x", "0", "0", "0",
                      "--y", "1", "0", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "geodesic-shooting" in out
+    assert "geodesic-shooting" in capsys.readouterr().out
+    # a step-2 lattice that misses its target reports the bracket
+    assert cli_main(["distance", "free-nilpotent-3", "--epsilon", "0.2"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"]["method"] == "bracket"
+
+
+def _run(args, pythonpath):
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in pythonpath))
+    return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["distance", "engel"],  # the lattice search never reaches the goal
+        ["distance", "abelian"],
+        ["distance", "su2-pair"],  # the lattice would need 1.7e7 nodes
+        ["distance", "heisenberg", "--x", "0", "0", "--y", "1", "0", "0"],
+        ["constants", "nosuch"],
+        ["spectral", "--jmax", "0.5"],
+        ["distance", "engel", "--epsilon", "-1"],  # used to print upper = -1
+        ["heat", "heisenberg", "--t", "-1"],
+        ["cd-check", "heisenberg", "--points", "0"],
+    ],
+)
+def test_cli_bad_input_exits_2(args):
+    # 2 is bad input; 1 would claim a violation was found
+    proc = _run(["-m", "srlab.cli", *args], ["src"])
+    assert proc.returncode == 2, proc.stderr
+    assert "Traceback" not in proc.stderr
+    assert "error: " in proc.stderr.splitlines()[-1]
+
+
+def test_perfbench_tracer_installs():
+    # the layer trace patches srlab names by getattr; a deleted name
+    # breaks `perfbench/run.py --trace 1` here first
+    code = "import layers; layers.install(layers.Tracer())"
+    proc = _run(["-c", code], ["src", "perfbench"])
+    assert proc.returncode == 0, proc.stderr
