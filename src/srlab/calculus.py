@@ -12,6 +12,12 @@ evaluation goes through exact jet arithmetic, so residuals of the
 curvature-dimension inequality and of the pointwise identities are
 computed without discretization error; on polynomials the only noise
 is floating point roundoff.
+
+The CD inequality reads only the 2-jet of f at x: the third derivatives
+cancel from Gamma2.  `cd_forms` turns L, Gamma and Gamma2 at x into a
+vector and symmetric matrices on 2-jets, and `cd_residual_sweep`
+evaluates them on each sampled function's 2-jet; the scalar
+`cd_residual` keeps the jet route, so the two check each other.
 """
 
 from __future__ import annotations
@@ -137,15 +143,16 @@ def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
 
 
 # ----------------------------------------------------------------------
-# Measures (calc, jet) -> (residual..., scale) for the scalar API and sweeps
+# Measures (calc, jet) -> (residual..., scale) for the scalar API and sweeps;
+# CD takes the values of L, Gamma and Gamma2 instead, from jets or 2-jet forms
 # ----------------------------------------------------------------------
 
 
-def _cd(calc: FrameCalc, j: Jet, l, constants) -> tuple:
+def _cd(values: dict, l, constants) -> tuple:
     """CD residual (see `cd_residual`) and scale; the weights l take the last axes."""
     n, rho1, rho20, rho21 = geometry.constants_tuple(constants)
     axes = tuple(range(-np.ndim(l), 0))
-    v = {k: np.expand_dims(val, axes) for k, val in _core_values(calc, j).items()}
+    v = {k: np.expand_dims(val, axes) for k, val in values.items()}
     lhs = v["G2h"] + l * v["G2v"]
     rhs = v["L"] ** 2 / n + (rho1 - 1.0 / l) * v["Gh"] + (rho20 + l * rho21) * v["Gv"]
     return lhs - rhs, 1.0 + np.abs(lhs) + np.abs(rhs)
@@ -185,7 +192,7 @@ def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT
     """
     if l <= 0:
         raise ValueError(f"weight l must be positive, got {l}")
-    return _cd(*_at(model, f, x, order), l, constants)[0]
+    return _cd(_core_values(*_at(model, f, x, order)), l, constants)[0]
 
 
 def double_gamma_residuals(
@@ -256,6 +263,46 @@ def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
 
 
 # ----------------------------------------------------------------------
+# Forms on 2-jets
+# ----------------------------------------------------------------------
+
+
+def cd_forms(model: LieModel, x) -> dict:
+    """L, Gamma^h, Gamma^v, Gamma2^h and Gamma2^v at x as forms on 2-jets.
+
+    A 2-jet c is the Taylor coefficients of degree 1 and 2 of f at x,
+    in the graded order of `jets`.  "L" holds the vector with L f(x) =
+    "L" . c; the other keys hold symmetric matrices Q with value c^T Q c.
+    The third derivatives cancel from Gamma2, so these hold for every f.
+    Built by one `_core_values` call on the basis jets e_a and their
+    sums e_a + e_b (a < b), then polarized.
+    """
+    order = 3  # the lowest order at which Gamma2 is exact
+    sp = get_space(model.dim, order)
+    n = sp.terms(2) - 1
+    a, b = np.triu_indices(n, 1)
+    basis = np.eye(n)
+    coeffs = np.zeros((n + len(a), sp.terms(order)))
+    coeffs[:, 1 : n + 1] = np.concatenate([basis, basis[a] + basis[b]])
+    values = _core_values(get_calc(model, x, order), Jet(x, order, coeffs))
+    forms = {"L": values.pop("L")[:n]}
+    for key, q in values.items():
+        q = np.broadcast_to(q, len(coeffs))
+        form = np.diag(q[:n])
+        form[a, b] = form[b, a] = 0.5 * (q[n:] - q[a] - q[b])
+        forms[key] = form
+    return forms
+
+
+def _form_values(forms: dict, c: np.ndarray) -> dict:
+    """The forms of `cd_forms` evaluated on the 2-jets c, shape (..., n)."""
+    out = {"L": c @ forms["L"]}
+    for key in ("Gh", "Gv", "G2h", "G2v"):
+        out[key] = np.sum((c @ forms[key]) * c, axis=-1)
+    return out
+
+
+# ----------------------------------------------------------------------
 # Batched sweeps
 # ----------------------------------------------------------------------
 
@@ -299,10 +346,15 @@ def cd_residual_sweep(
 
     Returns (residuals, scales) with shape (n_points, n_functions,
     len(l_grid)); scales are 1 + |LHS| + |RHS| for tolerance scaling.
+    Each function enters through its 2-jet at the point, on the forms
+    of `cd_forms`; the scalar `cd_residual` is the jet route.
     """
     l_arr = np.asarray(list(l_grid), dtype=float)
-    draws = _draws(model, n_functions, n_points, degree, seed, radius)
-    return _sweep(model, draws, degree, lambda calc, j: _cd(calc, j, l_arr, constants))
+    parts = []
+    for x, coeffs in _draws(model, n_functions, n_points, degree, seed, radius):
+        c = lift_polynomials(coeffs, degree, x, 2).coeffs[..., 1:]
+        parts.append(_cd(_form_values(cd_forms(model, x), c), l_arr, constants))
+    return tuple(np.stack(p) for p in zip(*parts))
 
 
 def double_gamma_sweep(

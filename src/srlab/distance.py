@@ -25,7 +25,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.optimize import brentq
 
-from .models import LieModel, is_heisenberg
+from .models import LieModel, is_heisenberg, validate
 
 
 @dataclass
@@ -124,6 +124,19 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
     return float(max(d1, d2))
 
 
+def _generated_span(model: LieModel) -> np.ndarray:
+    """Orthonormal rows spanning the subalgebra the horizontal frame generates."""
+    c = model.onframe.c
+    span = h = np.eye(model.dim)[: model.dim_h]
+    while True:
+        brackets = np.einsum("kij,ai,bj->abk", c, h, span).reshape(-1, model.dim)
+        _, sv, vt = np.linalg.svd(np.vstack([span, brackets]), full_matrices=False)
+        grown = vt[sv > 1e-10]
+        if len(grown) == len(span):
+            return grown
+        span = grown
+
+
 def _graph_estimate(
     model: LieModel, x: np.ndarray, y: np.ndarray, epsilon: float, pad: float
 ) -> float:
@@ -199,7 +212,10 @@ def cc_distance(
     other step-2 nilpotent models clip the lattice search to the
     projection/commutator-loop bracket, or return that bracket with its
     midpoint as the value where the lattice fails; remaining models use
-    the lattice search alone and raise ValueError where it fails.
+    the lattice search alone and raise ValueError where it fails.  On a
+    model that is not bracket-generating, endpoints that differ off the
+    subgroup the horizontal frame generates raise ValueError before any
+    search.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -218,6 +234,15 @@ def cc_distance(
         return DistanceEstimate(
             value, min(lower, value), max(upper, value), "geodesic-shooting"
         )
+
+    if not validate(model).bracket_generating:
+        span = _generated_span(model)
+        if np.linalg.norm(rel - rel @ span.T @ span) > 1e-12 * (1.0 + np.linalg.norm(rel)):
+            raise ValueError(
+                f"{model.name} is not bracket-generating and the endpoints differ "
+                "off the subgroup its horizontal frame generates, so no horizontal "
+                "path joins them"
+            )
 
     if model.onframe.nil_step == 2:
         lower = _nilpotent_lower(model, rel)

@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 import srlab.distance as dist
+from srlab.cli import main as cli_main
 from srlab.models import get_model
 
 
@@ -131,6 +132,23 @@ def test_step2_lattice_miss_returns_bracket():
     assert est.lower == pytest.approx(0.6818440454767043, rel=1e-12)
     assert est.upper == pytest.approx(9.001948387403186, rel=1e-12)
     assert est.value == 0.5 * (est.lower + est.upper)
+
+
+def test_unreachable_endpoints_fail_before_the_lattice(monkeypatch, capsys):
+    # abelian is not bracket-generating: a vertical offset is unreachable
+    # at any epsilon, so no lattice is searched before saying so
+    m = get_model("abelian")
+    in_span = dist.cc_distance(m, np.zeros(3), [0.3, 0.4, 0.0])
+    assert in_span.method == "graph"
+
+    def no_search(*args):
+        raise AssertionError("lattice search ran")
+
+    monkeypatch.setattr(dist, "_graph_estimate", no_search)
+    assert cli_main(["distance", "abelian"]) == 2
+    err = capsys.readouterr().err
+    assert "error: abelian-2-1 is not bracket-generating" in err
+    assert "no horizontal path joins them" in err
 
 
 def test_su2_pair_one_parameter_subgroup():
