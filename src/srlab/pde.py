@@ -15,6 +15,16 @@ under homogeneous Dirichlet conditions on a truncation box.  The
 first-order frame matrices A1, A2 are kept alongside for gradient
 post-processing of the fields.
 
+The operators are assembled in CSR form and then held as diagonals
+(DIA), in the order in which every CSR row stores its entries: scipy's
+DIA product walks the diagonals in array order, so each row sums the
+same products in the same order as the CSR product, and the results
+are bitwise equal while the column lookups are gone.  The solves use
+`cg`, which repeats the arithmetic of scipy's unpreconditioned
+conjugate gradient step for step, so the fields are bitwise equal to
+the CSR/scipy route too.  Only the system matrix keeps its CSR form, as
+the matrix of record.
+
 Truncation quality is tracked through the mass lost to the boundary;
 checks escalate to an error when the loss exceeds a set fraction, per
 the sub-Markov property mass can only decrease.
@@ -26,7 +36,6 @@ from dataclasses import dataclass
 
 import numpy as np
 import scipy.sparse as sp
-from scipy.sparse.linalg import cg
 
 from .models import LieModel, is_heisenberg
 
@@ -41,6 +50,100 @@ def _second_diff(n: int, h: float) -> sp.csr_matrix:
         [np.ones(n - 1), -2.0 * np.ones(n), np.ones(n - 1)], offsets=[-1, 0, 1]
     ) / (h * h)
     return sp.csr_matrix(d)
+
+
+def grid_operators(axes) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
+    """CSR assembly of the frame matrices A1, A2 and of L on a uniform grid."""
+    nx, ny, nz = (len(ax) for ax in axes)
+    hx, hy, hz = (ax[1] - ax[0] for ax in axes)
+    ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
+    dx = sp.kron(sp.kron(_centered_diff(nx, hx), iy), iz)
+    dy = sp.kron(sp.kron(ix, _centered_diff(ny, hy)), iz)
+    dz = sp.kron(sp.kron(ix, iy), _centered_diff(nz, hz))
+    dxx = sp.kron(sp.kron(_second_diff(nx, hx), iy), iz)
+    dyy = sp.kron(sp.kron(ix, _second_diff(ny, hy)), iz)
+    dzz = sp.kron(sp.kron(ix, iy), _second_diff(nz, hz))
+    ymul = sp.kron(sp.kron(ix, sp.diags(axes[1])), iz)
+    xmul = sp.kron(sp.kron(sp.diags(axes[0]), iy), iz)
+    a1 = (dx - 0.5 * ymul @ dz).tocsr()
+    a2 = (dy + 0.5 * xmul @ dz).tocsr()
+    lap = (
+        dxx
+        + dyy
+        + 0.25 * (xmul @ xmul + ymul @ ymul) @ dzz
+        - ymul @ dx @ dz
+        + xmul @ dy @ dz
+    ).tocsr()
+    return a1, a2, lap
+
+
+def row_ordered_dia(a: sp.csr_matrix) -> sp.dia_matrix:
+    """The square CSR matrix a as diagonals, in the order its rows store them.
+
+    Every row of a must store its entries as a subsequence of one order
+    of the diagonal offsets; the order is read from a row that stores
+    all of them.  `a @ x` and the returned matrix's product then add the
+    same products in the same order (a padded zero adds exactly +-0),
+    so for finite x they agree bit for bit.  Raises ValueError when no
+    row holds every offset or some row breaks the order.
+    """
+    n = a.shape[0]
+    counts = np.diff(a.indptr)
+    offsets = a.indices - np.repeat(np.arange(n, dtype=np.int32), counts)
+    full = int(np.argmax(counts))
+    order = offsets[a.indptr[full] : a.indptr[full + 1]].copy()
+    rank = np.full(2 * n - 1, -1, dtype=np.int16)
+    rank[order + (n - 1)] = np.arange(len(order), dtype=np.int16)
+    ranks = rank[offsets + (n - 1)]
+    rising = np.diff(ranks) > 0
+    starts = a.indptr[1:-1]
+    rising[starts[(starts > 0) & (starts < len(ranks))] - 1] = True
+    if ranks.min(initial=0) < 0 or not rising.all():
+        raise ValueError("the rows of the matrix do not store their entries in one diagonal order")
+    data = np.zeros((len(order), n))
+    for row, k in enumerate(order.tolist()):
+        data[row, max(k, 0) : n + min(k, 0)] = a.diagonal(k)
+    return sp.dia_matrix((data, order), shape=a.shape)
+
+
+def cg(a, b, x0, *, rtol, atol=0.0, callback=None, matvec=None):
+    """Solve a x = b for symmetric positive definite a by conjugate gradients.
+
+    Repeats scipy.sparse.linalg.cg (scipy 1.17, no preconditioner)
+    operation for operation, so x is bitwise equal to scipy's for the
+    same products: stop when |r| < max(atol, rtol |b|), at most 10 n
+    iterations, callback(x) after each.  matvec(p) computes a @ p and
+    defaults to a.dot.  Returns (x, info), info 0 on convergence and
+    the iteration limit otherwise.
+    """
+    matvec = a.dot if matvec is None else matvec
+    x = np.array(x0, dtype=float)
+    bnorm = np.sqrt(np.dot(b, b))
+    tol = max(float(atol), float(rtol) * float(bnorm))
+    if bnorm == 0:
+        return b, 0
+    r = b - matvec(x) if x.any() else b.copy()
+    buf = np.empty_like(r)
+    maxiter = 10 * len(b)
+    for it in range(maxiter):
+        rho = np.dot(r, r)
+        if np.sqrt(rho) < tol:
+            return x, 0
+        if it:
+            p *= rho / rho_prev
+            p += r
+        else:
+            p = r.copy()
+        q = matvec(p)
+        alpha = rho / np.dot(p, q)
+        np.multiply(alpha, p, out=buf)
+        x += buf
+        np.multiply(alpha, q, out=buf)
+        r -= buf
+        rho_prev = rho
+        if callback is not None:
+            callback(x)
+    return x, maxiter
 
 
 @dataclass
@@ -75,33 +178,24 @@ class HeisenbergHeatSolver:
         self.model = model
         self.bounds = tuple(float(b) for b in bounds)
         self.shape = tuple(int(s) for s in shape)
+        for axis, points in enumerate(self.shape):
+            if points < 5:
+                # the two-cell boundary shell would be the whole box
+                raise ValueError(
+                    f"axis {'xyz'[axis]} has {points} grid points; at least 5 are needed"
+                )
         self.dt = float(dt)
         self.cg_tol = cg_tol
-        nx, ny, nz = self.shape
         self.axes = [np.linspace(-b, b, s) for b, s in zip(self.bounds, self.shape)]
         hx, hy, hz = (ax[1] - ax[0] for ax in self.axes)
         self.spacing = (hx, hy, hz)
 
-        ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
-        dx = sp.kron(sp.kron(_centered_diff(nx, hx), iy), iz)
-        dy = sp.kron(sp.kron(ix, _centered_diff(ny, hy)), iz)
-        dz = sp.kron(sp.kron(ix, iy), _centered_diff(nz, hz))
-        dxx = sp.kron(sp.kron(_second_diff(nx, hx), iy), iz)
-        dyy = sp.kron(sp.kron(ix, _second_diff(ny, hy)), iz)
-        dzz = sp.kron(sp.kron(ix, iy), _second_diff(nz, hz))
-        ymul = sp.kron(sp.kron(ix, sp.diags(self.axes[1])), iz)
-        xmul = sp.kron(sp.kron(sp.diags(self.axes[0]), iy), iz)
-        self.a1 = (dx - 0.5 * ymul @ dz).tocsr()
-        self.a2 = (dy + 0.5 * xmul @ dz).tocsr()
-        self.lap = (
-            dxx
-            + dyy
-            + 0.25 * (xmul @ xmul + ymul @ ymul) @ dzz
-            - ymul @ dx @ dz
-            + xmul @ dy @ dz
-        ).tocsr()
-        n = self.lap.shape[0]
-        self.system = (sp.identity(n, format="csr") - 0.5 * self.dt * self.lap).tocsr()
+        a1, a2, lap = grid_operators(self.axes)
+        self.a1 = row_ordered_dia(a1)
+        self.a2 = row_ordered_dia(a2)
+        self.system = (sp.identity(lap.shape[0], format="csr") - 0.5 * self.dt * lap).tocsr()
+        self.lap = row_ordered_dia(lap)
+        self.step_op = row_ordered_dia(self.system)
         self.cell_volume = hx * hy * hz
 
     # -- grid helpers ---------------------------------------------------
@@ -189,7 +283,9 @@ class HeisenbergHeatSolver:
             raise ValueError("final time must be a multiple of dt")
         for k in range(nsteps + 1):
             if k:
-                u, info = cg(self.system, u, x0=u, rtol=self.cg_tol, atol=0.0)
+                u, info = cg(
+                    self.system, u, x0=u, rtol=self.cg_tol, atol=0.0, matvec=self.step_op.dot
+                )
                 if info != 0:
                     raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
             t = k * self.dt

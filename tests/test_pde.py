@@ -5,7 +5,9 @@ import math
 
 import numpy as np
 import pytest
+import scipy.sparse as sp
 from scipy.integrate import quad
+from scipy.sparse.linalg import cg as scipy_cg
 
 import srlab.heat as heat
 import srlab.pde as pde
@@ -27,8 +29,69 @@ def bump():
 
 
 def test_operator_is_symmetric(solver):
-    diff = solver.lap - solver.lap.T
+    lap = solver.lap.tocsr()
+    diff = lap - lap.T
     assert abs(diff).max() == 0.0
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (5, 9, 7), (37, 37, 31), (51, 51, 41)])
+def test_diagonal_operators_equal_their_csr_assembly_bitwise(shape):
+    s = pde.HeisenbergHeatSolver(get_model("heisenberg"), (5.5, 5.5, 3.3), shape, dt=0.01)
+    a1, a2, lap = pde.grid_operators(s.axes)
+    rng = np.random.default_rng(sum(shape))
+    for _ in range(3):
+        v = rng.standard_normal(s.system.shape[0])
+        for diagonal, csr in ((s.a1, a1), (s.a2, a2), (s.lap, lap), (s.step_op, s.system)):
+            assert isinstance(diagonal, sp.dia_matrix)
+            assert (diagonal @ v).tobytes() == (csr @ v).tobytes()
+    u = rng.standard_normal(s.shape)
+    assert s.apply_laplacian(u).tobytes() == (lap @ u.ravel()).reshape(shape).tobytes()
+    g = (a1 @ u.ravel()) ** 2 + (a2 @ u.ravel()) ** 2
+    assert s.gamma_h(u).tobytes() == g.reshape(shape).tobytes()
+
+
+def test_cg_repeats_scipy_bitwise(solver, bump):
+    b = solver.sample(bump).ravel()
+    n = len(b)
+    cases = [(b, b), (b, np.zeros(n)), (np.zeros(n), b)]
+    for rhs, x0 in cases:
+        for matvec in (None, solver.step_op.dot):
+            ours, theirs = [], []
+            x, info = pde.cg(solver.system, rhs, x0, rtol=1e-10, matvec=matvec,
+                             callback=lambda xk: ours.append(xk.copy()))
+            y, yinfo = scipy_cg(solver.system, rhs, x0=x0, rtol=1e-10, atol=0.0,
+                                callback=lambda xk: theirs.append(xk.copy()))
+            assert x.tobytes() == y.tobytes()
+            assert info == yinfo == 0
+            assert [a.tobytes() for a in ours] == [a.tobytes() for a in theirs]
+    assert len(theirs) == 0  # b = 0 returns at once
+    # x0 is read, never written
+    x0 = b.copy()
+    pde.cg(solver.system, b, x0, rtol=1e-10)
+    assert x0.tobytes() == b.tobytes()
+
+
+def test_row_order_guard_rejects_rows_in_opposite_orders():
+    # row 1 stores the offsets (-1, 0, 1); row 0 stores (0, 1) as (1, 0)
+    data = np.array([2.0, 1.0, 3.0, 4.0, 5.0, 6.0, 7.0])
+    indptr = np.array([0, 2, 5, 7])
+    good = sp.csr_matrix((data, np.array([0, 1, 0, 1, 2, 1, 2]), indptr), shape=(3, 3))
+    v = np.array([0.3, -1.7, 2.9])
+    assert (pde.row_ordered_dia(good) @ v).tobytes() == (good @ v).tobytes()
+    bad = sp.csr_matrix((data, np.array([1, 0, 0, 1, 2, 1, 2]), indptr), shape=(3, 3))
+    with pytest.raises(ValueError, match="diagonal order"):
+        pde.row_ordered_dia(bad)
+    # an offset that the fullest row does not hold breaks the order too
+    wide = sp.csr_matrix((data, np.array([0, 2, 0, 1, 2, 1, 2]), indptr), shape=(3, 3))
+    with pytest.raises(ValueError, match="diagonal order"):
+        pde.row_ordered_dia(wide)
+
+
+@pytest.mark.parametrize("shape, axis", [((3, 3, 3), "x"), ((2, 2, 2), "x"), ((9, 4, 9), "y"),
+                                         ((9, 9, 1), "z")])
+def test_grids_below_five_points_an_axis_are_rejected(shape, axis):
+    with pytest.raises(ValueError, match=f"axis {axis} has {min(shape)} grid points"):
+        pde.HeisenbergHeatSolver(get_model("heisenberg"), shape=shape)
 
 
 def test_only_heisenberg_supported():

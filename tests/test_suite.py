@@ -119,6 +119,32 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     )
 
 
+def test_pde_rows_equal_the_pinned_pde_grid_reference():
+    # the rows that the benchmark's pde-grid workload pins at the default
+    # seed, bit for bit; it runs with one BLAS thread, as a threaded dot
+    # product sums in another order
+    pinned = json.loads((ROOT / "perfbench/reference/pde-grid.json").read_text())
+    pinned = pinned["report"]["suite"]
+    cfg = {
+        "seed": pinned["seed"],
+        "models": ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"],
+        "checks": PDE_CHECKS,
+        "jobs": 1,
+        "pde": PDE_GRID,
+    }
+    script = (
+        "import json, sys; from srlab.suite import run_suite; "
+        "print(json.dumps(run_suite(json.loads(sys.argv[1]))))"
+    )
+    proc = _run(["-c", script, json.dumps(cfg)], ["src"], OPENBLAS_NUM_THREADS="1",
+                OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
+    assert proc.returncode == 0, proc.stderr
+    report, code = json.loads(proc.stdout)
+    assert code == 0
+    assert report["config_digest"] == pinned["config_digest"]
+    assert report["results"] == pinned["results"]
+
+
 def test_pde_source_rejects_undeclared_times():
     solver = pde.HeisenbergHeatSolver(models.get_model("heisenberg"), shape=(5, 5, 5))
     with pytest.raises(ValueError, match="not declared"):
@@ -310,8 +336,8 @@ def test_cli_spectral_and_distance(capsys):
     assert json.loads(capsys.readouterr().out)["estimate"]["method"] == "bracket"
 
 
-def _run(args, pythonpath):
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in pythonpath))
+def _run(args, pythonpath, **env):
+    env = dict(os.environ, **env, PYTHONPATH=os.pathsep.join(str(ROOT / p) for p in pythonpath))
     return subprocess.run([sys.executable, *args], env=env, capture_output=True, text=True)
 
 
