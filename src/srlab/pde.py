@@ -106,22 +106,20 @@ def row_ordered_dia(a: sp.csr_matrix) -> sp.dia_matrix:
     return sp.dia_matrix((data, order), shape=a.shape)
 
 
-def cg(a, b, x0, *, rtol, atol=0.0, callback=None, matvec=None):
+def cg(a, b, x0, *, rtol, matvec, callback=None):
     """Solve a x = b for symmetric positive definite a by conjugate gradients.
 
-    Repeats scipy.sparse.linalg.cg (scipy 1.17, no preconditioner)
-    operation for operation, so x is bitwise equal to scipy's for the
-    same products: stop when |r| < max(atol, rtol |b|), at most 10 n
-    iterations, callback(x) after each.  matvec(p) computes a @ p and
-    defaults to a.dot.  Returns (x, info), info 0 on convergence and
-    the iteration limit otherwise.
+    Repeats scipy.sparse.linalg.cg (scipy 1.17, no preconditioner, atol
+    0) operation for operation, so x is bitwise equal to scipy's for the
+    same products: stop when |r| < rtol |b|, at most 10 n iterations,
+    callback(x) after each.  matvec(p) computes a @ p.  Returns
+    (x, info), info 0 on convergence and the iteration limit otherwise.
     """
-    matvec = a.dot if matvec is None else matvec
     x = np.array(x0, dtype=float)
     bnorm = np.sqrt(np.dot(b, b))
-    tol = max(float(atol), float(rtol) * float(bnorm))
     if bnorm == 0:
         return b, 0
+    tol = rtol * bnorm
     r = b - matvec(x) if x.any() else b.copy()
     buf = np.empty_like(r)
     maxiter = 10 * len(b)
@@ -283,9 +281,7 @@ class HeisenbergHeatSolver:
             raise ValueError("final time must be a multiple of dt")
         for k in range(nsteps + 1):
             if k:
-                u, info = cg(
-                    self.system, u, x0=u, rtol=self.cg_tol, atol=0.0, matvec=self.step_op.dot
-                )
+                u, info = cg(self.system, u, x0=u, rtol=self.cg_tol, matvec=self.step_op.dot)
                 if info != 0:
                     raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
             t = k * self.dt

@@ -119,30 +119,30 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     )
 
 
-def test_pde_rows_equal_the_pinned_pde_grid_reference():
-    # the rows that the benchmark's pde-grid workload pins at the default
-    # seed, bit for bit; it runs with one BLAS thread, as a threaded dot
-    # product sums in another order
-    pinned = json.loads((ROOT / "perfbench/reference/pde-grid.json").read_text())
-    pinned = pinned["report"]["suite"]
-    cfg = {
-        "seed": pinned["seed"],
-        "models": ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"],
-        "checks": PDE_CHECKS,
-        "jobs": 1,
-        "pde": PDE_GRID,
-    }
+def test_pde_rows_equal_the_csr_scipy_route():
+    # the diagonal operators and pde.cg against the CSR operators and
+    # scipy's CG, bit for bit; one BLAS thread, so that both routes sum
+    # their dot products in the same order
+    cfg = {"models": ["heisenberg"], "checks": PDE_CHECKS, "jobs": 1, "pde": PDE_GRID}
     script = (
-        "import json, sys; from srlab.suite import run_suite; "
-        "print(json.dumps(run_suite(json.loads(sys.argv[1]))))"
+        "import json, sys\n"
+        "import scipy.sparse.linalg as sla\n"
+        "import srlab.pde as pde\n"
+        "from srlab.suite import run_suite\n"
+        "cfg = json.loads(sys.argv[1])\n"
+        "shipped = run_suite(cfg)\n"
+        "pde.row_ordered_dia = lambda a: a\n"
+        "pde.cg = lambda a, b, x0, *, rtol, matvec, callback=None: "
+        "sla.cg(a, b, x0=x0, rtol=rtol, atol=0.0, callback=callback)\n"
+        "print(json.dumps([shipped, run_suite(cfg)]))\n"
     )
     proc = _run(["-c", script, json.dumps(cfg)], ["src"], OPENBLAS_NUM_THREADS="1",
                 OMP_NUM_THREADS="1", MKL_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr
-    report, code = json.loads(proc.stdout)
-    assert code == 0
-    assert report["config_digest"] == pinned["config_digest"]
-    assert report["results"] == pinned["results"]
+    (shipped, code), (csr, csr_code) = json.loads(proc.stdout)
+    assert code == csr_code == 0
+    assert len(shipped["results"]) == 14
+    assert json.dumps(shipped["results"]) == json.dumps(csr["results"])
 
 
 def test_pde_source_rejects_undeclared_times():
