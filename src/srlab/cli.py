@@ -120,7 +120,7 @@ def cmd_distance(args):
         if x.shape != (model.dim,) or y.shape != (model.dim,):
             return _bad_input(f"--x and --y need {model.dim} coordinates on {args.model}")
     try:
-        est = distance.cc_distance(model, x, y, epsilon=args.epsilon)
+        est = distance.cc_distance(model, x, y)
     except ValueError as err:
         return _bad_input(err)
     _print({"x": list(x), "y": list(y), "estimate": est.to_json()})
@@ -184,8 +184,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("constants", help="geometry report and derived constants")
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
-    q.add_argument("--objective", default="max_alpha",
-                   choices=["max_alpha", "rho1_zero", "max_rho2"])
+    q.add_argument("--objective", default="max_alpha", choices=["max_alpha", "rho1_zero"])
     q.add_argument("--raw", action="store_true", help="skip vertical normalization")
     q.set_defaults(fn=cmd_constants)
 
@@ -208,7 +207,6 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--x", type=float, nargs="+", default=None)
     q.add_argument("--y", type=float, nargs="+", default=None)
-    q.add_argument("--epsilon", type=_positive(float), default=0.1)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_distance)
 

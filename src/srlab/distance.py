@@ -1,31 +1,41 @@
 """Carnot-Caratheodory distance estimation.
 
-Three routes, in decreasing order of sharpness:
+Two routes:
 
 * Heisenberg: exact geodesics.  Distances from the identity solve a
   single scalar equation in the rotation angle of the optimal control,
   handled by a bracketing root solve; left invariance reduces general
   pairs to this case.  Next to the vertical axis, where the angle is
   unresolved, the triangle inequality through (0, 0, z) brackets it.
-* Step-2 nilpotent groups: exact lower bound from the abelianization
-  (horizontal curves project to Euclidean curves of the same length)
-  and an explicit admissible curve for the upper bound: a straight
-  horizontal segment followed by rectangular commutator loops that
-  generate the remaining vertical displacement.
-* Anything else: Dijkstra on an epsilon-lattice whose edges are exact
-  horizontal group steps snapped to the lattice; the spacing is
-  reported so the resolution of the estimate is visible.
+* Every other model: the length of an admissible curve, a true upper
+  bound.  Shooting minimises the energy of piecewise-constant
+  horizontal controls whose product of exponentials, taken with the
+  model's exact group law, reaches the endpoint.  On models of step
+  <= 2 an explicit curve competes (a straight horizontal segment, then
+  rectangular commutator loops for the remaining vertical
+  displacement) and the shorter one is reported.  Lower bounds come
+  from projections: the abelianization on nilpotent models (horizontal
+  curves project to Euclidean curves of the same length) and the
+  factor groups on su2-pair.
 """
 
 from __future__ import annotations
 
-import heapq
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.optimize import brentq
+from scipy.linalg import expm
+from scipy.optimize import brentq, minimize
 
-from .models import LieModel, is_heisenberg, validate
+from . import algebra
+from .models import LieModel, _su2_pair_coords_to_algebra, is_heisenberg
+
+#: piecewise-constant horizontal controls per shooting curve, seeded
+#: starts, the seed, and the SLSQP iteration cap of each start
+SHOOT_PIECES = 16
+SHOOT_STARTS = 4
+SHOOT_SEED = 0
+SHOOT_MAXITER = 200
 
 
 @dataclass
@@ -36,7 +46,6 @@ class DistanceEstimate:
     lower: float
     upper: float
     method: str
-    epsilon: float | None = None
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -81,7 +90,7 @@ def _nilpotent_lower(model: LieModel, rel: np.ndarray) -> float:
     return float(np.linalg.norm(rel[: model.dim_h]))
 
 
-def _nilpotent_upper(model: LieModel, x: np.ndarray, y: np.ndarray) -> float:
+def _nilpotent_upper(model: LieModel, rel: np.ndarray) -> float:
     """Length of an explicit admissible curve for step <= 2 models.
 
     Straight horizontal segment first, then one rectangular loop per
@@ -89,11 +98,10 @@ def _nilpotent_upper(model: LieModel, x: np.ndarray, y: np.ndarray) -> float:
     translates by exp(s^2 [A_i, A_j]) at cost 4 s.
     """
     n = model.dim_h
-    rel = model.compose(model.inverse(x), y)
     length = float(np.linalg.norm(rel[:n]))
     seg = np.zeros(model.dim)
     seg[:n] = rel[:n]
-    rest = model.compose(model.inverse(model.compose(x, seg)), y)
+    rest = model.compose(model.inverse(seg), rel)
     c = model.onframe.c
     total = length
     for s in range(n, model.dim):
@@ -115,8 +123,6 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
     metric is scaled to match the horizontal one, so the larger factor
     distance bounds the horizontal distance from below.
     """
-    from .models import _su2_pair_coords_to_algebra
-
     rho = float(model.params.get("rho", 1.0))
     a, b = _su2_pair_coords_to_algebra(model, rel)
     d1 = np.linalg.norm(a, axis=0) / np.sqrt(2.0 * rho)
@@ -137,85 +143,90 @@ def _generated_span(model: LieModel) -> np.ndarray:
         span = grown
 
 
-def _graph_estimate(
-    model: LieModel, x: np.ndarray, y: np.ndarray, epsilon: float, pad: float
-) -> float:
-    """Dijkstra over an epsilon-lattice with exact horizontal steps.
+def _suffix_products(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The controls in the flat vector v as algebra coordinates, and their suffix products.
 
-    Raises ValueError when the lattice would be too large or the
-    snapped steps never reach the node of y.
+    Row k of the second array holds exp(u_k) ... exp(u_K), a last row
+    the identity.  A doubling scan: after the round of offset o, row k
+    holds the product of pieces k .. k + 2o - 1, so log2 K batched
+    products suffice.
     """
-    d = model.dim
-    n = model.dim_h
-    lo = np.minimum(x, y) - pad
-    hi = np.maximum(x, y) + pad
-    spacing = epsilon
-    dims = np.maximum(((hi - lo) / spacing).astype(int) + 2, 3)
-    if np.prod(dims.astype(float)) > 3e6:
-        raise ValueError(
-            f"distance lattice would need {np.prod(dims):.2e} nodes; "
-            "increase epsilon or shrink the padding"
-        )
+    k = SHOOT_PIECES
+    pieces = np.zeros((k, model.dim))
+    pieces[:, : model.dim_h] = v.reshape(k, model.dim_h)
+    s = np.vstack([pieces, np.zeros(model.dim)])
+    o = 1
+    while o < k:
+        s[: k - o] = model.compose(s[: k - o], s[o:k])
+        o *= 2
+    return pieces, s
 
-    def node_of(p):
-        idx = np.round((p - lo) / spacing).astype(int)
-        return tuple(np.clip(idx, 0, dims - 1))
 
-    def point_of(idx):
-        return lo + spacing * np.asarray(idx, dtype=float)
+def _endpoint_jacobian(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Endpoint of the controls v and its Jacobian, shape (d, K n).
 
-    start = node_of(x)
-    goal = node_of(y)
-    dist = {start: 0.0}
-    heap = [(0.0, start)]
-    steps = []
-    for i in range(n):
-        e = np.zeros(d)
-        e[i] = epsilon
-        steps.append(e)
-        steps.append(-e)
-    visited = set()
-    while heap:
-        du, u = heapq.heappop(heap)
-        if u in visited:
-            continue
-        if u == goal:
-            return du
-        visited.add(u)
-        pu = point_of(u)
-        for e in steps:
-            q = model.compose(pu, e)
-            v = node_of(q)
-            if v in visited:
-                continue
-            dv = du + epsilon
-            if dv < dist.get(v, np.inf):
-                dist[v] = dv
-                heapq.heappush(heap, (dv, v))
-    raise ValueError(
-        "lattice search exhausted without reaching the target; "
-        "snapped horizontal steps do not connect the endpoints at this epsilon"
+    With F = frame_coefficients, moving u_k by delta moves exp(u_k) to
+    exp(u_k) exp(F(u_k)^-1 delta); carried past the suffix B_k and read
+    in coordinates at the endpoint G, that is
+    J_k = F(G) expm(-ad B_k) F(u_k)^-1 on the horizontal directions.
+    """
+    c, step = model.onframe.c, model.onframe.nil_step
+    pieces, s = _suffix_products(model, v)
+    f_inv = np.linalg.inv(algebra.frame_coefficients(c, pieces, step))
+    blocks = (
+        algebra.frame_coefficients(c, s[0], step)
+        @ expm(-algebra.ad_matrix(c, s[1:]))
+        @ f_inv[..., : model.dim_h]
     )
+    return s[0], np.concatenate(blocks, axis=1)
 
 
-def cc_distance(
-    model: LieModel,
-    x,
-    y,
-    epsilon: float = 0.1,
-    pad: float | None = None,
-) -> DistanceEstimate:
+def _shooting_upper(model: LieModel, rel: np.ndarray) -> float:
+    """Length of the shortest admissible curve found from the identity to rel.
+
+    Each start minimises the energy sum |u_k|^2 of SHOOT_PIECES
+    piecewise-constant horizontal controls under the constraint
+    coords(exp(u_1) ... exp(u_K)) = rel (SLSQP), then takes least-norm
+    Newton steps onto the endpoint.  A curve that meets it to
+    1e-12 (1 + |rel|) has length sum |u_k| >= d(0, rel); inf is
+    returned if no start does.
+    """
+    n = model.dim_h
+    rng = np.random.default_rng(SHOOT_SEED)
+    scale = np.sqrt(np.linalg.norm(rel)) / SHOOT_PIECES
+    tol = 1e-12 * (1.0 + np.linalg.norm(rel))
+    constraint = {
+        "type": "eq",
+        "fun": lambda v: _suffix_products(model, v)[1][0] - rel,
+        "jac": lambda v: _endpoint_jacobian(model, v)[1],
+    }
+    best = np.inf
+    for _ in range(SHOOT_STARTS):
+        # the straight segment is a degenerate start, so every start is perturbed
+        # on the length scale sqrt|rel| of a loop that reaches a vertical rel
+        v = rel[:n] / SHOOT_PIECES + scale * rng.standard_normal((SHOOT_PIECES, n))
+        v = minimize(lambda v: v @ v, v.ravel(), jac=lambda v: 2.0 * v, method="SLSQP",
+                     constraints=constraint, options={"maxiter": SHOOT_MAXITER, "ftol": 1e-10}).x
+        for _ in range(3):
+            end, jac = _endpoint_jacobian(model, v)
+            v = v - np.linalg.lstsq(jac, end - rel, rcond=None)[0]
+        if np.linalg.norm(constraint["fun"](v)) <= tol:
+            length = float(np.linalg.norm(v.reshape(SHOOT_PIECES, n), axis=1).sum())
+            best = min(best, length)
+    return best
+
+
+def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
     """Distance estimate between coordinate points x and y.
 
     Heisenberg pairs are exact (geodesic shooting) except next to the
-    vertical axis, where a triangle-inequality bracket is returned;
-    other step-2 nilpotent models clip the lattice search to the
-    projection/commutator-loop bracket, or return that bracket with its
-    midpoint as the value where the lattice fails; remaining models use
-    the lattice search alone and raise ValueError where it fails.  On a
-    model that is not bracket-generating, endpoints that differ off the
-    subgroup the horizontal frame generates raise ValueError before any
-    search.
+    vertical axis, where a triangle-inequality bracket is returned.  On
+    every other model value = upper is the length of the shortest
+    admissible curve found (method "shooting-upper"): the shooting
+    curve, or on step <= 2 models the commutator-loop curve if that is
+    shorter; ValueError is raised if neither exists.  On a model that
+    is not bracket-generating, endpoints that differ off the subgroup
+    the horizontal frame generates raise ValueError before any search.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -230,41 +241,30 @@ def cc_distance(
             rho = float(np.hypot(rel[0], rel[1]))
             return DistanceEstimate(axis, axis - rho, axis + rho, "bracket")
         lower = _nilpotent_lower(model, rel)
-        upper = _nilpotent_upper(model, x, y)
+        upper = _nilpotent_upper(model, rel)
         return DistanceEstimate(
             value, min(lower, value), max(upper, value), "geodesic-shooting"
         )
 
-    if not validate(model).bracket_generating:
-        span = _generated_span(model)
-        if np.linalg.norm(rel - rel @ span.T @ span) > 1e-12 * (1.0 + np.linalg.norm(rel)):
-            raise ValueError(
-                f"{model.name} is not bracket-generating and the endpoints differ "
-                "off the subgroup its horizontal frame generates, so no horizontal "
-                "path joins them"
-            )
+    span = _generated_span(model)
+    if np.linalg.norm(rel - rel @ span.T @ span) > 1e-12 * (1.0 + np.linalg.norm(rel)):
+        raise ValueError(
+            f"{model.name} is not bracket-generating and the endpoints differ "
+            "off the subgroup its horizontal frame generates, so no horizontal "
+            "path joins them"
+        )
 
-    if model.onframe.nil_step == 2:
-        lower = _nilpotent_lower(model, rel)
-        upper = _nilpotent_upper(model, x, y)
-        try:
-            value = _graph_estimate(model, x, y, epsilon, pad if pad is not None else 0.5)
-            value = float(np.clip(value, lower, upper))
-            method = "graph"
-        except ValueError:
-            value = 0.5 * (lower + upper)
-            method = "bracket"
-        return DistanceEstimate(value, lower, upper, method, epsilon)
-
+    # compose has raised already unless the model is su2-pair or nilpotent
     if model.group == "su2-pair":
         lower = _su2_pair_lower(model, rel)
-    elif model.onframe.nil_step is not None:
-        lower = _nilpotent_lower(model, rel)
     else:
-        lower = 0.0
-    value = _graph_estimate(model, x, y, epsilon, pad if pad is not None else 0.5)
-    # lattice paths are epsilon-resolved; pad the bracket accordingly
-    slack = epsilon * (1.0 + value / max(epsilon, 1e-12)) ** 0.5
-    return DistanceEstimate(
-        float(max(value, lower)), lower, value + slack, "graph", epsilon
-    )
+        lower = _nilpotent_lower(model, rel)
+    upper = _shooting_upper(model, rel)
+    if model.onframe.nil_step in (1, 2):
+        upper = min(upper, _nilpotent_upper(model, rel))
+    if not np.isfinite(upper):
+        raise ValueError(
+            f"no shooting start reached the endpoint on {model.name}, "
+            "so no admissible curve bounds the distance"
+        )
+    return DistanceEstimate(upper, min(lower, upper), upper, "shooting-upper")

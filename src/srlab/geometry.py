@@ -329,14 +329,13 @@ def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
 def resolve_weight(report: GeometryReport, objective: str) -> float:
     """Pick the free weight c per the requested objective.
 
-    "rho1_zero" (equivalently "max_rho2") takes c = 1 / rho_H, which
-    zeroes rho1 while keeping rho20 as large as the constraint allows;
-    "max_alpha" maximizes the decay rate alpha over c.  Whenever the
-    mixed bounds vanish, c = inf dominates every objective with a
-    nonnegative rho_H.
+    "rho1_zero" takes c = 1 / rho_H, which zeroes rho1 while keeping
+    rho20 as large as the constraint allows; "max_alpha" maximizes the
+    decay rate alpha over c.  Whenever the mixed bounds vanish, c = inf
+    dominates every objective with a nonnegative rho_H.
     """
     mix = report.M_HV + report.M_grad_v
-    if objective in ("rho1_zero", "max_rho2"):
+    if objective == "rho1_zero":
         if report.rho_H > _EPS:
             return 1.0 / report.rho_H
         if mix > 1e-9:

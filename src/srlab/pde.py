@@ -39,6 +39,11 @@ import scipy.sparse as sp
 
 from .models import LieModel, is_heisenberg
 
+#: relative residual at which each implicit step's CG solve stops
+CG_RTOL = 1e-10
+#: largest boundary fraction a field may reach before evolve raises
+FLUX_LIMIT = 1e-3
+
 
 def _centered_diff(n: int, h: float) -> sp.csr_matrix:
     d = sp.diags([-np.ones(n - 1), np.ones(n - 1)], offsets=[-1, 1]) / (2.0 * h)
@@ -169,7 +174,6 @@ class HeisenbergHeatSolver:
         bounds: tuple = (4.0, 4.0, 4.0),
         shape: tuple = (45, 45, 45),
         dt: float = 0.01,
-        cg_tol: float = 1e-10,
     ):
         if not is_heisenberg(model):
             raise ValueError("the grid solver is implemented for the Heisenberg model")
@@ -183,7 +187,6 @@ class HeisenbergHeatSolver:
                     f"axis {'xyz'[axis]} has {points} grid points; at least 5 are needed"
                 )
         self.dt = float(dt)
-        self.cg_tol = cg_tol
         self.axes = [np.linspace(-b, b, s) for b, s in zip(self.bounds, self.shape)]
         hx, hy, hz = (ax[1] - ax[0] for ax in self.axes)
         self.spacing = (hx, hy, hz)
@@ -258,17 +261,12 @@ class HeisenbergHeatSolver:
 
     # -- evolution --------------------------------------------------------
 
-    def evolve(
-        self,
-        u0: np.ndarray,
-        times,
-        flux_limit: float = 1e-3,
-    ) -> list[PDEField]:
+    def evolve(self, u0: np.ndarray, times) -> list[PDEField]:
         """Implicit-Euler snapshots of the field at the requested times.
 
         Times must be (close to) multiples of dt.  The boundary
         diagnostic is tested at every step, so a TruncationError (raised
-        when it exceeds flux_limit) does not depend on which times are
+        when it exceeds FLUX_LIMIT) does not depend on which times are
         requested.  Snapshot values are read-only.
         """
         times = sorted(float(t) for t in times)
@@ -281,15 +279,15 @@ class HeisenbergHeatSolver:
             raise ValueError("final time must be a multiple of dt")
         for k in range(nsteps + 1):
             if k:
-                u, info = cg(self.system, u, x0=u, rtol=self.cg_tol, matvec=self.step_op.dot)
+                u, info = cg(self.system, u, x0=u, rtol=CG_RTOL, matvec=self.step_op.dot)
                 if info != 0:
                     raise RuntimeError(f"conjugate gradient failed to converge (info={info})")
             t = k * self.dt
             grid = u.reshape(self.shape)
             bf = self.boundary_fraction(grid)
-            if bf > flux_limit:
+            if bf > FLUX_LIMIT:
                 raise TruncationError(
-                    f"boundary fraction {bf:.2e} exceeds {flux_limit:.0e} at t={t:g}; "
+                    f"boundary fraction {bf:.2e} exceeds {FLUX_LIMIT:.0e} at t={t:g}; "
                     "enlarge the box or shorten the horizon"
                 )
             while ti < len(times) and abs(times[ti] - t) < 1e-9:

@@ -7,6 +7,7 @@ area z).
 """
 
 import dataclasses
+import json
 
 import numpy as np
 import pytest
@@ -99,52 +100,77 @@ def test_symmetry(heis):
         )
 
 
-def test_graph_estimate_brackets_exact_value(heis):
-    x = np.zeros(3)
-    y = np.array([0.5, 0.4, 0.3])
-    exact = dist.cc_distance(heis, x, y)
-    graph = dist._graph_estimate(heis, x, y, epsilon=0.05, pad=0.6)
-    # the axis-aligned lattice overestimates by at most the taxicab
-    # factor plus vertical zig-zagging
-    assert exact.value <= graph + 1e-9
-    assert graph <= 2.0 * exact.value
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
+def test_shooting_jacobian_matches_central_differences(name):
+    m = get_model(name)
+    v = 0.3 * np.random.default_rng(1).standard_normal(dist.SHOOT_PIECES * m.dim_h)
+    jac = dist._endpoint_jacobian(m, v)[1]
+    h = 1e-6
+    fd = np.empty_like(jac)
+    for j in range(len(v)):
+        e = np.zeros_like(v)
+        e[j] = h
+        plus = dist._suffix_products(m, v + e)[1][0]
+        minus = dist._suffix_products(m, v - e)[1][0]
+        fd[:, j] = (plus - minus) / (2.0 * h)
+    assert np.max(np.abs(jac - fd)) <= 1e-8
 
 
-def test_engel_graph_fallback():
+def test_shooting_brackets_heisenberg_exact_value(heis):
+    # a second, independent route to the exact geodesic lengths: the
+    # shooting curve is admissible, so it can only be longer, and with
+    # 16 pieces it is longer by well under 2 %
+    rng = np.random.default_rng(5)
+    for _ in range(20):
+        x, y = rng.uniform(-1.0, 1.0, (2, 3))
+        exact = dist.cc_distance(heis, x, y)
+        assert exact.method == "geodesic-shooting"
+        shoot = dist._shooting_upper(heis, heis.compose(heis.inverse(x), y))
+        assert exact.value <= shoot * (1.0 + 1e-12)
+        assert shoot <= 1.02 * exact.value
+
+
+def test_engel_horizontal_endpoint_is_exact():
+    # the straight horizontal segment is a geodesic, so the admissible
+    # curve found meets the projection lower bound
     m = get_model("engel")
-    est = dist.cc_distance(m, np.zeros(4), [0.4, 0.3, 0.0, 0.0], epsilon=0.1)
-    assert est.method == "graph"
-    assert est.epsilon == 0.1
-    assert est.lower <= est.value <= est.upper
+    est = dist.cc_distance(m, np.zeros(4), [0.4, 0.3, 0.0, 0.0])
+    assert est.method == "shooting-upper"
     assert est.lower == pytest.approx(0.5)  # horizontal projection
+    assert est.value == est.upper == pytest.approx(0.5, abs=1e-9)
+    assert est.lower <= est.value
 
 
-def test_step2_lattice_miss_returns_bracket():
-    # at epsilon 0.2 the snapped horizontal steps never reach the goal
-    # node; like an oversized lattice, that falls back to the
-    # projection/commutator-loop bracket and its midpoint
+def test_step2_shooting_within_loop_bound():
+    # the points `srlab distance free-nilpotent-3` draws by default
     m = get_model("free-nilpotent-3")
     x, y = np.random.default_rng(0).uniform(-0.5, 0.5, (2, 6))
-    with pytest.raises(ValueError, match="exhausted"):
-        dist._graph_estimate(m, x, y, 0.2, 0.5)
-    est = dist.cc_distance(m, x, y, epsilon=0.2)
-    assert (est.method, est.epsilon) == ("bracket", 0.2)
+    est = dist.cc_distance(m, x, y)
+    rel = m.compose(m.inverse(x), y)
+    assert est.method == "shooting-upper"
+    assert est.value == est.upper <= dist._nilpotent_upper(m, rel)
     assert est.lower == pytest.approx(0.6818440454767043, rel=1e-12)
-    assert est.upper == pytest.approx(9.001948387403186, rel=1e-12)
-    assert est.value == 0.5 * (est.lower + est.upper)
+    assert est.lower <= est.value <= 3.65
 
 
-def test_unreachable_endpoints_fail_before_the_lattice(monkeypatch, capsys):
+def test_shooting_is_deterministic():
+    m = get_model("engel")
+    x, y = np.random.default_rng(0).uniform(-0.5, 0.5, (2, 4))
+    first, second = (json.dumps(dist.cc_distance(m, x, y).to_json()) for _ in range(2))
+    assert first == second
+
+
+def test_unreachable_endpoints_fail_before_shooting(monkeypatch, capsys):
     # abelian is not bracket-generating: a vertical offset is unreachable
-    # at any epsilon, so no lattice is searched before saying so
+    # by any curve, so no shooting runs before saying so
     m = get_model("abelian")
     in_span = dist.cc_distance(m, np.zeros(3), [0.3, 0.4, 0.0])
-    assert in_span.method == "graph"
+    assert (in_span.method, in_span.value) == ("shooting-upper", 0.5)
 
     def no_search(*args):
-        raise AssertionError("lattice search ran")
+        raise AssertionError("shooting ran")
 
-    monkeypatch.setattr(dist, "_graph_estimate", no_search)
+    monkeypatch.setattr(dist, "_shooting_upper", no_search)
     assert cli_main(["distance", "abelian"]) == 2
     err = capsys.readouterr().err
     assert "error: abelian-2-1 is not bracket-generating" in err
@@ -153,7 +179,7 @@ def test_unreachable_endpoints_fail_before_the_lattice(monkeypatch, capsys):
 
 def test_su2_pair_one_parameter_subgroup():
     m = get_model("su2-pair")
-    est = dist.cc_distance(m, np.zeros(6), [0.25, 0, 0, 0, 0, 0], epsilon=0.125)
+    est = dist.cc_distance(m, np.zeros(6), [0.25, 0, 0, 0, 0, 0])
     # straight horizontal flow attains the factor projection bound
     assert est.value == pytest.approx(0.25, abs=1e-9)
     assert est.lower == pytest.approx(0.25, abs=1e-9)

@@ -331,9 +331,14 @@ def test_cli_spectral_and_distance(capsys):
     assert cli_main(["distance", "heisenberg", "--x", "0", "0", "0",
                      "--y", "1", "0", "0"]) == 0
     assert "geodesic-shooting" in capsys.readouterr().out
-    # a step-2 lattice that misses its target reports the bracket
-    assert cli_main(["distance", "free-nilpotent-3", "--epsilon", "0.2"]) == 0
-    assert json.loads(capsys.readouterr().out)["estimate"]["method"] == "bracket"
+    # every other model reports the shortest admissible curve found
+    for model in ("free-nilpotent-3", "engel", "su2-pair"):
+        assert cli_main(["distance", model]) == 0
+        est = json.loads(capsys.readouterr().out)["estimate"]
+        assert est["method"] == "shooting-upper"
+        assert est["lower"] <= est["value"] == est["upper"]
+    assert cli_main(["distance", "abelian", "--x", "0", "0", "0", "--y", "0.3", "0.4", "0"]) == 0
+    assert json.loads(capsys.readouterr().out)["estimate"]["value"] == 0.5
 
 
 def _run(args, pythonpath, **env):
@@ -344,13 +349,13 @@ def _run(args, pythonpath, **env):
 @pytest.mark.parametrize(
     "args",
     [
-        ["distance", "engel"],  # the lattice search never reaches the goal
+        ["distance", "engel", "--epsilon", "0.1"],  # unknown option
         ["distance", "abelian"],
-        ["distance", "su2-pair"],  # the lattice would need 1.7e7 nodes
+        ["constants", "heisenberg", "--objective", "max_rho2"],  # unknown choice
         ["distance", "heisenberg", "--x", "0", "0", "--y", "1", "0", "0"],
         ["constants", "nosuch"],
         ["spectral", "--jmax", "0.5"],
-        ["distance", "engel", "--epsilon", "-1"],  # used to print upper = -1
+        ["spectral", "--rho", "0"],
         ["heat", "heisenberg", "--t", "-1"],
         ["cd-check", "heisenberg", "--points", "0"],
     ],
