@@ -36,35 +36,26 @@ def jacobi_residual(c: np.ndarray) -> float:
     return float(np.max(np.abs(cyc)))
 
 
-def bracket_filtration(c: np.ndarray, dim_h: int) -> tuple[bool, int]:
+def bracket_filtration(c: np.ndarray, dim_h: int) -> tuple[np.ndarray, int]:
     """Growth of span(H) under iterated brackets with H.
 
-    Returns (bracket_generating, step) where step is the number of
-    bracket levels needed to span the full algebra (1 = H alone spans,
-    2 = first-order brackets suffice, ...).  When the flag is False the
-    step is the level at which the filtration stabilized short of full
-    rank.
+    Returns (basis, step): orthonormal rows spanning the subalgebra H
+    generates, and the number of bracket levels that grew it (1 = H
+    alone, 2 = first-order brackets suffice, ...).  H is bracket
+    generating when the basis spans the full algebra.  Each level is
+    compressed to an orthonormal basis, so the scan stays linear in
+    the dimension.
     """
     d = c.shape[0]
-    h_basis = np.eye(d)[:dim_h]
-
-    def rank(vs):
-        return np.linalg.matrix_rank(np.asarray(vs), tol=1e-10)
-
-    span = list(h_basis)
+    span = h = np.eye(d)[:dim_h]
     step = 1
-    while rank(span) < d:
-        new = []
-        for a in h_basis:
-            for v in span:
-                # [a, v]^k = c[k,i,j] a_i v_j
-                new.append(np.einsum("kij,i,j->k", c, a, v))
-        grown = span + new
-        if rank(grown) == rank(span):
-            return False, step
-        span = grown
-        step += 1
-    return True, step
+    while True:
+        brackets = np.einsum("kij,ai,bj->abk", c, h, span).reshape(-1, d)
+        _, sv, vt = np.linalg.svd(np.vstack([span, brackets]), full_matrices=False)
+        grown = vt[sv > 1e-10]
+        if len(grown) == len(span):
+            return grown, step
+        span, step = grown, step + 1
 
 
 def nilpotency_step(c: np.ndarray, max_step: int = 12) -> int | None:

@@ -149,8 +149,6 @@ def cmd_suite_run(args):
         cfg["output"]["json"] = args.json
     if args.csv_dir is not None:
         cfg["output"]["csv_dir"] = args.csv_dir
-    if args.jobs is not None:
-        cfg["jobs"] = args.jobs
     if args.checks:
         cfg["checks"] = args.checks
     try:
@@ -222,7 +220,6 @@ def build_parser() -> argparse.ArgumentParser:
     r.add_argument("--seed", type=int, default=None, help="override the RNG seed")
     r.add_argument("--json", default=None, help="write the JSON report here")
     r.add_argument("--csv-dir", default=None, help="write CSV tables here")
-    r.add_argument("--jobs", type=int, default=None, help="worker pool size")
     r.add_argument("--checks", nargs="+", default=None, help="subset of check ids")
     r.set_defaults(fn=cmd_suite_run)
     return p

@@ -130,19 +130,6 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
     return float(max(d1, d2))
 
 
-def _generated_span(model: LieModel) -> np.ndarray:
-    """Orthonormal rows spanning the subalgebra the horizontal frame generates."""
-    c = model.onframe.c
-    span = h = np.eye(model.dim)[: model.dim_h]
-    while True:
-        brackets = np.einsum("kij,ai,bj->abk", c, h, span).reshape(-1, model.dim)
-        _, sv, vt = np.linalg.svd(np.vstack([span, brackets]), full_matrices=False)
-        grown = vt[sv > 1e-10]
-        if len(grown) == len(span):
-            return grown
-        span = grown
-
-
 def _suffix_products(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """The controls in the flat vector v as algebra coordinates, and their suffix products.
 
@@ -246,7 +233,7 @@ def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
             value, min(lower, value), max(upper, value), "geodesic-shooting"
         )
 
-    span = _generated_span(model)
+    span, _ = algebra.bracket_filtration(model.onframe.c, model.dim_h)
     if np.linalg.norm(rel - rel @ span.T @ span) > 1e-12 * (1.0 + np.linalg.norm(rel)):
         raise ValueError(
             f"{model.name} is not bracket-generating and the endpoints differ "

@@ -507,7 +507,8 @@ def validate(model: LieModel) -> ValidationReport:
     if min_eig <= 0:
         issues.append(f"frame metric not positive definite (min eig {min_eig:g})")
 
-    generating, step = algebra.bracket_filtration(c, model.dim_h)
+    span, step = algebra.bracket_filtration(c, model.dim_h)
+    generating = len(span) == d
     if not generating:
         issues.append("horizontal frame is not bracket-generating")
 

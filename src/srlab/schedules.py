@@ -12,8 +12,8 @@ tied to the curvature-dimension constants:
 The entropy kind is used with the commuting-gradient form of the
 inequality where the weight multiplies log-gradients and rho21 plays
 no role.  Builders below attach exact derivative samples; the checker
-combines them with central differences and grid refinement so that a
-wrong analytic derivative cannot go unnoticed.
+combines them with central differences so that a wrong analytic
+derivative cannot go unnoticed.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ class Schedule:
     l: np.ndarray
     b: np.ndarray
     C: float
-    provenance: str
     da: np.ndarray | None = None
     dl: np.ndarray | None = None
-    db: np.ndarray | None = None
-    degenerate: bool = False
 
     def interior(self) -> slice:
         return slice(1, len(self.t) - 1)
@@ -57,9 +54,6 @@ class ScheduleCheck:
     margin: float                # min over both conditions, interior grid
     margin_first: float
     margin_second: float
-    fd_deviation: float          # analytic vs central-difference margins
-    refine_delta: float          # margin change under grid doubling
-    grid: int
     issues: list[str] = field(default_factory=list)
 
     @property
@@ -83,7 +77,7 @@ def _margins(
     if np.any(a <= 0) or np.any(l <= 0):
         raise ValueError(f"schedule {s.label!r} must be positive on the open interval")
     if use_analytic:
-        da, dl, db = s.da[it], s.dl[it], s.db[it]
+        da, dl = s.da[it], s.dl[it]
     else:
         da, dl = _fd(s.t, s.a), _fd(s.t, s.l)
     first = da + (rho1 - 1.0 / l - 2.0 * b) * a + s.C
@@ -96,19 +90,14 @@ def _margins(
     return first, second
 
 
-def admissibility_margins(
-    s: Schedule,
-    constants,
-    rebuild=None,
-) -> ScheduleCheck:
+def admissibility_margins(s: Schedule, constants) -> ScheduleCheck:
     """Minimum slack of both conditions over the interior grid.
 
     When the schedule carries analytic derivatives they give the
     reported margins and central differences act as a consistency
     check away from the interval ends; otherwise the margins come from
-    central differences directly.  `rebuild`, when given, produces the
-    same schedule on a doubled grid for a refinement stability
-    estimate.
+    central differences directly.  The difference error shrinks as the
+    squared grid step, and so does the tolerated disagreement.
     """
     issues: list[str] = []
     analytic = s.da is not None and s.dl is not None
@@ -116,7 +105,6 @@ def admissibility_margins(
     margin_first = float(first.min())
     margin_second = float(second.min())
 
-    fd_dev = 0.0
     if analytic:
         f_fd, s_fd = _margins(s, constants, use_analytic=False)
         # compare away from the ends, where central differences of the
@@ -127,24 +115,14 @@ def admissibility_margins(
             max(np.max(np.abs(first[sl] - f_fd[sl])), np.max(np.abs(second[sl] - s_fd[sl])))
         )
         scale = 1.0 + float(np.max(np.abs(first[sl]))) + float(np.max(np.abs(second[sl])))
-        if fd_dev > 1e-3 * scale:
+        if fd_dev > 1e-3 * scale * (DEFAULT_GRID / (len(s.t) - 1)) ** 2:
             issues.append(f"analytic and difference derivatives disagree by {fd_dev:g}")
 
-    refine_delta = 0.0
-    if rebuild is not None:
-        s2 = rebuild(2 * (len(s.t) - 1))
-        f2, s2m = _margins(s2, constants, use_analytic=s2.da is not None)
-        refine_delta = float(
-            max(abs(margin_first - f2.min()), abs(margin_second - s2m.min()))
-        )
     return ScheduleCheck(
         label=s.label,
         margin=min(margin_first, margin_second),
         margin_first=margin_first,
         margin_second=margin_second,
-        fd_deviation=fd_dev,
-        refine_delta=refine_delta,
-        grid=len(s.t),
         issues=issues,
     )
 
@@ -182,10 +160,8 @@ def gradient_constant_weight(
         l=np.full_like(t, l),
         b=np.zeros_like(t),
         C=0.0,
-        provenance="constant-weight gradient decay",
         da=-alpha * a,
         dl=np.zeros_like(t),
-        db=np.zeros_like(t),
     )
 
 
@@ -207,10 +183,8 @@ def gradient_variance_linear(constants, T: float, n: int = DEFAULT_GRID) -> Sche
         l=slope * (T - t),
         b=np.zeros_like(t),
         C=1.0 + k1 * T + (T * k2 + 2.0) / rho20,
-        provenance="linear-vanishing variance bound",
         da=np.full_like(t, -1.0),
         dl=np.full_like(t, -slope),
-        db=np.zeros_like(t),
     )
 
 
@@ -219,30 +193,15 @@ def gradient_variance_exponential(
 ) -> Schedule:
     """Saturating a = (1 - e^(-rho1 (T-t))) / rho1 with matched l.
 
-    Degenerates to the linear schedule when rho1 = 0, in which case the
-    schedule is flagged and equals grad-b with k1 = k2 = 0.
+    At rho1 = 0 it is the linear schedule grad-b (then k1 = k2 = 0).
     """
     _, rho1, rho20, rho21 = constants_tuple(constants)
     if rho1 < 0 or rho21 < 0 or rho20 <= 0:
         raise ValueError("exponential schedule needs rho1, rho21 >= 0 and rho20 > 0")
+    if rho1 == 0:
+        return replace(gradient_variance_linear(constants, T, n), label="grad-c")
     t = _grid(T, n)
     tau = T - t
-    if rho1 == 0:
-        return Schedule(
-            label="grad-c",
-            kind="gradient",
-            T=T,
-            t=t,
-            a=tau,
-            l=0.5 * rho20 * tau,
-            b=np.zeros_like(t),
-            C=1.0 + 2.0 / rho20,
-            provenance="exponential weight (flat-curvature limit)",
-            da=np.full_like(t, -1.0),
-            dl=np.full_like(t, -0.5 * rho20),
-            db=np.zeros_like(t),
-            degenerate=True,
-        )
     em = np.exp(-rho1 * tau)
     a = (1.0 - em) / rho1
     da = -em
@@ -259,10 +218,8 @@ def gradient_variance_exponential(
         l=l,
         b=np.zeros_like(t),
         C=1.0 + 2.0 / rho20,
-        provenance="exponential weight with integral-matched l",
         da=da,
         dl=dl,
-        db=np.zeros_like(t),
     )
 
 
@@ -284,10 +241,8 @@ def gradient_reverse(
         l=slope * t,
         b=np.zeros_like(t),
         C=-l0 / (l0 + T),
-        provenance="increasing weight, reverse variance bound",
         da=np.ones_like(t),
         dl=np.full_like(t, slope),
-        db=np.zeros_like(t),
     )
 
 
@@ -297,7 +252,6 @@ def entropy_schedule(constants, T: float, n: int = DEFAULT_GRID) -> Schedule:
         gradient_variance_exponential(constants, T, n),
         label="entropy",
         kind="entropy",
-        provenance="entropy bound weight",
     )
 
 
@@ -320,7 +274,6 @@ def liyau_schedule(
     coef = alpha + 1.0 + (alpha + 2.0) / rho20
     with np.errstate(divide="ignore"):
         b = 0.5 * (rho1 - coef / np.where(tau > 0, tau, np.nan))
-        db = -0.5 * coef / np.where(tau > 0, tau, np.nan) ** 2
     return Schedule(
         label=f"liyau(alpha={alpha:g})",
         kind="entropy",
@@ -330,10 +283,8 @@ def liyau_schedule(
         l=l,
         b=np.nan_to_num(b, nan=0.0, posinf=0.0, neginf=0.0),
         C=0.0,
-        provenance="power-law weight of the dimensional bound",
         da=-(alpha + 1.0) * tau**alpha,
         dl=np.full_like(t, -rho20 / (alpha + 2.0)),
-        db=np.nan_to_num(db, nan=0.0, posinf=0.0, neginf=0.0),
     )
 
 

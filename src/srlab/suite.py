@@ -29,7 +29,6 @@ su2-pair spectrum) stay functions.
 
 from __future__ import annotations
 
-import contextvars
 import hashlib
 import json
 import time
@@ -303,9 +302,16 @@ def _schedules(cfg, seed, name):
     _, consts = _constants_for(name)
     built, skipped = schedules.builtin_schedules(consts, s["horizon"], n=s["grid"])
     worst = np.inf
+    issues = {}
     for sched in built:
-        worst = min(worst, schedules.admissibility_margins(sched, consts).margin)
+        chk = schedules.admissibility_margins(sched, consts)
+        worst = min(worst, chk.margin)
+        if chk.issues:
+            issues[sched.label] = chk.issues
+            worst = min(worst, -1.0)
     details = {"schedules": [sched.label for sched in built], "skipped": skipped}
+    if issues:
+        details["issues"] = issues
     if consts.rho1 > 0:
         mono = schedules.ratio_monotonicity(
             schedules.gradient_variance_exponential(consts, s["horizon"], s["grid"])
@@ -538,20 +544,16 @@ PDE_SOURCES = {
 }
 
 # the memo of the suite run in progress; None outside run_suite
-_RUN_MEMO: contextvars.ContextVar[dict | None] = contextvars.ContextVar(
-    "srlab_run_memo", default=None
-)
+_RUN_MEMO: dict | None = None
 
 
 def _run_memo(key, build):
     """build(), made once per suite run and then read from the run's memo."""
-    memo = _RUN_MEMO.get()
-    if memo is None:
+    if _RUN_MEMO is None:
         return build()
-    if key not in memo:
-        # threads racing on one key build bit-equal values; the first stays
-        memo.setdefault(key, build())
-    return memo[key]
+    if key not in _RUN_MEMO:
+        _RUN_MEMO[key] = build()
+    return _RUN_MEMO[key]
 
 
 def _pde_solver(cfg):
@@ -934,7 +936,7 @@ CSV_COLUMNS = [
 
 
 def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
-    """Run the configured checks and assemble the report.
+    """Run the configured checks in order, in one thread, and assemble the report.
 
     Returns (report, exit_code) with exit code 0 when everything
     passed, 1 on any failure (inconclusive results are counted but do
@@ -948,39 +950,21 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
     if unknown:
         raise ConfigError(f"unknown check ids: {unknown}")
 
+    if cfg["jobs"] != 1:
+        raise ConfigError(f"jobs must be 1, not {cfg['jobs']!r}: checks run in one thread")
+
+    global _RUN_MEMO
     seed = cfg["seed"]
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
-
-    def run_one(cid):
-        t0 = time.perf_counter()
-        rows = CHECKS[cid](cfg, seed)
-        return cid, rows, time.perf_counter() - t0
-
-    jobs = int(cfg.get("jobs", 1))
-    token = _RUN_MEMO.set({})
+    _RUN_MEMO = {}
     try:
-        if jobs > 1:
-            from concurrent.futures import ThreadPoolExecutor
-
-            with ThreadPoolExecutor(max_workers=jobs) as pool:
-                # each task runs in a copy of this thread's context, which
-                # holds the run memo
-                futures = [
-                    pool.submit(contextvars.copy_context().run, run_one, cid)
-                    for cid in requested
-                ]
-                for fut in futures:
-                    cid, rows, elapsed = fut.result()
-                    results.extend(rows)
-                    timings[cid] = elapsed
-        else:
-            for cid in requested:
-                cid, rows, elapsed = run_one(cid)
-                results.extend(rows)
-                timings[cid] = elapsed
+        for cid in requested:
+            t0 = time.perf_counter()
+            results.extend(CHECKS[cid](cfg, seed))
+            timings[cid] = time.perf_counter() - t0
     finally:
-        _RUN_MEMO.reset(token)
+        _RUN_MEMO = None
 
     results.sort(key=lambda r: (r.check_id, r.model, r.digest))
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}

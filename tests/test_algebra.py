@@ -89,3 +89,15 @@ def test_frame_coefficients_beyond_the_series_region_are_silent(capsys):
     for m, got, dense in zip(ad, F, beyond):
         if dense:
             assert np.array_equal(got, np.real(funm(m.astype(complex), f)))
+
+
+@pytest.mark.parametrize(
+    "name, rank, step",
+    [("heisenberg", 3, 2), ("engel", 4, 3), ("su2-pair", 6, 2), ("abelian", 2, 1)],
+)
+def test_bracket_filtration_spans_the_generated_subalgebra(name, rank, step):
+    m = get_model(name)
+    for c in (m.structure_constants, m.onframe.c):
+        span, got = algebra.bracket_filtration(c, m.dim_h)
+        assert (span.shape, got) == ((rank, m.dim), step)
+        assert np.allclose(span @ span.T, np.eye(rank))

@@ -9,53 +9,30 @@ HEIS = (2, 0.0, 0.5, 0.0)
 SU2 = (3, 4.0, 0.25, 0.0)
 
 
-def _rebuilder(label, consts, T):
-    def rebuild(n):
-        if label.startswith("grad-a"):
-            return sch.gradient_constant_weight(consts, T, 1.0, n)
-        if label == "grad-b":
-            return sch.gradient_variance_linear(consts, T, n)
-        if label == "grad-c":
-            return sch.gradient_variance_exponential(consts, T, n)
-        if label.startswith("grad-d"):
-            return sch.gradient_reverse(consts, T, 1.0, n)
-        if label == "entropy":
-            return sch.entropy_schedule(consts, T, n)
-        alpha = float(label.split("=")[1].rstrip(")"))
-        return sch.liyau_schedule(consts, T, alpha, n)
-
-    return rebuild
-
-
 @pytest.mark.parametrize("consts", [HEIS, SU2], ids=["heisenberg", "su2"])
 def test_builtin_schedules_admissible(consts):
-    built, skipped = sch.builtin_schedules(consts, T=1.0)
-    assert not skipped
-    labels = {s.label for s in built}
-    assert {"grad-a(l=1)", "grad-b", "grad-c", "grad-d(l0=1)", "entropy"} <= labels
-    for s in built:
-        chk = sch.admissibility_margins(s, consts, _rebuilder(s.label, consts, s.T))
-        assert chk.passed, (s.label, chk.margin, chk.issues)
-        assert chk.margin >= -1e-8
+    for n in (128, 256, 2048):
+        built, skipped = sch.builtin_schedules(consts, T=1.0, n=n)
+        assert not skipped
+        labels = {s.label for s in built}
+        assert {"grad-a(l=1)", "grad-b", "grad-c", "grad-d(l0=1)", "entropy"} <= labels
         # refinement keeps the margins on the admissible side
-        rebuilt = _rebuilder(s.label, consts, s.T)(2 * (len(s.t) - 1))
-        chk2 = sch.admissibility_margins(rebuilt, consts)
-        assert chk2.margin >= -1e-8
+        refined, _ = sch.builtin_schedules(consts, T=1.0, n=2 * n)
+        for s in built + refined:
+            chk = sch.admissibility_margins(s, consts)
+            assert chk.passed, (n, s.label, chk.margin, chk.issues)
 
 
 def test_heisenberg_exponential_schedule_degenerates():
     built, _ = sch.builtin_schedules(HEIS, T=1.0)
     by_label = {s.label: s for s in built}
-    assert by_label["grad-c"].degenerate
-    assert not by_label["grad-b"].degenerate
-    # degenerate (c) equals (b) when the lower-order constants vanish
+    # (c) equals (b) when the lower-order constants vanish
     assert np.allclose(by_label["grad-c"].a, by_label["grad-b"].a)
     assert np.allclose(by_label["grad-c"].l, by_label["grad-b"].l)
 
 
 def test_su2_exponential_schedule_ratio_monotone():
     s = sch.gradient_variance_exponential(SU2, T=1.0)
-    assert not s.degenerate
     assert sch.ratio_monotonicity(s) > 0.0
 
 
@@ -71,10 +48,8 @@ def test_constructed_violation_fails_by_one():
         l=np.full_like(t, l),
         b=np.zeros_like(t),
         C=-(HEIS[1] - 1.0 / l) - 1.0,
-        provenance="constructed violation",
         da=np.zeros_like(t),
         dl=np.zeros_like(t),
-        db=np.zeros_like(t),
     )
     chk = sch.admissibility_margins(s, HEIS)
     assert chk.margin_first == pytest.approx(-1.0)
@@ -85,8 +60,7 @@ def test_schedule_positivity_enforced():
     t = np.linspace(0.0, 1.0, 101)
     s = sch.Schedule(
         "neg", "gradient", 1.0, t, a=t - 0.5, l=np.ones_like(t), b=np.zeros_like(t),
-        C=0.0, provenance="bad", da=np.ones_like(t), dl=np.zeros_like(t),
-        db=np.zeros_like(t),
+        C=0.0, da=np.ones_like(t), dl=np.zeros_like(t),
     )
     with pytest.raises(ValueError):
         sch.admissibility_margins(s, HEIS)

@@ -5,14 +5,13 @@ import json
 import os
 import subprocess
 import sys
-import threading
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import srlab.models as models
 import srlab.pde as pde
+import srlab.schedules as schedules
 import srlab.suite as su
 from srlab.cli import main as cli_main
 
@@ -79,14 +78,27 @@ def test_light_run_passes_and_is_deterministic():
     assert "RiemannRicci" in anchors
 
 
-def test_jobs_do_not_change_the_report():
-    base = light_config()
-    r1, _ = su.run_suite(base)
-    threaded = light_config(jobs=4)
-    r2, _ = su.run_suite(threaded)
-    assert json.dumps(r1["results"], sort_keys=True) == json.dumps(
-        r2["results"], sort_keys=True
-    )
+def test_jobs_other_than_one_rejected():
+    with pytest.raises(su.ConfigError, match="jobs must be 1"):
+        su.run_suite({"checks": [], "jobs": 2})
+
+
+def test_schedules_row_fails_on_a_wrong_derivative(monkeypatch):
+    # a wrong analytic derivative raises the margin here; only the
+    # difference cross-check sees it
+    linear = schedules.gradient_variance_linear
+
+    def corrupted(*args, **kwargs):
+        s = linear(*args, **kwargs)
+        return dataclasses.replace(s, da=s.da + 0.5)
+
+    monkeypatch.setattr(schedules, "gradient_variance_linear", corrupted)
+    report, code = su.run_suite({"checks": ["schedules"], "models": ["heisenberg"]})
+    assert code == 1
+    (row,) = report["results"]
+    assert row["verdict"] == "fail"
+    assert row["margin"] == -1.0
+    assert "grad-b" in row["details"]["issues"]
 
 
 PDE_CHECKS = ["li-yau", "harnack", "kernel-decay", "poincare-decay"]
@@ -113,17 +125,13 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     assert solves == 390
     assert code == 0
     assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
-    threaded, _ = su.run_suite({"checks": PDE_CHECKS, "pde": PDE_GRID, "jobs": 2})
-    assert json.dumps(threaded["results"], sort_keys=True) == json.dumps(
-        direct, sort_keys=True
-    )
 
 
 def test_pde_rows_equal_the_csr_scipy_route():
     # the diagonal operators and pde.cg against the CSR operators and
     # scipy's CG, bit for bit; one BLAS thread, so that both routes sum
     # their dot products in the same order
-    cfg = {"models": ["heisenberg"], "checks": PDE_CHECKS, "jobs": 1, "pde": PDE_GRID}
+    cfg = {"models": ["heisenberg"], "checks": PDE_CHECKS, "pde": PDE_GRID}
     script = (
         "import json, sys\n"
         "import scipy.sparse.linalg as sla\n"
@@ -159,34 +167,6 @@ def test_pde_source_times_need_not_be_sorted(monkeypatch):
     monkeypatch.setitem(su.PDE_SOURCES, "bump", (initial, (0.02, 0.0, 0.01, 0.02)))
     fields = su._pde_fields(solver, "bump", [0.02, 0.0, 0.01])
     assert {t: f.t for t, f in fields.items()} == {0.02: 0.02, 0.0: 0.0, 0.01: 0.01}
-
-
-def test_run_memo_keeps_the_first_value_under_threads():
-    memo = {}
-    n = 8
-    barrier = threading.Barrier(n)
-    results = [None] * n
-
-    def build():
-        barrier.wait(timeout=10)  # every thread builds before any stores
-        return np.zeros(1)
-
-    def worker(i):
-        su._RUN_MEMO.set(memo)
-        results[i] = su._run_memo("key", build)
-
-    interval = sys.getswitchinterval()
-    sys.setswitchinterval(1e-6)
-    try:
-        threads = [threading.Thread(target=worker, args=(i,)) for i in range(n)]
-        for th in threads:
-            th.start()
-        for th in threads:
-            th.join(timeout=20)
-    finally:
-        sys.setswitchinterval(interval)
-    assert not any(th.is_alive() for th in threads)
-    assert all(r is memo["key"] for r in results)
 
 
 def test_report_files(tmp_path):
@@ -358,6 +338,7 @@ def _run(args, pythonpath, **env):
         ["spectral", "--rho", "0"],
         ["heat", "heisenberg", "--t", "-1"],
         ["cd-check", "heisenberg", "--points", "0"],
+        ["suite", "run", "--jobs", "2"],  # removed option
     ],
 )
 def test_cli_bad_input_exits_2(args):
