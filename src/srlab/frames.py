@@ -146,7 +146,11 @@ def frame_gradients(model: LieModel, f, points: np.ndarray) -> np.ndarray:
 
 def gamma_numeric(model: LieModel, f, points: np.ndarray, which: str = "h") -> np.ndarray:
     """Squared frame gradient of f at points; which in {h, v, hv}."""
-    g = frame_gradients(model, f, points)
+    return gamma_of_gradients(model, frame_gradients(model, f, points), which)
+
+
+def gamma_of_gradients(model: LieModel, g: np.ndarray, which: str) -> np.ndarray:
+    """Squared norm of the `which` part of frame gradients g, as `gamma_numeric`."""
     n = model.dim_h
     if which == "h":
         return np.sum(g[..., :n] ** 2, axis=-1)

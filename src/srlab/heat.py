@@ -86,13 +86,29 @@ class Gradient:
 
 
 class Squared:
-    """f^2 as an integrand."""
+    """f^2 as an integrand.
+
+    In a pass whose plain integrands list f before Squared(f), the pass
+    squares f's values instead of evaluating f again.
+    """
 
     def __init__(self, f):
         self.f = f
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return np.asarray(self.f.eval(points)) ** 2
+
+
+def _plain_values(plain: list, points: np.ndarray) -> np.ndarray:
+    """Each plain integrand at points, stacked; Squared(f) reuses f's row."""
+    rows, seen = [], {}
+    for f in plain:
+        if isinstance(f, Squared) and id(f.f) in seen:
+            rows.append(seen[id(f.f)] ** 2)
+            continue
+        rows.append(np.asarray(f.eval(points), dtype=float))
+        seen[id(f)] = rows[-1]
+    return np.stack(rows)
 
 
 def _chunks(paths: int) -> list[int]:
@@ -186,7 +202,7 @@ def mc_semigroup_many(
         states = _evolve(model, starts, t, steps, size, _stream(seed, idx))
         for acc, g, lo, hi in zip(sums, groups, rows, rows[1:]):
             if g is plain:
-                vals = np.stack([np.asarray(f.eval(states[lo]), dtype=float) for f in plain])
+                vals = _plain_values(plain, states[lo])
             else:
                 corners = np.stack([np.asarray(g.f.eval(s), dtype=float) for s in states[lo:hi]])
                 vals = (corners[0::2] - corners[1::2]) / (2.0 * g.delta)
@@ -310,8 +326,9 @@ class FrameGammaIntegrand:
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         if self.which == "mixed":
-            v = frames.gamma_numeric(self.model, self.f, points, "h") + (
-                self.l * frames.gamma_numeric(self.model, self.f, points, "v")
+            g = frames.frame_gradients(self.model, self.f, points)
+            v = frames.gamma_of_gradients(self.model, g, "h") + (
+                self.l * frames.gamma_of_gradients(self.model, g, "v")
             )
         else:
             v = frames.gamma_numeric(self.model, self.f, points, self.which)

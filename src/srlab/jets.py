@@ -356,23 +356,15 @@ class Polynomial(TestFunction):
         return Polynomial(dim, degree, c)
 
     def eval(self, points: np.ndarray) -> np.ndarray:
-        points = np.asarray(points, dtype=float)
-        if points.ndim == 1:
-            points = points[None]  # a single point evaluates to shape (1,)
-        sp = get_space(self.dim, self.degree)
-        exps = sp.exponents[: sp.terms(self.degree)]
-        # powers 0..degree of every coordinate, gathered per monomial
-        powers = points[..., None] ** np.arange(self.degree + 1)
-        mono = np.prod(powers[..., np.arange(self.dim), exps], axis=-1)
-        # the gather leaves mono strided, and a strided matmul can round
-        # differently from the contiguous one
-        return np.ascontiguousarray(mono) @ self.coefficients
+        return _monomials(points, self.dim, self.degree) @ self.coefficients
 
     def eval_grad(self, points: np.ndarray) -> np.ndarray:
+        """Every partial derivative at points, from one monomial table."""
         points = np.asarray(points, dtype=float)
+        mono = _monomials(points, self.dim, max(self.degree - 1, 0))
         out = np.empty(points.shape)
         for j in range(self.dim):
-            out[..., j] = self._partial(j).eval(points)
+            out[..., j] = mono @ self._partial(j).coefficients
         return out
 
     def _partial(self, j: int) -> "Polynomial":
@@ -384,6 +376,32 @@ class Polynomial(TestFunction):
 
     def lift(self, x: np.ndarray, order: int) -> Jet:
         return lift_polynomials(self.coefficients, self.degree, x, order)
+
+
+def _monomials(points: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """The graded monomials up to degree at points, shape (..., terms).
+
+    A single point gives shape (1, terms).  Each coordinate's powers are
+    computed once: powers 0 and 1 exactly, as 1.0 and the coordinate,
+    which is what numpy's pow returns for them, and each power k >= 2
+    by np.power against a full exponent array.  A scalar or stride-0
+    exponent 2 would take numpy's x*x fast path, which rounds
+    differently from pow in a few percent of squares.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[None]
+    powers = np.empty(points.shape + (degree + 1,))
+    powers[..., 0] = 1.0
+    if degree >= 1:
+        powers[..., 1] = points
+    for k in range(2, degree + 1):
+        powers[..., k] = np.power(points, np.full(points.shape, float(k)))
+    sp = get_space(dim, degree)
+    mono = np.prod(powers[..., np.arange(dim), sp.exponents[: sp.terms(degree)]], axis=-1)
+    # the gather leaves mono strided, and a strided matmul can round
+    # differently from the contiguous one
+    return np.ascontiguousarray(mono)
 
 
 class Constant(TestFunction):

@@ -10,6 +10,7 @@ midpoint-rule area accumulation of the group-exponential stepper.
 import numpy as np
 import pytest
 
+import srlab.frames as frames
 import srlab.heat as heat
 from srlab.jets import Constant, Coordinate, GaussianBump, Polynomial
 from srlab.models import get_model
@@ -149,6 +150,53 @@ def test_mc_variance_is_delta_method_on_one_pass(heis):
     var = float(grad @ np.asarray(est_f.settings["mean_cov"]) @ grad)
     expected = (m2 - m1**2, float(np.sqrt(max(var, 0.0))))
     assert heat.mc_variance(heis, f, np.zeros(3), 0.5, 3000, 20, 17) == expected
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel"])
+def test_mixed_frame_gamma_equals_its_two_parts(name):
+    # one frame-gradient evaluation serves both parts, with the same bits
+    m = get_model(name)
+    rng = np.random.default_rng(33)
+    f = Polynomial.random(m.dim, 3, rng)
+    pts = rng.uniform(-0.5, 0.5, (400, m.dim))
+    got = heat.FrameGammaIntegrand(m, f, "mixed", 0.7).eval(pts)
+    expected = frames.gamma_numeric(m, f, pts, "h") + 0.7 * frames.gamma_numeric(m, f, pts, "v")
+    assert np.array_equal(got, expected)
+
+
+def test_squared_reuses_the_values_of_its_function(heis):
+    calls = []
+
+    class Counted:
+        def __init__(self, f):
+            self.f = f
+
+        def eval(self, pts):
+            calls.append(len(pts))
+            return self.f.eval(pts)
+
+    class EvalSquared:
+        """f^2 by evaluating f itself."""
+
+        def __init__(self, f):
+            self.f = f
+
+        def eval(self, pts):
+            return np.asarray(self.f.eval(pts)) ** 2
+
+    f = Polynomial.random(3, 3, np.random.default_rng(34))
+    x = np.array([0.1, -0.2, 0.3])
+    args = (x, 0.5, 3000, 20, 17)
+    got = heat.mc_semigroup_many(heis, [heat.Gradient(f, "h"), f, heat.Squared(f)], *args)
+    expected = heat.mc_semigroup_many(heis, [heat.Gradient(f, "h"), f, EvalSquared(f)], *args)
+    assert got == expected
+    g = Counted(f)
+    heat.mc_semigroup_many(heis, [g, heat.Squared(g)], *args)
+    assert calls == [3000]
+    # a Squared listed before its function evaluates the function itself
+    calls.clear()
+    heat.mc_semigroup_many(heis, [heat.Squared(g), g], *args)
+    assert calls == [3000, 3000]
 
 
 def test_mc_variance_estimator(heis):

@@ -99,6 +99,22 @@ def test_polynomial_eval_matches_direct_formula(dim, degree):
         assert np.array_equal(out, direct_eval(f, pts))
 
 
+@pytest.mark.parametrize("dim,degree", [(3, 2), (3, 3), (6, 2), (6, 3)])
+def test_eval_grad_columns_equal_partial_evals(dim, degree):
+    # one monomial table serves every partial; each column keeps the bits
+    # of its own partial's eval and of the direct formula
+    rng = np.random.default_rng(43 + 7 * dim + degree)
+    f = Polynomial.random(dim, degree, rng)
+    for shape in ((dim,), (200, dim), (3, 40, dim)):
+        pts = rng.uniform(-2.0, 2.0, shape)
+        grad = f.eval_grad(pts)
+        assert grad.shape == shape
+        for j in range(dim):
+            partial = f._partial(j)
+            assert np.array_equal(grad[..., j], partial.eval(pts).reshape(shape[:-1]))
+            assert np.array_equal(grad[..., j], direct_eval(partial, pts))
+
+
 def test_polynomial_eval_shapes():
     rng = np.random.default_rng(37)
     for degree in (0, 4):

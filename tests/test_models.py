@@ -314,7 +314,7 @@ def test_su2_pair_compose_matches_adjoint_representation(u, w):
     ad(u * w) can still have an eigenvalue beyond i pi (3.1477 i at the
     explicit example), where the principal logarithm changes branch.
     Engel is left out because its degree-3 BCH term lies in the center,
-    which ad cannot see; the associativity property above covers it.
+    which ad cannot see; a faithful representation covers it below.
     """
     m = _COMPOSE_MODELS["su2-pair"]
 
@@ -322,6 +322,47 @@ def test_su2_pair_compose_matches_adjoint_representation(u, w):
         return expm(algebra.ad_matrix(m.onframe.c, v))
 
     assert np.allclose(Ad(m.compose(u, w)), Ad(u) @ Ad(w), rtol=0.0, atol=1e-12)
+
+
+def _engel_representation() -> np.ndarray:
+    """4x4 matrices of engel's frame: X1 = E12 + E23 + E34, X2 = E34,
+    X3 = [X1, X2] and X4 = [X1, X3]."""
+    e = np.eye(4)
+    x1 = np.outer(e[0], e[1]) + np.outer(e[1], e[2]) + np.outer(e[2], e[3])
+    x2 = np.outer(e[2], e[3])
+    x3 = x1 @ x2 - x2 @ x1
+    x4 = x1 @ x3 - x3 @ x1
+    return np.stack([x1, x2, x3, x4])
+
+
+def test_engel_compose_matches_a_faithful_representation():
+    # the degree-3 BCH term lies in the center, which ad cannot see; a
+    # faithful representation sees it.  Its matrices are nilpotent, so
+    # exp and log are finite series.
+    m = get_model("engel")
+    rep = _engel_representation()
+    c = m.onframe.c
+    for i in range(4):
+        for j in range(4):
+            bracket = rep[i] @ rep[j] - rep[j] @ rep[i]
+            assert np.array_equal(bracket, np.einsum("k,kab->ab", c[:, i, j], rep))
+    basis = rep.reshape(4, 16).T
+    assert np.linalg.matrix_rank(basis) == 4
+
+    def coords(mat):
+        n = mat - np.eye(4)
+        log = n - n @ n / 2.0 + n @ n @ n / 3.0
+        sol, *_ = np.linalg.lstsq(basis, log.ravel(), rcond=None)
+        assert np.allclose(basis @ sol, log.ravel(), rtol=0.0, atol=1e-13)
+        return sol
+
+    rng = np.random.default_rng(35)
+    u, w = rng.uniform(-1.5, 1.5, (2, 40, 4))
+    got = m.compose(u, w)
+    for k in range(len(u)):
+        expected = coords(expm(np.einsum("i,iab->ab", u[k], rep))
+                          @ expm(np.einsum("i,iab->ab", w[k], rep)))
+        assert np.allclose(got[k], expected, rtol=0.0, atol=1e-13)
 
 
 @settings(max_examples=60, deadline=None)
