@@ -58,8 +58,8 @@ def bracket_filtration(c: np.ndarray, dim_h: int) -> tuple[np.ndarray, int]:
         span, step = grown, step + 1
 
 
-def nilpotency_step(c: np.ndarray, max_step: int = 12) -> int | None:
-    """Nilpotency degree of the algebra, or None if not nilpotent.
+def nilpotency_step(c: np.ndarray) -> int | None:
+    """Nilpotency degree of the algebra, or None if not nilpotent by step 12.
 
     Degree s means all (s+1)-fold brackets vanish (Heisenberg: 2).
     Each lower-central term is compressed to an orthonormal basis so
@@ -67,7 +67,7 @@ def nilpotency_step(c: np.ndarray, max_step: int = 12) -> int | None:
     """
     d = c.shape[0]
     layer = np.eye(d)  # basis of the current lower-central term
-    for s in range(1, max_step + 1):
+    for s in range(1, 13):
         new = np.einsum("kij,ai,bj->abk", c, np.eye(d), layer).reshape(-1, d)
         _, sv, vt = np.linalg.svd(new, full_matrices=False)
         basis = vt[sv > 1e-12 * max(1.0, sv[0] if len(sv) else 1.0)]

@@ -32,9 +32,9 @@ from .models import LieModel
 DEFAULT_ORDER = 4
 
 
-def _at(model: LieModel, f, x, order: int) -> tuple[FrameCalc, Jet]:
+def _at(model: LieModel, f, x) -> tuple[FrameCalc, Jet]:
     """Frame operators and jet of f at x; a Jet f brings its own point and order."""
-    j = f if isinstance(f, Jet) else f.lift(np.asarray(x, dtype=float), order)
+    j = f if isinstance(f, Jet) else f.lift(np.asarray(x, dtype=float), DEFAULT_ORDER)
     return get_calc(model, j.base_point, j.order), j
 
 
@@ -55,37 +55,30 @@ def _pair_value(parts1: list[Jet], parts2: list[Jet]) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def sublaplacian(model: LieModel, f, x, order: int = DEFAULT_ORDER):
+def sublaplacian(model: LieModel, f, x):
     """L f at x."""
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     return calc.sublaplacian(j).value
 
 
-def gamma(model: LieModel, f, g=None, x=None, which: str = "h", order: int = DEFAULT_ORDER):
+def gamma(model: LieModel, f, g=None, x=None, which: str = "h"):
     """Gamma^which(f, g) at x; g defaults to f."""
-    calc, jf = _at(model, f, x, order)
+    calc, jf = _at(model, f, x)
     if g is None or g is f:
         jg = jf
     else:
-        jg = g if isinstance(g, Jet) else g.lift(np.asarray(x, dtype=float), order)
+        jg = g if isinstance(g, Jet) else g.lift(np.asarray(x, dtype=float), DEFAULT_ORDER)
     pf = calc.horizontal(jf) if which == "h" else calc.vertical(jf)
     pg = pf if jg is jf else (calc.horizontal(jg) if which == "h" else calc.vertical(jg))
     return _pair_value(pf, pg)
 
 
-def gamma2(
-    model: LieModel,
-    f,
-    x,
-    which: str = "h",
-    l: float | None = None,
-    order: int = DEFAULT_ORDER,
-):
+def gamma2(model: LieModel, f, x, which: str = "h", l: float | None = None):
     """Iterated form Gamma2 at x; which in {h, v, mixed}.
 
     "mixed" returns Gamma2^h + l Gamma2^v and needs l > 0.
     """
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     if j.order < 3:
         raise ValueError(f"Gamma2 needs a jet of order >= 3, got {j.order}")
     vals = _core_values(calc, j)
@@ -183,7 +176,7 @@ def _commutation(calc: FrameCalc, j: Jet) -> tuple:
     return np.abs(a - b), 1.0 + np.abs(a) + np.abs(b)
 
 
-def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT_ORDER):
+def cd_residual(model: LieModel, f, x, l: float, constants):
     """LHS minus RHS of the curvature-dimension inequality at x.
 
     Gamma2^h + l Gamma2^v - [ (Lf)^2 / n + (rho1 - 1/l) Gamma^h
@@ -192,7 +185,7 @@ def cd_residual(model: LieModel, f, x, l: float, constants, order: int = DEFAULT
     """
     if l <= 0:
         raise ValueError(f"weight l must be positive, got {l}")
-    return _cd(_core_values(*_at(model, f, x, order)), l, constants)[0]
+    return _cd(_core_values(*_at(model, f, x)), l, constants)[0]
 
 
 def double_gamma_residuals(
@@ -203,7 +196,6 @@ def double_gamma_residuals(
     c: float,
     rho_h: float | None = None,
     m_hv: float | None = None,
-    order: int = DEFAULT_ORDER,
 ):
     """Slack of the two gradient-of-gradient bounds at x.
 
@@ -218,37 +210,37 @@ def double_gamma_residuals(
         rho_h = geometry.ricci_h(model)[0]
     if m_hv is None:
         m_hv = geometry.mixed_bounds(model)[0]
-    return _double_gamma(*_at(model, f, x, order), l, c, rho_h, m_hv)[:2]
+    return _double_gamma(*_at(model, f, x), l, c, rho_h, m_hv)[:2]
 
 
-def condb_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
+def condb_residual(model: LieModel, f, x):
     """|Gamma^h(f, Gamma^v(f)) - Gamma^v(f, Gamma^h(f))| at x.
 
     Vanishes identically exactly when both co-metrics are parallel for
     the adapted connection, which fails beyond step 2.
     """
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     if j.order < 2:
         raise ValueError("condition-B residual needs jet order >= 2")
     return _condb(calc, j)[0]
 
 
-def commutation_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
+def commutation_residual(model: LieModel, f, x):
     """|L (Delta f) - Delta (L f)| at x for the full Laplacian Delta."""
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     if j.order < 4:
         raise ValueError("commutation residual needs jet order >= 4")
     return _commutation(calc, j)[0]
 
 
-def log_identity_residuals(model: LieModel, f, x, order: int = DEFAULT_ORDER):
+def log_identity_residuals(model: LieModel, f, x):
     """Residuals of the chain-rule identities behind the entropy bounds.
 
     For positive u: L(u log u) = (log u + 1) L u + Gamma^h(u)/u and
     u Gamma^h(log u) = Gamma^h(u)/u.  Exact on jets; returns the two
     absolute residuals at x.
     """
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     logu = j.log()
     ulogu = j * logu
     lhs1 = calc.sublaplacian(ulogu).value
@@ -307,19 +299,18 @@ def _form_values(forms: dict, c: np.ndarray) -> dict:
 # ----------------------------------------------------------------------
 
 
-def random_points(model: LieModel, n: int, rng: np.random.Generator, radius: float = 1.0) -> np.ndarray:
+def random_points(model: LieModel, n: int, rng: np.random.Generator) -> np.ndarray:
     """Sample coordinates uniformly in a box inside the chart's safe region."""
-    r = radius if model.onframe.nil_step is not None else min(radius, 0.35)
+    r = 1.0 if model.onframe.nil_step is not None else 0.35
     return rng.uniform(-r, r, (n, model.dim))
 
 
-def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: int,
-           radius: float = 1.0) -> list:
+def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: int) -> list:
     """One seeded coefficient batch shared by seeded points, as (point, coeffs) pairs."""
     rng = np.random.default_rng(seed)
     n_terms = get_space(model.dim, degree).terms(degree)
     coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
-    return [(x, coeffs) for x in random_points(model, n_points, rng, radius)]
+    return [(x, coeffs) for x in random_points(model, n_points, rng)]
 
 
 def _sweep(model: LieModel, draws, degree: int, measure) -> tuple:
@@ -338,11 +329,9 @@ def cd_residual_sweep(
     n_functions: int,
     n_points: int,
     l_grid,
-    degree: int = 4,
-    seed: int = 0,
-    radius: float = 1.0,
+    seed: int,
 ):
-    """CD residuals over a seeded function/point/weight grid.
+    """CD residuals of seeded quartics over a point/weight grid.
 
     Returns (residuals, scales) with shape (n_points, n_functions,
     len(l_grid)); scales are 1 + |LHS| + |RHS| for tolerance scaling.
@@ -351,8 +340,8 @@ def cd_residual_sweep(
     """
     l_arr = np.asarray(list(l_grid), dtype=float)
     parts = []
-    for x, coeffs in _draws(model, n_functions, n_points, degree, seed, radius):
-        c = lift_polynomials(coeffs, degree, x, 2).coeffs[..., 1:]
+    for x, coeffs in _draws(model, n_functions, n_points, 4, seed):
+        c = lift_polynomials(coeffs, 4, x, 2).coeffs[..., 1:]
         parts.append(_cd(_form_values(cd_forms(model, x), c), l_arr, constants))
     return tuple(np.stack(p) for p in zip(*parts))
 
@@ -365,49 +354,36 @@ def double_gamma_sweep(
     c: float,
     rho_h: float,
     m_hv: float,
-    degree: int = 3,
-    seed: int = 0,
+    seed: int,
 ):
-    """Residuals of both gradient-of-gradient bounds over a seeded sweep."""
-    draws = _draws(model, n_functions, n_points, degree, seed)
-    return _sweep(model, draws, degree, lambda calc, j: _double_gamma(calc, j, l, c, rho_h, m_hv))
+    """Residuals of both gradient-of-gradient bounds over seeded cubics."""
+    draws = _draws(model, n_functions, n_points, 3, seed)
+    return _sweep(model, draws, 3, lambda calc, j: _double_gamma(calc, j, l, c, rho_h, m_hv))
 
 
-def condb_sweep(
-    model: LieModel,
-    n_samples: int,
-    seed: int = 0,
-    degree: int = 4,
-    radius: float = 1.0,
-    funcs_per_point: int = 50,
-):
-    """Condition-B residuals on random (function, point) pairs.
+def condb_sweep(model: LieModel, n_samples: int, seed: int):
+    """Condition-B residuals on n_samples random (quartic, point) pairs.
 
-    Returns (residuals, scales) flattened over the sample grid.
+    Each point gets its own 50 quartics; returns (residuals, scales)
+    flattened over the sample grid, cut to n_samples.
     """
     rng = np.random.default_rng(seed)
-    n_points = max(1, n_samples // funcs_per_point)
-    n_terms = get_space(model.dim, degree).terms(degree)
-    points = random_points(model, n_points, rng, radius)
-    draws = ((x, rng.uniform(-1.0, 1.0, (funcs_per_point, n_terms))) for x in points)
-    res, scales = _sweep(model, draws, degree, _condb)
+    n_points = max(1, -(-n_samples // 50))
+    n_terms = get_space(model.dim, 4).terms(4)
+    points = random_points(model, n_points, rng)
+    draws = ((x, rng.uniform(-1.0, 1.0, (50, n_terms))) for x in points)
+    res, scales = _sweep(model, draws, 4, _condb)
     return res.reshape(-1)[:n_samples], scales.reshape(-1)[:n_samples]
 
 
-def commutation_sweep(
-    model: LieModel,
-    n_functions: int,
-    n_points: int,
-    degree: int = 4,
-    seed: int = 0,
-):
-    """Commutation residuals |[L, Delta] f| over a seeded sweep."""
-    return _sweep(model, _draws(model, n_functions, n_points, degree, seed), degree, _commutation)
+def commutation_sweep(model: LieModel, n_functions: int, n_points: int, seed: int):
+    """Commutation residuals |[L, Delta] f| over seeded quartics."""
+    return _sweep(model, _draws(model, n_functions, n_points, 4, seed), 4, _commutation)
 
 
-def qform_oracle_residual(model: LieModel, f, x, order: int = DEFAULT_ORDER):
+def qform_oracle_residual(model: LieModel, f, x):
     """Two-route check of Gamma^h: frame sum vs (L(f^2) - 2 f L f)/2."""
-    calc, j = _at(model, f, x, order)
+    calc, j = _at(model, f, x)
     frame_sum = np.asarray(_sum_squares(calc.horizontal(j)).value)
     via_l = 0.5 * (
         np.asarray(calc.sublaplacian(j * j).value)

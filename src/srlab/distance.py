@@ -219,7 +219,10 @@ def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
     y = np.asarray(y, dtype=float)
     rel = model.compose(model.inverse(x), y)
     if not np.any(rel):
-        return DistanceEstimate(0.0, 0.0, 0.0, "geodesic-shooting")
+        # the zero-length curve: exact, under each route's own label
+        return DistanceEstimate(
+            0.0, 0.0, 0.0, "geodesic-shooting" if is_heisenberg(model) else "shooting-upper"
+        )
 
     if is_heisenberg(model):
         value = _heisenberg_from_identity(rel)

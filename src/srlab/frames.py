@@ -145,7 +145,7 @@ def frame_gradients(model: LieModel, f, points: np.ndarray) -> np.ndarray:
 
 
 def gamma_numeric(model: LieModel, f, points: np.ndarray, which: str = "h") -> np.ndarray:
-    """Squared frame gradient of f at points; which in {h, v, hv}."""
+    """Squared frame gradient of f at points; which in {h, v}."""
     return gamma_of_gradients(model, frame_gradients(model, f, points), which)
 
 
@@ -156,8 +156,6 @@ def gamma_of_gradients(model: LieModel, g: np.ndarray, which: str) -> np.ndarray
         return np.sum(g[..., :n] ** 2, axis=-1)
     if which == "v":
         return np.sum(g[..., n:] ** 2, axis=-1)
-    if which == "hv":
-        return np.sum(g**2, axis=-1)
     raise ValueError(f"unknown gradient selector {which!r}")
 
 

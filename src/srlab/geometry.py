@@ -308,13 +308,14 @@ def spectral_gap_bound(n: int, rho1: float, rho20: float, rho21: float) -> float
     return float(n * rho20 / (n + rho20 * (n - 1)) * (rho1 - k2 / rho20))
 
 
-def _golden_max(fn, lo: float, hi: float, iters: int = 200) -> float:
+def _golden_max(fn, lo: float, hi: float) -> float:
+    """Maximizer of a unimodal fn on [lo, hi] by 200 golden-section steps."""
     phi = (np.sqrt(5.0) - 1.0) / 2.0
     a, b = lo, hi
     c1 = b - phi * (b - a)
     c2 = a + phi * (b - a)
     f1, f2 = fn(c1), fn(c2)
-    for _ in range(iters):
+    for _ in range(200):
         if f1 < f2:
             a, c1, f1 = c1, c2, f2
             c2 = a + phi * (b - a)

@@ -73,7 +73,7 @@ class Gradient:
     """Integrand entry estimating Gamma^which(P_t f)(x) by stencil differences.
 
     Its starts are the group translates x exp(+-delta E_i) over the
-    frame directions `which` selects ("h", "v" or "hv").  They ride the
+    frame directions `which` selects ("h" or "v").  They ride the
     same Brownian increments, so each directional derivative is a
     difference of strongly coupled means.  The squared-norm estimate
     subtracts the noise bias tr(Cov), and the error bar comes from the
@@ -150,8 +150,6 @@ def _stencil_dirs(model: LieModel, which: str) -> list[int]:
         return list(range(model.dim_h))
     if which == "v":
         return list(range(model.dim_h, model.dim))
-    if which == "hv":
-        return list(range(model.dim))
     raise ValueError(f"unknown gradient selector {which!r}")
 
 
@@ -186,6 +184,8 @@ def mc_semigroup_many(
     noise).  The plain estimates carry the covariance of their means in
     settings["mean_cov"], for downstream delta methods.
     """
+    if not integrands:
+        raise ValueError("the integrand list is empty; give at least one integrand")
     if paths < 1 or steps < 1:
         raise ValueError("paths and steps must be >= 1")
     if t < 0:
@@ -280,14 +280,13 @@ def mc_gradient(
     f,
     x,
     t: float,
-    which: str = "h",
-    paths: int = 20000,
-    steps: int = 100,
-    seed: int = 0,
-    delta: float = 1e-3,
+    which: str,
+    paths: int,
+    steps: int,
+    seed: int,
 ) -> GradientEstimate:
     """Estimate Gamma^which(P_t f)(x) by stencil differences (see `Gradient`)."""
-    return mc_semigroup_many(model, [Gradient(f, which, delta)], x, t, paths, steps, seed)[0]
+    return mc_semigroup_many(model, [Gradient(f, which)], x, t, paths, steps, seed)[0]
 
 
 def gamma_mixed(gh: GradientEstimate, gv: GradientEstimate, l: float) -> tuple[float, float]:
@@ -304,12 +303,10 @@ def mc_gamma_mixed(
     paths: int,
     steps: int,
     seed: int,
-    delta: float = 1e-3,
 ) -> tuple[float, float]:
     """Gamma^h(P_t f) + l Gamma^v(P_t f) at x, with combined error bar."""
-    gh, gv = mc_semigroup_many(
-        model, [Gradient(f, "h", delta), Gradient(f, "v", delta)], x, t, paths, steps, seed
-    )
+    grads = [Gradient(f, "h"), Gradient(f, "v")]
+    gh, gv = mc_semigroup_many(model, grads, x, t, paths, steps, seed)
     return gamma_mixed(gh, gv, l)
 
 

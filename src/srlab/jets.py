@@ -183,12 +183,7 @@ class Jet:
         return Jet(self.base_point, order, self.coeffs[..., :n])
 
     def _coerce(self, other):
-        if isinstance(other, Jet):
-            return other
-        arr = np.asarray(other, dtype=float)
-        coeffs = np.zeros(arr.shape + (self.space.terms(self.order),))
-        coeffs[..., 0] = arr
-        return Jet(self.base_point, self.order, coeffs)
+        return other if isinstance(other, Jet) else constant_jet(other, self.base_point, self.order)
 
     def __add__(self, other) -> "Jet":
         other = self._coerce(other)
@@ -219,14 +214,6 @@ class Jet:
 
     def __rmul__(self, other) -> "Jet":
         return self.__mul__(other)
-
-    def derivative(self, j: int) -> "Jet":
-        if self.order < 1:
-            raise ValueError("derivative of an order-0 jet is undefined")
-        sp = self.space
-        n_out = sp.terms(self.order - 1)
-        coeffs = sp.deriv_coef[j][:n_out] * self.coeffs[..., sp.deriv_src[j][:n_out]]
-        return Jet(self.base_point, self.order - 1, coeffs)
 
     def exp(self) -> "Jet":
         """exp of the jet, truncated at its own order."""
@@ -368,8 +355,10 @@ class Polynomial(TestFunction):
         return out
 
     def _partial(self, j: int) -> "Polynomial":
+        if self.degree == 0:
+            return Polynomial(self.dim, 0, np.zeros_like(self.coefficients))
         sp = get_space(self.dim, self.degree)
-        deg = max(self.degree - 1, 0)
+        deg = self.degree - 1
         n_out = sp.terms(deg)
         coeffs = sp.deriv_coef[j][:n_out] * self.coefficients[sp.deriv_src[j][:n_out]]
         return Polynomial(self.dim, deg, coeffs)
@@ -437,17 +426,16 @@ class Coordinate(TestFunction):
 
 
 class GaussianBump(TestFunction):
-    """height * exp(-|u - center|^2 / (2 width^2)); positive and bounded."""
+    """exp(-|u - center|^2 / (2 width^2)); positive and bounded."""
 
-    def __init__(self, center: np.ndarray, width: float, height: float = 1.0):
+    def __init__(self, center: np.ndarray, width: float):
         self.center = np.asarray(center, dtype=float)
         self.dim = len(self.center)
         self.width = float(width)
-        self.height = float(height)
 
     def eval(self, points):
         diff = np.asarray(points, dtype=float) - self.center
-        return self.height * np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.width**2))
+        return np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.width**2))
 
     def eval_grad(self, points):
         diff = np.asarray(points, dtype=float) - self.center
@@ -455,7 +443,7 @@ class GaussianBump(TestFunction):
 
     def lift(self, x, order):
         quad = _quadratic_poly(self.center, -1.0 / (2.0 * self.width**2))
-        return self.height * quad.lift(x, order).exp()
+        return quad.lift(x, order).exp()
 
 
 def _quadratic_poly(center: np.ndarray, scale: float) -> Polynomial:

@@ -428,11 +428,10 @@ MODEL_BUILDERS = {
 }
 
 
-def get_model(name: str, **kwargs) -> LieModel:
+def get_model(name: str) -> LieModel:
     if name not in MODEL_BUILDERS:
         raise KeyError(f"unknown model {name!r}; known: {sorted(MODEL_BUILDERS)}")
-    builder = MODEL_BUILDERS[name]
-    return builder(**kwargs) if kwargs else builder()
+    return MODEL_BUILDERS[name]()
 
 
 # ----------------------------------------------------------------------

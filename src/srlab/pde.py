@@ -37,12 +37,15 @@ from dataclasses import dataclass
 import numpy as np
 import scipy.sparse as sp
 
+from .jets import GaussianBump
 from .models import LieModel, is_heisenberg
 
 #: relative residual at which each implicit step's CG solve stops
 CG_RTOL = 1e-10
 #: largest boundary fraction a field may reach before evolve raises
 FLUX_LIMIT = 1e-3
+#: standard deviation of the kernel source, in cells of the widest grid axis
+KERNEL_WIDTH_CELLS = 1.5
 
 
 def _centered_diff(n: int, h: float) -> sp.csr_matrix:
@@ -157,8 +160,6 @@ class PDEField:
     values: np.ndarray            # shape (nx, ny, nz)
     mass_ratio: float             # mass(t) / mass(0), signed masses
     boundary_fraction: float      # |u| mass in the outer two-cell shell
-    dt: float
-    spacing: tuple
 
 
 class TruncationError(RuntimeError):
@@ -168,13 +169,7 @@ class TruncationError(RuntimeError):
 class HeisenbergHeatSolver:
     """Implicit-Euler evolution of u_t = L u / 2 on a Dirichlet box."""
 
-    def __init__(
-        self,
-        model: LieModel,
-        bounds: tuple = (4.0, 4.0, 4.0),
-        shape: tuple = (45, 45, 45),
-        dt: float = 0.01,
-    ):
+    def __init__(self, model: LieModel, bounds: tuple, shape: tuple, dt: float):
         if not is_heisenberg(model):
             raise ValueError("the grid solver is implemented for the Heisenberg model")
         self.model = model
@@ -294,7 +289,7 @@ class HeisenbergHeatSolver:
                 ratio = abs(u.sum()) * self.cell_volume / mass0 if mass0 > 0 else 1.0
                 values = grid.copy()
                 values.flags.writeable = False
-                out.append(PDEField(t, values, ratio, bf, self.dt, self.spacing))
+                out.append(PDEField(t, values, ratio, bf))
                 ti += 1
         if ti != len(times):
             raise ValueError("some requested times were not multiples of dt")
@@ -307,63 +302,31 @@ class KernelEstimate:
 
     value: float
     t: float
-    x: list
-    y: list
-    bump_width: float
-    spacing: tuple
     mass_ratio: float
 
 
-def kernel_source(
-    solver: HeisenbergHeatSolver, y, width_cells: float = 1.5
-) -> tuple[np.ndarray, float]:
+def kernel_source(solver: HeisenbergHeatSolver, y) -> np.ndarray:
     """Regularized point source at y: a bump of unit grid mass.
 
-    Its standard deviation is width_cells grid cells; returns the
-    sampled field and that width.  Evolving it reads P_t phi, which
-    converges to the kernel p_t(., y) as the grid is refined.
+    Its standard deviation is KERNEL_WIDTH_CELLS cells of the widest
+    grid axis.  Evolving it reads P_t phi, which converges to the kernel
+    p_t(., y) as the grid is refined.
     """
-    from .jets import GaussianBump
-
-    width = width_cells * max(solver.spacing)
+    width = KERNEL_WIDTH_CELLS * max(solver.spacing)
     u0 = solver.sample(GaussianBump(np.asarray(y, dtype=float), width))
     u0 /= solver.mass(u0)
-    return u0, width
+    return u0
 
 
-def heat_kernel(
-    model: LieModel,
-    x,
-    y,
-    t,
-    bounds: tuple = (4.0, 4.0, 4.0),
-    shape: tuple = (45, 45, 45),
-    dt: float = 0.01,
-    width_cells: float = 1.5,
-    solver: HeisenbergHeatSolver | None = None,
-) -> list[KernelEstimate]:
+def heat_kernel(solver: HeisenbergHeatSolver, x, y, t) -> list[KernelEstimate]:
     """Estimate p_t(x, y) by evolving the kernel source at y.
 
-    The width of the source is reported as the resolution of the
-    estimate.
+    t is one time or a list of times, each a multiple of the solver's dt.
     """
-    if solver is None:
-        solver = HeisenbergHeatSolver(model, bounds, shape, dt)
     x = np.asarray(x, dtype=float)
-    y = np.asarray(y, dtype=float)
-    u0, width = kernel_source(solver, y, width_cells)
     times = [t] if np.isscalar(t) else list(t)
-    fields = solver.evolve(u0, times)
+    fields = solver.evolve(kernel_source(solver, y), times)
     return [
-        KernelEstimate(
-            value=float(solver.interpolate(fld.values, x)),
-            t=fld.t,
-            x=x.tolist(),
-            y=y.tolist(),
-            bump_width=width,
-            spacing=solver.spacing,
-            mass_ratio=fld.mass_ratio,
-        )
+        KernelEstimate(float(solver.interpolate(fld.values, x)), fld.t, fld.mass_ratio)
         for fld in fields
     ]
-

@@ -291,8 +291,6 @@ def liyau_schedule(
 def builtin_schedules(
     constants,
     T: float,
-    l_values=(1.0,),
-    alpha_values=(0.5, 1.0, 2.0),
     n: int = DEFAULT_GRID,
 ) -> tuple[list[Schedule], dict[str, str]]:
     """All built-in schedules whose hypotheses the constants satisfy.
@@ -302,8 +300,7 @@ def builtin_schedules(
     """
     out: list[Schedule] = []
     skipped: dict[str, str] = {}
-    for l in l_values:
-        out.append(gradient_constant_weight(constants, T, l, n))
+    out.append(gradient_constant_weight(constants, T, 1.0, n))
     for label, builder in [
         ("grad-b", lambda: gradient_variance_linear(constants, T, n)),
         ("grad-c", lambda: gradient_variance_exponential(constants, T, n)),
@@ -314,7 +311,7 @@ def builtin_schedules(
             out.append(builder())
         except ValueError as err:
             skipped[label] = str(err)
-    for alpha in alpha_values:
+    for alpha in (0.5, 1.0, 2.0):
         try:
             out.append(liyau_schedule(constants, T, alpha, n))
         except ValueError as err:

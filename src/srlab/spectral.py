@@ -66,27 +66,6 @@ class SpectralGapResult:
     lambda1: float               # eigenvalue of the (unhalved) operator
     attained_at: tuple
     stable: bool                 # gap unchanged under j_max -> j_max + 1
-    stability_delta: float
-    n_blocks: int
-
-
-def _gap_scan(rho: float, j_max: float) -> tuple[float, tuple, int]:
-    best = np.inf
-    arg = (0.0, 0.0)
-    spins = [0.5 * k for k in range(int(round(2 * j_max)) + 1)]
-    count = 0
-    zero_tol = 1e-9 * max(rho, 1.0)
-    for j1 in spins:
-        for j2 in spins:
-            if j1 == 0 and j2 == 0:
-                continue
-            count += 1
-            eigs = block_eigenvalues(rho, j1, j2)
-            nonzero = np.abs(eigs)[np.abs(eigs) > zero_tol]
-            if len(nonzero) and nonzero.min() < best:
-                best = float(nonzero.min())
-                arg = (j1, j2)
-    return best, arg, count
 
 
 def spectral_gap(rho: float, j_max: float) -> SpectralGapResult:
@@ -95,25 +74,38 @@ def spectral_gap(rho: float, j_max: float) -> SpectralGapResult:
     The result reports -lambda1 through lambda1 = -(smallest magnitude
     nonzero eigenvalue); stability under enlarging the scan by one
     spin level is the convergence certificate, since blocks grow
-    monotonically in Casimir content.
+    monotonically in Casimir content.  One scan to j_max + 1 reads both
+    minima.  j_max must be a multiple of 1/2 and at least 1.
     """
     if j_max < 1:
         raise ValueError("j_max must be at least 1")
-    gap, arg, count = _gap_scan(rho, j_max)
-    gap_next, _, _ = _gap_scan(rho, j_max + 1.0)
-    delta = abs(gap - gap_next)
+    if not float(2 * j_max).is_integer():
+        raise ValueError(f"j_max must be a multiple of 1/2, got {j_max}")
+    zero_tol = 1e-9 * max(rho, 1.0)
+    best = {j_max: (np.inf, (0.0, 0.0)), j_max + 1.0: (np.inf, (0.0, 0.0))}
+    spins = [0.5 * k for k in range(int(round(2 * j_max)) + 3)]
+    for j1 in spins:
+        for j2 in spins:
+            if j1 == 0 and j2 == 0:
+                continue
+            eigs = block_eigenvalues(rho, j1, j2)
+            nonzero = np.abs(eigs)[np.abs(eigs) > zero_tol]
+            if not len(nonzero):
+                continue
+            for top, (gap, _) in best.items():
+                if max(j1, j2) <= top and nonzero.min() < gap:
+                    best[top] = (float(nonzero.min()), (j1, j2))
+    (gap, arg), (gap_next, _) = best.values()
     return SpectralGapResult(
         rho=rho,
         j_max=j_max,
         lambda1=-gap,
         attained_at=arg,
-        stable=delta <= 1e-9 * max(rho, 1.0),
-        stability_delta=delta,
-        n_blocks=count,
+        stable=abs(gap - gap_next) <= zero_tol,
     )
 
 
-def spectral_gap_su2_pair(rho: float, j_max: float = 2.0):
+def spectral_gap_su2_pair(rho: float, j_max: float):
     """Gap oracle plus the two curvature-derived lower bounds.
 
     Returns (lambda1, alpha_check, bound_check) where each check is a

@@ -538,7 +538,7 @@ PDE_SOURCES = {
     ),
     # kernel-decay, harnack-kernel
     "origin-kernel": (
-        lambda solver: pde.kernel_source(solver, np.zeros(3))[0],
+        lambda solver: pde.kernel_source(solver, np.zeros(3)),
         (0.2, 0.4, 0.6, 0.8, 1.0),
     ),
 }
@@ -560,12 +560,7 @@ def _pde_solver(cfg):
     p = cfg["pde"]
     return _run_memo(
         ("solver", json.dumps(p, sort_keys=True)),
-        lambda: pde.HeisenbergHeatSolver(
-            get_model("heisenberg"),
-            bounds=tuple(p["bounds"]),
-            shape=tuple(p["shape"]),
-            dt=p["dt"],
-        ),
+        lambda: pde.HeisenbergHeatSolver(get_model("heisenberg"), p["bounds"], p["shape"], p["dt"]),
     )
 
 
@@ -768,7 +763,7 @@ def check_harnack(cfg, seed) -> list[CheckResult]:
     t0, t1 = 0.4, 0.8
     origin = _pde_fields(solver, "origin-kernel", [t0, t1])
     kernel = [[float(solver.interpolate(origin[t].values, pts[0])) for t in (t0, t1)]] + [
-        [k.value for k in pde.heat_kernel(model, pts[0], z, [t0, t1], solver=solver)]
+        [k.value for k in pde.heat_kernel(solver, pts[0], z, [t0, t1])]
         for z in pts[1:]
     ]
     kworst = np.inf

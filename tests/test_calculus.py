@@ -227,15 +227,17 @@ def test_sweeps_match_scalar_api(name):
             one = calc.commutation_residual(m, Polynomial(m.dim, 4, cf), x)
             close(res[p, i], one, scale[p, i])
 
-    # condition B draws its coefficients per point, after all the points
-    res, scale = calc.condb_sweep(m, 6, seed=4, funcs_per_point=3)
+    # condition B draws 50 functions per point, after all the points;
+    # 60 samples take two points and the first 10 functions of the second
+    res, scale = calc.condb_sweep(m, 60, seed=4)
+    assert res.shape == scale.shape == (60,)
     rng = np.random.default_rng(4)
     points = calc.random_points(m, 2, rng)
     n_terms = get_space(m.dim, 4).terms(4)
     for p, x in enumerate(points):
-        for i, cf in enumerate(rng.uniform(-1.0, 1.0, (3, n_terms))):
+        for i, cf in enumerate(rng.uniform(-1.0, 1.0, (50, n_terms))[: 60 - 50 * p]):
             one = calc.condb_residual(m, Polynomial(m.dim, 4, cf), x)
-            close(res[3 * p + i], one, scale[3 * p + i])
+            close(res[50 * p + i], one, scale[50 * p + i])
 
 
 STEP2 = ["heisenberg", "free-nilpotent-3", "su2-pair"]

@@ -141,6 +141,16 @@ def test_engel_horizontal_endpoint_is_exact():
     assert est.lower <= est.value
 
 
+def test_equal_endpoints_keep_their_route_label():
+    # off Heisenberg the zero-length curve is an admissible curve, not
+    # the closed form's geodesic
+    for name, method in (("heisenberg", "geodesic-shooting"), ("engel", "shooting-upper")):
+        m = get_model(name)
+        x = np.full(m.dim, 0.2)
+        est = dist.cc_distance(m, x, x)
+        assert (est.value, est.lower, est.upper, est.method) == (0.0, 0.0, 0.0, method)
+
+
 def test_step2_shooting_within_loop_bound():
     # the points `srlab distance free-nilpotent-3` draws by default
     m = get_model("free-nilpotent-3")

@@ -269,3 +269,7 @@ def test_invalid_settings(heis):
         heat.mc_semigroup_many(
             heis, [f, heat.Gradient(f, "bogus")], np.zeros(3), 1.0, 10, 10, seed=0
         )
+    with pytest.raises(ValueError):  # "hv" is no selector
+        heat.mc_semigroup_many(heis, [heat.Gradient(f, "hv")], np.zeros(3), 1.0, 10, 10, seed=0)
+    with pytest.raises(ValueError, match="integrand list is empty"):
+        heat.mc_semigroup_many(heis, [], np.zeros(3), 1.0, 10, 10, seed=0)

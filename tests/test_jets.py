@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srlab.frames import FrameCalc
 from srlab.jets import (
     Constant,
     GaussianBump,
@@ -13,6 +14,7 @@ from srlab.jets import (
     lift_polynomials,
     polynomial_shift_matrix,
 )
+from srlab.models import get_model
 
 
 def eval_jet(jet, delta):
@@ -99,7 +101,7 @@ def test_polynomial_eval_matches_direct_formula(dim, degree):
         assert np.array_equal(out, direct_eval(f, pts))
 
 
-@pytest.mark.parametrize("dim,degree", [(3, 2), (3, 3), (6, 2), (6, 3)])
+@pytest.mark.parametrize("dim,degree", [(3, 0), (3, 2), (3, 3), (6, 0), (6, 2), (6, 3)])
 def test_eval_grad_columns_equal_partial_evals(dim, degree):
     # one monomial table serves every partial; each column keeps the bits
     # of its own partial's eval and of the direct formula
@@ -158,15 +160,19 @@ def test_product_truncation_order():
 def test_derivative_drops_order_and_matches():
     f = Polynomial.monomial(2, (2, 1), 3.0)  # 3 x^2 y
     j = f.lift(np.array([0.5, 2.0]), 4)
-    dx = j.derivative(0)  # 6 x y
-    assert dx.order == 3
-    assert dx.value == pytest.approx(6.0 * 0.5 * 2.0)
+    dx = j.coeffs @ j.space.derivative_matrix(0, 4).T  # 6 x y
+    assert dx.shape == (j.space.terms(3),)
+    assert dx[0] == pytest.approx(6.0 * 0.5 * 2.0)
+    assert dx[j.space.index[(0, 1)]] == pytest.approx(6.0 * 0.5)  # d/dy of 6 x y
 
 
 def test_derivative_of_order_zero_raises():
-    j = Constant(2, 1.0).lift(np.zeros(2), 0)
-    with pytest.raises(ValueError):
-        j.derivative(0)
+    # frame fields differentiate through derivative_matrix; an order-0
+    # jet has nothing left to differentiate
+    heis = get_model("heisenberg")
+    j = Constant(3, 1.0).lift(np.zeros(3), 0)
+    with pytest.raises(ValueError, match="order-0"):
+        FrameCalc(heis, np.zeros(3), 0).apply(0, j)
 
 
 def test_exp_log_roundtrip():

@@ -91,18 +91,20 @@ def test_row_order_guard_rejects_rows_in_opposite_orders():
                                          ((9, 9, 1), "z")])
 def test_grids_below_five_points_an_axis_are_rejected(shape, axis):
     with pytest.raises(ValueError, match=f"axis {axis} has {min(shape)} grid points"):
-        pde.HeisenbergHeatSolver(get_model("heisenberg"), shape=shape)
+        pde.HeisenbergHeatSolver(get_model("heisenberg"), (4.0, 4.0, 4.0), shape, 0.01)
 
 
 def test_only_heisenberg_supported():
     with pytest.raises(ValueError):
-        pde.HeisenbergHeatSolver(get_model("engel"))
+        pde.HeisenbergHeatSolver(get_model("engel"), BOUNDS, (5, 5, 5), 0.01)
     heis = get_model("heisenberg")
     with pytest.raises(ValueError):
-        pde.HeisenbergHeatSolver(heis.with_frame_metric(np.diag([1.0, 1.0, 4.0])))
+        pde.HeisenbergHeatSolver(
+            heis.with_frame_metric(np.diag([1.0, 1.0, 4.0])), BOUNDS, (5, 5, 5), 0.01
+        )
     # eligibility is structural: a renamed Heisenberg model is accepted
     renamed = dataclasses.replace(heis, name="h3")
-    pde.HeisenbergHeatSolver(renamed, shape=(5, 5, 5))
+    pde.HeisenbergHeatSolver(renamed, BOUNDS, (5, 5, 5), 0.01)
 
 
 def test_time_zero_field_is_sample(solver, bump):
@@ -136,19 +138,18 @@ def test_pde_matches_monte_carlo(solver, bump, monkeypatch):
     assert abs(v_pde - est.value) <= 3.0 * est.std_error + 1.5 * err_pde
 
 
-def test_kernel_symmetry():
-    m = get_model("heisenberg")
+def test_kernel_symmetry(solver):
     x = np.array([0.5, 0.0, 0.0])
     y = np.zeros(3)
-    k1 = pde.heat_kernel(m, x, y, 0.4, bounds=BOUNDS, shape=SHAPE, dt=0.01)[0]
-    k2 = pde.heat_kernel(m, y, x, 0.4, bounds=BOUNDS, shape=SHAPE, dt=0.01)[0]
+    k1 = pde.heat_kernel(solver, x, y, 0.4)[0]
+    k2 = pde.heat_kernel(solver, y, x, 0.4)[0]
     assert k1.value == pytest.approx(k2.value, rel=0.05)
 
 
 def test_kernel_mass_sub_markov():
     m = get_model("heisenberg")
     solver = pde.HeisenbergHeatSolver(m, BOUNDS, SHAPE, dt=0.01)
-    u0, _ = pde.kernel_source(solver, np.zeros(3))
+    u0 = pde.kernel_source(solver, np.zeros(3))
     assert solver.mass(u0) == pytest.approx(1.0, rel=1e-12)
     fields = solver.evolve(u0, [0.5])
     assert solver.mass(fields[0].values) <= 1.0 + 1e-9
@@ -210,10 +211,9 @@ def test_interpolation_accepts_faces_and_rejects_points_outside(solver, bump):
 
 
 def test_kernel_at_two_times_equals_separate_evolutions(solver):
-    m = get_model("heisenberg")
     x, y = np.zeros(3), np.array([0.5, 0.2, 0.0])
-    both = pde.heat_kernel(m, x, y, [0.2, 0.4], solver=solver)
-    apart = [pde.heat_kernel(m, x, y, [t], solver=solver)[0] for t in (0.2, 0.4)]
+    both = pde.heat_kernel(solver, x, y, [0.2, 0.4])
+    apart = [pde.heat_kernel(solver, x, y, [t])[0] for t in (0.2, 0.4)]
     assert [(k.t, k.value, k.mass_ratio) for k in both] == [
         (k.t, k.value, k.mass_ratio) for k in apart
     ]

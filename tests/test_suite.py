@@ -154,7 +154,9 @@ def test_pde_rows_equal_the_csr_scipy_route():
 
 
 def test_pde_source_rejects_undeclared_times():
-    solver = pde.HeisenbergHeatSolver(models.get_model("heisenberg"), shape=(5, 5, 5))
+    solver = pde.HeisenbergHeatSolver(
+        models.get_model("heisenberg"), (4.0, 4.0, 4.0), (5, 5, 5), 0.01
+    )
     with pytest.raises(ValueError, match="not declared"):
         su._pde_fields(solver, "bump", [0.3, 0.7])
     with pytest.raises(ValueError, match="not declared"):
@@ -162,7 +164,9 @@ def test_pde_source_rejects_undeclared_times():
 
 
 def test_pde_source_times_need_not_be_sorted(monkeypatch):
-    solver = pde.HeisenbergHeatSolver(models.get_model("heisenberg"), shape=(9, 9, 9))
+    solver = pde.HeisenbergHeatSolver(
+        models.get_model("heisenberg"), (4.0, 4.0, 4.0), (9, 9, 9), 0.01
+    )
     initial, _ = su.PDE_SOURCES["bump"]
     monkeypatch.setitem(su.PDE_SOURCES, "bump", (initial, (0.02, 0.0, 0.01, 0.02)))
     fields = su._pde_fields(solver, "bump", [0.02, 0.0, 0.01])
@@ -335,6 +339,7 @@ def _run(args, pythonpath, **env):
         ["distance", "heisenberg", "--x", "0", "0", "--y", "1", "0", "0"],
         ["constants", "nosuch"],
         ["spectral", "--jmax", "0.5"],
+        ["spectral", "--jmax", "1.3"],  # not a multiple of 1/2
         ["spectral", "--rho", "0"],
         ["heat", "heisenberg", "--t", "-1"],
         ["cd-check", "heisenberg", "--points", "0"],
