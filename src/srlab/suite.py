@@ -19,16 +19,20 @@ kept out of the JSON payload, and results are sorted before writing.
 The anchor field names the inequality catalog entry a result
 certifies; the catalog is documented in the README.
 
-Checks that run on every configured model are rows of data: a row id,
-an anchor, an eligibility test on the model's structure (step,
-parallelism, declared constants; never its name) and a measurement of
-one model.  One driver, `_per_model`, walks the configured models for
-each row.  Checks on one fixed model (the Heisenberg group, or the
-su2-pair spectrum) stay functions.
+Every check is a list of rows of data: a row id, an anchor, a selector
+and a measure, run by one driver, `_rows`.  The selector lists the
+labels a row runs on: the configured models whose structure it admits
+(step, parallelism, declared constants, or being a Heisenberg group;
+never the name), each under its configured name, or for the spectral
+rows su2-pair at the configured rho.  The measure returns the row's
+readings for one label.  The rows of a check share their work (chiefly
+the PDE evolutions) through one memo, which a suite run keeps open
+across its checks.
 """
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import time
@@ -38,8 +42,8 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, distance, geometry, heat, pde, schedules, spectral
-from .jets import Constant, Coordinate, GaussianBump, Polynomial, get_space
-from .models import get_model, validate
+from .jets import Constant, Coordinate, GaussianBump, Polynomial, ShiftedSquare, get_space
+from .models import MODEL_BUILDERS, get_model, is_heisenberg, validate
 
 ALL_MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
 
@@ -130,6 +134,10 @@ class ConfigError(ValueError):
     pass
 
 
+def _names_from(value, known) -> bool:
+    return isinstance(value, list) and all(isinstance(v, str) and v in known for v in value)
+
+
 def load_config(doc: dict | str | None) -> dict:
     """Merge a user configuration over the defaults, validating keys."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
@@ -152,6 +160,12 @@ def load_config(doc: dict | str | None) -> dict:
                 cfg[key][k2] = v2
         else:
             cfg[key] = value
+    if not _names_from(cfg["models"], MODEL_BUILDERS):
+        raise ConfigError(f"models must be a list of names from {sorted(MODEL_BUILDERS)}")
+    if cfg["checks"] != "all" and not _names_from(cfg["checks"], CHECKS):
+        raise ConfigError(f'checks must be "all" or a list of ids from {list(CHECKS)}')
+    if cfg["jobs"] != 1:
+        raise ConfigError(f"jobs must be 1, not {cfg['jobs']!r}: checks run in one thread")
     return cfg
 
 
@@ -168,54 +182,83 @@ def _constants_for(name: str):
 
 
 # ----------------------------------------------------------------------
-# Per-model checks: rows (row id, anchor, eligible, measure)
+# Rows (row id, anchor, select, measure) and their driver
 # ----------------------------------------------------------------------
 
+# the memo of the check or suite run in progress; None outside both
+_RUN_MEMO: dict | None = None
 
-def _per_model(*rows):
-    """A check emitting each row for every configured model it accepts.
 
-    eligible(model) decides from the model's structure whether a row
-    applies; measure(cfg, seed, name) returns (margin, tolerance,
-    details).  Rows run in order, each over cfg["models"] in order.
+@contextlib.contextmanager
+def _memo_scope():
+    """Open a memo for the block, unless one is open already (a suite run's)."""
+    global _RUN_MEMO
+    if _RUN_MEMO is not None:
+        yield
+        return
+    _RUN_MEMO = {}
+    try:
+        yield
+    finally:
+        _RUN_MEMO = None
+
+
+def _run_memo(key, build):
+    """build(), made once per open memo and then read from it."""
+    if _RUN_MEMO is None:
+        return build()
+    if key not in _RUN_MEMO:
+        _RUN_MEMO[key] = build()
+    return _RUN_MEMO[key]
+
+
+def _rows(*rows):
+    """A check emitting each row for every label its selector picks.
+
+    select(cfg) lists a row's labels; measure(cfg, seed, label) returns
+    its readings (margin, tolerance, details), where details may carry
+    the reading's std_error.  Rows run in order, each over its labels in
+    order, inside one memo, so that rows of one check share their work.
     """
 
     def check(cfg, seed) -> list[CheckResult]:
-        out = []
-        for cid, anchor, eligible, measure in rows:
-            for name in cfg["models"]:
-                if eligible(get_model(name)):
-                    margin, tol, details = measure(cfg, seed, name)
-                    out.append(_mk(cid, anchor, name, margin, tol, seed, **details))
-        return out
+        with _memo_scope():
+            return [
+                _mk(cid, anchor, label, margin, tol, seed, **details)
+                for cid, anchor, select, measure in rows
+                for label in select(cfg)
+                for margin, tol, details in measure(cfg, seed, label)
+            ]
 
+    check.rows = rows
     return check
 
 
-def _any(model) -> bool:
-    return True
+def _models(accepts):
+    """Selector: the configured models whose structure accepts(model) admits."""
+    return lambda cfg: [name for name in cfg["models"] if accepts(get_model(name))]
 
 
-def _declared(model) -> bool:
-    return model.declared_constants is not None
+_any = _models(lambda model: True)
+_declared = _models(lambda model: model.declared_constants is not None)
+_step2 = _models(lambda model: validate(model).step == 2)
+_beyond_step2 = _models(lambda model: validate(model).step > 2)
+_parallel = _models(lambda model: validate(model).fully_parallel)
+_heisenberg = _models(is_heisenberg)
 
 
-def _step2(model) -> bool:
-    return validate(model).step == 2
+def _su2_pair_rho(cfg):
+    """Selector of the spectral rows: su2-pair at the configured rho."""
+    return [f"su2-pair-rho{cfg['spectral']['rho']:g}"]
 
 
-def _beyond_step2(model) -> bool:
-    return validate(model).step > 2
-
-
-def _parallel(model) -> bool:
-    return validate(model).fully_parallel
+# -- jet and geometry rows -----------------------------------------------
 
 
 def _validation(cfg, seed, name):
     report = validate(get_model(name))
     margin = -max(report.jacobi_residual, report.antisymmetry_residual)
-    return margin, 1e-12, {"report": report.to_json()}
+    return [(margin, 1e-12, {"report": report.to_json()})]
 
 
 def _constants(cfg, seed, name):
@@ -231,7 +274,17 @@ def _constants(cfg, seed, name):
     )
     if validate(model).fully_parallel:
         dev = max(dev, rep.M_HV, rep.M_grad_v)
-    return -dev, 1e-9, {"constants": consts.to_json(), "geometry": rep.to_json()}
+    return [(-dev, 1e-9, {"constants": consts.to_json(), "geometry": rep.to_json()})]
+
+
+def _cd_sharpness(cfg, seed, name):
+    # the vertical coordinate attains equality in CD* at the identity
+    work, consts = _constants_for(name)
+    z = Coordinate(3, 2)
+    worst = 0.0
+    for l in _l_grid(cfg["cd"]["l_points"]):
+        worst = max(worst, abs(calculus.cd_residual(work, z, np.zeros(3), l, consts)))
+    return [(-worst, 1e-12, {"witness": "vertical coordinate at identity"})]
 
 
 def _cd_sweep(cfg, seed, name):
@@ -248,7 +301,7 @@ def _cd_sweep(cfg, seed, name):
         "l_grid": list(grid),
         "mean_margin": float(ratio.mean()),
     }
-    return float(ratio.min()), 1e-9, details
+    return [(float(ratio.min()), 1e-9, details)]
 
 
 def _double_gamma(cfg, seed, name):
@@ -260,7 +313,7 @@ def _double_gamma(cfg, seed, name):
         seed=derive_seed(seed, f"dg:{name}"),
     )
     first, second = float((first / scale).min()), float((second / scale).min())
-    return min(first, second), 1e-9, {"first_min": first, "second_min": second}
+    return [(min(first, second), 1e-9, {"first_min": first, "second_min": second})]
 
 
 def _condb(cfg, seed, name):
@@ -271,13 +324,13 @@ def _condb(cfg, seed, name):
 def _condition_b(cfg, seed, name):
     res, scale = _condb(cfg, seed, name)
     details = {"samples": cfg["condb"]["samples"], "max_absolute": float(res.max())}
-    return -float((res / scale).max()), 1e-12, details
+    return [(-float((res / scale).max()), 1e-12, details)]
 
 
 def _condition_b_violation(cfg, seed, name):
     res, _ = _condb(cfg, seed, name)
     frac = float((res > 1e-6).mean())
-    return frac - 0.1, 0.0, {"violating_fraction": frac, "samples": cfg["condb"]["samples"]}
+    return [(frac - 0.1, 0.0, {"violating_fraction": frac, "samples": cfg["condb"]["samples"]})]
 
 
 def _commutation(cfg, seed, name):
@@ -286,7 +339,7 @@ def _commutation(cfg, seed, name):
         get_model(name), s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
     )
     details = {"functions": s["functions"], "points": s["points"]}
-    return -float((res / scale).max()), 1e-9, details
+    return [(-float((res / scale).max()), 1e-9, details)]
 
 
 def _ricci_compare(cfg, seed, name):
@@ -294,7 +347,23 @@ def _ricci_compare(cfg, seed, name):
     worst = geometry.riemann_ricci_compare(
         get_model(name), n, seed=derive_seed(seed, f"ricci:{name}")
     )
-    return -worst, 1e-10, {"directions": n}
+    return [(-worst, 1e-10, {"directions": n})]
+
+
+def _spectral(which):
+    """The spectral row of one bound ("alpha" or "gap") of the su2-pair oracle."""
+
+    def measure(cfg, seed, label):
+        s = cfg["spectral"]
+        _, alpha_chk, gap_chk = _run_memo(
+            ("spectral", s["rho"], s["j_max"]),
+            lambda: spectral.spectral_gap_su2_pair(s["rho"], s["j_max"]),
+        )
+        chk = alpha_chk if which == "alpha" else gap_chk
+        margin = chk["margin"] if chk["stable"] else -np.inf
+        return [(margin, 0.0, {k: chk[k] for k in ("bound", "neg_lambda1", "stable")})]
+
+    return measure
 
 
 def _schedules(cfg, seed, name):
@@ -319,76 +388,50 @@ def _schedules(cfg, seed, name):
         details["ratio_monotonicity_min"] = float(mono)
         if mono <= 0:
             worst = min(worst, -1.0)
-    return float(worst), 1e-8, details
+    return [(float(worst), 1e-8, details)]
 
 
-# ----------------------------------------------------------------------
-# Single-model checks
-# ----------------------------------------------------------------------
+def _distance_triangle(cfg, seed, name):
+    model = get_model(name)
+    rng = np.random.default_rng(derive_seed(seed, "dist"))
+    worst = np.inf
+    for _ in range(100):
+        a, b, c = rng.uniform(-1.0, 1.0, (3, 3))
+        dab = distance.cc_distance(model, a, b).value
+        dbc = distance.cc_distance(model, b, c).value
+        dac = distance.cc_distance(model, a, c).value
+        worst = min(worst, dab + dbc - dac)
+    return [(float(worst), 1e-9, {"triples": 100})]
 
 
-def check_cd_sharpness(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    z = Coordinate(3, 2)
-    worst = 0.0
-    for l in _l_grid(cfg["cd"]["l_points"]):
-        res = calculus.cd_residual(model, z, np.zeros(3), l, model.declared_constants)
-        worst = max(worst, abs(res))
-    witness = "vertical coordinate at identity"
-    return [_mk("cd-sharpness", "CDstar", "heisenberg", -worst, 1e-12, seed, witness=witness)]
+def _distance_unit(cfg, seed, name):
+    unit = distance.cc_distance(get_model(name), np.zeros(3), [1.0, 0.0, 0.0])
+    return [(-abs(unit.value - 1.0), 1e-9, {"estimate": unit.to_json()})]
 
 
-def check_spectral_gap(cfg, seed) -> list[CheckResult]:
-    rho = cfg["spectral"]["rho"]
-    _, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(rho, cfg["spectral"]["j_max"])
-    out = []
-    for chk, cid in ((alpha_chk, "spectral-alpha"), (gap_chk, "spectral-gap")):
-        margin = chk["margin"] if chk["stable"] else -np.inf
-        details = {k: chk[k] for k in ("bound", "neg_lambda1", "stable")}
-        out.append(_mk(cid, chk["anchor"], f"su2-pair-rho{rho:g}", margin, 0.0, seed, **details))
-    return out
+# -- Monte Carlo rows ----------------------------------------------------
 
 
-def check_semigroup_identity(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
+def _semigroup_identity(cfg, seed, name):
     est = heat.mc_semigroup(
-        model, Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1")
+        get_model(name), Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1")
     )
-    out = [
-        _mk(
-            "semigroup-identity",
-            "CondA",
-            "heisenberg",
-            -abs(est.value - 1.0),
-            0.0,
-            seed,
-            value=est.value,
-        )
-    ]
+    return [(-abs(est.value - 1.0), 0.0, {"value": est.value})]
+
+
+def _semigroup_t0(cfg, seed, name):
     f = Polynomial.monomial(3, (2, 0, 0))
     x = np.array([0.3, -0.2, 0.1])
-    est0 = heat.mc_semigroup(model, f, x, 0.0, 100, 1, derive_seed(seed, "sg0"))
-    out.append(
-        _mk(
-            "semigroup-t0",
-            "CondA",
-            "heisenberg",
-            # paths sit exactly at x; the tolerance only absorbs the
-            # rounding of the sample mean
-            -abs(est0.value - float(np.squeeze(f.eval(x)))),
-            1e-14,
-            seed,
-            value=est0.value,
-        )
-    )
-    return out
+    est = heat.mc_semigroup(get_model(name), f, x, 0.0, 100, 1, derive_seed(seed, "sg0"))
+    # paths sit exactly at x; the tolerance only absorbs the rounding of
+    # the sample mean
+    return [(-abs(est.value - float(np.squeeze(f.eval(x)))), 1e-14, {"value": est.value})]
 
 
-def check_semigroup_x2(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
+def _semigroup_x2(cfg, seed, name):
     t = 1.0
     est = heat.mc_semigroup(
-        model,
+        get_model(name),
         Polynomial.monomial(3, (2, 0, 0)),
         np.zeros(3),
         t,
@@ -396,22 +439,14 @@ def check_semigroup_x2(cfg, seed) -> list[CheckResult]:
         cfg["mc"]["steps"],
         derive_seed(seed, "sgx2"),
     )
-    dev = abs(est.value - t)
-    return [
-        _mk(
-            "semigroup-x2",
-            "LiftedL",
-            "heisenberg",
-            3.0 * est.std_error - dev,
-            0.0,
-            seed,
-            std_error=est.std_error,
-            value=est.value,
-            expected=t,
-            paths=est.paths,
-            steps=est.steps,
-        )
-    ]
+    details = {
+        "std_error": est.std_error,
+        "value": est.value,
+        "expected": t,
+        "paths": est.paths,
+        "steps": est.steps,
+    }
+    return [(3.0 * est.std_error - abs(est.value - t), 0.0, details)]
 
 
 def _gradient_cases(model, cfg, seed):
@@ -427,145 +462,123 @@ def _gradient_cases(model, cfg, seed):
     return cases
 
 
-def _gradient_check(cfg, seed, model, cid, anchor, label, integrands, sides):
-    """One MC pass per gradient case; the margin is rhs - lhs.
+def _gradient(label, integrands, sides):
+    """A gradient row: one MC pass per seeded case, the margin rhs - lhs.
 
-    integrands(f) lists what a case's pass estimates, and sides(t,
-    *estimates) turns the estimates into (lhs, rhs, std_error).
+    integrands(model, delta, f) lists what a case's pass estimates, and
+    sides(consts, t, *estimates) turns the estimates into (lhs, rhs,
+    std_error).
     """
-    g = cfg["gradient"]
-    out = []
-    for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
-        s = derive_seed(seed, f"{label}:{k}")
-        ests = heat.mc_semigroup_many(model, integrands(f), x, t, g["paths"], g["steps"], s)
-        lhs, rhs, err = sides(t, *ests)
-        out.append(
-            _mk(
-                cid,
-                anchor,
-                model.name,
-                rhs - lhs,
-                3.0 * err,
-                seed,
-                std_error=err,
-                case=k,
-                t=t,
-                lhs=lhs,
-                rhs=rhs,
+
+    def measure(cfg, seed, name):
+        g = cfg["gradient"]
+        model = get_model(name)
+        _, consts = _constants_for(name)
+        for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
+            s = derive_seed(seed, f"{label}:{k}")
+            ests = heat.mc_semigroup_many(
+                model, integrands(model, g["delta"], f), x, t, g["paths"], g["steps"], s
             )
-        )
-    return out
+            lhs, rhs, err = sides(consts, t, *ests)
+            yield rhs - lhs, 3.0 * err, {"std_error": err, "case": k, "t": t, "lhs": lhs, "rhs": rhs}
+
+    return measure
 
 
-def check_gradient_bound_a(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    _, consts = _constants_for("heisenberg")
-    delta = cfg["gradient"]["delta"]
-    l = 1.0
-    alpha = min(consts.rho1 - 1.0 / l, consts.rho21 + consts.rho20 / l)
-
-    def integrands(f):
-        return [
-            heat.Gradient(f, "h", delta),
-            heat.Gradient(f, "v", delta),
-            heat.FrameGammaIntegrand(model, f, "mixed", l),
-        ]
-
-    def sides(t, gh, gv, rhs_est):
-        lhs, lhs_err = heat.gamma_mixed(gh, gv, l)
-        rhs = np.exp(-alpha * t) * rhs_est.value
-        return lhs, rhs, float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
-
-    return _gradient_check(
-        cfg, seed, model, "gradient-bound-a", "GradBound(a)", "grad-a", integrands, sides
-    )
+def _bound_a_integrands(model, delta, f):
+    return [
+        heat.Gradient(f, "h", delta),
+        heat.Gradient(f, "v", delta),
+        heat.FrameGammaIntegrand(model, f, "mixed", 1.0),
+    ]
 
 
-def check_gradient_bound_b(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    _, consts = _constants_for("heisenberg")
-    delta = cfg["gradient"]["delta"]
+def _bound_a_sides(consts, t, gh, gv, rhs_est):
+    # the constant weight l = 1
+    alpha = min(consts.rho1 - 1.0, consts.rho21 + consts.rho20)
+    lhs, lhs_err = heat.gamma_mixed(gh, gv, 1.0)
+    rhs = np.exp(-alpha * t) * rhs_est.value
+    return lhs, rhs, float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
+
+
+def _bound_b_integrands(model, delta, f):
+    return [heat.Gradient(f, "h", delta), f, heat.Squared(f)]
+
+
+def _bound_b_sides(consts, t, gh, est_f, est_f2):
+    var, var_err = heat.variance(est_f, est_f2)
     k1 = max(0.0, -consts.rho1)
     k2 = max(0.0, -consts.rho21)
-
-    def integrands(f):
-        return [heat.Gradient(f, "h", delta), f, heat.Squared(f)]
-
-    def sides(t, gh, est_f, est_f2):
-        var, var_err = heat.variance(est_f, est_f2)
-        factor = 1.0 + 2.0 / consts.rho20 + (k1 + k2 / consts.rho20) * t
-        return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
-
-    return _gradient_check(
-        cfg, seed, model, "gradient-bound-b", "GradBound(b)", "grad-b", integrands, sides
-    )
+    factor = 1.0 + 2.0 / consts.rho20 + (k1 + k2 / consts.rho20) * t
+    return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
 
 
-def check_vertical_gradient(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    delta = cfg["gradient"]["delta"]
-
-    def integrands(f):
-        return [
-            heat.Gradient(f, "v", delta),
-            heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
-        ]
-
-    def sides(t, gv, rhs_est):
-        lhs = float(np.sqrt(max(gv.value, 0.0)))
-        lhs_err = gv.std_error / (2.0 * lhs) if lhs > 1e-12 else gv.std_error
-        return lhs, rhs_est.value, float(np.hypot(lhs_err, rhs_est.std_error))
-
-    return _gradient_check(
-        cfg, seed, model, "vertical-gradient", "CondARiemann", "grad-v", integrands, sides
-    )
+def _vertical_integrands(model, delta, f):
+    return [
+        heat.Gradient(f, "v", delta),
+        heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
+    ]
 
 
-# -- PDE-based checks ---------------------------------------------------
+def _vertical_sides(consts, t, gv, rhs_est):
+    lhs = float(np.sqrt(max(gv.value, 0.0)))
+    lhs_err = gv.std_error / (2.0 * lhs) if lhs > 1e-12 else gv.std_error
+    return lhs, rhs_est.value, float(np.hypot(lhs_err, rhs_est.std_error))
+
+
+# -- PDE rows --------------------------------------------------------------
 #
-# The PDE checks read one heat semigroup.  Inside `run_suite` they share
-# one solver per `pde` config and one evolution per shared source, run
-# once to every snapshot time that source's readers use; a check called
-# outside a run builds its own solver and evolves its own sources to the
-# same times.
+# The PDE rows read one heat semigroup.  Each open memo (a suite run, or
+# a check called on its own) holds one solver per model and `pde` config
+# and one evolution per source, run once to every snapshot time the
+# source declares.  Sources are evolved only here, through `_pde_fields`.
 
-# source: (its initial field on a solver's grid, the snapshot times read)
-PDE_SOURCES = {
-    # li-yau, harnack, poincare-decay
-    "bump": (
-        lambda solver: solver.sample(GaussianBump(np.zeros(3), 0.5)),
-        (0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0),
-    ),
-    # kernel-decay, harnack-kernel
-    "origin-kernel": (
-        lambda solver: pde.kernel_source(solver, np.zeros(3)),
-        (0.2, 0.4, 0.6, 0.8, 1.0),
-    ),
+
+def _bump(solver):
+    return solver.sample(GaussianBump(np.zeros(3), 0.5))
+
+
+def _xlogx(u):
+    return np.where(u > 0, u * np.log(np.where(u > 0, u, 1.0)), 0.0)
+
+
+# harnack-kernel reads p_t(x_0, x_j) off the kernel source at each x_j
+HARNACK_KERNEL_POINTS = {
+    "origin-kernel": (0.0, 0.0, 0.0),
+    "kernel-b": (0.5, 0.2, 0.0),
+    "kernel-c": (-0.3, 0.4, 0.1),
 }
 
-# the memo of the suite run in progress; None outside run_suite
-_RUN_MEMO: dict | None = None
+
+def _kernel_source(source):
+    return lambda solver: pde.kernel_source(solver, np.array(HARNACK_KERNEL_POINTS[source]))
 
 
-def _run_memo(key, build):
-    """build(), made once per suite run and then read from the run's memo."""
-    if _RUN_MEMO is None:
-        return build()
-    if key not in _RUN_MEMO:
-        _RUN_MEMO[key] = build()
-    return _RUN_MEMO[key]
+# source: (its initial field on a solver's grid, the snapshot times read);
+# at dt 0.01 a run makes 100 + 30 + 100 + 80 + 80 = 390 implicit steps
+PDE_SOURCES = {
+    # li-yau, log-identity-grid, entropy-bound, harnack, poincare-decay
+    "bump": (_bump, (0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)),
+    # entropy-bound: f log f of the bump
+    "entropy": (lambda solver: _xlogx(_bump(solver)), (0.3,)),
+    # kernel-decay, harnack-kernel
+    "origin-kernel": (_kernel_source("origin-kernel"), (0.2, 0.4, 0.6, 0.8, 1.0)),
+    # harnack-kernel
+    "kernel-b": (_kernel_source("kernel-b"), (0.4, 0.8)),
+    "kernel-c": (_kernel_source("kernel-c"), (0.4, 0.8)),
+}
 
 
-def _pde_solver(cfg):
+def _pde_solver(cfg, name):
     p = cfg["pde"]
     return _run_memo(
-        ("solver", json.dumps(p, sort_keys=True)),
-        lambda: pde.HeisenbergHeatSolver(get_model("heisenberg"), p["bounds"], p["shape"], p["dt"]),
+        ("solver", name, json.dumps(p, sort_keys=True)),
+        lambda: pde.HeisenbergHeatSolver(get_model(name), p["bounds"], p["shape"], p["dt"]),
     )
 
 
 def _pde_fields(solver, source, times) -> dict:
-    """Snapshots of a shared PDE source at the given times, keyed by time.
+    """Snapshots of a PDE source at the given times, keyed by time.
 
     Times outside the source's declared set raise ValueError.
     """
@@ -587,335 +600,248 @@ def _sample_points(rng, n, radius=1.2):
     return pts
 
 
-def check_liyau(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    _, consts = _constants_for("heisenberg")
-    solver = _pde_solver(cfg)
-    times = [0.3, 0.5, 1.0]
-    snaps = _pde_fields(solver, "bump", [0.0] + times)
-    u0 = snaps[0.0].values
-    fields = [snaps[t] for t in times]
-    rng = np.random.default_rng(derive_seed(seed, "liyau-pts"))
-    pts = np.vstack([np.zeros((1, 3)), _sample_points(rng, 8, radius=0.8)])
-    out = []
-    rho1, rho2 = consts.rho1, consts.rho20
-    n = consts.n
-    for fld in fields:
-        u = fld.values
-        lu = solver.apply_laplacian(u)
-        gh = solver.gamma_h(u)
-        uv = solver.interpolate(u, pts)
-        lv = solver.interpolate(lu, pts)
-        gv = solver.interpolate(gh, pts)
-        # dimensional form
+def _liyau_samples(cfg, seed, name):
+    """(t, u, L u, Gamma^h u) of the bump at the origin and 8 seeded points."""
+    solver = _pde_solver(cfg, name)
+
+    def build():
+        fields = _pde_fields(solver, "bump", (0.3, 0.5, 1.0))
+        rng = np.random.default_rng(derive_seed(seed, "liyau-pts"))
+        pts = np.vstack([np.zeros((1, 3)), _sample_points(rng, 8, radius=0.8)])
+        out = []
+        for fld in fields.values():
+            u = fld.values
+            lu, gh = solver.apply_laplacian(u), solver.gamma_h(u)
+            out.append((fld.t, *(solver.interpolate(v, pts) for v in (u, lu, gh))))
+        return out
+
+    return _run_memo(("li-yau", solver, seed), build)
+
+
+def _liyau(cfg, seed, name):
+    # dimensional form
+    _, consts = _constants_for(name)
+    for t, uv, lv, gv in _liyau_samples(cfg, seed, name):
         lhs = gv / uv**2 / consts.D - lv / uv
-        rhs = consts.N / fld.t
-        margin = float((rhs - lhs).min())
-        out.append(
-            _mk(
-                "li-yau",
-                "LY2",
-                "heisenberg",
-                margin,
-                0.05 * rhs,
-                seed,
-                t=fld.t,
-                rhs=rhs,
-                worst_lhs=float(lhs.max()),
-                N=consts.N,
-                D=consts.D,
-            )
-        )
-        # beta-grid form
+        rhs = consts.N / t
+        details = {"t": t, "rhs": rhs, "worst_lhs": float(lhs.max()), "N": consts.N, "D": consts.D}
+        yield float((rhs - lhs).min()), 0.05 * rhs, details
+
+
+def _liyau_family(cfg, seed, name):
+    # beta-grid form
+    _, consts = _constants_for(name)
+    rho1, rho2, n = consts.rho1, consts.rho20, consts.n
+    for t, uv, lv, gv in _liyau_samples(cfg, seed, name):
         worst = np.inf
         for beta in (1.2, 1.4, 1.6, 1.8):
             a_b = (rho2 + beta) / rho2
             b_b = (beta - 1.0) / beta
-            lhs_b = gv / uv**2 - (a_b - b_b * rho1 * fld.t) * lv / uv
-            rhs_b = (n / (4.0 * fld.t)) * (
+            lhs_b = gv / uv**2 - (a_b - b_b * rho1 * t) * lv / uv
+            rhs_b = (n / (4.0 * t)) * (
                 a_b**2 / ((2.0 - beta) * (beta - 1.0))
-                - rho1 * fld.t * (2.0 * a_b - b_b * rho1 * fld.t)
+                - rho1 * t * (2.0 * a_b - b_b * rho1 * t)
             )
             worst = min(worst, float((rhs_b - lhs_b).min() / abs(rhs_b)))
-        out.append(
-            _mk(
-                "li-yau-family",
-                "LY",
-                "heisenberg",
-                worst,
-                0.05,
-                seed,
-                t=fld.t,
-            )
-        )
-    # entropy bound off the bump center, first snapshot
-    fld = fields[0]
+        yield worst, 0.05, {"t": t}
+
+
+def _entropy_bound(cfg, seed, name):
+    # off the bump center, at the first li-yau time
+    _, consts = _constants_for(name)
+    solver = _pde_solver(cfg, name)
+    fld = _pde_fields(solver, "bump", [0.3])[0.3]
+    ent_fld = _pde_fields(solver, "entropy", [0.3])[0.3]
     x0 = np.array([0.5, 0.3, 0.0])
-    flogf0 = np.where(u0 > 0, u0 * np.log(np.where(u0 > 0, u0, 1.0)), 0.0)
-    ent_fields = solver.evolve(flogf0, [fld.t])
     u = fld.values
-    lu = solver.apply_laplacian(u)
     c0 = float(solver.interpolate(u, x0))
-    ent = float(solver.interpolate(ent_fields[0].values, x0))
+    ent = float(solver.interpolate(ent_fld.values, x0))
     gh0 = float(solver.interpolate(solver.gamma_h(u), x0))
-    lhs_e = 0.5 * fld.t * gh0 / c0**2
-    rhs_e = (1.0 + 2.0 / rho2) * (ent - c0 * np.log(c0)) / c0
-    out.append(
-        _mk(
-            "entropy-bound",
-            "EntropyLY(a)",
-            "heisenberg",
-            rhs_e - lhs_e,
-            0.05 * abs(rhs_e),
-            seed,
-            t=fld.t,
-            lhs=lhs_e,
-            rhs=rhs_e,
-        )
-    )
-    # chain-rule identities behind the entropy bound: exact on jets,
-    # discretization-limited on the grid
-    from .jets import ShiftedSquare
+    lhs = 0.5 * fld.t * gh0 / c0**2
+    rhs = (1.0 + 2.0 / consts.rho20) * (ent - c0 * np.log(c0)) / c0
+    return [(rhs - lhs, 0.05 * abs(rhs), {"t": fld.t, "lhs": lhs, "rhs": rhs})]
+
+
+# the chain-rule identities behind the entropy bound: exact on jets,
+# discretization-limited on the grid
+
+
+def _log_identity_jet(cfg, seed, name):
     rng = np.random.default_rng(derive_seed(seed, "logid"))
     pos = ShiftedSquare(Polynomial.random(3, 3, rng), 0.5)
-    r1, r2 = calculus.log_identity_residuals(model, pos, np.array([0.2, -0.1, 0.3]))
-    jet_resid = float(max(np.max(r1), np.max(r2)))
+    r1, r2 = calculus.log_identity_residuals(get_model(name), pos, np.array([0.2, -0.1, 0.3]))
+    resid = float(max(np.max(r1), np.max(r2)))
+    return [(-resid, 1e-10, {"note": "chain rule evaluated in exact jet arithmetic"})]
+
+
+def _log_identity_grid(cfg, seed, name):
+    solver = _pde_solver(cfg, name)
+    u = _pde_fields(solver, "bump", [0.3])[0.3].values
     mask = u > 0.25 * u.max()
     floor = 1e-12 * u.max()
     uc = np.clip(u, floor, None)
     logu = np.log(uc)
     # (L/2 + d/dt)(u log u) for the backward solution u_s = P_(t-s) f,
     # whose time derivative is -L u / 2
-    lhs_d = 0.5 * solver.apply_laplacian(uc * logu) - (1.0 + logu) * 0.5 * lu
-    rhs_d = 0.5 * solver.gamma_h(u) / uc
-    rel = np.abs(lhs_d - rhs_d) / (1.0 + np.abs(lhs_d) + np.abs(rhs_d))
-    grid_resid = float(np.where(mask, rel, 0.0).max())
-    out.append(
-        _mk(
-            "log-identity-jet",
-            "partialtL",
-            "heisenberg",
-            -jet_resid,
-            1e-10,
-            seed,
-            note="chain rule evaluated in exact jet arithmetic",
-        )
-    )
-    out.append(
-        _mk(
-            "log-identity-grid",
-            "partialtL",
-            "heisenberg",
-            -grid_resid,
-            5e-2,
-            seed,
-            spacing=list(solver.spacing),
-            note="finite differences on the resolved bulk of the field; "
-            "tolerance is the discretization bound",
-        )
-    )
-    return out
+    lhs = 0.5 * solver.apply_laplacian(uc * logu) - (1.0 + logu) * 0.5 * solver.apply_laplacian(u)
+    rhs = 0.5 * solver.gamma_h(u) / uc
+    rel = np.abs(lhs - rhs) / (1.0 + np.abs(lhs) + np.abs(rhs))
+    details = {
+        "spacing": list(solver.spacing),
+        "note": "finite differences on the resolved bulk of the field; "
+        "tolerance is the discretization bound",
+    }
+    return [(-float(np.where(mask, rel, 0.0).max()), 5e-2, details)]
 
 
-def check_harnack(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    _, consts = _constants_for("heisenberg")
-    solver = _pde_solver(cfg)
+def _harnack_rhs(consts, p1, d, t0, t1):
+    """Right side of the parabolic Harnack inequality, P_t1 f(y) = p1 at d(x, y) = d."""
+    return p1 * (t1 / t0) ** (consts.N / 2.0) * np.exp(consts.D * d**2 / (2.0 * (t1 - t0)))
+
+
+def _harnack(cfg, seed, name):
+    model = get_model(name)
+    _, consts = _constants_for(name)
+    solver = _pde_solver(cfg, name)
     pairs_t = [(0.3, 0.5), (0.4, 0.8), (0.5, 1.0)]
     fields = _pde_fields(solver, "bump", {t for p in pairs_t for t in p})
     rng = np.random.default_rng(derive_seed(seed, "harnack-pts"))
-    out = []
-    count = 0
     worst = np.inf
-    worst_std = None
     for t0, t1 in pairs_t:
-        u0f = fields[t0]
-        u1f = fields[t1]
         for _ in range(7):
             x = _sample_points(rng, 1)[0] * 0.8
             y = x + rng.uniform(-0.6, 0.6, 3) * np.array([1, 1, 0.3])
-            dmt = distance.cc_distance(model, x, y)
-            lhs = float(solver.interpolate(u0f.values, x))
-            p1 = float(solver.interpolate(u1f.values, y))
-            factor = (t1 / t0) ** (consts.N / 2.0)
-            rhs_cons = p1 * factor * np.exp(
-                consts.D * dmt.lower**2 / (2.0 * (t1 - t0))
-            )
-            rel = (rhs_cons - lhs) / abs(rhs_cons)
-            if rel < worst:
-                worst = rel
-            count += 1
-    out.append(
-        _mk(
-            "harnack",
-            "ParabolHarnack",
-            "heisenberg",
-            float(worst),
-            0.05,
-            seed,
-            samples=count,
-            note="conservative direction: lower distance bound in the exponent",
-        )
-    )
-    # kernel variant on a 3-point sample: p_t(pts[0], z) at t0 and t1,
-    # one evolution per source z (the origin's is the shared one)
-    pts = [np.zeros(3), np.array([0.5, 0.2, 0.0]), np.array([-0.3, 0.4, 0.1])]
+            # conservative: the lower distance bound in the exponent
+            d = distance.cc_distance(model, x, y).lower
+            lhs = float(solver.interpolate(fields[t0].values, x))
+            rhs = _harnack_rhs(consts, float(solver.interpolate(fields[t1].values, y)), d, t0, t1)
+            worst = min(worst, (rhs - lhs) / abs(rhs))
+    details = {
+        "samples": 7 * len(pairs_t),
+        "note": "conservative direction: lower distance bound in the exponent",
+    }
+    return [(float(worst), 0.05, details)]
+
+
+def _harnack_kernel(cfg, seed, name):
+    # p_t(x_0, x_j) at t0 and t1 for each point x_j, one kernel source each
+    model = get_model(name)
+    _, consts = _constants_for(name)
+    solver = _pde_solver(cfg, name)
     t0, t1 = 0.4, 0.8
-    origin = _pde_fields(solver, "origin-kernel", [t0, t1])
-    kernel = [[float(solver.interpolate(origin[t].values, pts[0])) for t in (t0, t1)]] + [
-        [k.value for k in pde.heat_kernel(solver, pts[0], z, [t0, t1])]
-        for z in pts[1:]
-    ]
-    kworst = np.inf
+    x0 = np.zeros(3)
+    pts, kernel = [], []
+    for source, point in HARNACK_KERNEL_POINTS.items():
+        fields = _pde_fields(solver, source, [t0, t1])
+        pts.append(np.array(point))
+        kernel.append([float(solver.interpolate(fields[t].values, x0)) for t in (t0, t1)])
+    worst = np.inf
     for i in range(1, len(pts)):
         for j in range(len(pts)):
-            if j == i:
-                continue
-            dyz = distance.cc_distance(model, pts[i], pts[j])
-            rhs = (
-                kernel[j][1]
-                * (t1 / t0) ** (consts.N / 2.0)
-                * np.exp(consts.D * dyz.lower**2 / (2.0 * (t1 - t0)))
-            )
-            kworst = min(kworst, (rhs - kernel[i][0]) / abs(rhs))
-    out.append(
-        _mk(
-            "harnack-kernel",
-            "ParabolHarnack",
-            "heisenberg",
-            float(kworst),
-            0.05,
-            seed,
-            t0=t0,
-            t1=t1,
-        )
-    )
-    return out
+            if j != i:
+                d = distance.cc_distance(model, pts[i], pts[j]).lower
+                rhs = _harnack_rhs(consts, kernel[j][1], d, t0, t1)
+                worst = min(worst, (rhs - kernel[i][0]) / abs(rhs))
+    return [(float(worst), 0.05, {"t0": t0, "t1": t1})]
 
 
-def check_kernel_decay(cfg, seed) -> list[CheckResult]:
-    _, consts = _constants_for("heisenberg")
-    solver = _pde_solver(cfg)
-    tgrid = [0.2, 0.4, 0.6, 0.8, 1.0]
-    fields = _pde_fields(solver, "origin-kernel", tgrid)
-    vals = np.array([float(solver.interpolate(fields[t].values, np.zeros(3))) for t in tgrid])
+KERNEL_TIMES = (0.2, 0.4, 0.6, 0.8, 1.0)
+
+
+def _origin_kernel(cfg, name) -> np.ndarray:
+    """The on-diagonal kernel p_t(0, 0) at KERNEL_TIMES."""
+    solver = _pde_solver(cfg, name)
+    fields = _pde_fields(solver, "origin-kernel", KERNEL_TIMES)
+    return np.array([float(solver.interpolate(fields[t].values, np.zeros(3))) for t in KERNEL_TIMES])
+
+
+def _kernel_decay(cfg, seed, name):
     # on-diagonal kernel must decrease along the grid
-    dec_margin = float(np.min(vals[:-1] - vals[1:]) / vals[0])
-    out = [
-        _mk(
-            "kernel-decay",
-            "pzcknn(b)",
-            "heisenberg",
-            dec_margin,
-            0.0,
-            seed,
-            values={f"{t:g}": float(v) for t, v in zip(tgrid, vals)},
-        )
-    ]
+    vals = _origin_kernel(cfg, name)
+    margin = float(np.min(vals[:-1] - vals[1:]) / vals[0])
+    return [(margin, 0.0, {"values": {f"{t:g}": float(v) for t, v in zip(KERNEL_TIMES, vals)}})]
+
+
+def _kernel_dimension_bound(cfg, seed, name):
     # dimensional bound p_t <= t^(-N/2) p_1 for t <= 1
-    p1 = vals[-1]
-    bound = np.array(tgrid) ** (-consts.N / 2.0) * p1
-    rel = float(((bound - vals) / bound).min())
-    product = vals * np.array(tgrid) ** (consts.N / 2.0)
-    out.append(
-        _mk(
-            "kernel-dimension-bound",
-            "pzcknn(b)",
-            "heisenberg",
-            rel,
-            0.05,
-            seed,
-            product_nonincreasing_fraction=float(
-                (product[1:] <= product[:-1] + 1e-15).mean()
-            ),
-            note="the weighted kernel t^(N/2) p_t increases toward its t=1 bound",
-        )
-    )
-    return out
+    _, consts = _constants_for(name)
+    vals = _origin_kernel(cfg, name)
+    tgrid = np.array(KERNEL_TIMES)
+    bound = tgrid ** (-consts.N / 2.0) * vals[-1]
+    product = vals * tgrid ** (consts.N / 2.0)
+    details = {
+        "product_nonincreasing_fraction": float((product[1:] <= product[:-1] + 1e-15).mean()),
+        "note": "the weighted kernel t^(N/2) p_t increases toward its t=1 bound",
+    }
+    return [(float(((bound - vals) / bound).min()), 0.05, details)]
 
 
-def check_poincare_decay(cfg, seed) -> list[CheckResult]:
-    _, consts = _constants_for("heisenberg")
-    solver = _pde_solver(cfg)
-    tgrid = [0.2, 0.4, 0.6, 0.8, 1.0]
-    fields = _pde_fields(solver, "bump", [0.0] + tgrid)
-    norms = [solver.l1_norm(solver.gamma_h(fields[t].values)) for t in [0.0] + tgrid]
-    base = norms[0]
+def _poincare_decay(cfg, seed, name):
+    _, consts = _constants_for(name)
+    solver = _pde_solver(cfg, name)
+    times = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
+    fields = _pde_fields(solver, "bump", times)
+    norms = [solver.l1_norm(solver.gamma_h(fields[t].values)) for t in times]
     k = min(consts.rho1, consts.rho21)
-    margins = [
-        (np.exp(-k * t) * base - nv) / base for t, nv in zip(tgrid, norms[1:])
-    ]
-    return [
-        _mk(
-            "poincare-decay",
-            "Poincare(a)",
-            "heisenberg",
-            float(min(margins)),
-            1e-2,
-            seed,
-            rate=k,
-            norms={f"{t:g}": float(v) for t, v in zip([0.0] + tgrid, norms)},
-        )
-    ]
-
-
-def check_distance(cfg, seed) -> list[CheckResult]:
-    model = get_model("heisenberg")
-    rng = np.random.default_rng(derive_seed(seed, "dist"))
-    worst = np.inf
-    for _ in range(100):
-        a, b, c = rng.uniform(-1.0, 1.0, (3, 3))
-        dab = distance.cc_distance(model, a, b).value
-        dbc = distance.cc_distance(model, b, c).value
-        dac = distance.cc_distance(model, a, c).value
-        worst = min(worst, dab + dbc - dac)
-    unit = distance.cc_distance(model, np.zeros(3), [1.0, 0.0, 0.0])
-    return [
-        _mk(
-            "distance-triangle",
-            "dcc",
-            "heisenberg",
-            float(worst),
-            1e-9,
-            seed,
-            triples=100,
-        ),
-        _mk(
-            "distance-unit",
-            "dcc",
-            "heisenberg",
-            -abs(unit.value - 1.0),
-            1e-9,
-            seed,
-            estimate=unit.to_json(),
-        ),
-    ]
+    margins = [(np.exp(-k * t) * norms[0] - nv) / norms[0] for t, nv in zip(times[1:], norms[1:])]
+    details = {"rate": k, "norms": {f"{t:g}": float(v) for t, v in zip(times, norms)}}
+    return [(float(min(margins)), 1e-2, details)]
 
 
 CHECKS = {
-    "validate-models": _per_model(("validate-models", "metric-preserving", _any, _validation)),
-    "constants": _per_model(("constants", "rhoSR2", _declared, _constants)),
-    "cd-sharpness": check_cd_sharpness,
-    "cd-sweep": _per_model(("cd-sweep", "CDstar", _step2, _cd_sweep)),
-    "double-gamma": _per_model(("double-gamma", "DoubleGamma", _parallel, _double_gamma)),
-    "condition-b": _per_model(
+    "validate-models": _rows(("validate-models", "metric-preserving", _any, _validation)),
+    "constants": _rows(("constants", "rhoSR2", _declared, _constants)),
+    "cd-sharpness": _rows(("cd-sharpness", "CDstar", _heisenberg, _cd_sharpness)),
+    "cd-sweep": _rows(("cd-sweep", "CDstar", _step2, _cd_sweep)),
+    "double-gamma": _rows(("double-gamma", "DoubleGamma", _parallel, _double_gamma)),
+    "condition-b": _rows(
         ("condition-b", "CondB", _step2, _condition_b),
         ("condition-b-violation", "CondB", _beyond_step2, _condition_b_violation),
     ),
-    "commutation": _per_model(("commutation", "srLDeltaCommute", _parallel, _commutation)),
-    "ricci-compare": _per_model(("ricci-compare", "RiemannRicci", _parallel, _ricci_compare)),
-    "spectral-gap": check_spectral_gap,
-    "semigroup-identity": check_semigroup_identity,
-    "semigroup-x2": check_semigroup_x2,
-    "gradient-bound-a": check_gradient_bound_a,
-    "gradient-bound-b": check_gradient_bound_b,
-    "vertical-gradient": check_vertical_gradient,
-    "li-yau": check_liyau,
-    "harnack": check_harnack,
-    "kernel-decay": check_kernel_decay,
-    "poincare-decay": check_poincare_decay,
-    "schedules": _per_model(("schedules", "ALambdaC", _parallel, _schedules)),
-    "distance": check_distance,
+    "commutation": _rows(("commutation", "srLDeltaCommute", _parallel, _commutation)),
+    "ricci-compare": _rows(("ricci-compare", "RiemannRicci", _parallel, _ricci_compare)),
+    "spectral-gap": _rows(
+        ("spectral-alpha", "Poincare(c)", _su2_pair_rho, _spectral("alpha")),
+        ("spectral-gap", "SpectralGap", _su2_pair_rho, _spectral("gap")),
+    ),
+    "semigroup-identity": _rows(
+        ("semigroup-identity", "CondA", _heisenberg, _semigroup_identity),
+        ("semigroup-t0", "CondA", _heisenberg, _semigroup_t0),
+    ),
+    "semigroup-x2": _rows(("semigroup-x2", "LiftedL", _heisenberg, _semigroup_x2)),
+    "gradient-bound-a": _rows((
+        "gradient-bound-a", "GradBound(a)", _heisenberg,
+        _gradient("grad-a", _bound_a_integrands, _bound_a_sides),
+    )),
+    "gradient-bound-b": _rows((
+        "gradient-bound-b", "GradBound(b)", _heisenberg,
+        _gradient("grad-b", _bound_b_integrands, _bound_b_sides),
+    )),
+    "vertical-gradient": _rows((
+        "vertical-gradient", "CondARiemann", _heisenberg,
+        _gradient("grad-v", _vertical_integrands, _vertical_sides),
+    )),
+    "li-yau": _rows(
+        ("li-yau", "LY2", _heisenberg, _liyau),
+        ("li-yau-family", "LY", _heisenberg, _liyau_family),
+        ("entropy-bound", "EntropyLY(a)", _heisenberg, _entropy_bound),
+        ("log-identity-jet", "partialtL", _heisenberg, _log_identity_jet),
+        ("log-identity-grid", "partialtL", _heisenberg, _log_identity_grid),
+    ),
+    "harnack": _rows(
+        ("harnack", "ParabolHarnack", _heisenberg, _harnack),
+        ("harnack-kernel", "ParabolHarnack", _heisenberg, _harnack_kernel),
+    ),
+    "kernel-decay": _rows(
+        ("kernel-decay", "pzcknn(b)", _heisenberg, _kernel_decay),
+        ("kernel-dimension-bound", "pzcknn(b)", _heisenberg, _kernel_dimension_bound),
+    ),
+    "poincare-decay": _rows(("poincare-decay", "Poincare(a)", _heisenberg, _poincare_decay)),
+    "schedules": _rows(("schedules", "ALambdaC", _parallel, _schedules)),
+    "distance": _rows(
+        ("distance-triangle", "dcc", _heisenberg, _distance_triangle),
+        ("distance-unit", "dcc", _heisenberg, _distance_unit),
+    ),
 }
 
 CSV_COLUMNS = [
@@ -938,28 +864,15 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
     not fail the run), and raises ConfigError for malformed input.
     """
     cfg = load_config(config)
-    requested = cfg["checks"]
-    if requested == "all":
-        requested = list(CHECKS)
-    unknown = [c for c in requested if c not in CHECKS]
-    if unknown:
-        raise ConfigError(f"unknown check ids: {unknown}")
-
-    if cfg["jobs"] != 1:
-        raise ConfigError(f"jobs must be 1, not {cfg['jobs']!r}: checks run in one thread")
-
-    global _RUN_MEMO
+    requested = list(CHECKS) if cfg["checks"] == "all" else cfg["checks"]
     seed = cfg["seed"]
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
-    _RUN_MEMO = {}
-    try:
+    with _memo_scope():
         for cid in requested:
             t0 = time.perf_counter()
             results.extend(CHECKS[cid](cfg, seed))
             timings[cid] = time.perf_counter() - t0
-    finally:
-        _RUN_MEMO = None
 
     results.sort(key=lambda r: (r.check_id, r.model, r.digest))
     counts = {"pass": 0, "fail": 0, "inconclusive": 0}

@@ -154,43 +154,46 @@ def test_c07_semigroup_fidelity():
               f"(1 +- {3 * est.std_error:.4f}); {elapsed:.0f}s")
 
 
+def rows_of(report, check_id):
+    return [r for r in report["results"] if r["check_id"] == check_id]
+
+
 def test_c08_gradient_bounds():
     """Semigroup gradient bounds within 3 sigma on 10 seeded cases each."""
-    cfg = su.load_config(None)
-    for check, cid in (
-        (su.check_gradient_bound_a, "constant-weight bound"),
-        (su.check_gradient_bound_b, "variance bound"),
-        (su.check_vertical_gradient, "vertical gradient bound"),
-    ):
-        rows = check(cfg, SEED)
+    checks = ["gradient-bound-a", "gradient-bound-b", "vertical-gradient"]
+    rep, _ = su.run_suite({"seed": SEED, "models": ["heisenberg"], "checks": checks})
+    for cid in checks:
+        rows = rows_of(rep, cid)
         assert len(rows) == 10
         for r in rows:
-            assert r.verdict == "pass", (cid, r.details)
+            assert r["verdict"] == "pass", (cid, r["details"])
     report(8, "bounds (a), (b) and the vertical bound pass on 10 cases each")
 
 
 def test_c09_liyau_harnack_kernel():
     """Dimensional gradient bound, Harnack inequality, kernel decay."""
-    cfg = su.load_config(None)
-    ly_rows = su.check_liyau(cfg, SEED)
-    ly = [r for r in ly_rows if r.check_id == "li-yau"]
-    assert {r.details["t"] for r in ly} == {0.3, 0.5, 1.0}
+    rep, _ = su.run_suite(
+        {"seed": SEED, "models": ["heisenberg"], "checks": ["li-yau", "harnack", "kernel-decay"]}
+    )
+    ly = rows_of(rep, "li-yau")
+    assert {r["details"]["t"] for r in ly} == {0.3, 0.5, 1.0}
     for r in ly:
-        assert r.details["N"] == pytest.approx(7.872983346, abs=1e-6)
-        assert r.details["D"] == pytest.approx(np.sqrt(15.0), abs=1e-9)
-        assert r.margin >= -r.tolerance  # tolerance is 5% of the right side
+        assert r["details"]["N"] == pytest.approx(7.872983346, abs=1e-6)
+        assert r["details"]["D"] == pytest.approx(np.sqrt(15.0), abs=1e-9)
+        assert r["margin"] >= -r["tolerance"]  # tolerance is 5% of the right side
 
-    ha_rows = su.check_harnack(cfg, SEED)
+    ha_rows = rows_of(rep, "harnack") + rows_of(rep, "harnack-kernel")
+    assert len(ha_rows) == 2
     for r in ha_rows:
-        assert r.verdict == "pass", r.check_id
-    n_samples = ha_rows[0].details["samples"]
+        assert r["verdict"] == "pass", r["check_id"]
+    n_samples = rows_of(rep, "harnack")[0]["details"]["samples"]
     assert n_samples >= 20
 
-    kd_rows = su.check_kernel_decay(cfg, SEED)
-    by_id = {r.check_id: r for r in kd_rows}
-    assert by_id["kernel-decay"].verdict == "pass"          # p_t(0,0) decreasing
-    assert by_id["kernel-dimension-bound"].verdict == "pass"  # p_t <= t^(-N/2) p_1
-    frac = by_id["kernel-dimension-bound"].details["product_nonincreasing_fraction"]
+    (decay,) = rows_of(rep, "kernel-decay")
+    (dim_bound,) = rows_of(rep, "kernel-dimension-bound")
+    assert decay["verdict"] == "pass"      # p_t(0,0) decreasing
+    assert dim_bound["verdict"] == "pass"  # p_t <= t^(-N/2) p_1
+    frac = dim_bound["details"]["product_nonincreasing_fraction"]
     report(9, f"dimensional bound holds at t in (0.3, 0.5, 1.0); Harnack passes on "
               f"{n_samples} samples; kernel decreasing with t^(N/2) p_t rising to its "
               f"t=1 cap (rising fraction {1 - frac:.0%})")

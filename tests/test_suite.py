@@ -3,6 +3,7 @@
 import dataclasses
 import json
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -244,6 +245,20 @@ def test_per_model_rows_ignore_the_model_name(monkeypatch):
         ("validate-models", "step3"),
         ("condition-b-violation", "step3"),
     }
+    # the Heisenberg rows follow the group's structure, under its configured name
+    group = dataclasses.replace(models.build_heisenberg(), name="h3")
+    monkeypatch.setitem(models.MODEL_BUILDERS, "h3", lambda: group)
+    heisenberg_rows = {"checks": ["cd-sharpness", "distance"]}
+    report, code = su.run_suite({"models": ["h3"], **heisenberg_rows})
+    assert code == 0
+    assert row_models(report) == {
+        ("cd-sharpness", "h3"),
+        ("distance-triangle", "h3"),
+        ("distance-unit", "h3"),
+    }
+    report, code = su.run_suite({"models": ["engel"], **heisenberg_rows})
+    assert code == 0
+    assert report["results"] == []
 
 
 def test_check_seed_derivation_is_stable():
@@ -252,12 +267,29 @@ def test_check_seed_derivation_is_stable():
     assert su.derive_seed(1, "a") != su.derive_seed(1, "b")
 
 
+def readme_catalog() -> set[str]:
+    """The anchors of the README's inequality catalog, with X(a)..(c) spelled out."""
+    text = (ROOT / "README.md").read_text()
+    table = text.split("## Inequality catalog")[1].split("\n## ")[0]
+    anchors = set()
+    for line in table.splitlines():
+        for name in re.findall(r"`([^`]+)`", line.split("|")[1] if line.startswith("|") else ""):
+            span = re.fullmatch(r"(.+)\((\w)\)\.\.\((\w)\)", name)
+            if span:
+                first, last = ord(span[2]), ord(span[3])
+                anchors |= {f"{span[1]}({chr(c)})" for c in range(first, last + 1)}
+            else:
+                anchors.add(name)
+    return anchors
+
+
 def test_anchor_catalog_is_covered():
-    # every registered check advertises an anchor from the catalog
-    report, _ = su.run_suite(light_config())
-    for row in report["results"]:
-        assert row["anchor"]
-        assert row["digest"]
+    # every row of every registered check names an anchor from the catalog
+    catalog = readme_catalog()
+    assert {"CDstar", "GradBound(b)", "Poincare(c)"} <= catalog
+    for cid, check in su.CHECKS.items():
+        for row_id, anchor, _, _ in check.rows:
+            assert anchor in catalog, (cid, row_id, anchor)
 
 
 # -- CLI ------------------------------------------------------------------
@@ -276,6 +308,17 @@ def test_cli_bad_config_exits_2(tmp_path):
     assert cli_main(["suite", "run", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert cli_main(["suite", "run", "--config", str(missing)]) == 2
+    # rejected while loading, before any check runs
+    for doc in ({"models": ["nosuch"]}, {"models": "heisenberg"}, {"checks": "distance"}):
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["suite", "run", "--config", str(bad)]) == 2, doc
+
+
+def test_shipped_configs_load_and_quick_passes(capsys):
+    for name in ("default", "quick"):
+        su.load_config(str(ROOT / "configs" / f"{name}.json"))
+    assert cli_main(["suite", "run", "--config", str(ROOT / "configs" / "quick.json")]) == 0
+    assert "fail=0 inconclusive=0" in capsys.readouterr().out
 
 
 def test_cli_suite_subset_runs_and_writes(tmp_path, capsys):
