@@ -557,7 +557,7 @@ def _kernel_source(source):
 # source: (its initial field on a solver's grid, the snapshot times read);
 # at dt 0.01 a run makes 100 + 30 + 100 + 80 + 80 = 390 implicit steps
 PDE_SOURCES = {
-    # li-yau, log-identity-grid, entropy-bound, harnack, poincare-decay
+    # li-yau, li-yau-family, entropy-bound, log-identity-grid, harnack, poincare-decay
     "bump": (_bump, (0.0, 0.2, 0.3, 0.4, 0.5, 0.6, 0.8, 1.0)),
     # entropy-bound: f log f of the bump
     "entropy": (lambda solver: _xlogx(_bump(solver)), (0.3,)),
