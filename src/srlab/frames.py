@@ -6,7 +6,10 @@ that series in jet arithmetic at a base point yields the component
 functions to any Taylor order, held as one jet with batch shape (d, d).
 Applying a frame field to a jet is then a linear map on jet
 coefficients, assembled as small dense matrices per differentiation
-order by a `FrameCalc` that is built per point and not cached.
+order by a `FrameCalc` that is built per point and not cached.  The
+point-free index tables it reads (product pairs, derivative maps) live
+on the `JetSpace` of the dimension; per point it builds only the chart
+and the operators it is asked for.
 """
 
 from __future__ import annotations
@@ -54,9 +57,12 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     power = out
     fact = 1.0
     for k in range(1, terms + 1):
+        # every product ad[:, l] power[l] in one call over the batch
+        # (l, row, col), then summed over l in index order
+        prods = sp.multiply(ad.transpose(1, 0, 2)[:, :, None], power[:, None], order)
         nxt = np.zeros((d, d, n))
         for l in range(d):
-            nxt = nxt + sp.multiply(ad[:, l, None], power[None, l], order)
+            nxt = nxt + prods[l]
         power = nxt
         if not power.any():
             break
@@ -88,9 +94,15 @@ class FrameCalc:
         op = self.ops[i].get(m)
         if op is None:
             sp = self._space
+            n_out, n_in = sp.terms(m - 1), sp.terms(m)
             for j in range(self.model.dim):
-                cj = self._chart.coeffs[j, i, : sp.terms(m - 1)]
-                mat = sp.multiplication_matrix(cj, m - 1) @ sp.derivative_matrix(j, m)
+                cj = self._chart.coeffs[j, i, :n_out]
+                # (c_j * d/du_j f)_r: d/du_j moves coefficient deriv_src[j][r]
+                # to r, scaled by deriv_coef[j][r]
+                mat = np.zeros((n_out, n_in))
+                mat[:, sp.deriv_src[j][:n_out]] = (
+                    sp.multiplication_matrix(cj, m - 1) * sp.deriv_coef[j][:n_out]
+                )
                 op = mat if op is None else op + mat
             self.ops[i][m] = op
         return op

@@ -56,6 +56,7 @@ class JetSpace:
         self.n_at = np.searchsorted(self.degrees, np.arange(order + 2), side="left")
         self._build_product_table()
         self._build_derivative_maps()
+        self._shift_tables: dict[tuple[int, int], tuple] = {}
 
     def _build_product_table(self):
         pa, pb, pout = [], [], []
@@ -111,21 +112,35 @@ class JetSpace:
         n = self.terms(order)
         n_pairs = self.pairs_at[order + 1]
         m = np.zeros((n, n))
-        np.add.at(
-            m,
-            (self.pair_out[:n_pairs], self.pair_b[:n_pairs]),
-            a[self.pair_a[:n_pairs]],
-        )
+        # each (out, b) pair occurs once, so a plain scatter fills M; the
+        # + 0.0 gives the +0.0 that adding a -0.0 onto a zero would give
+        m[self.pair_out[:n_pairs], self.pair_b[:n_pairs]] = a[self.pair_a[:n_pairs]] + 0.0
         return m
 
-    def derivative_matrix(self, j: int, order: int) -> np.ndarray:
-        """Matrix of d/du_j from order-``order`` jets to order-1 lower."""
-        n_out = self.terms(order - 1)
-        n_in = self.terms(order)
-        m = np.zeros((n_out, n_in))
-        src = self.deriv_src[j][:n_out]
-        m[np.arange(n_out), src] = self.deriv_coef[j][:n_out]
-        return m
+    def shift_tables(self, degree: int, order: int) -> tuple:
+        """The point-free parts of `polynomial_shift_matrix`, built once.
+
+        For monomials a of degree <= degree and b of degree <= order:
+        valid[b, a] says whether b <= a coordinatewise, diff[b, a] holds
+        a - b (0 where not valid) as int8, and binom[b, a] the product of
+        the coordinatewise binomials binom(a_k, b_k).
+        """
+        key = (degree, order)
+        tables = self._shift_tables.get(key)
+        if tables is None:
+            a = self.exponents[: self.terms(degree)]
+            b = self.exponents[: self.terms(order)]
+            diff = a[None, :, :] - b[:, None, :]
+            valid = np.all(diff >= 0, axis=-1)
+            diff = np.where(valid[..., None], diff, 0).astype(np.int8)
+            top = max(degree, order) + 1
+            pascal = np.array(
+                [[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float
+            )
+            binom = np.prod(pascal[a[None, :, :], b[:, None, :]], axis=-1)
+            tables = (valid, diff, binom)
+            self._shift_tables[key] = tables
+        return tables
 
 
 _SPACES: dict[int, JetSpace] = {}
@@ -270,21 +285,13 @@ def polynomial_shift_matrix(
 
     For p(u) = sum_alpha c_alpha u^alpha, the jet of p at x has
     coefficients jet_beta = sum_alpha c_alpha binom(alpha, beta)
-    x^(alpha - beta); returns M with jet = c @ M.T.
+    x^(alpha - beta); returns M with jet = c @ M.T.  Only the powers
+    x_k^e, e <= degree, depend on x; the exponents, the binomials and
+    the mask come from the space's `shift_tables`.
     """
-    sp_in = get_space(dim, degree)
-    sp_out = get_space(dim, order)
-    n_in = sp_in.terms(degree)
-    n_out = sp_out.terms(order)
-    a = sp_in.exponents[:n_in]
-    b = sp_out.exponents[:n_out]
-    diff = a[None, :, :] - b[:, None, :]
-    valid = np.all(diff >= 0, axis=-1)
-    diff = np.where(valid[..., None], diff, 0)
-    top = max(degree, order) + 1
-    pascal = np.array([[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float)
-    binom = np.prod(pascal[a[None, :, :], b[:, None, :]], axis=-1)
-    powers = np.prod(np.asarray(x, dtype=float) ** diff, axis=-1)
+    valid, diff, binom = get_space(dim, max(degree, order)).shift_tables(degree, order)
+    table = _powers(np.asarray(x, dtype=float), degree)
+    powers = np.prod(table[np.arange(dim), diff], axis=-1)
     return np.where(valid, binom * powers, 0.0)
 
 
@@ -367,25 +374,34 @@ class Polynomial(TestFunction):
         return lift_polynomials(self.coefficients, self.degree, x, order)
 
 
-def _monomials(points: np.ndarray, dim: int, degree: int) -> np.ndarray:
-    """The graded monomials up to degree at points, shape (..., terms).
+def _powers(points: np.ndarray, degree: int) -> np.ndarray:
+    """points ** k for k = 0..degree, shape points.shape + (degree + 1,).
 
-    A single point gives shape (1, terms).  Each coordinate's powers are
-    computed once: powers 0 and 1 exactly, as 1.0 and the coordinate,
-    which is what numpy's pow returns for them, and each power k >= 2
-    by np.power against a full exponent array.  A scalar or stride-0
-    exponent 2 would take numpy's x*x fast path, which rounds
-    differently from pow in a few percent of squares.
+    Powers 0 and 1 are exact, 1.0 and the coordinate, which is what
+    numpy's pow returns for them; each power k >= 2 comes from np.power
+    against a full exponent array.  A scalar or stride-0 exponent 2
+    would take numpy's x*x fast path, which rounds differently from pow
+    in a few percent of squares.
     """
-    points = np.asarray(points, dtype=float)
-    if points.ndim == 1:
-        points = points[None]
     powers = np.empty(points.shape + (degree + 1,))
     powers[..., 0] = 1.0
     if degree >= 1:
         powers[..., 1] = points
     for k in range(2, degree + 1):
         powers[..., k] = np.power(points, np.full(points.shape, float(k)))
+    return powers
+
+
+def _monomials(points: np.ndarray, dim: int, degree: int) -> np.ndarray:
+    """The graded monomials up to degree at points, shape (..., terms).
+
+    A single point gives shape (1, terms).  Each coordinate's powers are
+    computed once, by `_powers`.
+    """
+    points = np.asarray(points, dtype=float)
+    if points.ndim == 1:
+        points = points[None]
+    powers = _powers(points, degree)
     sp = get_space(dim, degree)
     mono = np.prod(powers[..., np.arange(dim), sp.exponents[: sp.terms(degree)]], axis=-1)
     # the gather leaves mono strided, and a strided matmul can round

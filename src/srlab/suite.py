@@ -247,6 +247,16 @@ _parallel = _models(lambda model: validate(model).fully_parallel)
 _heisenberg = _models(is_heisenberg)
 
 
+def _schedulable(model) -> bool:
+    """Fully parallel and bracket generating: the schedules normalize by
+    the vertical curvature, which vanishes on a model that is not."""
+    report = validate(model)
+    return report.fully_parallel and report.bracket_generating
+
+
+_parallel_generating = _models(_schedulable)
+
+
 def _su2_pair_rho(cfg):
     """Selector of the spectral rows: su2-pair at the configured rho."""
     return [f"su2-pair-rho{cfg['spectral']['rho']:g}"]
@@ -837,7 +847,7 @@ CHECKS = {
         ("kernel-dimension-bound", "pzcknn(b)", _heisenberg, _kernel_dimension_bound),
     ),
     "poincare-decay": _rows(("poincare-decay", "Poincare(a)", _heisenberg, _poincare_decay)),
-    "schedules": _rows(("schedules", "ALambdaC", _parallel, _schedules)),
+    "schedules": _rows(("schedules", "ALambdaC", _parallel_generating, _schedules)),
     "distance": _rows(
         ("distance-triangle", "dcc", _heisenberg, _distance_triangle),
         ("distance-unit", "dcc", _heisenberg, _distance_unit),

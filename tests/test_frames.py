@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from srlab import algebra, frames
-from srlab.jets import Coordinate, Polynomial
+from srlab.jets import Coordinate, Polynomial, coordinate_jet, get_space
 from srlab.models import get_model
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -146,3 +146,93 @@ def test_su2_chart_rejects_far_points():
     m = get_model("su2-pair")
     with pytest.raises(ValueError):
         frames.chart_field_jets(m, np.full(6, 2.0), 3)
+
+
+# -- the per-point builders against their one-product-at-a-time forms ----
+
+
+def same_bits(a, b):
+    """Equal shapes and bytes, so a -0.0 never stands in for a +0.0."""
+    return a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_chart(m, x, order):
+    """The chart series with one jet product per summand l."""
+    c, d = m.onframe.c, m.dim
+    sp = get_space(d, order)
+    n = sp.terms(order)
+    ad = np.zeros((d, d, n))
+    for i in range(d):
+        ad = ad + c[:, i, :, None] * coordinate_jet(i, x, order).coeffs
+    nil = m.onframe.nil_step
+    terms = algebra._SERIES_TERMS if nil is None else nil + 1
+    bern = algebra.bernoulli_plus(terms)
+    out = np.zeros((d, d, n))
+    out[np.arange(d), np.arange(d), 0] = 1.0
+    power = out
+    fact = 1.0
+    for k in range(1, terms + 1):
+        nxt = np.zeros((d, d, n))
+        for l in range(d):
+            nxt = nxt + sp.multiply(ad[:, l, None], power[None, l], order)
+        power = nxt
+        if not power.any():
+            break
+        fact *= k
+        if bern[k] != 0.0:
+            out = out + bern[k] / fact * power
+    return out
+
+
+def reference_multiplication_matrix(sp, a, order):
+    n = sp.terms(order)
+    n_pairs = sp.pairs_at[order + 1]
+    m = np.zeros((n, n))
+    np.add.at(m, (sp.pair_out[:n_pairs], sp.pair_b[:n_pairs]), a[sp.pair_a[:n_pairs]])
+    return m
+
+
+def reference_op(calc, i, m):
+    """E_i as the sum over j of (chart_ji *) times a dense d/du_j matrix."""
+    sp = get_space(calc.model.dim, calc.order)
+    n_out, n_in = sp.terms(m - 1), sp.terms(m)
+    op = None
+    for j in range(calc.model.dim):
+        mult = reference_multiplication_matrix(sp, calc._chart.coeffs[j, i, :n_out], m - 1)
+        deriv = np.zeros((n_out, n_in))
+        deriv[np.arange(n_out), sp.deriv_src[j][:n_out]] = sp.deriv_coef[j][:n_out]
+        mat = mult @ deriv
+        op = mat if op is None else op + mat
+    return op
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_chart_jets_equal_the_per_summand_products(name):
+    m = get_model(name)
+    rng = np.random.default_rng(101)
+    for x in rng.uniform(-0.4, 0.4, (3, m.dim)):
+        for order in (0, 1, 2, 3):
+            chart = frames.chart_field_jets(m, x, order)
+            assert same_bits(chart.coeffs, reference_chart(m, x, order))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_multiplication_matrix_equals_the_summed_form(name):
+    sp = get_space(get_model(name).dim, 4)
+    rng = np.random.default_rng(103)
+    for order in (0, 1, 2, 3, 4):
+        a = rng.uniform(-1.0, 1.0, sp.terms(order))
+        a[rng.uniform(size=a.shape) < 0.3] = -0.0
+        ref = reference_multiplication_matrix(sp, a, order)
+        assert same_bits(sp.multiplication_matrix(a, order), ref)
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_frame_ops_equal_the_dense_products(name):
+    m = get_model(name)
+    rng = np.random.default_rng(107)
+    for x in rng.uniform(-0.4, 0.4, (2, m.dim)):
+        calc = frames.FrameCalc(m, x, 4)
+        for i in range(m.dim):
+            for order in (1, 2, 3, 4):
+                assert same_bits(calc._op(i, order), reference_op(calc, i, order))

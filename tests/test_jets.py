@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from srlab import jets
 from srlab.frames import FrameCalc
 from srlab.jets import (
     Constant,
@@ -52,7 +53,7 @@ def test_polynomial_lift_reproduces_values(dim):
         assert eval_jet(j, d) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
-def reference_shift_matrix(x, dim, degree, order):
+def reference_shift_matrices(xs, dim, degree, order):
     """binom(alpha, beta) x^(alpha - beta), one coordinate and entry at a time."""
     sp_in, sp_out = get_space(dim, degree), get_space(dim, order)
     a = sp_in.exponents[: sp_in.terms(degree)]
@@ -61,26 +62,46 @@ def reference_shift_matrix(x, dim, degree, order):
     valid = np.all(diff >= 0, axis=-1)
     diff = np.where(valid[..., None], diff, 0)
     binom = np.ones(valid.shape)
-    powers = np.ones(valid.shape)
     for k in range(dim):
         for r, s in np.ndindex(valid.shape):
             n, m = int(a[s, k]), int(b[r, k])
             binom[r, s] *= math.comb(n, m) if n >= m else 0.0
-        powers *= x[k] ** diff[:, :, k]
-    return np.where(valid, binom * powers, 0.0)
+    out = []
+    for x in xs:
+        powers = np.ones(valid.shape)
+        for k in range(dim):
+            powers *= x[k] ** diff[:, :, k]
+        out.append(np.where(valid, binom * powers, 0.0))
+    return out
 
 
 @pytest.mark.parametrize(
-    "dim,degree,order", [(2, 4, 4), (3, 0, 4), (3, 4, 4), (4, 3, 4), (6, 4, 4), (6, 4, 2)]
+    "dim,degree,order",
+    [
+        (2, 4, 4), (3, 0, 4), (3, 4, 4), (6, 4, 4), (6, 4, 2),
+        # the keys the suite lifts through
+        (3, 3, 4), (6, 3, 4), (4, 4, 4), (4, 3, 4), (3, 4, 2),
+    ],
 )
-def test_shift_matrix_matches_reference(dim, degree, order):
+def test_shift_matrix_matches_reference(dim, degree, order, monkeypatch):
     rng = np.random.default_rng(29 + dim + degree + order)
-    for _ in range(3):
-        x = rng.uniform(-1.5, 1.5, dim)
-        x[0] = 0.0
-        x[-1] = -abs(x[-1])
-        m = polynomial_shift_matrix(x, dim, degree, order)
-        assert np.array_equal(m, reference_shift_matrix(x, dim, degree, order))
+    xs = rng.uniform(-1.5, 1.5, (30, dim))
+    xs[:, 0] = 0.0
+    xs[:, -1] = -np.abs(xs[:, -1])
+    refs = reference_shift_matrices(xs, dim, degree, order)
+
+    def check():
+        for x, ref in zip(xs, refs):
+            assert np.array_equal(polynomial_shift_matrix(x, dim, degree, order), ref)
+
+    # the first call builds the space's tables, the second reads them
+    check()
+    check()
+    # a replaced space builds its own tables
+    old = get_space(dim, max(degree, order))
+    monkeypatch.delitem(jets._SPACES, dim)
+    assert get_space(dim, 6) is not old
+    check()
 
 
 def direct_eval(f, points):
@@ -160,15 +181,17 @@ def test_product_truncation_order():
 def test_derivative_drops_order_and_matches():
     f = Polynomial.monomial(2, (2, 1), 3.0)  # 3 x^2 y
     j = f.lift(np.array([0.5, 2.0]), 4)
-    dx = j.coeffs @ j.space.derivative_matrix(0, 4).T  # 6 x y
-    assert dx.shape == (j.space.terms(3),)
+    sp = j.space
+    n = sp.terms(3)
+    dx = sp.deriv_coef[0][:n] * j.coeffs[sp.deriv_src[0][:n]]  # 6 x y
+    assert dx.shape == (n,)
     assert dx[0] == pytest.approx(6.0 * 0.5 * 2.0)
     assert dx[j.space.index[(0, 1)]] == pytest.approx(6.0 * 0.5)  # d/dy of 6 x y
 
 
 def test_derivative_of_order_zero_raises():
-    # frame fields differentiate through derivative_matrix; an order-0
-    # jet has nothing left to differentiate
+    # frame fields differentiate through deriv_src and deriv_coef; an
+    # order-0 jet has nothing left to differentiate
     heis = get_model("heisenberg")
     j = Constant(3, 1.0).lift(np.zeros(3), 0)
     with pytest.raises(ValueError, match="order-0"):

@@ -236,6 +236,20 @@ def test_per_model_eligibility_comes_from_structure():
     }
 
 
+def test_every_check_runs_on_the_abelian_model():
+    # abelian is fully parallel but not bracket generating, so its
+    # vertical curvature vanishes and the schedules have nothing to
+    # normalize by: they skip it, and no check raises on it
+    cfg = cheap_per_model_config(["abelian"])
+    cfg["checks"] = list(su.CHECKS)
+    report, code = su.run_suite(cfg)
+    assert code == 0
+    assert {m for cid, m in row_models(report) if not cid.startswith("spectral")} == {"abelian"}
+    assert {cid for cid, m in row_models(report) if m == "abelian"} == {
+        "validate-models", "double-gamma", "commutation", "ricci-compare",
+    }
+
+
 def test_per_model_rows_ignore_the_model_name(monkeypatch):
     # an Engel group registered under another name gets Engel's rows
     renamed = dataclasses.replace(models.build_engel(), name="step3")
