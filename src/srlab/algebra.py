@@ -14,9 +14,9 @@ ordinary numpy arrays here.
 
 from __future__ import annotations
 
+import math
+
 import numpy as np
-from scipy.linalg import funm
-from scipy.special import bernoulli
 
 
 def antisymmetry_residual(c: np.ndarray) -> float:
@@ -199,21 +199,39 @@ def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.nd
     return z
 
 
-_BERNOULLI_PLUS_CACHE: dict[int, np.ndarray] = {}
-
-
-def bernoulli_plus(n: int) -> np.ndarray:
-    """Bernoulli numbers with the B_1 = +1/2 sign convention, orders 0..n."""
-    if n not in _BERNOULLI_PLUS_CACHE:
-        b = bernoulli(n)
-        signs = (-1.0) ** np.arange(n + 1)
-        _BERNOULLI_PLUS_CACHE[n] = b * signs
-    return _BERNOULLI_PLUS_CACHE[n]
-
-
 #: series for z / (1 - e^(-z)); converges for |z| < 2 pi
 _SERIES_TERMS = 30
 _SERIES_SAFE_NORM = 4.0
+
+
+def _bernoulli_plus_table(n: int) -> np.ndarray:
+    """B_0..B_n with B_1 = +1/2, each the correctly rounded exact rational.
+
+    The recurrence sum_{k <= m} C(m+1, k) B_k = 0 runs on integer
+    (numerator, denominator) pairs in lowest terms, and each number is
+    rounded once, by int true division.
+    """
+    exact = [(1, 1)]
+    for m in range(1, n + 1):
+        den = math.lcm(*(q for _, q in exact))
+        num = -sum(math.comb(m + 1, k) * p * (den // q) for k, (p, q) in enumerate(exact))
+        den *= m + 1
+        g = math.gcd(num, den)
+        exact.append((num // g, den // g))
+    table = np.array([p / q for p, q in exact])
+    table[1] = -table[1]
+    table.flags.writeable = False
+    return table
+
+
+_BERNOULLI_PLUS = _bernoulli_plus_table(_SERIES_TERMS)
+
+
+def bernoulli_plus(n: int) -> np.ndarray:
+    """Bernoulli numbers with the B_1 = +1/2 sign convention, orders 0..n <= 30."""
+    if n > _SERIES_TERMS:
+        raise ValueError(f"Bernoulli numbers are tabulated to order {_SERIES_TERMS}, not {n}")
+    return _BERNOULLI_PLUS[: n + 1]
 
 
 def _dexpinv_series(ad: np.ndarray, terms: int = _SERIES_TERMS) -> np.ndarray:
@@ -271,6 +289,8 @@ def frame_coefficients(
         else:
             # funm's error estimate is spurious for the repeated eigenvalues
             # of ad matrices, so it is taken back instead of printed
+            from scipy.linalg import funm
+
             value, _ = funm(m.astype(complex), np.vectorize(_dexpinv_scalar), disp=False)
             out[i] = np.real(value)
     return out.reshape(ad.shape)

@@ -21,11 +21,10 @@ Two routes:
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import expm
-from scipy.optimize import brentq, minimize
 
 from . import algebra
 from .models import LieModel, _su2_pair_coords_to_algebra, is_heisenberg
@@ -36,6 +35,8 @@ SHOOT_PIECES = 16
 SHOOT_STARTS = 4
 SHOOT_SEED = 0
 SHOOT_MAXITER = 200
+#: iteration cap of the Heisenberg angle solve (scipy's brentq default)
+BRENTQ_MAXITER = 100
 
 
 @dataclass
@@ -49,6 +50,66 @@ class DistanceEstimate:
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
+
+
+def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
+    """A root of f in [xa, xb], as scipy.optimize.brentq returns it.
+
+    Repeats scipy's brentq (scipy 1.17, C brentq.c) operation for
+    operation on Python floats, so the root is bitwise equal to scipy's,
+    and raises as it does: ValueError when f(xa) and f(xb) share a sign
+    or f returns NaN, RuntimeError after BRENTQ_MAXITER iterations.
+    """
+
+    def value(x):
+        fx = float(f(x))
+        if fx != fx:
+            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
+        return fx
+
+    xpre, xcur = float(xa), float(xb)
+    xblk = fblk = spre = scur = 0.0
+    fpre = value(xpre)
+    fcur = value(xcur)
+    if fpre == 0.0:
+        return xpre
+    if fcur == 0.0:
+        return xcur
+    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
+        raise ValueError("f(a) and f(b) must have different signs")
+    for _ in range(BRENTQ_MAXITER):
+        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
+            xblk, fblk = xpre, fpre
+            spre = scur = xcur - xpre
+        if abs(fblk) < abs(fcur):
+            xpre, xcur, xblk = xcur, xblk, xcur
+            fpre, fcur, fblk = fcur, fblk, fcur
+        delta = (xtol + rtol * abs(xcur)) / 2
+        sbis = (xblk - xcur) / 2
+        if fcur == 0.0 or abs(sbis) < delta:
+            return xcur
+        if abs(spre) > delta and abs(fcur) < abs(fpre):
+            if xpre == xblk:
+                # interpolate
+                stry = -fcur * (xcur - xpre) / (fcur - fpre)
+            else:
+                # extrapolate
+                dpre = (fpre - fcur) / (xpre - xcur)
+                dblk = (fblk - fcur) / (xblk - xcur)
+                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
+            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
+                spre, scur = scur, stry  # good short step
+            else:
+                spre = scur = sbis
+        else:
+            spre = scur = sbis
+        xpre, fpre = xcur, fcur
+        if abs(scur) > delta:
+            xcur += scur
+        else:
+            xcur += delta if sbis > 0 else -delta
+        fcur = value(xcur)
+    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
 def _heisenberg_from_identity(p: np.ndarray) -> float | None:
@@ -74,7 +135,7 @@ def _heisenberg_from_identity(p: np.ndarray) -> float | None:
     if m(hi) < target:
         # target beyond solver bracket (endpoint almost on the center)
         return None
-    phi = brentq(lambda q: m(q) - target, lo, hi, xtol=1e-14, rtol=1e-15)
+    phi = _brentq(lambda q: m(q) - target, lo, hi, 1e-14, 1e-15)
     value = float(rho * phi / (2.0 * np.sin(0.5 * phi)))
     # as phi -> 2 pi the length loses its digits; d lies within rho of 2 sqrt(pi |z|)
     return value if abs(value - 2.0 * np.sqrt(np.pi * az)) <= rho else None
@@ -157,6 +218,8 @@ def _endpoint_jacobian(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.n
     in coordinates at the endpoint G, that is
     J_k = F(G) expm(-ad B_k) F(u_k)^-1 on the horizontal directions.
     """
+    from scipy.linalg import expm
+
     c, step = model.onframe.c, model.onframe.nil_step
     pieces, s = _suffix_products(model, v)
     f_inv = np.linalg.inv(algebra.frame_coefficients(c, pieces, step))
@@ -178,6 +241,8 @@ def _shooting_upper(model: LieModel, rel: np.ndarray) -> float:
     1e-12 (1 + |rel|) has length sum |u_k| >= d(0, rel); inf is
     returned if no start does.
     """
+    from scipy.optimize import minimize
+
     n = model.dim_h
     rng = np.random.default_rng(SHOOT_SEED)
     scale = np.sqrt(np.linalg.norm(rel)) / SHOOT_PIECES

@@ -27,7 +27,9 @@ never the name), each under its configured name, or for the spectral
 rows su2-pair at the configured rho.  The measure returns the row's
 readings for one label.  The rows of a check share their work (chiefly
 the PDE evolutions) through one memo, which a suite run keeps open
-across its checks.
+across its checks; the validation report and the constants of each
+configured model are also made once per memo, keyed by the configured
+name.
 """
 
 from __future__ import annotations
@@ -173,14 +175,6 @@ def _l_grid(n: int) -> np.ndarray:
     return np.logspace(-1.0, 1.0, n)
 
 
-def _constants_for(name: str):
-    """Declared-constants route: normalized model plus its constants."""
-    model = get_model(name)
-    work = geometry.normalize_vertical(model)
-    consts = geometry.assemble_constants(model)
-    return work, consts
-
-
 # ----------------------------------------------------------------------
 # Rows (row id, anchor, select, measure) and their driver
 # ----------------------------------------------------------------------
@@ -212,6 +206,21 @@ def _run_memo(key, build):
     return _RUN_MEMO[key]
 
 
+def _validated(name: str):
+    """validate() of the configured model `name`, once per open memo."""
+    return _run_memo(("validate", name), lambda: validate(get_model(name)))
+
+
+def _constants_for(name: str):
+    """Declared-constants route: normalized model plus its constants, once per open memo."""
+
+    def build():
+        model = get_model(name)
+        return geometry.normalize_vertical(model), geometry.assemble_constants(model)
+
+    return _run_memo(("constants", name), build)
+
+
 def _rows(*rows):
     """A check emitting each row for every label its selector picks.
 
@@ -241,20 +250,26 @@ def _models(accepts):
 
 _any = _models(lambda model: True)
 _declared = _models(lambda model: model.declared_constants is not None)
-_step2 = _models(lambda model: validate(model).step == 2)
-_beyond_step2 = _models(lambda model: validate(model).step > 2)
-_parallel = _models(lambda model: validate(model).fully_parallel)
 _heisenberg = _models(is_heisenberg)
 
 
-def _schedulable(model) -> bool:
+def _validated_models(accepts):
+    """Selector: the configured models whose validation report accepts(report) admits."""
+    return lambda cfg: [name for name in cfg["models"] if accepts(_validated(name))]
+
+
+_step2 = _validated_models(lambda report: report.step == 2)
+_beyond_step2 = _validated_models(lambda report: report.step > 2)
+_parallel = _validated_models(lambda report: report.fully_parallel)
+
+
+def _schedulable(report) -> bool:
     """Fully parallel and bracket generating: the schedules normalize by
     the vertical curvature, which vanishes on a model that is not."""
-    report = validate(model)
     return report.fully_parallel and report.bracket_generating
 
 
-_parallel_generating = _models(_schedulable)
+_parallel_generating = _validated_models(_schedulable)
 
 
 def _su2_pair_rho(cfg):
@@ -266,7 +281,7 @@ def _su2_pair_rho(cfg):
 
 
 def _validation(cfg, seed, name):
-    report = validate(get_model(name))
+    report = _validated(name)
     margin = -max(report.jacobi_residual, report.antisymmetry_residual)
     return [(margin, 1e-12, {"report": report.to_json()})]
 
@@ -274,7 +289,7 @@ def _validation(cfg, seed, name):
 def _constants(cfg, seed, name):
     model = get_model(name)
     rep = geometry.geometry_report(model)
-    consts = geometry.assemble_constants(model)
+    _, consts = _constants_for(name)
     dec = model.declared_constants
     dev = max(
         abs(consts.rho1 - dec.rho1),
@@ -282,7 +297,7 @@ def _constants(cfg, seed, name):
         abs(consts.rho21 - dec.rho21),
         abs(consts.n - dec.n),
     )
-    if validate(model).fully_parallel:
+    if _validated(name).fully_parallel:
         dev = max(dev, rep.M_HV, rep.M_grad_v)
     return [(-dev, 1e-9, {"constants": consts.to_json(), "geometry": rep.to_json()})]
 

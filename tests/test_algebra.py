@@ -1,3 +1,6 @@
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
 from scipy.linalg import funm
@@ -101,3 +104,15 @@ def test_bracket_filtration_spans_the_generated_subalgebra(name, rank, step):
         span, got = algebra.bracket_filtration(c, m.dim_h)
         assert (span.shape, got) == ((rank, m.dim), step)
         assert np.allclose(span @ span.T, np.eye(rank))
+
+
+def test_bernoulli_numbers_are_the_rounded_exact_rationals():
+    exact = [Fraction(1)]
+    for m in range(1, 31):
+        exact.append(-sum(math.comb(m + 1, k) * exact[k] for k in range(m)) / (m + 1))
+    exact[1] = -exact[1]  # the B_1 = +1/2 convention
+    got = algebra.bernoulli_plus(30)
+    assert got.tolist() == [float(b) for b in exact]
+    assert algebra.bernoulli_plus(3).tolist() == [1.0, 0.5, 1.0 / 6.0, 0.0]
+    with pytest.raises(ValueError):
+        algebra.bernoulli_plus(31)

@@ -193,3 +193,45 @@ def test_su2_pair_one_parameter_subgroup():
     # straight horizontal flow attains the factor projection bound
     assert est.value == pytest.approx(0.25, abs=1e-9)
     assert est.lower == pytest.approx(0.25, abs=1e-9)
+
+
+def test_brentq_repeats_scipy_bitwise():
+    # the Heisenberg angle solve: m(phi), its bracket and tolerances, at
+    # targets spread uniformly and log-uniformly over the bracket's range
+    from scipy.optimize import brentq
+
+    def m(phi):
+        s = np.sin(0.5 * phi)
+        return (phi - np.sin(phi)) / (2.0 * s * s)
+
+    lo, hi = 1e-9, 2.0 * np.pi - 1e-9
+    rng = np.random.default_rng(18)
+    top = m(hi)
+    targets = np.concatenate([
+        rng.uniform(1e-8, top, 5000),
+        np.exp(rng.uniform(np.log(1e-8), np.log(top), 5000)),
+    ])
+    mismatches = 0
+    for target in targets:
+        ours = dist._brentq(lambda q: m(q) - target, lo, hi, 1e-14, 1e-15)
+        theirs = brentq(lambda q: m(q) - target, lo, hi, xtol=1e-14, rtol=1e-15)
+        mismatches += ours != theirs
+    assert mismatches == 0
+
+
+def test_brentq_raises_as_scipy_does(monkeypatch):
+    from scipy.optimize import brentq
+
+    with pytest.raises(ValueError, match="different signs"):
+        brentq(lambda x: x * x + 1.0, 0.0, 1.0)
+    with pytest.raises(ValueError, match="different signs"):
+        dist._brentq(lambda x: x * x + 1.0, 0.0, 1.0, 1e-14, 1e-15)
+    with pytest.raises(ValueError, match="NaN"):
+        dist._brentq(lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-14, 1e-15)
+    with pytest.raises(RuntimeError, match="converge after 2 iterations"):
+        brentq(np.sin, 1.0, 4.0, maxiter=2)
+    monkeypatch.setattr(dist, "BRENTQ_MAXITER", 2)
+    with pytest.raises(RuntimeError, match="converge after 2 iterations"):
+        dist._brentq(np.sin, 1.0, 4.0, 1e-14, 1e-15)
+    # a root at an end of the bracket is returned without iterating
+    assert dist._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-14, 1e-15) == 1.0

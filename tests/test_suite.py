@@ -417,3 +417,66 @@ def test_perfbench_tracer_installs():
     code = "import layers; layers.install(layers.Tracer())"
     proc = _run(["-c", code], ["src", "perfbench"])
     assert proc.returncode == 0, proc.stderr
+
+
+def test_su2_pair_jet_margins_at_roundoff():
+    # the chart series of su2-pair reads 30 Bernoulli numbers; with each
+    # one correctly rounded these identities hold to roundoff at the
+    # default sizes (scipy's bernoulli, wrong by 1.7e-12 from B_4 on,
+    # left -1.03e-12 and -2.27e-13)
+    report, code = su.run_suite({"models": ["su2-pair"], "checks": ["commutation", "condition-b"]})
+    assert code == 0
+    margins = {row["check_id"]: row["margin"] for row in report["results"]}
+    assert set(margins) == {"commutation", "condition-b"}
+    assert all(abs(m) < 1e-13 for m in margins.values()), margins
+
+
+def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
+    # selectors and measures share one validation report and one
+    # constant set per configured name, so a Heisenberg group registered
+    # as h3 (whose own name is still "heisenberg") keeps its own entry
+    monkeypatch.setitem(models.MODEL_BUILDERS, "h3", models.build_heisenberg)
+    calls = []
+
+    def counted(fn):
+        return lambda model: calls.append((fn.__name__, model.name)) or fn(model)
+
+    monkeypatch.setattr(su, "validate", counted(su.validate))
+    monkeypatch.setattr(su.geometry, "assemble_constants", counted(su.geometry.assemble_constants))
+    cfg = light_config(
+        models=["heisenberg", "h3", "engel"],
+        checks=["validate-models", "constants", "cd-sharpness", "condition-b", "schedules"],
+    )
+    report, code = su.run_suite(cfg)
+    assert code == 0
+    assert {m for _, m in row_models(report)} == {"heisenberg", "h3", "engel"}
+    assert sorted(calls) == [
+        ("assemble_constants", "heisenberg"),
+        ("assemble_constants", "heisenberg"),
+        ("validate", "engel"),
+        ("validate", "heisenberg"),
+        ("validate", "heisenberg"),
+    ]
+    # a check run alone opens a memo of its own, closed when it returns
+    calls.clear()
+    for _ in range(2):
+        rows = su.CHECKS["condition-b"](su.load_config(cfg), 1)
+        assert {row.model for row in rows} == {"heisenberg", "h3", "engel"}
+    assert sorted(calls) == [("validate", "engel")] * 2 + [("validate", "heisenberg")] * 4
+
+
+def test_import_path_keeps_scipy_linalg_special_optimize_out():
+    # srlab loads numpy only, and srlab.cli adds scipy.sparse for the PDE
+    # solver; the quick suite runs without the three subpackages
+    script = (
+        "import sys\n"
+        "import srlab, srlab.cli\n"
+        "from srlab.suite import run_suite\n"
+        "_, code = run_suite('configs/quick.json')\n"
+        "print(code, [m for m in ('scipy.linalg', 'scipy.special', 'scipy.optimize')"
+        " if m in sys.modules])\n"
+    )
+    proc = subprocess.run([sys.executable, "-c", script], cwd=ROOT, capture_output=True, text=True,
+                          env=dict(os.environ, PYTHONPATH=str(ROOT / "src")))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["0", "[]"]
