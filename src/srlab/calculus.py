@@ -151,6 +151,11 @@ def _cd(values: dict, l, constants) -> tuple:
     return lhs - rhs, 1.0 + np.abs(lhs) + np.abs(rhs)
 
 
+def _double_gamma_inputs(model: LieModel) -> tuple[float, float]:
+    """(rho_H, M_HV) of the model as given, unnormalized: the bounds' curvature inputs."""
+    return geometry.ricci_h(model)[0], geometry.mixed_bounds(model)[0]
+
+
 def _double_gamma(calc: FrameCalc, j: Jet, l: float, c: float, rho_h: float, m_hv: float) -> tuple:
     """Slack of both gradient-of-gradient bounds (see `double_gamma_residuals`) and scale."""
     v = _core_values(calc, j, want="double")
@@ -188,29 +193,18 @@ def cd_residual(model: LieModel, f, x, l: float, constants):
     return _cd(_core_values(*_at(model, f, x)), l, constants)[0]
 
 
-def double_gamma_residuals(
-    model: LieModel,
-    f,
-    x,
-    l: float,
-    c: float,
-    rho_h: float | None = None,
-    m_hv: float | None = None,
-):
+def double_gamma_residuals(model: LieModel, f, x, l: float, c: float):
     """Slack of the two gradient-of-gradient bounds at x.
 
-    First entry: Gamma^h(f) (Gamma2^{h+lv}(f) - (rho_h - 1/c - 1/l)
-    Gamma^h(f) + c m_hv^2 Gamma^v(f)) - Gamma^h(Gamma^h(f))/4.
+    First entry: Gamma^h(f) (Gamma2^{h+lv}(f) - (rho_H - 1/c - 1/l)
+    Gamma^h(f) + c M_HV^2 Gamma^v(f)) - Gamma^h(Gamma^h(f))/4, with
+    rho_H and M_HV of the model as given (`_double_gamma_inputs`).
     Second entry: Gamma^v(f) Gamma2^v(f) - Gamma^h(Gamma^v(f))/4.
     Both are nonnegative wherever the bounds hold.
     """
     if l <= 0 or c <= 0:
         raise ValueError("l and c must be positive")
-    if rho_h is None:
-        rho_h = geometry.ricci_h(model)[0]
-    if m_hv is None:
-        m_hv = geometry.mixed_bounds(model)[0]
-    return _double_gamma(*_at(model, f, x), l, c, rho_h, m_hv)[:2]
+    return _double_gamma(*_at(model, f, x), l, c, *_double_gamma_inputs(model))[:2]
 
 
 def condb_residual(model: LieModel, f, x):
@@ -347,18 +341,12 @@ def cd_residual_sweep(
 
 
 def double_gamma_sweep(
-    model: LieModel,
-    n_functions: int,
-    n_points: int,
-    l: float,
-    c: float,
-    rho_h: float,
-    m_hv: float,
-    seed: int,
+    model: LieModel, n_functions: int, n_points: int, l: float, c: float, seed: int
 ):
     """Residuals of both gradient-of-gradient bounds over seeded cubics."""
+    inputs = _double_gamma_inputs(model)
     draws = _draws(model, n_functions, n_points, 3, seed)
-    return _sweep(model, draws, 3, lambda calc, j: _double_gamma(calc, j, l, c, rho_h, m_hv))
+    return _sweep(model, draws, 3, lambda calc, j: _double_gamma(calc, j, l, c, *inputs))
 
 
 def condb_sweep(model: LieModel, n_samples: int, seed: int):

@@ -367,26 +367,16 @@ def resolve_weight(report: GeometryReport, objective: str) -> float:
     raise ValueError(f"unknown objective {objective!r}")
 
 
-def assemble_constants(
-    model: LieModel,
-    c: float | str = "optimize",
-    objective: str = "max_alpha",
-) -> CDConstants:
-    """Full constant record for one model.
+def assemble_constants(model: LieModel, objective: str = "max_alpha") -> CDConstants:
+    """Full constant record for one model, its weight c resolved via the objective.
 
-    c may be a number, or "optimize" to resolve it via the objective.
     The dimensional constants and the spectral bound are populated when
     their hypotheses (rho20 > 0, and positivity where required) hold,
     otherwise left as None.
     """
     report = geometry_report(model)
     n = model.dim_h
-    if isinstance(c, str):
-        c_val = resolve_weight(report, objective)
-    else:
-        c_val = float(c)
-        if c_val <= 0:
-            raise ValueError(f"weight c must be positive, got {c_val}")
+    c_val = resolve_weight(report, objective)
     rho1, rho20, rho21 = rho_constants(report, c_val)
     kappa = kappa_of(report)
     nd = None

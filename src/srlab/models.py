@@ -289,11 +289,14 @@ def build_heisenberg() -> LieModel:
     )
 
 
+_HEISENBERG_C = build_heisenberg().structure_constants  # read-only
+
+
 def is_heisenberg(model: LieModel) -> bool:
     """Whether the orthonormal-frame constants, which `compose` uses, are heisenberg's."""
     if model.group != "nilpotent" or (model.dim_h, model.dim) != (2, 3):
         return False
-    return np.array_equal(model.onframe.c, build_heisenberg().structure_constants)
+    return np.array_equal(model.onframe.c, _HEISENBERG_C)
 
 
 def build_free_nilpotent(n: int) -> LieModel:

@@ -46,6 +46,8 @@ CG_RTOL = 1e-10
 FLUX_LIMIT = 1e-3
 #: standard deviation of the kernel source, in cells of the widest grid axis
 KERNEL_WIDTH_CELLS = 1.5
+#: fewest grid points per axis: with fewer, the two-cell boundary shell is the whole box
+MIN_AXIS_POINTS = 5
 
 
 def _centered_diff(n: int, h: float) -> sp.csr_matrix:
@@ -176,10 +178,10 @@ class HeisenbergHeatSolver:
         self.bounds = tuple(float(b) for b in bounds)
         self.shape = tuple(int(s) for s in shape)
         for axis, points in enumerate(self.shape):
-            if points < 5:
-                # the two-cell boundary shell would be the whole box
+            if points < MIN_AXIS_POINTS:
                 raise ValueError(
-                    f"axis {'xyz'[axis]} has {points} grid points; at least 5 are needed"
+                    f"axis {'xyz'[axis]} has {points} grid points; "
+                    f"at least {MIN_AXIS_POINTS} are needed"
                 )
         self.dt = float(dt)
         self.axes = [np.linspace(-b, b, s) for b, s in zip(self.bounds, self.shape)]

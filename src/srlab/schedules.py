@@ -11,7 +11,7 @@ tied to the curvature-dimension constants:
 
 The entropy kind is used with the commuting-gradient form of the
 inequality where the weight multiplies log-gradients and rho21 plays
-no role.  Builders below attach exact derivative samples; the checker
+no role.  Every schedule carries exact derivative samples; the checker
 combines them with central differences so that a wrong analytic
 derivative cannot go unnoticed.
 """
@@ -25,11 +25,16 @@ import numpy as np
 from .geometry import constants_tuple
 
 DEFAULT_GRID = 2048
+#: interior points at either end that the difference cross-check skips, at least
+_END_SKIP = 2
+#: fewest grid intervals: n intervals leave n - 1 interior points, and the
+#: cross-check needs one past the skipped ends
+MIN_GRID = 2 * _END_SKIP + 2
 
 
 @dataclass
 class Schedule:
-    """Sampled weight functions with optional exact derivatives."""
+    """Sampled weight functions with their exact derivatives."""
 
     label: str
     kind: str                    # "gradient" or "entropy"
@@ -39,8 +44,8 @@ class Schedule:
     l: np.ndarray
     b: np.ndarray
     C: float
-    da: np.ndarray | None = None
-    dl: np.ndarray | None = None
+    da: np.ndarray
+    dl: np.ndarray
 
     def interior(self) -> slice:
         return slice(1, len(self.t) - 1)
@@ -66,20 +71,13 @@ def _fd(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     return (y[2:] - y[:-2]) / (t[2:] - t[:-2])
 
 
-def _margins(
-    s: Schedule,
-    constants,
-    use_analytic: bool,
-) -> tuple[np.ndarray, np.ndarray]:
+def _margins(s: Schedule, constants, da, dl) -> tuple[np.ndarray, np.ndarray]:
+    """Both conditions on the interior grid, with the derivatives da, dl there."""
     n, rho1, rho20, rho21 = constants_tuple(constants)
     it = s.interior()
     t, a, l, b = s.t[it], s.a[it], s.l[it], s.b[it]
     if np.any(a <= 0) or np.any(l <= 0):
         raise ValueError(f"schedule {s.label!r} must be positive on the open interval")
-    if use_analytic:
-        da, dl = s.da[it], s.dl[it]
-    else:
-        da, dl = _fd(s.t, s.a), _fd(s.t, s.l)
     first = da + (rho1 - 1.0 / l - 2.0 * b) * a + s.C
     if s.kind == "gradient":
         second = dl + rho20 + rho21 * l + da * l / a
@@ -93,30 +91,31 @@ def _margins(
 def admissibility_margins(s: Schedule, constants) -> ScheduleCheck:
     """Minimum slack of both conditions over the interior grid.
 
-    When the schedule carries analytic derivatives they give the
-    reported margins and central differences act as a consistency
-    check away from the interval ends; otherwise the margins come from
-    central differences directly.  The difference error shrinks as the
-    squared grid step, and so does the tolerated disagreement.
+    The analytic derivatives give the reported margins, and central
+    differences act as a consistency check away from the interval ends;
+    the schedule needs at least MIN_GRID grid intervals for that.  The
+    difference error shrinks as the squared grid step, and so does the
+    tolerated disagreement.
     """
+    if len(s.t) - 1 < MIN_GRID:
+        raise ValueError(f"schedule {s.label!r} needs at least {MIN_GRID} grid intervals")
     issues: list[str] = []
-    analytic = s.da is not None and s.dl is not None
-    first, second = _margins(s, constants, use_analytic=analytic)
+    it = s.interior()
+    first, second = _margins(s, constants, s.da[it], s.dl[it])
     margin_first = float(first.min())
     margin_second = float(second.min())
 
-    if analytic:
-        f_fd, s_fd = _margins(s, constants, use_analytic=False)
-        # compare away from the ends, where central differences of the
-        # possibly singular weights are trustworthy
-        k = max(len(f_fd) // 50, 2)
-        sl = slice(k, len(f_fd) - k)
-        fd_dev = float(
-            max(np.max(np.abs(first[sl] - f_fd[sl])), np.max(np.abs(second[sl] - s_fd[sl])))
-        )
-        scale = 1.0 + float(np.max(np.abs(first[sl]))) + float(np.max(np.abs(second[sl])))
-        if fd_dev > 1e-3 * scale * (DEFAULT_GRID / (len(s.t) - 1)) ** 2:
-            issues.append(f"analytic and difference derivatives disagree by {fd_dev:g}")
+    f_fd, s_fd = _margins(s, constants, _fd(s.t, s.a), _fd(s.t, s.l))
+    # compare away from the ends, where central differences of the
+    # possibly singular weights are trustworthy
+    k = max(len(f_fd) // 50, _END_SKIP)
+    sl = slice(k, len(f_fd) - k)
+    fd_dev = float(
+        max(np.max(np.abs(first[sl] - f_fd[sl])), np.max(np.abs(second[sl] - s_fd[sl])))
+    )
+    scale = 1.0 + float(np.max(np.abs(first[sl]))) + float(np.max(np.abs(second[sl])))
+    if fd_dev > 1e-3 * scale * (DEFAULT_GRID / (len(s.t) - 1)) ** 2:
+        issues.append(f"analytic and difference derivatives disagree by {fd_dev:g}")
 
     return ScheduleCheck(
         label=s.label,

@@ -68,6 +68,14 @@ class SpectralGapResult:
     stable: bool                 # gap unchanged under j_max -> j_max + 1
 
 
+def check_j_max(j_max: float) -> None:
+    """Raise ValueError unless j_max is a multiple of 1/2 and at least 1."""
+    if j_max < 1:
+        raise ValueError("j_max must be at least 1")
+    if not float(2 * j_max).is_integer():
+        raise ValueError(f"j_max must be a multiple of 1/2, got {j_max}")
+
+
 def spectral_gap(rho: float, j_max: float) -> SpectralGapResult:
     """Scan representation blocks up to j_max for the spectral gap.
 
@@ -75,12 +83,9 @@ def spectral_gap(rho: float, j_max: float) -> SpectralGapResult:
     nonzero eigenvalue); stability under enlarging the scan by one
     spin level is the convergence certificate, since blocks grow
     monotonically in Casimir content.  One scan to j_max + 1 reads both
-    minima.  j_max must be a multiple of 1/2 and at least 1.
+    minima.  j_max must pass `check_j_max`.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
-    if not float(2 * j_max).is_integer():
-        raise ValueError(f"j_max must be a multiple of 1/2, got {j_max}")
+    check_j_max(j_max)
     zero_tol = 1e-9 * max(rho, 1.0)
     best = {j_max: (np.inf, (0.0, 0.0)), j_max + 1.0: (np.inf, (0.0, 0.0))}
     spins = [0.5 * k for k in range(int(round(2 * j_max)) + 3)]

@@ -27,9 +27,10 @@ never the name), each under its configured name, or for the spectral
 rows su2-pair at the configured rho.  The measure returns the row's
 readings for one label.  The rows of a check share their work (chiefly
 the PDE evolutions) through one memo, which a suite run keeps open
-across its checks; the validation report and the constants of each
-configured model are also made once per memo, keyed by the configured
-name.
+across its checks.  Each configured model is built once per memo,
+keyed by its configured name, and every selector and measure reads that
+one object; its validation report (keyed by the object) and its
+constants are made once per memo too.
 """
 
 from __future__ import annotations
@@ -137,11 +138,62 @@ class ConfigError(ValueError):
 
 
 def _names_from(value, known) -> bool:
-    return isinstance(value, list) and all(isinstance(v, str) and v in known for v in value)
+    """Whether value is a list of distinct names from known."""
+    return (
+        isinstance(value, list)
+        and all(isinstance(v, str) and v in known for v in value)
+        and len(set(value)) == len(value)
+    )
+
+
+def _is_int(value) -> bool:
+    return isinstance(value, int) and not isinstance(value, bool)
+
+
+def _value_error(default, value) -> str | None:
+    """Why value cannot stand in for the default of a section key, or None.
+
+    An int stays an int, a float takes any real number, a list keeps its
+    length; every count and scale is positive and finite.
+    """
+    if isinstance(default, list):
+        if not isinstance(value, list) or len(value) != len(default):
+            return f"must be a list of {len(default)} numbers"
+        return next(filter(None, map(_value_error, default, value)), None)
+    if _is_int(default) and not _is_int(value):
+        return "must be an integer"
+    if not (_is_int(value) or isinstance(value, float)):
+        return "must be a number"
+    if not 0 < value < np.inf:
+        return "must be positive and finite"
+    return None
+
+
+def _check_values(cfg: dict) -> None:
+    """Raise ConfigError for a value that no engine runs on."""
+    if not _is_int(cfg["seed"]):
+        raise ConfigError(f"seed must be an integer, not {cfg['seed']!r}")
+    if not all(v is None or isinstance(v, str) for v in cfg["output"].values()):
+        raise ConfigError("output paths must be strings or null")
+    for section, params in DEFAULT_CONFIG.items():
+        if not isinstance(params, dict) or section == "output":
+            continue
+        for key, default in params.items():
+            why = _value_error(default, cfg[section][key])
+            if why:
+                raise ConfigError(f"{section}.{key} {why}, not {cfg[section][key]!r}")
+    if min(cfg["pde"]["shape"]) < pde.MIN_AXIS_POINTS:
+        raise ConfigError(f"pde.shape needs at least {pde.MIN_AXIS_POINTS} points per axis")
+    if cfg["schedules"]["grid"] < schedules.MIN_GRID:
+        raise ConfigError(f"schedules.grid must be at least {schedules.MIN_GRID}")
+    try:
+        spectral.check_j_max(cfg["spectral"]["j_max"])
+    except ValueError as err:
+        raise ConfigError(f"spectral.{err}") from None
 
 
 def load_config(doc: dict | str | None) -> dict:
-    """Merge a user configuration over the defaults, validating keys."""
+    """Merge a user configuration over the defaults, validating keys and values."""
     cfg = json.loads(json.dumps(DEFAULT_CONFIG))  # deep copy
     if doc is None:
         return cfg
@@ -163,11 +215,12 @@ def load_config(doc: dict | str | None) -> dict:
         else:
             cfg[key] = value
     if not _names_from(cfg["models"], MODEL_BUILDERS):
-        raise ConfigError(f"models must be a list of names from {sorted(MODEL_BUILDERS)}")
+        raise ConfigError(f"models must be a list of distinct names from {sorted(MODEL_BUILDERS)}")
     if cfg["checks"] != "all" and not _names_from(cfg["checks"], CHECKS):
-        raise ConfigError(f'checks must be "all" or a list of ids from {list(CHECKS)}')
-    if cfg["jobs"] != 1:
+        raise ConfigError(f'checks must be "all" or a list of distinct ids from {list(CHECKS)}')
+    if not _is_int(cfg["jobs"]) or cfg["jobs"] != 1:
         raise ConfigError(f"jobs must be 1, not {cfg['jobs']!r}: checks run in one thread")
+    _check_values(cfg)
     return cfg
 
 
@@ -206,16 +259,21 @@ def _run_memo(key, build):
     return _RUN_MEMO[key]
 
 
-def _validated(name: str):
-    """validate() of the configured model `name`, once per open memo."""
-    return _run_memo(("validate", name), lambda: validate(get_model(name)))
+def _model(name: str):
+    """The configured model `name`, built once per open memo."""
+    return _run_memo(("model", name), lambda: get_model(name))
+
+
+def _validated(model):
+    """validate(model), once per model per open memo."""
+    return _run_memo(("validate", model), lambda: validate(model))
 
 
 def _constants_for(name: str):
     """Declared-constants route: normalized model plus its constants, once per open memo."""
 
     def build():
-        model = get_model(name)
+        model = _model(name)
         return geometry.normalize_vertical(model), geometry.assemble_constants(model)
 
     return _run_memo(("constants", name), build)
@@ -245,31 +303,25 @@ def _rows(*rows):
 
 def _models(accepts):
     """Selector: the configured models whose structure accepts(model) admits."""
-    return lambda cfg: [name for name in cfg["models"] if accepts(get_model(name))]
+    return lambda cfg: [name for name in cfg["models"] if accepts(_model(name))]
 
 
 _any = _models(lambda model: True)
 _declared = _models(lambda model: model.declared_constants is not None)
 _heisenberg = _models(is_heisenberg)
+_step2 = _models(lambda model: _validated(model).step == 2)
+_beyond_step2 = _models(lambda model: _validated(model).step > 2)
+_parallel = _models(lambda model: _validated(model).fully_parallel)
 
 
-def _validated_models(accepts):
-    """Selector: the configured models whose validation report accepts(report) admits."""
-    return lambda cfg: [name for name in cfg["models"] if accepts(_validated(name))]
-
-
-_step2 = _validated_models(lambda report: report.step == 2)
-_beyond_step2 = _validated_models(lambda report: report.step > 2)
-_parallel = _validated_models(lambda report: report.fully_parallel)
-
-
-def _schedulable(report) -> bool:
+def _schedulable(model) -> bool:
     """Fully parallel and bracket generating: the schedules normalize by
     the vertical curvature, which vanishes on a model that is not."""
+    report = _validated(model)
     return report.fully_parallel and report.bracket_generating
 
 
-_parallel_generating = _validated_models(_schedulable)
+_parallel_generating = _models(_schedulable)
 
 
 def _su2_pair_rho(cfg):
@@ -281,13 +333,13 @@ def _su2_pair_rho(cfg):
 
 
 def _validation(cfg, seed, name):
-    report = _validated(name)
+    report = _validated(_model(name))
     margin = -max(report.jacobi_residual, report.antisymmetry_residual)
     return [(margin, 1e-12, {"report": report.to_json()})]
 
 
 def _constants(cfg, seed, name):
-    model = get_model(name)
+    model = _model(name)
     rep = geometry.geometry_report(model)
     _, consts = _constants_for(name)
     dec = model.declared_constants
@@ -297,7 +349,7 @@ def _constants(cfg, seed, name):
         abs(consts.rho21 - dec.rho21),
         abs(consts.n - dec.n),
     )
-    if _validated(name).fully_parallel:
+    if _validated(model).fully_parallel:
         dev = max(dev, rep.M_HV, rep.M_grad_v)
     return [(-dev, 1e-9, {"constants": consts.to_json(), "geometry": rep.to_json()})]
 
@@ -331,10 +383,8 @@ def _cd_sweep(cfg, seed, name):
 
 def _double_gamma(cfg, seed, name):
     s = cfg["double_gamma"]
-    model = get_model(name)
-    rep = geometry.geometry_report(model, normalize=False)
     first, second, scale = calculus.double_gamma_sweep(
-        model, s["functions"], s["points"], s["l"], s["c"], rep.rho_H, rep.M_HV,
+        _model(name), s["functions"], s["points"], s["l"], s["c"],
         seed=derive_seed(seed, f"dg:{name}"),
     )
     first, second = float((first / scale).min()), float((second / scale).min())
@@ -343,7 +393,7 @@ def _double_gamma(cfg, seed, name):
 
 def _condb(cfg, seed, name):
     n = cfg["condb"]["samples"]
-    return calculus.condb_sweep(get_model(name), n, seed=derive_seed(seed, f"condb:{name}"))
+    return calculus.condb_sweep(_model(name), n, seed=derive_seed(seed, f"condb:{name}"))
 
 
 def _condition_b(cfg, seed, name):
@@ -361,7 +411,7 @@ def _condition_b_violation(cfg, seed, name):
 def _commutation(cfg, seed, name):
     s = cfg["commutation"]
     res, scale = calculus.commutation_sweep(
-        get_model(name), s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
+        _model(name), s["functions"], s["points"], seed=derive_seed(seed, f"comm:{name}")
     )
     details = {"functions": s["functions"], "points": s["points"]}
     return [(-float((res / scale).max()), 1e-9, details)]
@@ -370,7 +420,7 @@ def _commutation(cfg, seed, name):
 def _ricci_compare(cfg, seed, name):
     n = cfg["ricci"]["directions"]
     worst = geometry.riemann_ricci_compare(
-        get_model(name), n, seed=derive_seed(seed, f"ricci:{name}")
+        _model(name), n, seed=derive_seed(seed, f"ricci:{name}")
     )
     return [(-worst, 1e-10, {"directions": n})]
 
@@ -417,7 +467,7 @@ def _schedules(cfg, seed, name):
 
 
 def _distance_triangle(cfg, seed, name):
-    model = get_model(name)
+    model = _model(name)
     rng = np.random.default_rng(derive_seed(seed, "dist"))
     worst = np.inf
     for _ in range(100):
@@ -430,7 +480,7 @@ def _distance_triangle(cfg, seed, name):
 
 
 def _distance_unit(cfg, seed, name):
-    unit = distance.cc_distance(get_model(name), np.zeros(3), [1.0, 0.0, 0.0])
+    unit = distance.cc_distance(_model(name), np.zeros(3), [1.0, 0.0, 0.0])
     return [(-abs(unit.value - 1.0), 1e-9, {"estimate": unit.to_json()})]
 
 
@@ -439,7 +489,7 @@ def _distance_unit(cfg, seed, name):
 
 def _semigroup_identity(cfg, seed, name):
     est = heat.mc_semigroup(
-        get_model(name), Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1")
+        _model(name), Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1")
     )
     return [(-abs(est.value - 1.0), 0.0, {"value": est.value})]
 
@@ -447,7 +497,7 @@ def _semigroup_identity(cfg, seed, name):
 def _semigroup_t0(cfg, seed, name):
     f = Polynomial.monomial(3, (2, 0, 0))
     x = np.array([0.3, -0.2, 0.1])
-    est = heat.mc_semigroup(get_model(name), f, x, 0.0, 100, 1, derive_seed(seed, "sg0"))
+    est = heat.mc_semigroup(_model(name), f, x, 0.0, 100, 1, derive_seed(seed, "sg0"))
     # paths sit exactly at x; the tolerance only absorbs the rounding of
     # the sample mean
     return [(-abs(est.value - float(np.squeeze(f.eval(x)))), 1e-14, {"value": est.value})]
@@ -456,7 +506,7 @@ def _semigroup_t0(cfg, seed, name):
 def _semigroup_x2(cfg, seed, name):
     t = 1.0
     est = heat.mc_semigroup(
-        get_model(name),
+        _model(name),
         Polynomial.monomial(3, (2, 0, 0)),
         np.zeros(3),
         t,
@@ -497,7 +547,7 @@ def _gradient(label, integrands, sides):
 
     def measure(cfg, seed, name):
         g = cfg["gradient"]
-        model = get_model(name)
+        model = _model(name)
         _, consts = _constants_for(name)
         for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
             s = derive_seed(seed, f"{label}:{k}")
@@ -598,7 +648,7 @@ def _pde_solver(cfg, name):
     p = cfg["pde"]
     return _run_memo(
         ("solver", name, json.dumps(p, sort_keys=True)),
-        lambda: pde.HeisenbergHeatSolver(get_model(name), p["bounds"], p["shape"], p["dt"]),
+        lambda: pde.HeisenbergHeatSolver(_model(name), p["bounds"], p["shape"], p["dt"]),
     )
 
 
@@ -694,7 +744,7 @@ def _entropy_bound(cfg, seed, name):
 def _log_identity_jet(cfg, seed, name):
     rng = np.random.default_rng(derive_seed(seed, "logid"))
     pos = ShiftedSquare(Polynomial.random(3, 3, rng), 0.5)
-    r1, r2 = calculus.log_identity_residuals(get_model(name), pos, np.array([0.2, -0.1, 0.3]))
+    r1, r2 = calculus.log_identity_residuals(_model(name), pos, np.array([0.2, -0.1, 0.3]))
     resid = float(max(np.max(r1), np.max(r2)))
     return [(-resid, 1e-10, {"note": "chain rule evaluated in exact jet arithmetic"})]
 
@@ -725,7 +775,7 @@ def _harnack_rhs(consts, p1, d, t0, t1):
 
 
 def _harnack(cfg, seed, name):
-    model = get_model(name)
+    model = _model(name)
     _, consts = _constants_for(name)
     solver = _pde_solver(cfg, name)
     pairs_t = [(0.3, 0.5), (0.4, 0.8), (0.5, 1.0)]
@@ -750,7 +800,7 @@ def _harnack(cfg, seed, name):
 
 def _harnack_kernel(cfg, seed, name):
     # p_t(x_0, x_j) at t0 and t1 for each point x_j, one kernel source each
-    model = get_model(name)
+    model = _model(name)
     _, consts = _constants_for(name)
     solver = _pde_solver(cfg, name)
     t0, t1 = 0.4, 0.8

@@ -115,23 +115,17 @@ def test_qform_oracle_equivalence():
 
 
 def test_double_gamma_hand_cases(heis):
-    res = calc.double_gamma_residuals(
-        heis, Constant(3, 2.0), np.zeros(3), 1.0, 1.0, rho_h=0.0, m_hv=0.0
-    )
+    res = calc.double_gamma_residuals(heis, Constant(3, 2.0), np.zeros(3), 1.0, 1.0)
     assert res == (0.0, 0.0)
     z = Coordinate(3, 2)
-    _, second = calc.double_gamma_residuals(
-        heis, z, np.zeros(3), 1.0, 1.0, rho_h=0.0, m_hv=0.0
-    )
+    _, second = calc.double_gamma_residuals(heis, z, np.zeros(3), 1.0, 1.0)
     assert second == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
-        calc.double_gamma_residuals(heis, z, np.zeros(3), -1.0, 1.0, rho_h=0.0, m_hv=0.0)
+        calc.double_gamma_residuals(heis, z, np.zeros(3), -1.0, 1.0)
 
 
 def test_double_gamma_sweep_nonnegative(heis):
-    first, second, scale = calc.double_gamma_sweep(
-        heis, 100, 20, l=1.0, c=1.0, rho_h=0.0, m_hv=0.0, seed=9
-    )
+    first, second, scale = calc.double_gamma_sweep(heis, 100, 20, l=1.0, c=1.0, seed=9)
     assert (first / scale).min() >= -1e-9
     assert (second / scale).min() >= -1e-9
 
@@ -212,11 +206,17 @@ def test_sweeps_match_scalar_api(name):
                     one = calc.cd_residual(work, Polynomial(m.dim, 4, cf), x, l, consts)
                     close(res[p, i, k], one, scale[p, i, k])
 
-    first, second, scale = calc.double_gamma_sweep(m, 4, 2, 1.0, 2.0, 0.5, 0.3, seed=2)
+    # both routes derive (rho_H, M_HV) from the model; engel and su2-pair
+    # keep a nonzero one in the first bound
+    rho_h, m_hv = calc._double_gamma_inputs(m)
+    assert (rho_h, m_hv) == pytest.approx(
+        {"engel": (0.0, 0.5), "su2-pair": (4.0, 0.0)}.get(name, (0.0, 0.0)), abs=1e-12
+    )
+    first, second, scale = calc.double_gamma_sweep(m, 4, 2, 1.0, 2.0, seed=2)
     points, coeffs = _shared_draws(m, 4, 2, 3, seed=2)
     for p, x in enumerate(points):
         for i, cf in enumerate(coeffs):
-            one = calc.double_gamma_residuals(m, Polynomial(m.dim, 3, cf), x, 1.0, 2.0, 0.5, 0.3)
+            one = calc.double_gamma_residuals(m, Polynomial(m.dim, 3, cf), x, 1.0, 2.0)
             close(first[p, i], one[0], scale[p, i])
             close(second[p, i], one[1], scale[p, i])
 

@@ -210,7 +210,5 @@ def test_assemble_constants_objectives():
     c_rz = geo.assemble_constants(m, objective="rho1_zero")
     assert c_rz.rho1 == pytest.approx(0.0, abs=1e-12)
     assert c_rz.rho20 == pytest.approx(0.25, abs=1e-12)
-    c_num = geo.assemble_constants(m, c=2.0)
-    assert c_num.rho1 == pytest.approx(4.0 - 0.5)
-    with pytest.raises(ValueError):
-        geo.assemble_constants(m, c=-1.0)
+    rho1, _, _ = geo.rho_constants(geo.geometry_report(m), 2.0)
+    assert rho1 == pytest.approx(4.0 - 0.5)

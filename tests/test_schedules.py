@@ -94,3 +94,12 @@ def test_entropy_kind_uses_reduced_condition():
     g = sch.entropy_schedule((2, 0.0, 0.5, 0.0), 1.0, n=256)
     chk = sch.admissibility_margins(g, consts_with_rho21)
     assert chk.margin_second >= -1e-8
+
+
+def test_schedule_grid_minimum():
+    # the difference cross-check skips points at both ends and needs one more
+    ok = sch.gradient_constant_weight(HEIS, 1.0, n=sch.MIN_GRID)
+    assert sch.admissibility_margins(ok, HEIS).passed
+    short = sch.gradient_constant_weight(HEIS, 1.0, n=sch.MIN_GRID - 1)
+    with pytest.raises(ValueError, match="grid intervals"):
+        sch.admissibility_margins(short, HEIS)

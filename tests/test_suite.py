@@ -316,16 +316,36 @@ def test_cli_models_and_constants(capsys):
     assert "rho20" in out
 
 
-def test_cli_bad_config_exits_2(tmp_path):
+def test_cli_bad_config_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.json"
     bad.write_text('{"bogus": 1}')
     assert cli_main(["suite", "run", "--config", str(bad)]) == 2
     missing = tmp_path / "missing.json"
     assert cli_main(["suite", "run", "--config", str(missing)]) == 2
     # rejected while loading, before any check runs
-    for doc in ({"models": ["nosuch"]}, {"models": "heisenberg"}, {"checks": "distance"}):
+    for doc in (
+        {"models": ["nosuch"]},
+        {"models": "heisenberg"},
+        {"checks": "distance"},
+        # values: types kept, counts and scales positive, no id twice
+        {"cd": {"functions": 0}},
+        {"cd": {"functions": "10"}},
+        {"condb": {"samples": 0}},
+        {"mc": {"paths": 0}},
+        {"gradient": {"cases": 0}},
+        {"ricci": {"directions": 0}},
+        {"seed": "x"},
+        {"seed": 1.5},
+        {"checks": ["cd-sharpness", "cd-sharpness"]},
+        # the engines' own minima
+        {"pde": {"shape": [3, 3, 3]}},
+        {"schedules": {"grid": 2}},
+        {"schedules": {"grid": 5}},
+        {"spectral": {"j_max": 1.3}},
+    ):
         bad.write_text(json.dumps(doc))
         assert cli_main(["suite", "run", "--config", str(bad)]) == 2, doc
+        assert capsys.readouterr().err.startswith("configuration error:"), doc
 
 
 def test_shipped_configs_load_and_quick_passes(capsys):
@@ -432,17 +452,20 @@ def test_su2_pair_jet_margins_at_roundoff():
 
 
 def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
-    # selectors and measures share one validation report and one
-    # constant set per configured name, so a Heisenberg group registered
-    # as h3 (whose own name is still "heisenberg") keeps its own entry
+    # selectors and measures share one model object, one validation
+    # report and one constant set per configured name, so a Heisenberg
+    # group registered as h3 (whose own name is still "heisenberg") keeps
+    # its own entry
     monkeypatch.setitem(models.MODEL_BUILDERS, "h3", models.build_heisenberg)
     calls = []
+    built = []
 
     def counted(fn):
         return lambda model: calls.append((fn.__name__, model.name)) or fn(model)
 
     monkeypatch.setattr(su, "validate", counted(su.validate))
     monkeypatch.setattr(su.geometry, "assemble_constants", counted(su.geometry.assemble_constants))
+    monkeypatch.setattr(su, "get_model", lambda name: built.append(name) or models.get_model(name))
     cfg = light_config(
         models=["heisenberg", "h3", "engel"],
         checks=["validate-models", "constants", "cd-sharpness", "condition-b", "schedules"],
@@ -457,12 +480,15 @@ def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
         ("validate", "heisenberg"),
         ("validate", "heisenberg"),
     ]
+    assert sorted(built) == ["engel", "h3", "heisenberg"]
     # a check run alone opens a memo of its own, closed when it returns
     calls.clear()
+    built.clear()
     for _ in range(2):
         rows = su.CHECKS["condition-b"](su.load_config(cfg), 1)
         assert {row.model for row in rows} == {"heisenberg", "h3", "engel"}
     assert sorted(calls) == [("validate", "engel")] * 2 + [("validate", "heisenberg")] * 4
+    assert sorted(built) == ["engel", "engel", "h3", "h3", "heisenberg", "heisenberg"]
 
 
 def test_import_path_keeps_scipy_linalg_special_optimize_out():
