@@ -21,13 +21,10 @@ from .models import (
     validate,
 )
 from .jets import (
-    Constant,
-    Coordinate,
     GaussianBump,
     Jet,
     Polynomial,
     ShiftedSquare,
-    TestFunction,
 )
 from .calculus import (
     cd_residual,

@@ -181,14 +181,15 @@ def _commutation(calc: FrameCalc, j: Jet) -> tuple:
     return np.abs(a - b), 1.0 + np.abs(a) + np.abs(b)
 
 
-def cd_residual(model: LieModel, f, x, l: float, constants):
+def cd_residual(model: LieModel, f, x, l, constants):
     """LHS minus RHS of the curvature-dimension inequality at x.
 
     Gamma2^h + l Gamma2^v - [ (Lf)^2 / n + (rho1 - 1/l) Gamma^h
     + (rho20 + l rho21) Gamma^v ]; nonnegative where the inequality
-    holds for this function and weight l.
+    holds for this function and weight l.  An array of weights l
+    gives one residual per weight, on its last axes.
     """
-    if l <= 0:
+    if np.any(np.asarray(l) <= 0):
         raise ValueError(f"weight l must be positive, got {l}")
     return _cd(_core_values(*_at(model, f, x)), l, constants)[0]
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 
 import numpy as np
@@ -21,6 +22,17 @@ def _bad_input(message) -> int:
     # exit 2, not 1, which means a violation was found
     print(f"error: {message}", file=sys.stderr)
     return 2
+
+
+def _finite(text):
+    """argparse type: a finite float."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise argparse.ArgumentTypeError(f"must be finite, got {text}")
+    return value
+
+
+_finite.__name__ = "float"  # argparse names the kind in its message
 
 
 def _positive(kind):
@@ -103,8 +115,10 @@ def cmd_heat(args):
         est = heat.mc_semigroup(
             model, f, np.zeros(model.dim), args.t, args.paths, args.steps, args.seed
         )
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
+    if not math.isfinite(est.value):
+        return _bad_input(f"the estimate at --t {args.t:g} is {est.value}, not finite")
     _print(est.to_json())
     return 0
 
@@ -121,7 +135,7 @@ def cmd_distance(args):
             return _bad_input(f"--x and --y need {model.dim} coordinates on {args.model}")
     try:
         est = distance.cc_distance(model, x, y)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     _print({"x": list(x), "y": list(y), "estimate": est.to_json()})
     return 0
@@ -130,7 +144,7 @@ def cmd_distance(args):
 def cmd_spectral(args):
     try:
         lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
-    except ValueError as err:
+    except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     _print({"lambda1": lam1, "alpha_bound": alpha_chk, "gap_bound": gap_chk})
     ok = alpha_chk["margin"] >= 0 and gap_chk["margin"] >= 0 and alpha_chk["stable"]
@@ -195,7 +209,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("heat", help="Monte Carlo semigroup sample")
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
-    q.add_argument("--t", type=float, default=1.0)
+    q.add_argument("--t", type=_finite, default=1.0)
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument("--steps", type=int, default=100)
     q.add_argument("--seed", type=int, default=0)
@@ -203,13 +217,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("distance", help="Carnot-Caratheodory distance estimate")
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
-    q.add_argument("--x", type=float, nargs="+", default=None)
-    q.add_argument("--y", type=float, nargs="+", default=None)
+    q.add_argument("--x", type=_finite, nargs="+", default=None)
+    q.add_argument("--y", type=_finite, nargs="+", default=None)
     q.add_argument("--seed", type=int, default=0)
     q.set_defaults(fn=cmd_distance)
 
     q = sub.add_parser("spectral", help="spectral gap oracle on SU(2) x SU(2)")
-    q.add_argument("--rho", type=_positive(float), default=1.0)
+    q.add_argument("--rho", type=_positive(_finite), default=1.0)
     q.add_argument("--jmax", type=float, default=2.0)
     q.set_defaults(fn=cmd_spectral)
 

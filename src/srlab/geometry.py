@@ -58,9 +58,6 @@ class CDConstants:
     alpha: float | None
     spectral_gap_bound: float | None
 
-    def as_tuple(self) -> tuple[int, float, float, float]:
-        return (self.n, self.rho1, self.rho20, self.rho21)
-
     def to_json(self) -> dict:
         doc = dict(self.__dict__)
         for k, v in doc.items():
@@ -71,7 +68,9 @@ class CDConstants:
 
 def constants_tuple(constants) -> tuple[int, float, float, float]:
     """(n, rho1, rho20, rho21) of a constants record or a plain 4-tuple."""
-    return constants.as_tuple() if hasattr(constants, "as_tuple") else tuple(constants)
+    if hasattr(constants, "rho1"):
+        return (constants.n, constants.rho1, constants.rho20, constants.rho21)
+    return tuple(constants)
 
 
 # ----------------------------------------------------------------------

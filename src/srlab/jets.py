@@ -305,27 +305,11 @@ def lift_polynomials(
 
 
 # ----------------------------------------------------------------------
-# Test function classes
+# Test functions: each has dim, eval, eval_grad and lift(x, order)
 # ----------------------------------------------------------------------
 
 
-class TestFunction:
-    """Base class for functions the verification sweeps sample over."""
-
-    __test__ = False  # keep pytest from collecting this as a test case
-    dim: int
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def eval_grad(self, points: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
-
-    def lift(self, x: np.ndarray, order: int) -> Jet:
-        raise NotImplementedError
-
-
-class Polynomial(TestFunction):
+class Polynomial:
     """Dense polynomial over the graded monomial basis."""
 
     def __init__(self, dim: int, degree: int, coefficients: np.ndarray):
@@ -348,6 +332,15 @@ class Polynomial(TestFunction):
         c = np.zeros(sp.terms(degree))
         c[sp.index[tuple(exponent)]] = coeff
         return Polynomial(dim, degree, c)
+
+    @staticmethod
+    def constant(dim: int, value: float) -> "Polynomial":
+        return Polynomial.monomial(dim, (0,) * dim, value)
+
+    @staticmethod
+    def coordinate(dim: int, axis: int) -> "Polynomial":
+        """The coordinate function u_axis."""
+        return Polynomial.monomial(dim, tuple(int(k == axis) for k in range(dim)))
 
     def eval(self, points: np.ndarray) -> np.ndarray:
         return _monomials(points, self.dim, self.degree) @ self.coefficients
@@ -409,39 +402,7 @@ def _monomials(points: np.ndarray, dim: int, degree: int) -> np.ndarray:
     return np.ascontiguousarray(mono)
 
 
-class Constant(TestFunction):
-    def __init__(self, dim: int, value: float):
-        self.dim = dim
-        self.value = float(value)
-
-    def eval(self, points):
-        return np.full(np.asarray(points).shape[:-1], self.value)
-
-    def eval_grad(self, points):
-        return np.zeros(np.asarray(points).shape)
-
-    def lift(self, x, order):
-        return constant_jet(self.value, x, order)
-
-
-class Coordinate(TestFunction):
-    def __init__(self, dim: int, axis: int):
-        self.dim = dim
-        self.axis = axis
-
-    def eval(self, points):
-        return np.asarray(points, dtype=float)[..., self.axis]
-
-    def eval_grad(self, points):
-        g = np.zeros(np.asarray(points).shape)
-        g[..., self.axis] = 1.0
-        return g
-
-    def lift(self, x, order):
-        return coordinate_jet(self.axis, x, order)
-
-
-class GaussianBump(TestFunction):
+class GaussianBump:
     """exp(-|u - center|^2 / (2 width^2)); positive and bounded."""
 
     def __init__(self, center: np.ndarray, width: float):
@@ -476,7 +437,7 @@ def _quadratic_poly(center: np.ndarray, scale: float) -> Polynomial:
     return Polynomial(dim, 2, c)
 
 
-class ShiftedSquare(TestFunction):
+class ShiftedSquare:
     """p^2 + epsilon for a polynomial p; strictly positive everywhere."""
 
     def __init__(self, poly: Polynomial, epsilon: float = 1e-3):

@@ -20,7 +20,7 @@ such as a random walk converts to coordinates only once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -36,9 +36,6 @@ class DeclaredConstants:
     rho1: float
     rho20: float
     rho21: float
-
-    def as_tuple(self) -> tuple[int, float, float, float]:
-        return (self.n, self.rho1, self.rho20, self.rho21)
 
 
 @dataclass(frozen=True)
@@ -128,16 +125,7 @@ class LieModel:
         return step
 
     def with_frame_metric(self, metric: np.ndarray, name: str | None = None) -> "LieModel":
-        return LieModel(
-            name=name or self.name,
-            dim_h=self.dim_h,
-            dim_v=self.dim_v,
-            structure_constants=self.structure_constants,
-            frame_metric=metric,
-            declared_constants=self.declared_constants,
-            group=self.group,
-            params=dict(self.params),
-        )
+        return replace(self, name=name or self.name, frame_metric=metric, params=dict(self.params))
 
     # -- group composition ---------------------------------------------
 
@@ -273,30 +261,13 @@ def _su2_pair_coords(model: LieModel, g: np.ndarray) -> np.ndarray:
 # ----------------------------------------------------------------------
 
 
-def build_heisenberg() -> LieModel:
-    """Heisenberg group: horizontal A1, A2 with [A1, A2] = V."""
-    c = np.zeros((3, 3, 3))
-    c[2, 0, 1] = 1.0
-    c[2, 1, 0] = -1.0
-    return LieModel(
-        name="heisenberg",
-        dim_h=2,
-        dim_v=1,
-        structure_constants=c,
-        frame_metric=np.eye(3),
-        declared_constants=DeclaredConstants(2, 0.0, 0.5, 0.0),
-        group="nilpotent",
-    )
-
-
-_HEISENBERG_C = build_heisenberg().structure_constants  # read-only
-
-
-def is_heisenberg(model: LieModel) -> bool:
-    """Whether the orthonormal-frame constants, which `compose` uses, are heisenberg's."""
-    if model.group != "nilpotent" or (model.dim_h, model.dim) != (2, 3):
-        return False
-    return np.array_equal(model.onframe.c, _HEISENBERG_C)
+def _algebra(d: int, brackets) -> np.ndarray:
+    """Structure constants of the brackets (i, j, k, a), each [E_i, E_j] += a E_k."""
+    c = np.zeros((d, d, d))
+    for i, j, k, a in brackets:
+        c[k, i, j] += a
+        c[k, j, i] -= a
+    return c
 
 
 def build_free_nilpotent(n: int) -> LieModel:
@@ -310,21 +281,35 @@ def build_free_nilpotent(n: int) -> LieModel:
     if n < 2:
         raise ValueError(f"free nilpotent model needs n >= 2, got {n}")
     pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
-    nu = len(pairs)
-    d = n + nu
-    c = np.zeros((d, d, d))
-    for s, (i, j) in enumerate(pairs):
-        c[n + s, i, j] = 1.0
-        c[n + s, j, i] = -1.0
+    d = n + len(pairs)
     return LieModel(
         name=f"free-nilpotent-{n}",
         dim_h=n,
-        dim_v=nu,
-        structure_constants=c,
+        dim_v=len(pairs),
+        structure_constants=_algebra(d, [(i, j, n + s, 1.0) for s, (i, j) in enumerate(pairs)]),
         frame_metric=np.eye(d),
         declared_constants=DeclaredConstants(n, 0.0, 1.0 / (2.0 * (n - 1)), 0.0),
         group="nilpotent",
     )
+
+
+def build_heisenberg() -> LieModel:
+    """Heisenberg group: horizontal A1, A2 with [A1, A2] = V.
+
+    It is the free step-2 nilpotent group on two generators, so this is
+    `build_free_nilpotent(2)` under its own name.
+    """
+    return replace(build_free_nilpotent(2), name="heisenberg")
+
+
+_HEISENBERG_C = build_heisenberg().structure_constants  # read-only
+
+
+def is_heisenberg(model: LieModel) -> bool:
+    """Whether the orthonormal-frame constants, which `compose` uses, are heisenberg's."""
+    if model.group != "nilpotent" or (model.dim_h, model.dim) != (2, 3):
+        return False
+    return np.array_equal(model.onframe.c, _HEISENBERG_C)
 
 
 def build_engel() -> LieModel:
@@ -334,27 +319,18 @@ def build_engel() -> LieModel:
     the counterexample space for the gradient commutation identity,
     which fails beyond step 2.
     """
-    c = np.zeros((4, 4, 4))
-    c[2, 0, 1] = 1.0
-    c[2, 1, 0] = -1.0
-    c[3, 0, 2] = 1.0
-    c[3, 2, 0] = -1.0
     return LieModel(
         name="engel",
         dim_h=2,
         dim_v=2,
-        structure_constants=c,
+        structure_constants=_algebra(4, [(0, 1, 2, 1.0), (0, 2, 3, 1.0)]),
         frame_metric=np.eye(4),
         group="nilpotent",
     )
 
 
-def _su2_structure() -> np.ndarray:
-    c = np.zeros((3, 3, 3))
-    for i, j, k, s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0)]:
-        c[k, i, j] = s
-        c[k, j, i] = -s
-    return c
+#: su(2): [X_i, X_j] = X_k for each cyclic (i, j, k)
+_SU2_CYCLES = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
 
 
 def build_su2_pair(rho: float) -> LieModel:
@@ -369,36 +345,25 @@ def build_su2_pair(rho: float) -> LieModel:
     """
     if rho <= 0:
         raise ValueError(f"curvature scale rho must be positive, got {rho}")
-    eps = _su2_structure()
-    d = 6
-    c = np.zeros((d, d, d))
     # frame order: H_1..H_3, V_1..V_3
-    # [H_i, H_j] = eps_ijk (2 H_k - V_k); [H_i, V_t] = eps_itk V_k;
-    # [V_s, V_t] = eps_stk V_k
-    for i in range(3):
-        for j in range(3):
-            for k in range(3):
-                e = eps[k, i, j]
-                if e == 0.0:
-                    continue
-                c[k, i, j] += 2.0 * e
-                c[3 + k, i, j] += -e
-                c[3 + k, i, 3 + j] += e
-                c[3 + k, 3 + i, j] += e
-                c[3 + k, 3 + i, 3 + j] += e
+    brackets = []
+    for i, j, k in _SU2_CYCLES:
+        brackets += [
+            (i, j, k, 2.0), (i, j, 3 + k, -1.0),  # [H_i, H_j] = 2 H_k - V_k
+            (i, 3 + j, 3 + k, 1.0), (j, 3 + i, 3 + k, -1.0),  # [H_i, V_j] = V_k = -[H_j, V_i]
+            (3 + i, 3 + j, 3 + k, 1.0),  # [V_i, V_j] = V_k
+        ]
     # <X_i, X_j> = -(1/4 rho) tr(ad X_i ad X_j) = delta_ij / (2 rho)
-    gram = np.zeros((3, 3))
-    for i in range(3):
-        for j in range(3):
-            gram[i, j] = -np.einsum("ab,ba->", eps[:, i, :], eps[:, j, :]) / (4.0 * rho)
-    metric = np.zeros((d, d))
+    su2 = _algebra(3, [(i, j, k, 1.0) for i, j, k in _SU2_CYCLES])
+    gram = -np.einsum("aib,bja->ij", su2, su2) / (4.0 * rho)
+    metric = np.zeros((6, 6))
     metric[:3, :3] = gram
     metric[3:, 3:] = gram / (4.0 * rho)
     return LieModel(
         name=f"su2-pair-rho{rho:g}",
         dim_h=3,
         dim_v=3,
-        structure_constants=c,
+        structure_constants=_algebra(6, brackets),
         frame_metric=metric,
         declared_constants=DeclaredConstants(3, 4.0 * rho, 0.25, 0.0),
         group="su2-pair",

@@ -45,7 +45,7 @@ from pathlib import Path
 import numpy as np
 
 from . import calculus, distance, geometry, heat, pde, schedules, spectral
-from .jets import Constant, Coordinate, GaussianBump, Polynomial, ShiftedSquare, get_space
+from .jets import GaussianBump, Polynomial, ShiftedSquare, get_space
 from .models import MODEL_BUILDERS, get_model, is_heisenberg, validate
 
 ALL_MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -357,11 +357,9 @@ def _constants(cfg, seed, name):
 def _cd_sharpness(cfg, seed, name):
     # the vertical coordinate attains equality in CD* at the identity
     work, consts = _constants_for(name)
-    z = Coordinate(3, 2)
-    worst = 0.0
-    for l in _l_grid(cfg["cd"]["l_points"]):
-        worst = max(worst, abs(calculus.cd_residual(work, z, np.zeros(3), l, consts)))
-    return [(-worst, 1e-12, {"witness": "vertical coordinate at identity"})]
+    z = Polynomial.coordinate(3, 2)
+    res = calculus.cd_residual(work, z, np.zeros(3), _l_grid(cfg["cd"]["l_points"]), consts)
+    return [(-float(np.max(np.abs(res))), 1e-12, {"witness": "vertical coordinate at identity"})]
 
 
 def _cd_sweep(cfg, seed, name):
@@ -456,10 +454,9 @@ def _schedules(cfg, seed, name):
     details = {"schedules": [sched.label for sched in built], "skipped": skipped}
     if issues:
         details["issues"] = issues
-    if consts.rho1 > 0:
-        mono = schedules.ratio_monotonicity(
-            schedules.gradient_variance_exponential(consts, s["horizon"], s["grid"])
-        )
+    grad_c = next((x for x in built if x.label == "grad-c"), None)
+    if consts.rho1 > 0 and grad_c is not None:
+        mono = schedules.ratio_monotonicity(grad_c)
         details["ratio_monotonicity_min"] = float(mono)
         if mono <= 0:
             worst = min(worst, -1.0)
@@ -488,9 +485,8 @@ def _distance_unit(cfg, seed, name):
 
 
 def _semigroup_identity(cfg, seed, name):
-    est = heat.mc_semigroup(
-        _model(name), Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1")
-    )
+    one = Polynomial.constant(3, 1.0)
+    est = heat.mc_semigroup(_model(name), one, np.zeros(3), 1.0, 10000, 50, derive_seed(seed, "sg1"))
     return [(-abs(est.value - 1.0), 0.0, {"value": est.value})]
 
 

@@ -18,7 +18,7 @@ import srlab.heat as heat
 import srlab.schedules as sch
 import srlab.spectral as spectral
 import srlab.suite as su
-from srlab.jets import Constant, Coordinate, Polynomial
+from srlab.jets import Polynomial
 from srlab.models import build_free_nilpotent, build_su2_pair, get_model
 
 SEED = 20260809
@@ -38,7 +38,7 @@ def test_c01_cd_sharpness_and_validity():
     constants = (2, 0.0, 0.5, 0.0)
     l_grid = np.logspace(-1, 1, 9)
 
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     witness = max(
         abs(calc.cd_residual(model, z, np.zeros(3), l, constants)) for l in l_grid
     )
@@ -136,7 +136,7 @@ def test_c07_semigroup_fidelity():
     """Mass conservation exact; Brownian marginal moment within 3 sigma."""
     t0 = time.perf_counter()
     model = get_model("heisenberg")
-    one = heat.mc_semigroup(model, Constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, SEED)
+    one = heat.mc_semigroup(model, Polynomial.constant(3, 1.0), np.zeros(3), 1.0, 10000, 50, SEED)
     assert one.value == 1.0 and one.std_error == 0.0
     est = heat.mc_semigroup(
         model,

@@ -12,7 +12,7 @@ import pytest
 import srlab.calculus as calc
 from srlab import geometry
 from srlab.frames import get_calc
-from srlab.jets import Constant, Coordinate, Polynomial, ShiftedSquare, get_space, lift_polynomials
+from srlab.jets import Polynomial, ShiftedSquare, get_space, lift_polynomials
 from srlab.models import build_abelian, get_model, validate
 
 HEIS_CONSTANTS = (2, 0.0, 0.5, 0.0)
@@ -25,28 +25,28 @@ def heis():
 
 def test_sublaplacian_hand_values(heis):
     x2 = Polynomial.monomial(3, (2, 0, 0))
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     pt = np.array([0.4, 0.7, -0.3])
     assert calc.sublaplacian(heis, x2, pt) == pytest.approx(2.0)
     assert calc.sublaplacian(heis, z, pt) == pytest.approx(0.0, abs=1e-14)
-    assert calc.sublaplacian(heis, Constant(3, 9.0), pt) == 0.0
+    assert calc.sublaplacian(heis, Polynomial.constant(3, 9.0), pt) == 0.0
 
 
 def test_gamma_hand_values(heis):
-    z = Coordinate(3, 2)
-    x = Coordinate(3, 0)
+    z = Polynomial.coordinate(3, 2)
+    x = Polynomial.coordinate(3, 0)
     pt = np.array([0.8, -0.6, 0.1])
     assert calc.gamma(heis, z, None, pt, "h") == pytest.approx((0.8**2 + 0.6**2) / 4)
     assert calc.gamma(heis, z, None, pt, "v") == pytest.approx(1.0)
     assert calc.gamma(heis, x, None, pt, "h") == pytest.approx(1.0)
     assert calc.gamma(heis, x, None, pt, "v") == 0.0
     # bilinearity against a constant
-    assert calc.gamma(heis, z, Constant(3, 5.0), pt, "h") == 0.0
+    assert calc.gamma(heis, z, Polynomial.constant(3, 5.0), pt, "h") == 0.0
 
 
 def test_gamma2_hand_values(heis):
-    z = Coordinate(3, 2)
-    x = Coordinate(3, 0)
+    z = Polynomial.coordinate(3, 2)
+    x = Polynomial.coordinate(3, 0)
     origin = np.zeros(3)
     assert calc.gamma2(heis, z, origin, "h") == pytest.approx(0.5)
     assert calc.gamma2(heis, z, origin, "v") == pytest.approx(0.0, abs=1e-14)
@@ -57,30 +57,44 @@ def test_gamma2_hand_values(heis):
 
 def test_gamma2_abelian_linear_vanishes():
     m = build_abelian(2, 1)
-    f = Coordinate(3, 0)
+    f = Polynomial.coordinate(3, 0)
     assert calc.gamma2(m, f, np.array([0.3, 0.1, 0.9]), "h") == 0.0
 
 
 def test_gamma2_requires_order(heis):
-    j = Coordinate(3, 2).lift(np.zeros(3), 2)
+    j = Polynomial.coordinate(3, 2).lift(np.zeros(3), 2)
     with pytest.raises(ValueError):
         calc.gamma2(heis, j, np.zeros(3), "h")
     with pytest.raises(ValueError):
-        calc.gamma2(heis, Coordinate(3, 2), np.zeros(3), "mixed")  # missing l
+        calc.gamma2(heis, Polynomial.coordinate(3, 2), np.zeros(3), "mixed")  # missing l
 
 
 def test_cd_residual_sharpness_witness(heis):
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     for l in np.logspace(-1, 1, 9):
         res = calc.cd_residual(heis, z, np.zeros(3), l, HEIS_CONSTANTS)
         assert abs(res) <= 1e-12
 
 
+def test_cd_residual_takes_an_array_of_weights(heis):
+    # one jet, one residual per weight, each equal to the scalar call's
+    f = Polynomial.random(3, 4, np.random.default_rng(5))
+    x = np.array([0.3, -0.2, 0.1])
+    grid = np.logspace(-1, 1, 9)
+    res = calc.cd_residual(heis, f, x, grid, HEIS_CONSTANTS)
+    assert res.shape == grid.shape
+    for l, r in zip(grid, res):
+        assert r == calc.cd_residual(heis, f, x, l, HEIS_CONSTANTS)
+    with pytest.raises(ValueError):
+        calc.cd_residual(heis, f, x, np.array([1.0, 0.0]), HEIS_CONSTANTS)
+
+
 def test_cd_residual_hand_case(heis):
-    x = Coordinate(3, 0)
+    x = Polynomial.coordinate(3, 0)
     res = calc.cd_residual(heis, x, np.zeros(3), 1.0, HEIS_CONSTANTS)
     assert res == pytest.approx(1.0)
-    assert calc.cd_residual(heis, Constant(3, 3.0), np.zeros(3), 1.0, HEIS_CONSTANTS) == 0.0
+    three = Polynomial.constant(3, 3.0)
+    assert calc.cd_residual(heis, three, np.zeros(3), 1.0, HEIS_CONSTANTS) == 0.0
     with pytest.raises(ValueError):
         calc.cd_residual(heis, x, np.zeros(3), 0.0, HEIS_CONSTANTS)
 
@@ -115,9 +129,9 @@ def test_qform_oracle_equivalence():
 
 
 def test_double_gamma_hand_cases(heis):
-    res = calc.double_gamma_residuals(heis, Constant(3, 2.0), np.zeros(3), 1.0, 1.0)
+    res = calc.double_gamma_residuals(heis, Polynomial.constant(3, 2.0), np.zeros(3), 1.0, 1.0)
     assert res == (0.0, 0.0)
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     _, second = calc.double_gamma_residuals(heis, z, np.zeros(3), 1.0, 1.0)
     assert second == pytest.approx(0.0, abs=1e-14)
     with pytest.raises(ValueError):
@@ -137,7 +151,7 @@ def test_condb_zero_on_parallel_models():
         assert (res / scale).max() <= 1e-12, name
     # constants commute with everything
     m = get_model("heisenberg")
-    assert calc.condb_residual(m, Constant(3, 1.0), np.zeros(3)) == 0.0
+    assert calc.condb_residual(m, Polynomial.constant(3, 1.0), np.zeros(3)) == 0.0
 
 
 def test_condb_violated_on_engel():
@@ -162,11 +176,12 @@ def test_commutation_residuals():
     flat = build_abelian(2, 1)
     f = Polynomial.random(3, 4, rng)
     assert calc.commutation_residual(flat, f, np.zeros(3)) == pytest.approx(0.0, abs=1e-12)
-    assert calc.commutation_residual(get_model("heisenberg"), Constant(3, 1.0), np.zeros(3)) == 0.0
+    one = Polynomial.constant(3, 1.0)
+    assert calc.commutation_residual(get_model("heisenberg"), one, np.zeros(3)) == 0.0
 
 
 def test_commutation_requires_order4(heis):
-    j = Coordinate(3, 0).lift(np.zeros(3), 3)
+    j = Polynomial.coordinate(3, 0).lift(np.zeros(3), 3)
     with pytest.raises(ValueError):
         calc.commutation_residual(heis, j, np.zeros(3))
 

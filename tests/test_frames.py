@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from srlab import algebra, frames
-from srlab.jets import Coordinate, Polynomial, coordinate_jet, get_space
+from srlab.jets import Polynomial, coordinate_jet, get_space
 from srlab.models import get_model
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -57,7 +57,7 @@ def test_chart_values_match_numeric_frame(name):
 
 def test_apply_field_hand_values():
     m = get_model("heisenberg")
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     j = z.lift(np.zeros(3), 4)
     calc = frames.get_calc(m, j.base_point, j.order)
     a1z = calc.apply(0, j)
@@ -137,7 +137,7 @@ def test_leibniz_rule_through_fields():
 
 def test_apply_field_order_exhausted():
     m = get_model("heisenberg")
-    j = Coordinate(3, 0).lift(np.zeros(3), 0)
+    j = Polynomial.coordinate(3, 0).lift(np.zeros(3), 0)
     with pytest.raises(ValueError):
         frames.get_calc(m, j.base_point, j.order).apply(0, j)
 

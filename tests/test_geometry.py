@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import srlab.geometry as geo
-from srlab.models import build_abelian, build_free_nilpotent, get_model
+from srlab.models import DeclaredConstants, build_abelian, build_free_nilpotent, get_model
 
 
 def test_curvature_bounds_heisenberg():
@@ -212,3 +212,12 @@ def test_assemble_constants_objectives():
     assert c_rz.rho20 == pytest.approx(0.25, abs=1e-12)
     rho1, _, _ = geo.rho_constants(geo.geometry_report(m), 2.0)
     assert rho1 == pytest.approx(4.0 - 0.5)
+
+
+def test_constants_tuple_reads_records_and_tuples():
+    cd = geo.assemble_constants(get_model("heisenberg"))
+    declared = DeclaredConstants(cd.n, cd.rho1, cd.rho20, cd.rho21)
+    plain = (cd.n, cd.rho1, cd.rho20, cd.rho21)
+    assert geo.constants_tuple(cd) == geo.constants_tuple(declared) == geo.constants_tuple(plain)
+    assert geo.constants_tuple(cd) == plain
+    assert geo.constants_tuple(list(plain)) == plain

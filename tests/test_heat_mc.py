@@ -12,7 +12,7 @@ import pytest
 
 import srlab.frames as frames
 import srlab.heat as heat
-from srlab.jets import Constant, Coordinate, GaussianBump, Polynomial
+from srlab.jets import GaussianBump, Polynomial
 from srlab.models import get_model
 
 
@@ -22,7 +22,7 @@ def heis():
 
 
 def test_unit_function_is_exact(heis):
-    est = heat.mc_semigroup(heis, Constant(3, 1.0), np.zeros(3), 1.0, 3000, 30, seed=1)
+    est = heat.mc_semigroup(heis, Polynomial.constant(3, 1.0), np.zeros(3), 1.0, 3000, 30, seed=1)
     assert est.value == 1.0
     assert est.std_error == 0.0
 
@@ -85,7 +85,7 @@ def test_determinism_bit_identical(heis):
 
 
 def test_gradient_of_linear_function_noiseless(heis):
-    x = Coordinate(3, 0)
+    x = Polynomial.coordinate(3, 0)
     g = heat.mc_gradient(heis, x, np.zeros(3), 0.7, "h", 2000, 20, seed=3)
     assert g.value == pytest.approx(1.0, abs=1e-9)
     assert g.std_error <= 1e-12
@@ -95,7 +95,7 @@ def test_gradient_of_linear_function_noiseless(heis):
 
 def test_gradient_of_vertical_coordinate(heis):
     # z is a martingale and central, so the vertical derivative is exact
-    z = Coordinate(3, 2)
+    z = Polynomial.coordinate(3, 2)
     gv = heat.mc_gradient(heis, z, np.zeros(3), 0.5, "v", 2000, 20, seed=9)
     assert gv.value == pytest.approx(1.0, abs=1e-9)
 
@@ -209,7 +209,7 @@ def test_mc_variance_estimator(heis):
 
 def test_su2_walk_stays_normalized():
     m = get_model("su2-pair")
-    est = heat.mc_semigroup(m, Constant(6, 1.0), np.zeros(6), 0.3, 2000, 20, seed=19)
+    est = heat.mc_semigroup(m, Polynomial.constant(6, 1.0), np.zeros(6), 0.3, 2000, 20, seed=19)
     assert est.value == 1.0
 
 
@@ -248,7 +248,7 @@ def test_walk_without_time_or_steps_keeps_the_starts(name):
 
 
 def test_invalid_settings(heis):
-    f = Constant(3, 1.0)
+    f = Polynomial.constant(3, 1.0)
     with pytest.raises(ValueError):
         heat.mc_semigroup(heis, f, np.zeros(3), 1.0, 0, 10, seed=0)
     with pytest.raises(ValueError):

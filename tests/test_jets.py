@@ -7,10 +7,12 @@ from hypothesis import given, settings, strategies as st
 from srlab import jets
 from srlab.frames import FrameCalc
 from srlab.jets import (
-    Constant,
     GaussianBump,
+    Jet,
     Polynomial,
     ShiftedSquare,
+    constant_jet,
+    coordinate_jet,
     get_space,
     lift_polynomials,
     polynomial_shift_matrix,
@@ -36,9 +38,66 @@ def test_monomial_lift_at_origin():
 
 
 def test_constant_lift():
-    j = Constant(3, 2.5).lift(np.array([1.0, -2.0, 0.5]), 4)
+    j = Polynomial.constant(3, 2.5).lift(np.array([1.0, -2.0, 0.5]), 4)
     assert j.coeffs[0] == 2.5
     assert np.all(j.coeffs[1:] == 0.0)
+
+
+class _Constant:
+    """Reference: the dedicated degree-0 class that Polynomial.constant replaced."""
+
+    def __init__(self, dim: int, value: float):
+        self.dim = dim
+        self.value = float(value)
+
+    def eval(self, points):
+        return np.full(np.asarray(points).shape[:-1], self.value)
+
+    def eval_grad(self, points):
+        return np.zeros(np.asarray(points).shape)
+
+    def lift(self, x, order):
+        return constant_jet(self.value, x, order)
+
+
+class _Coordinate:
+    """Reference: the dedicated degree-1 class that Polynomial.coordinate replaced."""
+
+    def __init__(self, dim: int, axis: int):
+        self.dim = dim
+        self.axis = axis
+
+    def eval(self, points):
+        return np.asarray(points, dtype=float)[..., self.axis]
+
+    def eval_grad(self, points):
+        g = np.zeros(np.asarray(points).shape)
+        g[..., self.axis] = 1.0
+        return g
+
+    def lift(self, x, order):
+        return coordinate_jet(self.axis, x, order)
+
+
+@pytest.mark.parametrize("dim", [3, 6])
+def test_constant_and_coordinate_match_their_reference_classes(dim):
+    # values, not bytes: a negative constant lifts with -0.0 where
+    # constant_jet holds +0.0, and a single point evaluates to shape (1,)
+    rng = np.random.default_rng(dim)
+    batch = rng.uniform(-2.0, 2.0, (5, 7, dim))
+    pairs = [(Polynomial.constant(dim, v), _Constant(dim, v)) for v in (1.0, 2.5, -0.75)]
+    pairs += [(Polynomial.coordinate(dim, k), _Coordinate(dim, k)) for k in range(dim)]
+    for new, ref in pairs:
+        assert np.array_equal(new.eval(batch), ref.eval(batch))
+        assert np.array_equal(new.eval_grad(batch), ref.eval_grad(batch))
+        for x in batch[0]:
+            assert np.array_equal(new.eval(x), np.atleast_1d(ref.eval(x)))
+            assert np.array_equal(new.eval_grad(x), ref.eval_grad(x))
+            for order in range(5):
+                j, r = new.lift(x, order), ref.lift(x, order)
+                assert isinstance(j, Jet) and j.order == r.order == order
+                assert np.array_equal(j.base_point, r.base_point)
+                assert np.array_equal(j.coeffs, r.coeffs)
 
 
 @pytest.mark.parametrize("dim", [2, 3, 4, 6])
@@ -193,7 +252,7 @@ def test_derivative_of_order_zero_raises():
     # frame fields differentiate through deriv_src and deriv_coef; an
     # order-0 jet has nothing left to differentiate
     heis = get_model("heisenberg")
-    j = Constant(3, 1.0).lift(np.zeros(3), 0)
+    j = Polynomial.constant(3, 1.0).lift(np.zeros(3), 0)
     with pytest.raises(ValueError, match="order-0"):
         FrameCalc(heis, np.zeros(3), 0).apply(0, j)
 

@@ -5,6 +5,7 @@ from scipy.linalg import expm
 
 from srlab import algebra
 from srlab.models import (
+    MODEL_BUILDERS,
     DeclaredConstants,
     LieModel,
     _quat_exp,
@@ -41,8 +42,104 @@ def test_free_nilpotent_dimensions():
 def test_free_nilpotent_two_is_heisenberg():
     a = build_free_nilpotent(2)
     h = build_heisenberg()
-    assert np.array_equal(a.structure_constants, h.structure_constants)
-    assert np.array_equal(a.frame_metric, h.frame_metric)
+    assert (a.name, h.name) == ("free-nilpotent-2", "heisenberg")
+    assert a.structure_constants.tobytes() == h.structure_constants.tobytes()
+    assert a.frame_metric.tobytes() == h.frame_metric.tobytes()
+    for field in ("dim_h", "dim_v", "declared_constants", "group", "params"):
+        assert getattr(a, field) == getattr(h, field), field
+
+
+# Reference builders: the hand-written tensors and metrics that the
+# bracket-list builders replaced, kept to pin them bit for bit.
+
+
+def _ref_heisenberg():
+    c = np.zeros((3, 3, 3))
+    c[2, 0, 1] = 1.0
+    c[2, 1, 0] = -1.0
+    return c, np.eye(3)
+
+
+def _ref_free_nilpotent(n):
+    pairs = [(i, j) for i in range(n) for j in range(i + 1, n)]
+    d = n + len(pairs)
+    c = np.zeros((d, d, d))
+    for s, (i, j) in enumerate(pairs):
+        c[n + s, i, j] = 1.0
+        c[n + s, j, i] = -1.0
+    return c, np.eye(d)
+
+
+def _ref_engel():
+    c = np.zeros((4, 4, 4))
+    c[2, 0, 1] = 1.0
+    c[2, 1, 0] = -1.0
+    c[3, 0, 2] = 1.0
+    c[3, 2, 0] = -1.0
+    return c, np.eye(4)
+
+
+def _ref_su2_pair(rho):
+    eps = np.zeros((3, 3, 3))
+    for i, j, k, s in [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0)]:
+        eps[k, i, j] = s
+        eps[k, j, i] = -s
+    c = np.zeros((6, 6, 6))
+    for i in range(3):
+        for j in range(3):
+            for k in range(3):
+                e = eps[k, i, j]
+                if e == 0.0:
+                    continue
+                c[k, i, j] += 2.0 * e
+                c[3 + k, i, j] += -e
+                c[3 + k, i, 3 + j] += e
+                c[3 + k, 3 + i, j] += e
+                c[3 + k, 3 + i, 3 + j] += e
+    gram = np.zeros((3, 3))
+    for i in range(3):
+        for j in range(3):
+            gram[i, j] = -np.einsum("ab,ba->", eps[:, i, :], eps[:, j, :]) / (4.0 * rho)
+    metric = np.zeros((6, 6))
+    metric[:3, :3] = gram
+    metric[3:, 3:] = gram / (4.0 * rho)
+    return c, metric
+
+
+_REF_BUILDERS = {
+    "heisenberg": _ref_heisenberg,
+    "free-nilpotent-2": lambda: _ref_free_nilpotent(2),
+    "free-nilpotent-3": lambda: _ref_free_nilpotent(3),
+    "free-nilpotent-4": lambda: _ref_free_nilpotent(4),
+    "engel": _ref_engel,
+    "su2-pair": lambda: _ref_su2_pair(1.0),
+    "abelian": lambda: (np.zeros((3, 3, 3)), np.eye(3)),
+}
+
+
+def _same_bytes(model, ref):
+    c, metric = ref
+    return (
+        model.structure_constants.tobytes() == c.tobytes()
+        and model.frame_metric.tobytes() == metric.tobytes()
+    )
+
+
+def test_registry_builders_match_their_reference_tensors():
+    assert set(_REF_BUILDERS) == set(MODEL_BUILDERS)
+    for name, ref in _REF_BUILDERS.items():
+        assert _same_bytes(get_model(name), ref()), name
+
+
+@pytest.mark.parametrize("rho", [1e-3, 0.3, 1.0, 2.5, 7.0, 123.456])
+def test_su2_pair_matches_its_reference_tensors(rho):
+    # the off-diagonal metric entries are -0.0, as the Killing form leaves them
+    assert _same_bytes(build_su2_pair(rho), _ref_su2_pair(rho))
+
+
+@pytest.mark.parametrize("n", [2, 3, 5])
+def test_free_nilpotent_matches_its_reference_tensors(n):
+    assert _same_bytes(build_free_nilpotent(n), _ref_free_nilpotent(n))
 
 
 def test_free_nilpotent_rejects_small_n():

@@ -421,6 +421,13 @@ def _run(args, pythonpath, **env):
         ["heat", "heisenberg", "--t", "-1"],
         ["cd-check", "heisenberg", "--points", "0"],
         ["suite", "run", "--jobs", "2"],  # removed option
+        ["heat", "heisenberg", "--t", "nan"],
+        ["heat", "heisenberg", "--t", "inf"],
+        ["heat", "heisenberg", "--t", "1e308"],  # finite, but the estimate is not
+        ["distance", "heisenberg", "--x", "0", "0", "0", "--y", "1e200", "0", "1"],  # overflow
+        ["distance", "heisenberg", "--x", "nan", "0", "0", "--y", "1", "0", "0"],
+        ["distance", "heisenberg", "--x", "0", "0", "0", "--y", "1", "inf", "0"],
+        ["spectral", "--rho", "inf"],
     ],
 )
 def test_cli_bad_input_exits_2(args):
@@ -436,6 +443,20 @@ def test_perfbench_tracer_installs():
     # breaks `perfbench/run.py --trace 1` here first
     code = "import layers; layers.install(layers.Tracer())"
     proc = _run(["-c", code], ["src", "perfbench"])
+    assert proc.returncode == 0, proc.stderr
+
+
+@pytest.mark.parametrize("workload", ["jet-calculus", "mc-paths"])
+def test_perfbench_tiny_pass_grades_against_reference(workload):
+    # the benchmark grades every row against perfbench/reference/*.tiny.json;
+    # a moved margin or a changed row digest fails here before it runs
+    code = (
+        "import run, workloads\n"
+        f"result, lines = run.measure({workload!r}, workloads.DEFAULT_SEED,"
+        " seconds=1, trace=True, tiny=True)\n"
+        "assert result['correct'] and result['failed'] == 0, '\\n'.join(lines)\n"
+    )
+    proc = _run(["-c", code], ["src", "perfbench"], OPENBLAS_NUM_THREADS="1")
     assert proc.returncode == 0, proc.stderr
 
 
