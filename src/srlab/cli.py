@@ -48,6 +48,11 @@ def _positive(kind):
     return parse
 
 
+# numpy's overflow, invalid and divide-by-zero stop a command that reads
+# numbers from the command line, so a huge input ends in one `error:` line
+_raise_fp = np.errstate(over="raise", invalid="raise", divide="raise")
+
+
 def cmd_models(args):
     for name in sorted(MODEL_BUILDERS):
         model = get_model(name)
@@ -108,6 +113,7 @@ def cmd_cd_check(args):
     return 0 if ratio.min() >= -1e-9 else 1
 
 
+@_raise_fp
 def cmd_heat(args):
     model = get_model(args.model)
     f = Polynomial.monomial(model.dim, tuple([2] + [0] * (model.dim - 1)))
@@ -123,6 +129,7 @@ def cmd_heat(args):
     return 0
 
 
+@_raise_fp
 def cmd_distance(args):
     model = get_model(args.model)
     if args.x is None or args.y is None:
@@ -141,6 +148,7 @@ def cmd_distance(args):
     return 0
 
 
+@_raise_fp
 def cmd_spectral(args):
     try:
         lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
@@ -183,8 +191,15 @@ def cmd_suite_run(args):
     return code
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are one `error:` line (`-h` prints the usage)."""
+
+    def error(self, message):
+        self.exit(2, f"{self.prog}: error: {message}\n")
+
+
 def build_parser() -> argparse.ArgumentParser:
-    p = argparse.ArgumentParser(
+    p = _Parser(
         prog="srlab",
         description="curvature-dimension verification lab for sub-Riemannian models",
     )

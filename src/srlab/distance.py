@@ -216,16 +216,14 @@ def _endpoint_jacobian(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.n
     With F = frame_coefficients, moving u_k by delta moves exp(u_k) to
     exp(u_k) exp(F(u_k)^-1 delta); carried past the suffix B_k and read
     in coordinates at the endpoint G, that is
-    J_k = F(G) expm(-ad B_k) F(u_k)^-1 on the horizontal directions.
+    J_k = F(G) exp(-ad B_k) F(u_k)^-1 on the horizontal directions.
     """
-    from scipy.linalg import expm
-
     c, step = model.onframe.c, model.onframe.nil_step
     pieces, s = _suffix_products(model, v)
     f_inv = np.linalg.inv(algebra.frame_coefficients(c, pieces, step))
     blocks = (
         algebra.frame_coefficients(c, s[0], step)
-        @ expm(-algebra.ad_matrix(c, s[1:]))
+        @ algebra.adjoint_inverse(c, s[1:], step)
         @ f_inv[..., : model.dim_h]
     )
     return s[0], np.concatenate(blocks, axis=1)

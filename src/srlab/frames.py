@@ -163,11 +163,15 @@ def gamma_numeric(model: LieModel, f, points: np.ndarray, which: str = "h") -> n
 
 def gamma_of_gradients(model: LieModel, g: np.ndarray, which: str) -> np.ndarray:
     """Squared norm of the `which` part of frame gradients g, as `gamma_numeric`."""
-    n = model.dim_h
+    return np.sum(g[..., frame_slice(model, which)] ** 2, axis=-1)
+
+
+def frame_slice(model: LieModel, which: str) -> slice:
+    """The frame indices of the horizontal ("h") or vertical ("v") block."""
     if which == "h":
-        return np.sum(g[..., :n] ** 2, axis=-1)
+        return slice(0, model.dim_h)
     if which == "v":
-        return np.sum(g[..., n:] ** 2, axis=-1)
+        return slice(model.dim_h, model.dim)
     raise ValueError(f"unknown gradient selector {which!r}")
 
 

@@ -11,11 +11,11 @@ P_t 1 is identically 1.  Path states stay in the group's native form
 unit quaternions on su2-pair, converted to coordinates by one log per
 path at the end of the walk.
 
-One path engine, `mc_semigroup_many`, makes every estimate: plain
-integrands are averaged over the paths from x, and `Gradient` entries
-add a stencil of group-translated starts.  All starts ride the same
-increments in one simulation, so the two sides of an inequality share
-their noise and the stencil differences lose almost all of theirs.
+One path engine, `mc_semigroup_many`, makes every estimate over the
+paths from x alone: plain integrands are averaged at the endpoints,
+and a `Gradient` entry averages the pathwise frame derivative there
+(see `Gradient`).  The estimates of one pass share their paths, so the
+two sides of an inequality share their noise.
 
 Streams are counter-based (Philox keyed by seed and chunk index), so
 estimates are bit-reproducible for fixed settings regardless of how
@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import frames
+from . import algebra, frames
 from .models import LieModel
 
 CHUNK = 1 << 14
@@ -65,24 +65,21 @@ class GradientEstimate:
     paths: int
     steps: int
     seed: int
-    delta: float
 
 
 @dataclass(frozen=True)
 class Gradient:
-    """Integrand entry estimating Gamma^which(P_t f)(x) by stencil differences.
+    """Integrand entry estimating Gamma^which(P_t f)(x) pathwise.
 
-    Its starts are the group translates x exp(+-delta E_i) over the
-    frame directions `which` selects ("h" or "v").  They ride the
-    same Brownian increments, so each directional derivative is a
-    difference of strongly coupled means.  The squared-norm estimate
-    subtracts the noise bias tr(Cov), and the error bar comes from the
-    delta method on the directional means.
+    A path from x ends at x g, and x exp(e E_i) g = x g exp(e Ad_{g^-1} E_i),
+    so E_i P_t f(x) = E[sum_k (Ad_{g^-1})_{ki} (E_k f)(x g)] exactly, for
+    each frame direction i that `which` selects ("h" or "v").  The
+    squared-norm estimate subtracts the noise bias tr(Cov), and the
+    error bar linearises the squared norm about the directional means.
     """
 
     f: object
     which: str = "h"
-    delta: float = 1e-3
 
 
 class Squared:
@@ -145,26 +142,6 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
     return model.coords(g)
 
 
-def _stencil_dirs(model: LieModel, which: str) -> list[int]:
-    if which == "h":
-        return list(range(model.dim_h))
-    if which == "v":
-        return list(range(model.dim_h, model.dim))
-    raise ValueError(f"unknown gradient selector {which!r}")
-
-
-def _stencil_starts(model: LieModel, x: np.ndarray, grad: Gradient) -> np.ndarray:
-    """x exp(+delta E_i), x exp(-delta E_i) for each stencil direction i."""
-    dirs = _stencil_dirs(model, grad.which)
-    starts = np.empty((2 * len(dirs), model.dim))
-    for a, i in enumerate(dirs):
-        e = np.zeros(model.dim)
-        e[i] = grad.delta
-        starts[2 * a] = model.compose(x, e)
-        starts[2 * a + 1] = model.compose(x, -e)
-    return starts
-
-
 def mc_semigroup_many(
     model: LieModel,
     integrands: list,
@@ -177,12 +154,12 @@ def mc_semigroup_many(
     """Estimate several integrands at x over one set of paths.
 
     A plain integrand f gives a SemigroupEstimate of P_t f(x); a
-    `Gradient` entry gives a GradientEstimate.  The start x and every
-    stencil start are evolved together, one `_evolve` call per chunk.
-    Sharing paths gives the estimates a common probability space, which
-    the inequality checks need (their two sides must see the same
-    noise).  The plain estimates carry the covariance of their means in
-    settings["mean_cov"], for downstream delta methods.
+    `Gradient` entry gives a GradientEstimate.  Only x is evolved, one
+    `_evolve` call per chunk.  Sharing paths gives the estimates a
+    common probability space, which the inequality checks need (their
+    two sides must see the same noise).  The plain estimates carry the
+    covariance of their means in settings["mean_cov"], for downstream
+    linearised error bars.
     """
     if not integrands:
         raise ValueError("the integrand list is empty; give at least one integrand")
@@ -192,20 +169,25 @@ def mc_semigroup_many(
         raise ValueError("negative time")
     x = np.asarray(x, dtype=float)
     plain = [f for f in integrands if not isinstance(f, Gradient)]
-    groups = [f for f in integrands if isinstance(f, Gradient)] + ([plain] if plain else [])
-    blocks = [x[None, :] if g is plain else _stencil_starts(model, x, g) for g in groups]
-    rows = np.cumsum([0] + [len(b) for b in blocks])
-    starts = np.concatenate(blocks)
+    grads = [f for f in integrands if isinstance(f, Gradient)]
+    dirs = [frames.frame_slice(model, g.which) for g in grads]
+    groups = grads + ([plain] if plain else [])
+    c, nil_step = model.onframe.c, model.onframe.nil_step
     # per group: sum, sum of squares and cross products of its rows
     sums = [[0.0, 0.0, 0.0] for _ in groups]
     for idx, size in enumerate(_chunks(paths)):
-        states = _evolve(model, starts, t, steps, size, _stream(seed, idx))
-        for acc, g, lo, hi in zip(sums, groups, rows, rows[1:]):
+        ends = _evolve(model, x[None], t, steps, size, _stream(seed, idx))[0]
+        pathwise = {}  # per Gradient f: its derivative along each frame direction, per path
+        if grads:
+            ad_inv = algebra.adjoint_inverse(c, model.compose(model.inverse(x), ends), nil_step)
+        for acc, g, sel in zip(sums, groups, dirs + [None]):
             if g is plain:
-                vals = _plain_values(plain, states[lo])
+                vals = _plain_values(plain, ends)
             else:
-                corners = np.stack([np.asarray(g.f.eval(s), dtype=float) for s in states[lo:hi]])
-                vals = (corners[0::2] - corners[1::2]) / (2.0 * g.delta)
+                if id(g.f) not in pathwise:
+                    grad = frames.frame_gradients(model, g.f, ends)
+                    pathwise[id(g.f)] = np.einsum("pki,pk->ip", ad_inv, grad)
+                vals = pathwise[id(g.f)][sel]
             acc[0] = acc[0] + vals.sum(axis=1)
             acc[1] = acc[1] + (vals**2).sum(axis=1)
             acc[2] = acc[2] + vals @ vals.T
@@ -225,7 +207,6 @@ def mc_semigroup_many(
                     directional=means.tolist(),
                     which=g.which,
                     x=x.tolist(),
-                    delta=g.delta,
                     **common,
                 )
             )
@@ -254,7 +235,7 @@ def mc_semigroup(
 
 
 def variance(est_f: SemigroupEstimate, est_f2: SemigroupEstimate) -> tuple[float, float]:
-    """P_t f^2 - (P_t f)^2 with a delta-method error bar.
+    """P_t f^2 - (P_t f)^2 with a linearised error bar.
 
     est_f and est_f2 are the estimates of f and `Squared(f)`, the only
     plain integrands of one `mc_semigroup_many` pass.
@@ -271,7 +252,7 @@ def variance(est_f: SemigroupEstimate, est_f2: SemigroupEstimate) -> tuple[float
 def mc_variance(
     model: LieModel, f, x, t: float, paths: int, steps: int, seed: int
 ) -> tuple[float, float]:
-    """Estimate of P_t f^2 - (P_t f)^2 with a delta-method error bar."""
+    """Estimate of P_t f^2 - (P_t f)^2 with a linearised error bar."""
     return variance(*mc_semigroup_many(model, [f, Squared(f)], x, t, paths, steps, seed))
 
 
@@ -285,7 +266,7 @@ def mc_gradient(
     steps: int,
     seed: int,
 ) -> GradientEstimate:
-    """Estimate Gamma^which(P_t f)(x) by stencil differences (see `Gradient`)."""
+    """Estimate Gamma^which(P_t f)(x) by pathwise frame derivatives (see `Gradient`)."""
     return mc_semigroup_many(model, [Gradient(f, which)], x, t, paths, steps, seed)[0]
 
 

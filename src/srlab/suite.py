@@ -125,7 +125,7 @@ DEFAULT_CONFIG = {
     "ricci": {"directions": 50},
     "spectral": {"rho": 1.0, "j_max": 2.0},
     "mc": {"paths": 100000, "steps": 200},
-    "gradient": {"paths": 20000, "steps": 60, "cases": 10, "delta": 1e-3},
+    "gradient": {"paths": 20000, "steps": 60, "cases": 10},
     "pde": {"bounds": [5.0, 5.0, 3.0], "shape": [51, 51, 41], "dt": 0.01},
     "schedules": {"horizon": 1.0, "grid": 2048},
     "output": {"json": None, "csv_dir": None},
@@ -536,7 +536,7 @@ def _gradient_cases(model, cfg, seed):
 def _gradient(label, integrands, sides):
     """A gradient row: one MC pass per seeded case, the margin rhs - lhs.
 
-    integrands(model, delta, f) lists what a case's pass estimates, and
+    integrands(model, f) lists what a case's pass estimates, and
     sides(consts, t, *estimates) turns the estimates into (lhs, rhs,
     std_error).
     """
@@ -548,7 +548,7 @@ def _gradient(label, integrands, sides):
         for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
             s = derive_seed(seed, f"{label}:{k}")
             ests = heat.mc_semigroup_many(
-                model, integrands(model, g["delta"], f), x, t, g["paths"], g["steps"], s
+                model, integrands(model, f), x, t, g["paths"], g["steps"], s
             )
             lhs, rhs, err = sides(consts, t, *ests)
             yield rhs - lhs, 3.0 * err, {"std_error": err, "case": k, "t": t, "lhs": lhs, "rhs": rhs}
@@ -556,10 +556,10 @@ def _gradient(label, integrands, sides):
     return measure
 
 
-def _bound_a_integrands(model, delta, f):
+def _bound_a_integrands(model, f):
     return [
-        heat.Gradient(f, "h", delta),
-        heat.Gradient(f, "v", delta),
+        heat.Gradient(f, "h"),
+        heat.Gradient(f, "v"),
         heat.FrameGammaIntegrand(model, f, "mixed", 1.0),
     ]
 
@@ -572,8 +572,8 @@ def _bound_a_sides(consts, t, gh, gv, rhs_est):
     return lhs, rhs, float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
 
 
-def _bound_b_integrands(model, delta, f):
-    return [heat.Gradient(f, "h", delta), f, heat.Squared(f)]
+def _bound_b_integrands(model, f):
+    return [heat.Gradient(f, "h"), f, heat.Squared(f)]
 
 
 def _bound_b_sides(consts, t, gh, est_f, est_f2):
@@ -584,9 +584,9 @@ def _bound_b_sides(consts, t, gh, est_f, est_f2):
     return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
 
 
-def _vertical_integrands(model, delta, f):
+def _vertical_integrands(model, f):
     return [
-        heat.Gradient(f, "v", delta),
+        heat.Gradient(f, "v"),
         heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
     ]
 

@@ -3,9 +3,10 @@ from fractions import Fraction
 
 import numpy as np
 import pytest
-from scipy.linalg import funm
+from scipy.linalg import expm
 
-from srlab import algebra
+from srlab import algebra, frames
+from srlab.jets import Polynomial
 from srlab.models import get_model
 
 SHIPPED = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -63,8 +64,8 @@ def test_bracket_broadcasts_starts_against_shared_noise():
 
 @pytest.mark.parametrize("name", SHIPPED)
 def test_bracket_batch_slices_equal_single_calls(name):
-    # _evolve rides every stencil start on the same noise; a start's
-    # states must not depend on which other starts share the batch
+    # _evolve rides every start on the same noise; a start's states
+    # must not depend on which other starts share the batch
     m = get_model(name)
     c = m.onframe.c
     rng = np.random.default_rng(15)
@@ -77,21 +78,36 @@ def test_bracket_batch_slices_equal_single_calls(name):
             assert np.array_equal(batch[s, n], algebra.bracket(c, u[s, n], w[0, n]))
 
 
-def test_frame_coefficients_beyond_the_series_region_are_silent(capsys):
-    # su2-pair points whose ad matrix leaves the series region take the
-    # dense matrix-function route, whose error estimate is spurious there
-    c = get_model("su2-pair").onframe.c
-    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (5, 6))
-    ad = algebra.ad_matrix(c, pts)
-    beyond = np.linalg.norm(ad, ord=np.inf, axis=(-2, -1)) > algebra._SERIES_SAFE_NORM
-    assert beyond.sum() >= 4
-    F = algebra.frame_coefficients(c, pts)
-    assert capsys.readouterr().out == ""
-    # the values are those of the default (printing) call
-    f = np.vectorize(algebra._dexpinv_scalar)
-    for m, got, dense in zip(ad, F, beyond):
-        if dense:
-            assert np.array_equal(got, np.real(funm(m.astype(complex), f)))
+def test_frame_coefficients_match_central_differences_on_su2_pair():
+    # most of these points lie outside the Bernoulli series' region
+    # |ad|_inf <= 4, where the frame comes from the entire inverse series
+    m = get_model("su2-pair")
+    pts = np.random.default_rng(1).uniform(-1.0, 1.0, (200, 6))
+    ad = algebra.ad_matrix(m.onframe.c, pts)
+    assert np.sum(np.linalg.norm(ad, ord=np.inf, axis=(-2, -1)) > algebra._SERIES_SAFE_NORM) > 150
+    f = Polynomial.random(6, 3, np.random.default_rng(2))
+    got = frames.frame_gradients(m, f, pts)
+    fd = np.array(
+        [[frames.fd_frame_derivative(m, f, p, i, h=1e-6) for i in range(6)] for p in pts]
+    )
+    assert np.max(np.abs(got - fd) / np.maximum(1.0, np.abs(fd))) < 1e-8
+
+
+@pytest.mark.parametrize("name", SHIPPED)
+def test_adjoint_inverse_equals_expm(name):
+    m = get_model(name)
+    c = m.onframe.c
+    rng = np.random.default_rng(16)
+    # principal logs on su2-pair (the coordinates compose returns)
+    u = m.compose(np.zeros(m.dim), 2.0 * rng.standard_normal((400, m.dim)))
+    got = algebra.adjoint_inverse(c, u, m.onframe.nil_step)
+    expected = expm(-algebra.ad_matrix(c, u))
+    assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
+    # Ad is a group homomorphism: Ad_{exp(-w)} Ad_{exp(-u)} = Ad_{(exp(u) exp(w))^-1}
+    w = m.compose(np.zeros(m.dim), 0.5 * rng.standard_normal((400, m.dim)))
+    prod = algebra.adjoint_inverse(c, w, m.onframe.nil_step) @ got
+    both = algebra.adjoint_inverse(c, m.compose(u, w), m.onframe.nil_step)
+    assert np.allclose(prod, both, rtol=0.0, atol=1e-12)
 
 
 @pytest.mark.parametrize(

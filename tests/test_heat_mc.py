@@ -12,7 +12,7 @@ import pytest
 
 import srlab.frames as frames
 import srlab.heat as heat
-from srlab.jets import GaussianBump, Polynomial
+from srlab.jets import GaussianBump, Polynomial, get_space
 from srlab.models import get_model
 
 
@@ -122,8 +122,8 @@ def test_vertical_gradient_bound_sample(heis):
 
 @pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
 def test_one_pass_equals_separate_passes(name):
-    # every start rides one simulation; each estimate keeps the numbers
-    # it has when simulated alone
+    # the entries of one pass share its paths; each estimate keeps the
+    # numbers it has when estimated alone
     m = get_model(name)
     rng = np.random.default_rng(21)
     f = Polynomial.random(m.dim, 3, rng)
@@ -135,6 +135,35 @@ def test_one_pass_equals_separate_passes(name):
     assert gh == heat.mc_gradient(m, f, x, 0.4, "h", 600, 6, 23)
     assert gv == heat.mc_gradient(m, f, x, 0.4, "v", 600, 6, 23)
     assert eg == heat.mc_semigroup(m, g, x, 0.4, 600, 6, 23)
+
+
+def _stencil_means(m, f, x, which, t, steps, size, rng, delta=1e-3):
+    """Directional derivatives of P_t f at x by central differences of
+    group-translated starts x exp(+-delta E_i), on the paths of the start x."""
+    dirs = range(m.dim_h) if which == "h" else range(m.dim_h, m.dim)
+    starts = [x]
+    for i in dirs:
+        e = np.zeros(m.dim)
+        e[i] = delta
+        starts += [m.compose(x, e), m.compose(x, -e)]
+    ends = heat._evolve(m, np.array(starts), t, steps, size, rng)
+    vals = np.array([f.eval(s) for s in ends[1:]])
+    return (vals[0::2] - vals[1::2]).mean(axis=1) / (2.0 * delta)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel"])
+def test_pathwise_gradient_equals_the_stencil_on_shared_paths(name):
+    # a start's paths do not depend on the other starts of the batch, so
+    # the stencil sees the paths the pathwise pass sees; they differ by
+    # the stencil's O(delta^2)
+    m = get_model(name)
+    rng = np.random.default_rng(41)
+    f = Polynomial(m.dim, 3, rng.uniform(-0.5, 0.5, get_space(m.dim, 3).terms(3)))
+    x = rng.uniform(-0.5, 0.5, m.dim)
+    for which in ("h", "v"):
+        est = heat.mc_gradient(m, f, x, 0.5, which, 2000, 20, seed=42)
+        stencil = _stencil_means(m, f, x, which, 0.5, 20, 2000, heat._stream(42, 0))
+        assert np.max(np.abs(np.array(est.directional) - stencil)) < 2e-6
 
 
 def test_mc_variance_is_delta_method_on_one_pass(heis):
@@ -247,7 +276,7 @@ def test_walk_without_time_or_steps_keeps_the_starts(name):
         assert np.array_equal(got, expected)
 
 
-def test_invalid_settings(heis):
+def test_invalid_settings(heis, monkeypatch):
     f = Polynomial.constant(3, 1.0)
     with pytest.raises(ValueError):
         heat.mc_semigroup(heis, f, np.zeros(3), 1.0, 0, 10, seed=0)
@@ -271,5 +300,10 @@ def test_invalid_settings(heis):
         )
     with pytest.raises(ValueError):  # "hv" is no selector
         heat.mc_semigroup_many(heis, [heat.Gradient(f, "hv")], np.zeros(3), 1.0, 10, 10, seed=0)
+    # a bad selector is rejected before any walk
+    monkeypatch.setattr(heat, "_evolve", None)
+    for which in ("bogus", "hv"):
+        with pytest.raises(ValueError, match="unknown gradient selector"):
+            heat.mc_semigroup_many(heis, [f, heat.Gradient(f, which)], np.zeros(3), 1.0, 10, 10, 0)
     with pytest.raises(ValueError, match="integrand list is empty"):
         heat.mc_semigroup_many(heis, [], np.zeros(3), 1.0, 10, 10, seed=0)

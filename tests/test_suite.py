@@ -54,6 +54,8 @@ def test_unknown_config_key_rejected():
         su.load_config({"cd": {"bogus": 1}})
     with pytest.raises(su.ConfigError):
         su.load_config({"cd": 3})
+    with pytest.raises(su.ConfigError, match="unknown configuration key gradient.delta"):
+        su.load_config({"gradient": {"delta": 1e-3}})  # gradients are pathwise, with no step
 
 
 def test_unknown_check_id_rejected():
@@ -428,14 +430,19 @@ def _run(args, pythonpath, **env):
         ["distance", "heisenberg", "--x", "nan", "0", "0", "--y", "1", "0", "0"],
         ["distance", "heisenberg", "--x", "0", "0", "0", "--y", "1", "inf", "0"],
         ["spectral", "--rho", "inf"],
+        # finite, but numpy overflows or reads an invalid value
+        ["spectral", "--rho", "1e308"],
+        ["spectral", "--rho", "1e-308"],
+        ["distance", "engel", "--x", "0", "0", "0", "0", "--y", "1e200", "0", "1", "0"],
     ],
 )
 def test_cli_bad_input_exits_2(args):
-    # 2 is bad input; 1 would claim a violation was found
+    # 2 is bad input; 1 would claim a violation was found.  One line, and
+    # no numpy warning or LAPACK message before it
     proc = _run(["-m", "srlab.cli", *args], ["src"])
     assert proc.returncode == 2, proc.stderr
-    assert "Traceback" not in proc.stderr
-    assert "error: " in proc.stderr.splitlines()[-1]
+    assert len(proc.stderr.splitlines()) == 1, proc.stderr
+    assert "error: " in proc.stderr
 
 
 def test_perfbench_tracer_installs():
@@ -510,6 +517,27 @@ def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
         assert {row.model for row in rows} == {"heisenberg", "h3", "engel"}
     assert sorted(calls) == [("validate", "engel")] * 2 + [("validate", "heisenberg")] * 4
     assert sorted(built) == ["engel", "engel", "h3", "h3", "heisenberg", "heisenberg"]
+
+
+def test_su2_pair_gradients_keep_scipy_linalg_out():
+    # the pathwise gradient and the frame-gamma integrand on a
+    # non-nilpotent model read Ad and the frame from power series
+    script = (
+        "import sys\n"
+        "import numpy as np\n"
+        "from srlab import heat\n"
+        "from srlab.jets import Polynomial\n"
+        "from srlab.models import get_model\n"
+        "m = get_model('su2-pair')\n"
+        "f = Polynomial.random(6, 3, np.random.default_rng(1))\n"
+        "x = np.full(6, 0.2)\n"
+        "heat.mc_gradient(m, f, x, 0.5, 'h', 200, 5, 3)\n"
+        "heat.mc_semigroup(m, heat.FrameGammaIntegrand(m, f, 'mixed'), x, 0.5, 200, 5, 3)\n"
+        "print('scipy.linalg' in sys.modules)\n"
+    )
+    proc = _run(["-c", script], ["src"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
 
 
 def test_import_path_keeps_scipy_linalg_special_optimize_out():
