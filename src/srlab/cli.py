@@ -72,11 +72,9 @@ def cmd_constants(args):
     doc = {"geometry": rep.to_json()}
     if not args.raw:
         try:
-            doc["constants"] = geometry.assemble_constants(
-                model, objective=args.objective
-            ).to_json()
+            doc["constants"] = geometry.assemble_constants(model).to_json()
         except ValueError as err:
-            # step-3 models have m_R = 0, so no positive-constant set exists
+            # engel's mixed bounds do not vanish, so it has no constant set
             doc["constants_error"] = str(err)
     _print(doc)
     return 0
@@ -86,7 +84,7 @@ def cmd_cd_check(args):
     try:
         work, consts = suite._constants_for(args.model)
     except ValueError as err:
-        # as in `constants`: step-3 models have no positive-constant set;
+        # as in `constants`: engel has no constant set;
         # exit 2, not 1, which means a violation was found
         _print({"model": args.model, "constants_error": str(err)})
         return 2
@@ -142,6 +140,9 @@ def cmd_distance(args):
             return _bad_input(f"--x and --y need {model.dim} coordinates on {args.model}")
     try:
         est = distance.cc_distance(model, x, y)
+    except OverflowError:
+        # a Python float overflow, which the numpy error state does not cover
+        return _bad_input(f"--x/--y overflow a float in the {args.model} distance")
     except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     _print({"x": list(x), "y": list(y), "estimate": est.to_json()})
@@ -211,7 +212,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     q = sub.add_parser("constants", help="geometry report and derived constants")
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
-    q.add_argument("--objective", default="max_alpha", choices=["max_alpha", "rho1_zero"])
     q.add_argument("--raw", action="store_true", help="skip vertical normalization")
     q.set_defaults(fn=cmd_constants)
 

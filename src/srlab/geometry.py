@@ -307,67 +307,25 @@ def spectral_gap_bound(n: int, rho1: float, rho20: float, rho21: float) -> float
     return float(n * rho20 / (n + rho20 * (n - 1)) * (rho1 - k2 / rho20))
 
 
-def _golden_max(fn, lo: float, hi: float) -> float:
-    """Maximizer of a unimodal fn on [lo, hi] by 200 golden-section steps."""
-    phi = (np.sqrt(5.0) - 1.0) / 2.0
-    a, b = lo, hi
-    c1 = b - phi * (b - a)
-    c2 = a + phi * (b - a)
-    f1, f2 = fn(c1), fn(c2)
-    for _ in range(200):
-        if f1 < f2:
-            a, c1, f1 = c1, c2, f2
-            c2 = a + phi * (b - a)
-            f2 = fn(c2)
-        else:
-            b, c2, f2 = c2, c1, f1
-            c1 = b - phi * (b - a)
-            f1 = fn(c1)
-    return 0.5 * (a + b)
+def resolve_weight(report: GeometryReport) -> float:
+    """The free weight c of the constants: c = inf, or a ValueError.
 
-
-def resolve_weight(report: GeometryReport, objective: str) -> float:
-    """Pick the free weight c per the requested objective.
-
-    "rho1_zero" takes c = 1 / rho_H, which zeroes rho1 while keeping
-    rho20 as large as the constraint allows; "max_alpha" maximizes the
-    decay rate alpha over c.  Whenever the mixed bounds vanish, c = inf
-    dominates every objective with a nonnegative rho_H.
+    rho1 = rho_H - 1/c grows with c, and rho20 = m_R^2 / 2 - c mix^2,
+    mix = M_HV + M_grad_v, does not fall with it once the mixed bounds
+    vanish; then c = inf gives the largest of both.  Every shipped model
+    with a constant set has vanishing mixed bounds; any other raises.
     """
     mix = report.M_HV + report.M_grad_v
-    if objective == "rho1_zero":
-        if report.rho_H > _EPS:
-            return 1.0 / report.rho_H
-        if mix > 1e-9:
-            raise ValueError(
-                "rho1_zero needs rho_H > 0 or vanishing mixed bounds"
-            )
-        return np.inf
-    if objective == "max_alpha":
-        if mix <= 1e-9:
-            return np.inf
-
-        def alpha_at(c):
-            r1, r20, r21 = rho_constants(report, c)
-            a = poincare_alpha(r1, r20, r21)
-            return -np.inf if a is None else a
-
-        # feasibility: rho1(c) >= rho21 needs c >= 1/(rho_H - rho21),
-        # rho20(c) > -1 needs c below the mix threshold
-        _, _, rho21 = rho_constants(report, 1.0)
-        if report.rho_H <= rho21:
-            raise ValueError("decay-rate optimization infeasible: rho_H <= rho21")
-        c_lo = (1.0 + 1e-9) / (report.rho_H - rho21)
-        c_hi = (1.0 - 1e-9) * (0.5 * report.m_R**2 + 1.0) / mix**2
-        if c_hi <= c_lo:
-            raise ValueError("decay-rate optimization has an empty feasible window")
-        logc = _golden_max(lambda t: alpha_at(np.exp(t)), np.log(c_lo), np.log(c_hi))
-        return float(np.exp(logc))
-    raise ValueError(f"unknown objective {objective!r}")
+    if mix > 1e-9:
+        raise ValueError(
+            f"the mixed bounds do not vanish (M_HV + M_grad_v = {mix:.6g}), "
+            "so the weight c = inf is not admissible"
+        )
+    return np.inf
 
 
-def assemble_constants(model: LieModel, objective: str = "max_alpha") -> CDConstants:
-    """Full constant record for one model, its weight c resolved via the objective.
+def assemble_constants(model: LieModel) -> CDConstants:
+    """Full constant record for one model, at the weight c of `resolve_weight`.
 
     The dimensional constants and the spectral bound are populated when
     their hypotheses (rho20 > 0, and positivity where required) hold,
@@ -375,7 +333,7 @@ def assemble_constants(model: LieModel, objective: str = "max_alpha") -> CDConst
     """
     report = geometry_report(model)
     n = model.dim_h
-    c_val = resolve_weight(report, objective)
+    c_val = resolve_weight(report)
     rho1, rho20, rho21 = rho_constants(report, c_val)
     kappa = kappa_of(report)
     nd = None

@@ -230,19 +230,6 @@ class Jet:
     def __rmul__(self, other) -> "Jet":
         return self.__mul__(other)
 
-    def exp(self) -> "Jet":
-        """exp of the jet, truncated at its own order."""
-        a0 = self.coeffs[..., :1]
-        rest = self.coeffs.copy()
-        rest[..., 0] = 0.0
-        nil = Jet(self.base_point, self.order, rest)
-        acc = self._coerce(np.ones(self.coeffs.shape[:-1]))
-        term = acc
-        for k in range(1, self.order + 1):
-            term = term * nil * (1.0 / k)
-            acc = acc + term
-        return Jet(self.base_point, self.order, np.exp(a0) * acc.coeffs)
-
     def log(self) -> "Jet":
         """log of a jet with strictly positive value."""
         a0 = self.coeffs[..., :1]
@@ -417,24 +404,6 @@ class GaussianBump:
     def eval_grad(self, points):
         diff = np.asarray(points, dtype=float) - self.center
         return self.eval(points)[..., None] * (-diff / self.width**2)
-
-    def lift(self, x, order):
-        quad = _quadratic_poly(self.center, -1.0 / (2.0 * self.width**2))
-        return quad.lift(x, order).exp()
-
-
-def _quadratic_poly(center: np.ndarray, scale: float) -> Polynomial:
-    """Polynomial scale * |u - center|^2."""
-    dim = len(center)
-    sp = get_space(dim, 2)
-    c = np.zeros(sp.terms(2))
-    c[0] = scale * float(np.sum(center**2))
-    for k in range(dim):
-        e1 = tuple(1 if i == k else 0 for i in range(dim))
-        e2 = tuple(2 if i == k else 0 for i in range(dim))
-        c[sp.index[e1]] = -2.0 * scale * center[k]
-        c[sp.index[e2]] = scale
-    return Polynomial(dim, 2, c)
 
 
 class ShiftedSquare:

@@ -61,10 +61,6 @@ class ScheduleCheck:
     margin_second: float
     issues: list[str] = field(default_factory=list)
 
-    @property
-    def passed(self) -> bool:
-        return not self.issues and self.margin >= -1e-8
-
 
 def _fd(t: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Central differences on the interior, same length as interior grid."""

@@ -24,10 +24,10 @@ and a measure, run by one driver, `_rows`.  The selector lists the
 labels a row runs on: the configured models whose structure it admits
 (step, parallelism, declared constants, or being a Heisenberg group;
 never the name), each under its configured name, or for the spectral
-rows su2-pair at the configured rho.  The measure returns the row's
-readings for one label.  The rows of a check share their work (chiefly
-the PDE evolutions) through one memo, which a suite run keeps open
-across its checks.  Each configured model is built once per memo,
+rows su2-pair at rho 1, labelled su2-pair-rho1.  The measure returns
+the row's readings for one label.  The rows of a check share their
+work (chiefly the PDE evolutions) through one memo, which a suite run
+keeps open across its checks.  Each configured model is built once per memo,
 keyed by its configured name, and every selector and measure reads that
 one object; its validation report (keyed by the object) and its
 constants are made once per memo too.
@@ -119,11 +119,10 @@ DEFAULT_CONFIG = {
     "models": list(ALL_MODELS),
     "checks": "all",
     "cd": {"functions": 10000, "points": 20, "l_points": 9},
-    "double_gamma": {"functions": 500, "points": 20, "l": 1.0, "c": 1.0},
+    "double_gamma": {"functions": 500, "points": 20},
     "condb": {"samples": 1000},
     "commutation": {"functions": 50, "points": 20},
     "ricci": {"directions": 50},
-    "spectral": {"rho": 1.0, "j_max": 2.0},
     "mc": {"paths": 100000, "steps": 200},
     "gradient": {"paths": 20000, "steps": 60, "cases": 10},
     "pde": {"bounds": [5.0, 5.0, 3.0], "shape": [51, 51, 41], "dt": 0.01},
@@ -186,10 +185,6 @@ def _check_values(cfg: dict) -> None:
         raise ConfigError(f"pde.shape needs at least {pde.MIN_AXIS_POINTS} points per axis")
     if cfg["schedules"]["grid"] < schedules.MIN_GRID:
         raise ConfigError(f"schedules.grid must be at least {schedules.MIN_GRID}")
-    try:
-        spectral.check_j_max(cfg["spectral"]["j_max"])
-    except ValueError as err:
-        raise ConfigError(f"spectral.{err}") from None
 
 
 def load_config(doc: dict | str | None) -> dict:
@@ -324,9 +319,9 @@ def _schedulable(model) -> bool:
 _parallel_generating = _models(_schedulable)
 
 
-def _su2_pair_rho(cfg):
-    """Selector of the spectral rows: su2-pair at the configured rho."""
-    return [f"su2-pair-rho{cfg['spectral']['rho']:g}"]
+def _su2_pair_rho1(cfg):
+    """Selector of the spectral rows: su2-pair at rho 1."""
+    return ["su2-pair-rho1"]
 
 
 # -- jet and geometry rows -----------------------------------------------
@@ -382,7 +377,7 @@ def _cd_sweep(cfg, seed, name):
 def _double_gamma(cfg, seed, name):
     s = cfg["double_gamma"]
     first, second, scale = calculus.double_gamma_sweep(
-        _model(name), s["functions"], s["points"], s["l"], s["c"],
+        _model(name), s["functions"], s["points"], l=1.0, c=1.0,
         seed=derive_seed(seed, f"dg:{name}"),
     )
     first, second = float((first / scale).min()), float((second / scale).min())
@@ -424,13 +419,11 @@ def _ricci_compare(cfg, seed, name):
 
 
 def _spectral(which):
-    """The spectral row of one bound ("alpha" or "gap") of the su2-pair oracle."""
+    """The row of one bound ("alpha" or "gap") of the su2-pair oracle at rho 1, spin <= 2."""
 
     def measure(cfg, seed, label):
-        s = cfg["spectral"]
         _, alpha_chk, gap_chk = _run_memo(
-            ("spectral", s["rho"], s["j_max"]),
-            lambda: spectral.spectral_gap_su2_pair(s["rho"], s["j_max"]),
+            "spectral", lambda: spectral.spectral_gap_su2_pair(1.0, 2.0)
         )
         chk = alpha_chk if which == "alpha" else gap_chk
         margin = chk["margin"] if chk["stable"] else -np.inf
@@ -872,8 +865,8 @@ CHECKS = {
     "commutation": _rows(("commutation", "srLDeltaCommute", _parallel, _commutation)),
     "ricci-compare": _rows(("ricci-compare", "RiemannRicci", _parallel, _ricci_compare)),
     "spectral-gap": _rows(
-        ("spectral-alpha", "Poincare(c)", _su2_pair_rho, _spectral("alpha")),
-        ("spectral-gap", "SpectralGap", _su2_pair_rho, _spectral("gap")),
+        ("spectral-alpha", "Poincare(c)", _su2_pair_rho1, _spectral("alpha")),
+        ("spectral-gap", "SpectralGap", _su2_pair_rho1, _spectral("gap")),
     ),
     "semigroup-identity": _rows(
         ("semigroup-identity", "CondA", _heisenberg, _semigroup_identity),

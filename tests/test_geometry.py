@@ -10,7 +10,13 @@ import numpy as np
 import pytest
 
 import srlab.geometry as geo
-from srlab.models import DeclaredConstants, build_abelian, build_free_nilpotent, get_model
+from srlab.models import (
+    MODEL_BUILDERS,
+    DeclaredConstants,
+    build_abelian,
+    build_free_nilpotent,
+    get_model,
+)
 
 
 def test_curvature_bounds_heisenberg():
@@ -131,16 +137,6 @@ def test_weight_monotonicity():
     assert np.all(np.diff(rho20) <= 0)
 
 
-def test_alpha_closed_form_matches_search():
-    # synthetic geometry with a genuinely interior optimum
-    rep = geo.GeometryReport("synthetic", 1.0, 0.9, 3.0, 0.25, 0.0, 0.0, True)
-    c_star = geo.resolve_weight(rep, "max_alpha")
-    r1, r20, r21 = geo.rho_constants(rep, c_star)
-    alpha_search = geo.poincare_alpha(r1, r20, r21)
-    alpha_closed = geo.alpha_closed_form(rep)
-    assert alpha_search == pytest.approx(alpha_closed, rel=1e-6)
-
-
 def test_alpha_closed_form_su2():
     for rho in (0.5, 1.0, 3.0):
         from srlab.models import build_su2_pair
@@ -203,14 +199,21 @@ def test_constants_empirical_admissibility():
         assert (res / scale).min() >= -1e-9, name
 
 
-def test_assemble_constants_objectives():
-    m = get_model("su2-pair")
-    c_inf = geo.assemble_constants(m, objective="max_alpha")
-    assert np.isinf(c_inf.c)
-    c_rz = geo.assemble_constants(m, objective="rho1_zero")
-    assert c_rz.rho1 == pytest.approx(0.0, abs=1e-12)
-    assert c_rz.rho20 == pytest.approx(0.25, abs=1e-12)
-    rho1, _, _ = geo.rho_constants(geo.geometry_report(m), 2.0)
+def test_constants_take_the_infinite_weight():
+    # c = inf on every shipped model whose mixed bounds vanish; engel's do
+    # not, so it has no constant set
+    vanishing = set()
+    for name in MODEL_BUILDERS:
+        rep = geo.geometry_report(get_model(name))
+        if rep.M_HV + rep.M_grad_v <= 1e-9:
+            vanishing.add(name)
+            assert geo.resolve_weight(rep) == np.inf
+            assert geo.assemble_constants(get_model(name)).c == np.inf
+    assert vanishing == set(MODEL_BUILDERS) - {"engel"}
+    with pytest.raises(ValueError, match="mixed bounds do not vanish"):
+        geo.assemble_constants(get_model("engel"))
+    # a finite weight still enters rho1 = rho_H - 1/c
+    rho1, _, _ = geo.rho_constants(geo.geometry_report(get_model("su2-pair")), 2.0)
     assert rho1 == pytest.approx(4.0 - 0.5)
 
 

@@ -10,7 +10,6 @@ from srlab.jets import (
     GaussianBump,
     Jet,
     Polynomial,
-    ShiftedSquare,
     constant_jet,
     coordinate_jet,
     get_space,
@@ -257,26 +256,27 @@ def test_derivative_of_order_zero_raises():
         FrameCalc(heis, np.zeros(3), 0).apply(0, j)
 
 
-def test_exp_log_roundtrip():
-    rng = np.random.default_rng(11)
-    f = ShiftedSquare(Polynomial.random(3, 2, rng), 0.5)
-    j = f.lift(rng.uniform(-0.5, 0.5, 3), 4)
-    back = j.log().exp()
-    assert np.allclose(back.coeffs, j.coeffs, rtol=1e-12, atol=1e-12)
-
-
-def test_gaussian_lift_matches_finite_differences():
-    f = GaussianBump(np.array([0.2, -0.1, 0.0]), 0.7)
-    x = np.array([0.5, 0.3, -0.2])
-    j = f.lift(x, 2)
-    h = 1e-5
+def test_log_matches_the_series_of_log_1_plus_u():
+    # for p(u) = 1 + a.u, log p(x + h) = log p(x) + sum_k (-1)^(k+1) s^k / k
+    # with s = a.h / p(x), so the coefficient of h^alpha, |alpha| = k >= 1,
+    # is (-1)^(k+1) / k * k! / alpha! * a^alpha / p(x)^k
+    a = np.array([0.3, -0.5, 0.2])
+    x = np.array([0.4, 0.1, -0.3])
+    sp = get_space(3, 4)
+    cf = np.zeros(sp.terms(1))
+    cf[0] = 1.0
     for k in range(3):
-        e = np.zeros(3)
-        e[k] = h
-        fd = (f.eval(x + e) - f.eval(x - e)) / (2 * h)
-        sp = j.space
-        idx = sp.index[tuple(1 if i == k else 0 for i in range(3))]
-        assert j.coeffs[idx] == pytest.approx(fd, abs=1e-8)
+        cf[sp.index[tuple(int(i == k) for i in range(3))]] = a[k]
+    px = 1.0 + a @ x
+    log = Polynomial(3, 1, cf).lift(x, 4).log()
+    for alpha, coeff in zip(sp.exponents[: sp.terms(4)], log.coeffs):
+        k = int(alpha.sum())
+        if k == 0:
+            expected = math.log(px)
+        else:
+            multinomial = math.factorial(k) / math.prod(math.factorial(int(e)) for e in alpha)
+            expected = (-1) ** (k + 1) / k * multinomial * np.prod(a**alpha) / px**k
+        assert coeff == pytest.approx(expected, rel=1e-12, abs=1e-15), alpha
 
 
 def test_batched_lift_matches_single():

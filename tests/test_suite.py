@@ -343,7 +343,12 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         {"pde": {"shape": [3, 3, 3]}},
         {"schedules": {"grid": 2}},
         {"schedules": {"grid": 5}},
-        {"spectral": {"j_max": 1.3}},
+        # constants now, not keys: double-gamma reads l = c = 1, the
+        # spectral rows rho = 1 and j_max = 2
+        {"double_gamma": {"l": 1.0}},
+        {"double_gamma": {"c": 1.0}},
+        {"spectral": {"rho": 1.0}},
+        {"spectral": {"j_max": 2.0}},
     ):
         bad.write_text(json.dumps(doc))
         assert cli_main(["suite", "run", "--config", str(bad)]) == 2, doc
@@ -373,8 +378,8 @@ def test_cli_suite_subset_runs_and_writes(tmp_path, capsys):
 
 
 def test_cli_constants_handles_infeasible_models(capsys):
-    # step-3 models admit no positive constant set; the command reports
-    # the geometry and the infeasibility instead of failing
+    # engel's mixed bounds do not vanish, so it has no constant set; the
+    # command reports the geometry and the reason instead of failing
     assert cli_main(["constants", "engel"]) == 0
     out = capsys.readouterr().out
     assert "constants_error" in out
@@ -386,7 +391,7 @@ def test_cli_cd_check_reports_infeasible_constants(capsys):
     assert cli_main(["cd-check", "engel", "--functions", "5", "--points", "1"]) == 2
     doc = json.loads(capsys.readouterr().out)
     assert doc == {"model": "engel", "constants_error": doc["constants_error"]}
-    assert "empty feasible window" in doc["constants_error"]
+    assert "mixed bounds do not vanish" in doc["constants_error"]
 
 
 def test_cli_spectral_and_distance(capsys):
@@ -414,7 +419,7 @@ def _run(args, pythonpath, **env):
     [
         ["distance", "engel", "--epsilon", "0.1"],  # unknown option
         ["distance", "abelian"],
-        ["constants", "heisenberg", "--objective", "max_rho2"],  # unknown choice
+        ["constants", "heisenberg", "--objective", "max_alpha"],  # removed option
         ["distance", "heisenberg", "--x", "0", "0", "--y", "1", "0", "0"],
         ["constants", "nosuch"],
         ["spectral", "--jmax", "0.5"],
@@ -443,6 +448,8 @@ def test_cli_bad_input_exits_2(args):
     assert proc.returncode == 2, proc.stderr
     assert len(proc.stderr.splitlines()) == 1, proc.stderr
     assert "error: " in proc.stderr
+    # a Python float overflow is named, not printed as its errno tuple
+    assert "Numerical result out of range" not in proc.stderr
 
 
 def test_perfbench_tracer_installs():
