@@ -3,10 +3,11 @@
 Two routes:
 
 * Heisenberg: exact geodesics.  Distances from the identity solve a
-  single scalar equation in the rotation angle of the optimal control,
-  handled by a bracketing root solve; left invariance reduces general
-  pairs to this case.  Next to the vertical axis, where the angle is
-  unresolved, the triangle inequality through (0, 0, z) brackets it.
+  single scalar equation, increasing in the rotation angle of the
+  optimal control, which bisection solves down to adjacent floats;
+  left invariance reduces general pairs to this case.  Next to the
+  vertical axis, where the angle is unresolved, the triangle
+  inequality through (0, 0, z) brackets it.
 * Every other model: the length of an admissible curve, a true upper
   bound.  Shooting minimises the energy of piecewise-constant
   horizontal controls whose product of exponentials, taken with the
@@ -35,8 +36,6 @@ SHOOT_PIECES = 16
 SHOOT_STARTS = 4
 SHOOT_SEED = 0
 SHOOT_MAXITER = 200
-#: iteration cap of the Heisenberg angle solve (scipy's brentq default)
-BRENTQ_MAXITER = 100
 
 
 @dataclass
@@ -50,66 +49,6 @@ class DistanceEstimate:
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
-
-
-def _brentq(f, xa: float, xb: float, xtol: float, rtol: float) -> float:
-    """A root of f in [xa, xb], as scipy.optimize.brentq returns it.
-
-    Repeats scipy's brentq (scipy 1.17, C brentq.c) operation for
-    operation on Python floats, so the root is bitwise equal to scipy's,
-    and raises as it does: ValueError when f(xa) and f(xb) share a sign
-    or f returns NaN, RuntimeError after BRENTQ_MAXITER iterations.
-    """
-
-    def value(x):
-        fx = float(f(x))
-        if fx != fx:
-            raise ValueError(f"The function value at x={x} is NaN; solver cannot continue.")
-        return fx
-
-    xpre, xcur = float(xa), float(xb)
-    xblk = fblk = spre = scur = 0.0
-    fpre = value(xpre)
-    fcur = value(xcur)
-    if fpre == 0.0:
-        return xpre
-    if fcur == 0.0:
-        return xcur
-    if math.copysign(1.0, fpre) == math.copysign(1.0, fcur):
-        raise ValueError("f(a) and f(b) must have different signs")
-    for _ in range(BRENTQ_MAXITER):
-        if fpre != 0.0 and fcur != 0.0 and (fpre < 0.0) != (fcur < 0.0):
-            xblk, fblk = xpre, fpre
-            spre = scur = xcur - xpre
-        if abs(fblk) < abs(fcur):
-            xpre, xcur, xblk = xcur, xblk, xcur
-            fpre, fcur, fblk = fcur, fblk, fcur
-        delta = (xtol + rtol * abs(xcur)) / 2
-        sbis = (xblk - xcur) / 2
-        if fcur == 0.0 or abs(sbis) < delta:
-            return xcur
-        if abs(spre) > delta and abs(fcur) < abs(fpre):
-            if xpre == xblk:
-                # interpolate
-                stry = -fcur * (xcur - xpre) / (fcur - fpre)
-            else:
-                # extrapolate
-                dpre = (fpre - fcur) / (xpre - xcur)
-                dblk = (fblk - fcur) / (xblk - xcur)
-                stry = -fcur * (fblk * dblk - fpre * dpre) / (dblk * dpre * (fblk - fpre))
-            if 2 * abs(stry) < min(abs(spre), 3 * abs(sbis) - delta):
-                spre, scur = scur, stry  # good short step
-            else:
-                spre = scur = sbis
-        else:
-            spre = scur = sbis
-        xpre, fpre = xcur, fcur
-        if abs(scur) > delta:
-            xcur += scur
-        else:
-            xcur += delta if sbis > 0 else -delta
-        fcur = value(xcur)
-    raise RuntimeError(f"Failed to converge after {BRENTQ_MAXITER} iterations.")
 
 
 def _heisenberg_from_identity(p: np.ndarray) -> float | None:
@@ -128,14 +67,17 @@ def _heisenberg_from_identity(p: np.ndarray) -> float | None:
     target = 4.0 * az / rho**2
 
     def m(phi):
-        s = np.sin(0.5 * phi)
-        return (phi - np.sin(phi)) / (2.0 * s * s)
+        s = math.sin(0.5 * phi)
+        return (phi - math.sin(phi)) / (2.0 * s * s)
 
     lo, hi = 1e-9, 2.0 * np.pi - 1e-9
     if m(hi) < target:
         # target beyond solver bracket (endpoint almost on the center)
         return None
-    phi = _brentq(lambda q: m(q) - target, lo, hi, 1e-14, 1e-15)
+    # bisect until lo and hi are adjacent floats
+    while lo < (mid := 0.5 * (lo + hi)) < hi:
+        lo, hi = (mid, hi) if m(mid) < target else (lo, mid)
+    phi = hi
     value = float(rho * phi / (2.0 * np.sin(0.5 * phi)))
     # as phi -> 2 pi the length loses its digits; d lies within rho of 2 sqrt(pi |z|)
     return value if abs(value - 2.0 * np.sqrt(np.pi * az)) <= rho else None
@@ -182,9 +124,10 @@ def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
 
     Both factor projections are Riemannian submersions once the base
     metric is scaled to match the horizontal one, so the larger factor
-    distance bounds the horizontal distance from below.
+    distance bounds the horizontal distance from below.  The curvature
+    scale rho is read off the horizontal metric, <X_i, X_i> = 1 / (2 rho).
     """
-    rho = float(model.params.get("rho", 1.0))
+    rho = 0.5 / float(model.frame_metric[0, 0])
     a, b = _su2_pair_coords_to_algebra(model, rel)
     d1 = np.linalg.norm(a, axis=0) / np.sqrt(2.0 * rho)
     d2 = np.linalg.norm(b, axis=0) / (2.0 * np.sqrt(2.0 * rho))

@@ -292,7 +292,8 @@ def lift_polynomials(
 
 
 # ----------------------------------------------------------------------
-# Test functions: each has dim, eval, eval_grad and lift(x, order)
+# Test functions: each has dim; Polynomial has eval, eval_grad and
+# lift(x, order), GaussianBump only eval and ShiftedSquare only lift
 # ----------------------------------------------------------------------
 
 
@@ -357,18 +358,14 @@ class Polynomial:
 def _powers(points: np.ndarray, degree: int) -> np.ndarray:
     """points ** k for k = 0..degree, shape points.shape + (degree + 1,).
 
-    Powers 0 and 1 are exact, 1.0 and the coordinate, which is what
-    numpy's pow returns for them; each power k >= 2 comes from np.power
-    against a full exponent array.  A scalar or stride-0 exponent 2
-    would take numpy's x*x fast path, which rounds differently from pow
-    in a few percent of squares.
+    Running products: power k is power k - 1 times the points, so every
+    entry is a chain of correctly rounded IEEE products and does not
+    depend on the platform's pow.
     """
     powers = np.empty(points.shape + (degree + 1,))
     powers[..., 0] = 1.0
-    if degree >= 1:
-        powers[..., 1] = points
-    for k in range(2, degree + 1):
-        powers[..., k] = np.power(points, np.full(points.shape, float(k)))
+    for k in range(1, degree + 1):
+        powers[..., k] = powers[..., k - 1] * points
     return powers
 
 
@@ -401,10 +398,6 @@ class GaussianBump:
         diff = np.asarray(points, dtype=float) - self.center
         return np.exp(-np.sum(diff**2, axis=-1) / (2.0 * self.width**2))
 
-    def eval_grad(self, points):
-        diff = np.asarray(points, dtype=float) - self.center
-        return self.eval(points)[..., None] * (-diff / self.width**2)
-
 
 class ShiftedSquare:
     """p^2 + epsilon for a polynomial p; strictly positive everywhere."""
@@ -413,12 +406,6 @@ class ShiftedSquare:
         self.poly = poly
         self.dim = poly.dim
         self.epsilon = float(epsilon)
-
-    def eval(self, points):
-        return self.poly.eval(points) ** 2 + self.epsilon
-
-    def eval_grad(self, points):
-        return 2.0 * self.poly.eval(points)[..., None] * self.poly.eval_grad(points)
 
     def lift(self, x, order):
         p = self.poly.lift(x, order)

@@ -20,7 +20,7 @@ such as a random walk converts to coordinates only once.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from functools import cached_property
 
 import numpy as np
@@ -72,9 +72,6 @@ class LieModel:
         Reference (n, rho1, rho20, rho21) for cross-checks.
     group : str
         Composition backend: "nilpotent" or "su2-pair".
-    params : dict
-        Extra construction data (e.g. the curvature scale of SU(2)
-        factors), read by the su2-pair distance lower bound.
     """
 
     name: str
@@ -84,7 +81,6 @@ class LieModel:
     frame_metric: np.ndarray
     declared_constants: DeclaredConstants | None = None
     group: str = "nilpotent"
-    params: dict = field(default_factory=dict)
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.asarray(self.structure_constants, dtype=float))
@@ -125,7 +121,7 @@ class LieModel:
         return step
 
     def with_frame_metric(self, metric: np.ndarray, name: str | None = None) -> "LieModel":
-        return replace(self, name=name or self.name, frame_metric=metric, params=dict(self.params))
+        return replace(self, name=name or self.name, frame_metric=metric)
 
     # -- group composition ---------------------------------------------
 
@@ -367,7 +363,6 @@ def build_su2_pair(rho: float) -> LieModel:
         frame_metric=metric,
         declared_constants=DeclaredConstants(3, 4.0 * rho, 0.25, 0.0),
         group="su2-pair",
-        params={"rho": float(rho)},
     )
 
 

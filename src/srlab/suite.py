@@ -12,9 +12,11 @@ tolerance it must survive, and a verdict:
                 the sample neither confirms nor refutes.
 
 Monte Carlo verdicts use a three-sigma tolerance and never coerce
-inconclusive to pass.  Reports are deterministic for a fixed seed:
-every check derives its own stream from (seed, check id), timings are
-kept out of the JSON payload, and results are sorted before writing.
+inconclusive to pass.  Reports are deterministic for a fixed seed on
+one host and BLAS thread count (the PDE rows' conjugate-gradient dot
+products follow the BLAS summation order): every check derives its own
+stream from (seed, check id), timings are kept out of the JSON
+payload, and results are sorted before writing.
 
 The anchor field names the inequality catalog entry a result
 certifies; the catalog is documented in the README.

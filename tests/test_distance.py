@@ -14,7 +14,7 @@ import pytest
 
 import srlab.distance as dist
 from srlab.cli import main as cli_main
-from srlab.models import get_model
+from srlab.models import _su2_pair_coords_to_algebra, build_su2_pair, get_model
 
 
 @pytest.fixture(scope="module")
@@ -195,43 +195,42 @@ def test_su2_pair_one_parameter_subgroup():
     assert est.lower == pytest.approx(0.25, abs=1e-9)
 
 
-def test_brentq_repeats_scipy_bitwise():
-    # the Heisenberg angle solve: m(phi), its bracket and tolerances, at
-    # targets spread uniformly and log-uniformly over the bracket's range
+def _heisenberg_by_scipy_root(p):
+    """Distance from the identity with the angle solved by scipy's brentq."""
     from scipy.optimize import brentq
 
     def m(phi):
         s = np.sin(0.5 * phi)
         return (phi - np.sin(phi)) / (2.0 * s * s)
 
-    lo, hi = 1e-9, 2.0 * np.pi - 1e-9
-    rng = np.random.default_rng(18)
-    top = m(hi)
-    targets = np.concatenate([
-        rng.uniform(1e-8, top, 5000),
-        np.exp(rng.uniform(np.log(1e-8), np.log(top), 5000)),
-    ])
-    mismatches = 0
-    for target in targets:
-        ours = dist._brentq(lambda q: m(q) - target, lo, hi, 1e-14, 1e-15)
-        theirs = brentq(lambda q: m(q) - target, lo, hi, xtol=1e-14, rtol=1e-15)
-        mismatches += ours != theirs
-    assert mismatches == 0
+    rho = float(np.hypot(p[0], p[1]))
+    target = 4.0 * abs(p[2]) / rho**2
+    phi = brentq(lambda q: m(q) - target, 1e-9, 2.0 * np.pi - 1e-9, xtol=1e-14, rtol=1e-15)
+    return float(rho * phi / (2.0 * np.sin(0.5 * phi)))
 
 
-def test_brentq_raises_as_scipy_does(monkeypatch):
-    from scipy.optimize import brentq
+def test_bisected_angle_matches_scipy_root(heis):
+    # targets m(phi) = 4 |z| / rho^2 spread uniformly and log-uniformly
+    # over [1e-8, 1e3], at random horizontal radii and directions
+    rng = np.random.default_rng(23)
+    n = 1000
+    targets = np.concatenate(
+        [rng.uniform(1e-8, 1e3, n), np.exp(rng.uniform(np.log(1e-8), np.log(1e3), n))]
+    )
+    rho = rng.uniform(0.05, 3.0, 2 * n)
+    angle = rng.uniform(0.0, 2.0 * np.pi, 2 * n)
+    z = rng.choice([-1.0, 1.0], 2 * n) * targets * rho**2 / 4.0
+    for p in np.stack([rho * np.cos(angle), rho * np.sin(angle), z], axis=1):
+        est = dist.cc_distance(heis, np.zeros(3), p)
+        assert est.method == "geodesic-shooting"
+        assert est.value == pytest.approx(_heisenberg_by_scipy_root(p), rel=1e-13, abs=0.0)
 
-    with pytest.raises(ValueError, match="different signs"):
-        brentq(lambda x: x * x + 1.0, 0.0, 1.0)
-    with pytest.raises(ValueError, match="different signs"):
-        dist._brentq(lambda x: x * x + 1.0, 0.0, 1.0, 1e-14, 1e-15)
-    with pytest.raises(ValueError, match="NaN"):
-        dist._brentq(lambda x: np.nan if x > 0.5 else -1.0, 0.0, 1.0, 1e-14, 1e-15)
-    with pytest.raises(RuntimeError, match="converge after 2 iterations"):
-        brentq(np.sin, 1.0, 4.0, maxiter=2)
-    monkeypatch.setattr(dist, "BRENTQ_MAXITER", 2)
-    with pytest.raises(RuntimeError, match="converge after 2 iterations"):
-        dist._brentq(np.sin, 1.0, 4.0, 1e-14, 1e-15)
-    # a root at an end of the bracket is returned without iterating
-    assert dist._brentq(lambda x: x - 1.0, 1.0, 2.0, 1e-14, 1e-15) == 1.0
+
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
+def test_su2_pair_lower_bound_reads_rho_off_the_metric(rho):
+    m = build_su2_pair(rho)
+    rel = np.random.default_rng(5).uniform(-0.5, 0.5, 6)
+    a, b = _su2_pair_coords_to_algebra(m, rel)
+    scale = np.sqrt(2.0 * rho)
+    expected = max(np.linalg.norm(a, axis=0) / scale, np.linalg.norm(b, axis=0) / (2.0 * scale))
+    assert dist._su2_pair_lower(m, rel) == expected

@@ -7,7 +7,6 @@ from hypothesis import given, settings, strategies as st
 from srlab import jets
 from srlab.frames import FrameCalc
 from srlab.jets import (
-    GaussianBump,
     Jet,
     Polynomial,
     constant_jet,
@@ -111,6 +110,14 @@ def test_polynomial_lift_reproduces_values(dim):
         assert eval_jet(j, d) == pytest.approx(expected, rel=1e-12, abs=1e-12)
 
 
+def running_power(x, e):
+    """x ** e for integer exponents e, as the running product x * x * ... * x."""
+    out = np.ones(np.broadcast(x, e).shape)
+    for k in range(int(np.max(e, initial=0))):
+        out = np.where(e > k, out * x, out)
+    return out
+
+
 def reference_shift_matrices(xs, dim, degree, order):
     """binom(alpha, beta) x^(alpha - beta), one coordinate and entry at a time."""
     sp_in, sp_out = get_space(dim, degree), get_space(dim, order)
@@ -128,7 +135,7 @@ def reference_shift_matrices(xs, dim, degree, order):
     for x in xs:
         powers = np.ones(valid.shape)
         for k in range(dim):
-            powers *= x[k] ** diff[:, :, k]
+            powers *= running_power(x[k], diff[:, :, k])
         out.append(np.where(valid, binom * powers, 0.0))
     return out
 
@@ -166,7 +173,7 @@ def direct_eval(f, points):
     """prod(points ** exps) @ coefficients, one monomial at a time."""
     sp = get_space(f.dim, f.degree)
     exps = sp.exponents[: sp.terms(f.degree)]
-    return np.prod(points[..., None, :] ** exps, axis=-1) @ f.coefficients
+    return np.prod(running_power(points[..., None, :], exps), axis=-1) @ f.coefficients
 
 
 @pytest.mark.parametrize("dim,degree", [(3, 0), (3, 2), (4, 3), (6, 4), (2, 4)])
@@ -291,16 +298,12 @@ def test_batched_lift_matches_single():
 
 def test_eval_grad_matches_finite_differences():
     rng = np.random.default_rng(19)
-    fns = [
-        Polynomial.random(3, 4, rng),
-        GaussianBump(np.array([0.0, 0.1, -0.2]), 0.6),
-    ]
+    f = Polynomial.random(3, 4, rng)
     pts = rng.uniform(-0.8, 0.8, (5, 3))
     h = 1e-6
-    for f in fns:
-        g = f.eval_grad(pts)
-        for k in range(3):
-            e = np.zeros(3)
-            e[k] = h
-            fd = (f.eval(pts + e) - f.eval(pts - e)) / (2 * h)
-            assert np.allclose(g[:, k], fd, atol=1e-6)
+    g = f.eval_grad(pts)
+    for k in range(3):
+        e = np.zeros(3)
+        e[k] = h
+        fd = (f.eval(pts + e) - f.eval(pts - e)) / (2 * h)
+        assert np.allclose(g[:, k], fd, atol=1e-6)

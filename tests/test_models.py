@@ -45,7 +45,7 @@ def test_free_nilpotent_two_is_heisenberg():
     assert (a.name, h.name) == ("free-nilpotent-2", "heisenberg")
     assert a.structure_constants.tobytes() == h.structure_constants.tobytes()
     assert a.frame_metric.tobytes() == h.frame_metric.tobytes()
-    for field in ("dim_h", "dim_v", "declared_constants", "group", "params"):
+    for field in ("dim_h", "dim_v", "declared_constants", "group"):
         assert getattr(a, field) == getattr(h, field), field
 
 

@@ -45,9 +45,6 @@ ALLOWED = {
     "jets.Jet.__rsub__": JET_RING,
     "jets.Jet.__rmul__": JET_RING,
     "heat.Squared.eval": INTEGRAND,
-    "jets.GaussianBump.eval_grad": INTEGRAND,
-    "jets.ShiftedSquare.eval": INTEGRAND,
-    "jets.ShiftedSquare.eval_grad": INTEGRAND,
     "heat.mc_variance": PATCHED,
     "heat.mc_gradient": PATCHED,
     "heat.mc_gamma_mixed": PATCHED,
