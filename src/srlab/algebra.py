@@ -164,29 +164,33 @@ def ad_matrix(c: np.ndarray, u: np.ndarray) -> np.ndarray:
 
 
 def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
-    """[u, w]^k = sum_ij c[k, i, j] u_i w_j, batched over leading axes.
+    """[u, w]^k = sum_ij c[k, i, j] u_i w_j on component-first arrays.
 
-    Only the nonzero structure constants are visited (two per bracket
-    direction on the nilpotent models), each adding c u_i w_j into its
-    output slice in turn.  The leading axes of u and w broadcast against
-    each other, and every batch entry is computed alone, so a slice of a
-    batched call equals the unbatched call exactly.
+    u and w have shape (d, ...): component first, then batch axes,
+    which broadcast against each other from the right.  Only the
+    nonzero structure constants are visited (two per bracket direction
+    on the nilpotent models), each adding c u_i w_j into its output row
+    in turn, so every term reads two contiguous rows.  Every batch entry
+    is computed alone, so a slice of a batched call equals the
+    unbatched call exactly.
     """
     u = np.asarray(u)
     w = np.asarray(w)
-    shape = np.broadcast_shapes(u.shape[:-1], w.shape[:-1]) + (c.shape[0],)
+    shape = (c.shape[0],) + np.broadcast_shapes(u.shape[1:], w.shape[1:])
     out = np.zeros(shape, dtype=np.result_type(c, u, w))
     for k, i, j in zip(*np.nonzero(c)):
-        out[..., k] += c[k, i, j] * u[..., i] * w[..., j]
+        out[k] += c[k, i, j] * u[i] * w[j]
     return out
 
 
 def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
     """log(exp(u) exp(w)) for a nilpotent algebra of degree <= 3.
 
-    Uses the Baker-Campbell-Hausdorff series, which terminates exactly
-    at the nilpotency degree.  Degrees above 3 are rejected since the
-    truncation would silently bias group products.
+    u and w are component-first, shape (d, ...), with batch axes that
+    broadcast as they stand (`LieModel.mul` aligns them from the
+    right).  Uses the Baker-Campbell-Hausdorff series, which terminates
+    exactly at the nilpotency degree.  Degrees above 3 are rejected
+    since the truncation would silently bias group products.
     """
     if step > 3:
         raise ValueError(f"exact BCH composition supports step <= 3, got {step}")

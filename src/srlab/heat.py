@@ -7,9 +7,12 @@ standard normals xi over the orthonormal horizontal frame.  Because
 increments compose through exact group multiplication, the walk stays
 on the group, constants are preserved exactly, and the estimator of
 P_t 1 is identically 1.  Path states stay in the group's native form
-(`LieModel.lift`/`mul`): coordinates on nilpotent groups, a pair of
-unit quaternions on su2-pair, converted to coordinates by one log per
-path at the end of the walk.
+(`LieModel.lift`/`mul`), component-first with the paths on the last
+axis: coordinates on nilpotent groups, a pair of unit quaternions on
+su2-pair, converted to coordinates by one log per path at the end of
+the walk.  Each increment is lifted from its horizontal part alone
+(`LieModel.lift_horizontal`); on su2-pair, where H_i = (X_i, 2 X_i),
+that is the pair (q, q^2) of one quaternion exponential.
 
 One path engine, `mc_semigroup_many`, makes every estimate over the
 paths from x alone: plain integrands are averaged at the endpoints,
@@ -124,8 +127,9 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
     """Final states of `size` paths from each start; common noise across starts.
 
     starts has shape (S, d); returns (S, size, d).  The walk multiplies
-    native group elements (`LieModel.lift`/`mul`) and converts back to
-    coordinates once, at the end.
+    native group elements (`LieModel.lift`/`mul`) by the lifted
+    horizontal increments and converts back to coordinates once, at
+    the end.
     """
     n = model.dim_h
     d = model.dim
@@ -134,11 +138,9 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
     h = t / steps
     sqh = np.sqrt(h)
     g = model.lift(starts[:, None, :])
-    w = np.zeros((1, size, d))
     for _ in range(steps):
         xi = rng.standard_normal((size, n))
-        w[0, :, :n] = sqh * xi
-        g = model.mul(g, model.lift(w))
+        g = model.mul(g, model.lift_horizontal(sqh * xi.T))
     return model.coords(g)
 
 

@@ -402,7 +402,7 @@ class GaussianBump:
 class ShiftedSquare:
     """p^2 + epsilon for a polynomial p; strictly positive everywhere."""
 
-    def __init__(self, poly: Polynomial, epsilon: float = 1e-3):
+    def __init__(self, poly: Polynomial, epsilon: float):
         self.poly = poly
         self.dim = poly.dim
         self.epsilon = float(epsilon)

@@ -13,9 +13,13 @@ labels the group element ``exp(sum_a u_a F_a)`` where ``F_a`` is the
 orthonormal frame.  Group multiplication in these coordinates is exact
 for the shipped models (polynomial BCH for nilpotent groups, closed
 form on SU(2) factors).  `LieModel.lift`, `mul` and `coords` expose the
-group's native form (the coordinates themselves on nilpotent groups, a
-pair of unit quaternions on SU(2) x SU(2)), so that a long product
-such as a random walk converts to coordinates only once.
+group's native form, so that a long product such as a random walk
+converts to coordinates only once.  Native states are component-first,
+shape (D, ...) with the batch axes after the component axis: the
+coordinates themselves on nilpotent groups (D = d), a pair of unit
+quaternions on SU(2) x SU(2) (D = 8).  `lift_horizontal` lifts a
+horizontal increment directly, without padding it with zero vertical
+coordinates.
 """
 
 from __future__ import annotations
@@ -128,15 +132,39 @@ class LieModel:
     def lift(self, u: np.ndarray) -> np.ndarray:
         """The group element exp(u) in the model's native form.
 
-        Nilpotent groups are held in their coordinates; su2-pair holds
-        a pair of unit quaternions, shape (8,) + u.shape[:-1] (see
-        `_su2_pair_lift`).
+        Native states are component-first, shape (D,) + u.shape[:-1]:
+        nilpotent groups hold their coordinates (D = d) as a contiguous
+        copy with the coordinate axis moved to the front; su2-pair holds
+        a pair of unit quaternions (D = 8, see `_su2_pair_lift`).
         """
         u = np.asarray(u, dtype=float)
-        return _su2_pair_lift(self, u) if self.group == "su2-pair" else u
+        if self.group == "su2-pair":
+            return _su2_pair_lift(self, u)
+        return np.ascontiguousarray(np.moveaxis(u, -1, 0))
+
+    def lift_horizontal(self, v: np.ndarray) -> np.ndarray:
+        """exp(sum_i v_i F_i) over the horizontal frame, in native form.
+
+        v is component-first, shape (dim_h, ...).  The result equals
+        `lift` of v padded with zero vertical coordinates (on su2-pair to
+        rounding), without forming the padded vector.
+        """
+        v = np.asarray(v, dtype=float)
+        if self.group == "su2-pair":
+            return _su2_pair_lift_horizontal(self, v)
+        out = np.zeros((self.dim,) + v.shape[1:])
+        out[: self.dim_h] = v
+        return out
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
-        """Product g h of native group elements, batched over their batch axes."""
+        """Product g h of native group elements.
+
+        Both are component-first; their batch axes are aligned from the
+        right and broadcast, as coordinates broadcast in `compose`.
+        """
+        batch = max(g.ndim, h.ndim) - 1
+        g, h = (x.reshape(x.shape[:1] + (1,) * (batch + 1 - x.ndim) + x.shape[1:])
+                for x in (g, h))
         if self.group == "su2-pair":
             return _su2_pair_mul(g, h)
         if self.group == "nilpotent":
@@ -149,8 +177,10 @@ class LieModel:
         raise CompositionError(f"no exact composition backend for {self.group!r}")
 
     def coords(self, g: np.ndarray) -> np.ndarray:
-        """Exponential coordinates of a native group element (inverse of `lift`)."""
-        return _su2_pair_coords(self, g) if self.group == "su2-pair" else g
+        """Exponential coordinates, shape batch + (d,), of a native element (inverse of `lift`)."""
+        if self.group == "su2-pair":
+            return _su2_pair_coords(self, g)
+        return np.ascontiguousarray(np.moveaxis(g, 0, -1))
 
     def compose(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
         """Coordinates of exp(u) exp(w), batched over leading axes."""
@@ -236,13 +266,26 @@ def _su2_pair_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
     return _quat_exp(np.stack([a, b], axis=1)).reshape((8,) + a.shape[1:])
 
 
+def _su2_pair_lift_horizontal(model: LieModel, v: np.ndarray) -> np.ndarray:
+    """exp(sum_i v_i F_i) for horizontal v, shape (3, ...), as the pair (q, q^2).
+
+    H_i = (X_i, 2 X_i) and T[:n, n:] = 0, so the factors are q = exp(r . X)
+    and exp(2 r . X) = q^2 with r = T[:n, :n]^T v; q^2 is
+    (q0^2 - |q_vec|^2, 2 q0 q_vec), one sine and cosine per path.
+    """
+    n = model.dim_h
+    q = _quat_exp(np.tensordot(model.onframe.T[:n, :n], v, axes=(0, 0)))
+    out = np.empty((4, 2) + q.shape[1:])
+    out[:, 0] = q
+    out[0, 1] = q[0] * q[0] - (q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
+    out[1:, 1] = 2.0 * q[0] * q[1:]
+    return out.reshape((8,) + q.shape[1:])
+
+
 def _su2_pair_mul(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    batch = np.broadcast_shapes(g.shape[1:], h.shape[1:])
-
-    def pair(x):  # batch axes aligned from the right, as for coordinates
-        return x.reshape((4, 2) + (1,) * (len(batch) + 1 - x.ndim) + x.shape[1:])
-
-    return _quat_mul(pair(g), pair(h)).reshape((8,) + batch)
+    """Product of native pairs whose batch axes broadcast as they stand."""
+    prod = _quat_mul(g.reshape((4, 2) + g.shape[1:]), h.reshape((4, 2) + h.shape[1:]))
+    return prod.reshape((8,) + prod.shape[2:])
 
 
 def _su2_pair_coords(model: LieModel, g: np.ndarray) -> np.ndarray:

@@ -13,8 +13,13 @@ SHIPPED = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
 
 
 def einsum_bracket(c, u, w):
-    """The dense formula [u, w]^k = sum_ij c[k, i, j] u_i w_j."""
-    return np.einsum("kij,...i,...j->...k", c, u, w)
+    """The dense formula [u, w]^k = sum_ij c[k, i, j] u_i w_j, component-first."""
+    return np.einsum("kij,i...,j...->k...", c, u, w)
+
+
+def first(x):
+    """Component-first copy of a component-last draw."""
+    return np.ascontiguousarray(np.moveaxis(x, -1, 0))
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -22,10 +27,10 @@ def test_bracket_equals_einsum_on_shipped_models(name):
     m = get_model(name)
     rng = np.random.default_rng(11)
     for c in (m.structure_constants, m.onframe.c):
-        u = rng.standard_normal((3, 50, m.dim))
-        w = rng.standard_normal((3, 50, m.dim))
+        u = first(rng.standard_normal((3, 50, m.dim)))
+        w = first(rng.standard_normal((3, 50, m.dim)))
         out = algebra.bracket(c, u, w)
-        assert out.shape == (3, 50, m.dim)
+        assert out.shape == (m.dim, 3, 50)
         assert np.array_equal(out, einsum_bracket(c, u, w))
 
 
@@ -34,7 +39,7 @@ def test_bracket_matches_einsum_on_dense_constants():
     d = 5
     c = rng.standard_normal((d, d, d))
     c = c - np.swapaxes(c, 1, 2)
-    u, w = rng.standard_normal((2, 40, d))
+    u, w = (first(x) for x in rng.standard_normal((2, 40, d)))
     assert np.count_nonzero(c) == d * d * (d - 1)
     assert np.allclose(algebra.bracket(c, u, w), einsum_bracket(c, u, w), rtol=1e-13, atol=1e-13)
 
@@ -44,7 +49,7 @@ def test_bracket_matches_einsum_on_rescaled_metric():
     c = m.onframe.c
     assert not np.all(np.isin(c, (-1.0, 0.0, 1.0)))
     rng = np.random.default_rng(13)
-    u, w = rng.standard_normal((2, 30, m.dim))
+    u, w = (first(x) for x in rng.standard_normal((2, 30, m.dim)))
     assert np.allclose(algebra.bracket(c, u, w), einsum_bracket(c, u, w), rtol=1e-13, atol=1e-13)
 
 
@@ -52,14 +57,16 @@ def test_bracket_broadcasts_starts_against_shared_noise():
     m = get_model("heisenberg")
     c = m.onframe.c
     rng = np.random.default_rng(14)
-    u = rng.standard_normal((4, 25, 3))
-    w = rng.standard_normal((1, 25, 3))
+    u = first(rng.standard_normal((4, 25, 3)))
+    w = first(rng.standard_normal((1, 25, 3)))
     out = algebra.bracket(c, u, w)
-    assert out.shape == (4, 25, 3)
+    assert out.shape == (3, 4, 25)
     assert np.array_equal(out, einsum_bracket(c, u, w))
-    one = algebra.bracket(c, u[0, 0], w[0, 0])
+    # batch axes broadcast from the right, as `LieModel.mul` aligns them
+    assert np.array_equal(algebra.bracket(c, u, w[:, 0]), out)
+    one = algebra.bracket(c, u[:, 0, 0], w[:, 0, 0])
     assert one.shape == (3,)
-    assert one[2] == u[0, 0, 0] * w[0, 0, 1] - u[0, 0, 1] * w[0, 0, 0]
+    assert one[2] == u[0, 0, 0] * w[1, 0, 0] - u[1, 0, 0] * w[0, 0, 0]
 
 
 @pytest.mark.parametrize("name", SHIPPED)
@@ -69,13 +76,13 @@ def test_bracket_batch_slices_equal_single_calls(name):
     m = get_model(name)
     c = m.onframe.c
     rng = np.random.default_rng(15)
-    u = rng.standard_normal((5, 20, m.dim))
-    w = rng.standard_normal((1, 20, m.dim))
+    u = first(rng.standard_normal((5, 20, m.dim)))
+    w = first(rng.standard_normal((1, 20, m.dim)))
     batch = algebra.bracket(c, u, w)
     for s in range(5):
-        assert np.array_equal(batch[s], algebra.bracket(c, u[s], w[0]))
+        assert np.array_equal(batch[:, s], algebra.bracket(c, u[:, s], w[:, 0]))
         for n in (0, 7, 19):
-            assert np.array_equal(batch[s, n], algebra.bracket(c, u[s, n], w[0, n]))
+            assert np.array_equal(batch[:, s, n], algebra.bracket(c, u[:, s, n], w[:, 0, n]))
 
 
 def test_frame_coefficients_match_central_differences_on_su2_pair():

@@ -252,7 +252,7 @@ def _compose_walk(m, starts, t, steps, size, rng):
     return states
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "engel", "su2-pair"])
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
 def test_native_walk_matches_compose_loop(name):
     m = get_model(name)
     starts = np.random.default_rng(31).uniform(-0.5, 0.5, (3, m.dim))

@@ -10,6 +10,7 @@ from srlab.models import (
     LieModel,
     _quat_exp,
     _quat_log,
+    _quat_mul,
     build_abelian,
     build_engel,
     build_free_nilpotent,
@@ -352,6 +353,41 @@ def test_su2_pair_native_form_round_trip():
     assert np.allclose(np.sum(g.reshape(4, 2, 3, 4) ** 2, axis=0), 1.0, atol=1e-15)
     assert np.allclose(m.coords(g), u, atol=1e-14)
     assert np.array_equal(m.coords(m.mul(g, m.lift(np.zeros(6)))), m.compose(u, np.zeros(6)))
+
+
+def test_nilpotent_native_form_is_component_first():
+    m = get_model("engel")
+    u = np.random.default_rng(5).uniform(-1.0, 1.0, (3, 4, 4))
+    g = m.lift(u)
+    assert g.shape == (4, 3, 4) and g.flags.c_contiguous
+    assert np.array_equal(g, np.moveaxis(u, -1, 0))
+    back = m.coords(g)
+    assert back.flags.c_contiguous and np.array_equal(back, u)
+    # batch axes align from the right: one element times a batch
+    assert np.array_equal(m.coords(m.mul(m.lift(u[0, 0]), g)), m.compose(u[0, 0], u))
+
+
+_LIFT_MODELS = [get_model(name) for name in ("heisenberg", "free-nilpotent-3", "engel")] + [
+    build_su2_pair(rho) for rho in (0.3, 1.0, 2.5)
+]
+
+
+@pytest.mark.parametrize("m", _LIFT_MODELS, ids=lambda m: m.name)
+def test_lift_horizontal_is_lift_of_the_padded_vector(m):
+    n = m.dim_h
+    v = 0.8 * np.random.default_rng(6).standard_normal((n, 5, 40))
+    padded = np.zeros((5, 40, m.dim))
+    padded[..., :n] = np.moveaxis(v, 0, -1)
+    got, ref = m.lift_horizontal(v), m.lift(padded)
+    assert got.shape == ref.shape
+    if m.group == "nilpotent":
+        assert np.array_equal(got, ref)
+        return
+    # H_i = (X_i, 2 X_i) and the frame change keeps H in H: the pair (q, q^2)
+    assert np.all(m.onframe.T[:n, n:] == 0.0)
+    assert np.allclose(got, ref, rtol=0.0, atol=1e-15)
+    q, q2 = np.moveaxis(got.reshape((4, 2) + v.shape[1:]), 1, 0)
+    assert np.allclose(q2, _quat_mul(q, q), rtol=0.0, atol=1e-15)
 
 
 @pytest.mark.parametrize(

@@ -2,6 +2,7 @@
 
 import dataclasses
 import json
+import math
 import os
 import re
 import subprocess
@@ -450,6 +451,18 @@ def test_cli_bad_input_exits_2(args):
     assert "error: " in proc.stderr
     # a Python float overflow is named, not printed as its errno tuple
     assert "Numerical result out of range" not in proc.stderr
+
+
+def test_cli_heat_su2_pair_at_huge_t_prints_an_estimate():
+    # unlike heisenberg at --t 1e308 (exit 2 above), the su2-pair walk
+    # stays finite: its increments are quaternion angles, and the group
+    # is compact, so the estimate is printed as at any other t
+    proc = _run(["-m", "srlab.cli", "heat", "su2-pair", "--t", "1e308"], ["src"])
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    est = json.loads(proc.stdout)
+    assert est["t"] == 1e308
+    assert math.isfinite(est["value"]) and math.isfinite(est["std_error"])
 
 
 def test_perfbench_tracer_installs():
