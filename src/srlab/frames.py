@@ -4,12 +4,15 @@ The coordinate components of the frame in exponential coordinates are
 given by the series f(ad_u) with f(z) = z / (1 - e^(-z)); evaluating
 that series in jet arithmetic at a base point yields the component
 functions to any Taylor order, held as one jet with batch shape (d, d).
-Applying a frame field to a jet is then a linear map on jet
-coefficients, assembled as small dense matrices per differentiation
-order by a `FrameCalc` that is built per point and not cached.  The
-point-free index tables it reads (product pairs, derivative maps) live
-on the `JetSpace` of the dimension; per point it builds only the chart
-and the operators it is asked for.
+Only the jet products whose factors can be nonzero, by the pattern of
+the structure constants, are formed; the chart is still bit-identical
+to the dense series (see `chart_field_jets`).  Applying a frame field
+to a jet is then a linear map on jet coefficients, assembled as small
+dense matrices per differentiation order by a `FrameCalc` that is
+built per point and not cached.  The point-free index tables it reads
+(product pairs, derivative maps) live on the `JetSpace` of the
+dimension; per point it builds only the chart and the operators it is
+asked for.
 """
 
 from __future__ import annotations
@@ -28,6 +31,11 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     to the orthonormalized frame and its exponential chart.  For
     nilpotent models the series terminates exactly; for compact models
     it is truncated deep inside its convergence region.
+
+    Term k forms ad[m, l] power[l, col] only where c[m, :, l] is nonzero
+    somewhere and the boolean (k-1)-th power of that pattern is true at
+    (l, col), and sums over l in index order from +0.0.  A skipped
+    product is a signed zero, which changes no bit of such a sum.
     """
     x = np.asarray(x, dtype=float)
     c = model.onframe.c
@@ -55,15 +63,19 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     out = np.zeros((d, d, n))
     out[np.arange(d), np.arange(d), 0] = 1.0
     power = out
+    ad_pat = np.any(c != 0, axis=1)
+    pow_pat = np.eye(d, dtype=bool)
     fact = 1.0
     for k in range(1, terms + 1):
-        # every product ad[:, l] power[l] in one call over the batch
-        # (l, row, col), then summed over l in index order
-        prods = sp.multiply(ad.transpose(1, 0, 2)[:, :, None], power[:, None], order)
+        # one product call, scattered as prods[l, m, col], +0.0 if skipped
+        m, l, col = np.nonzero(ad_pat[:, :, None] & pow_pat[None])
+        prods = np.zeros((d, d, d, n))
+        prods[l, m, col] = sp.multiply(ad[m, l], power[l, col], order)
         nxt = np.zeros((d, d, n))
-        for l in range(d):
-            nxt = nxt + prods[l]
+        for term in prods:
+            nxt = nxt + term
         power = nxt
+        pow_pat = ad_pat @ pow_pat
         if not power.any():
             break
         fact *= k
@@ -94,16 +106,18 @@ class FrameCalc:
         op = self.ops[i].get(m)
         if op is None:
             sp = self._space
-            n_out, n_in = sp.terms(m - 1), sp.terms(m)
+            n_out = sp.terms(m - 1)
+            op = np.zeros((n_out, sp.terms(m)))
             for j in range(self.model.dim):
                 cj = self._chart.coeffs[j, i, :n_out]
+                if not cj.any():  # its matrix holds only +0.0
+                    continue
                 # (c_j * d/du_j f)_r: d/du_j moves coefficient deriv_src[j][r]
-                # to r, scaled by deriv_coef[j][r]
-                mat = np.zeros((n_out, n_in))
-                mat[:, sp.deriv_src[j][:n_out]] = (
+                # to r, scaled by deriv_coef[j][r]; those columns are
+                # distinct and op holds no -0.0, so += adds the scatter
+                op[:, sp.deriv_src[j][:n_out]] += (
                     sp.multiplication_matrix(cj, m - 1) * sp.deriv_coef[j][:n_out]
                 )
-                op = mat if op is None else op + mat
             self.ops[i][m] = op
         return op
 

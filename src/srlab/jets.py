@@ -26,20 +26,11 @@ import numpy as np
 def _graded_exponents(dim: int, order: int) -> np.ndarray:
     exps = []
     for total in range(order + 1):
-        for comb in itertools.combinations_with_replacement(range(dim), total):
-            e = [0] * dim
-            for i in comb:
-                e[i] += 1
-            exps.append(e)
-    # combinations_with_replacement is not lexicographic on exponent
-    # tuples; sort within each degree for a canonical order.
-    exps = np.array(exps, dtype=np.int64).reshape(-1, dim)
-    degs = exps.sum(axis=1)
-    key = np.lexsort(tuple(exps[:, i] for i in range(dim - 1, -1, -1)))
-    exps = exps[key]
-    degs = degs[key]
-    stable = np.argsort(degs, kind="stable")
-    return exps[stable]
+        # combinations_with_replacement yields a degree's multisets in the
+        # reverse of the lexicographic order of their exponent tuples
+        for comb in reversed(list(itertools.combinations_with_replacement(range(dim), total))):
+            exps.append([comb.count(i) for i in range(dim)])
+    return np.array(exps, dtype=np.int64).reshape(-1, dim)
 
 
 class JetSpace:
@@ -58,20 +49,19 @@ class JetSpace:
         self._build_derivative_maps()
         self._shift_tables: dict[tuple[int, int], tuple] = {}
 
+    def _find(self, exps: np.ndarray) -> np.ndarray:
+        """Indices of exponent rows, through their base-(order + 1) codes."""
+        place = (self.order + 1) ** np.arange(self.dim, dtype=np.int64)
+        codes = self.exponents @ place
+        srt = np.argsort(codes)
+        return srt[np.searchsorted(codes[srt], exps @ place)]
+
     def _build_product_table(self):
-        pa, pb, pout = [], [], []
-        for a in range(self.size):
-            da = self.degrees[a]
-            for b in range(self.size):
-                if da + self.degrees[b] > self.order:
-                    continue
-                out = self.index[tuple(self.exponents[a] + self.exponents[b])]
-                pa.append(a)
-                pb.append(b)
-                pout.append(out)
-        pa = np.array(pa, dtype=np.int64)
-        pb = np.array(pb, dtype=np.int64)
-        pout = np.array(pout, dtype=np.int64)
+        # every pair (a, b) of total degree <= order, a-major, and the
+        # index of the exponent sum; the stable sort by output keeps that
+        # order within each output's group
+        pa, pb = np.nonzero(self.degrees[:, None] + self.degrees[None, :] <= self.order)
+        pout = self._find(self.exponents[pa] + self.exponents[pb])
         srt = np.argsort(pout, kind="stable")
         self.pair_a = pa[srt]
         self.pair_b = pb[srt]
@@ -83,20 +73,12 @@ class JetSpace:
 
     def _build_derivative_maps(self):
         # deriv_src[j][r], deriv_coef[j][r]: coefficient r of d/du_j f is
-        # deriv_coef * coeffs[deriv_src], valid for jets of order >= 1.
-        self.deriv_src = []
-        self.deriv_coef = []
-        n_lower = self.n_at[self.order]  # all terms of degree <= order-1
-        for j in range(self.dim):
-            src = np.empty(n_lower, dtype=np.int64)
-            coef = np.empty(n_lower)
-            for r in range(n_lower):
-                e = self.exponents[r].copy()
-                e[j] += 1
-                src[r] = self.index[tuple(e)]
-                coef[r] = e[j]
-            self.deriv_src.append(src)
-            self.deriv_coef.append(coef)
+        # deriv_coef * coeffs[deriv_src], valid for jets of order >= 1;
+        # row j holds every exponent of degree <= order-1 raised by one in j
+        lower = self.exponents[: self.n_at[self.order]]
+        raised = lower + np.eye(self.dim, dtype=np.int64)[:, None, :]
+        self.deriv_src = self._find(raised)
+        self.deriv_coef = (lower.T + 1).astype(float, order="C")
 
     def terms(self, order: int) -> int:
         return int(self.n_at[order + 1])

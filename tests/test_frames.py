@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from srlab import algebra, frames
-from srlab.jets import Polynomial, coordinate_jet, get_space
+from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space
 from srlab.models import get_model
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -157,7 +157,8 @@ def same_bits(a, b):
 
 
 def reference_chart(m, x, order):
-    """The chart series with one jet product per summand l."""
+    """The dense chart series: every product ad[m, l] power[l, col] is
+    formed, one jet product call per summand l."""
     c, d = m.onframe.c, m.dim
     sp = get_space(d, order)
     n = sp.terms(order)
@@ -192,6 +193,21 @@ def reference_multiplication_matrix(sp, a, order):
     return m
 
 
+def reference_sum_op(calc, i, m):
+    """E_i as the sum over every j of the scattered (chart_ji *) d/du_j matrices."""
+    sp = get_space(calc.model.dim, calc.order)
+    n_out, n_in = sp.terms(m - 1), sp.terms(m)
+    op = None
+    for j in range(calc.model.dim):
+        mat = np.zeros((n_out, n_in))
+        mat[:, sp.deriv_src[j][:n_out]] = (
+            sp.multiplication_matrix(calc._chart.coeffs[j, i, :n_out], m - 1)
+            * sp.deriv_coef[j][:n_out]
+        )
+        op = mat if op is None else op + mat
+    return op
+
+
 def reference_op(calc, i, m):
     """E_i as the sum over j of (chart_ji *) times a dense d/du_j matrix."""
     sp = get_space(calc.model.dim, calc.order)
@@ -206,14 +222,41 @@ def reference_op(calc, i, m):
     return op
 
 
-@pytest.mark.parametrize("name", MODELS)
+@pytest.mark.parametrize("name", MODELS + ("free-nilpotent-2",))
 def test_chart_jets_equal_the_per_summand_products(name):
+    # equal bytes: the structured series skips only products that are
+    # signed zeros, and that must not move a value or the sign of a zero
     m = get_model(name)
     rng = np.random.default_rng(101)
-    for x in rng.uniform(-0.4, 0.4, (3, m.dim)):
+    for x in np.vstack([np.zeros(m.dim), rng.uniform(-0.4, 0.4, (5, m.dim))]):
         for order in (0, 1, 2, 3):
             chart = frames.chart_field_jets(m, x, order)
             assert same_bits(chart.coeffs, reference_chart(m, x, order))
+
+
+@pytest.mark.parametrize(
+    "name,batches",
+    [
+        ("heisenberg", [2, 0]),
+        ("free-nilpotent-3", [6, 0]),
+        ("engel", [4, 2, 0]),
+        ("su2-pair", [18, 48] + [72] * 28),
+    ],
+)
+def test_chart_series_multiplies_only_the_structural_nonzeros(name, batches, monkeypatch):
+    """One product call per term, over the triples (m, l, col) that can be
+    nonzero; the dense series would take d**3 (216 on su2-pair) each."""
+    seen = []
+    multiply = JetSpace.multiply
+
+    def counting(self, a, b, order):
+        seen.append(a.shape[0])
+        return multiply(self, a, b, order)
+
+    monkeypatch.setattr(JetSpace, "multiply", counting)
+    m = get_model(name)
+    frames.chart_field_jets(m, np.full(m.dim, 0.2), 3)
+    assert seen == batches
 
 
 @pytest.mark.parametrize("name", MODELS)
@@ -236,3 +279,15 @@ def test_frame_ops_equal_the_dense_products(name):
         for i in range(m.dim):
             for order in (1, 2, 3, 4):
                 assert same_bits(calc._op(i, order), reference_op(calc, i, order))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_frame_ops_equal_the_sum_over_every_component(name):
+    # zero chart components are skipped; at the origin most of them are
+    m = get_model(name)
+    rng = np.random.default_rng(109)
+    for x in np.vstack([np.zeros(m.dim), rng.uniform(-0.4, 0.4, (2, m.dim))]):
+        calc = frames.FrameCalc(m, x, 4)
+        for i in range(m.dim):
+            for order in (1, 2, 3, 4):
+                assert same_bits(calc._op(i, order), reference_sum_op(calc, i, order))

@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -214,6 +215,47 @@ def test_polynomial_eval_shapes():
         assert f.eval(rng.uniform(-1.0, 1.0, (5, 3))).shape == (5,)
         assert f.eval(rng.uniform(-1.0, 1.0, (2, 5, 3))).shape == (2, 5)
     assert Polynomial(3, 0, [2.5]).eval(np.ones((4, 3))).tolist() == [2.5] * 4
+
+
+def loop_tables(sp):
+    """The JetSpace tables, one pair and one derivative entry at a time."""
+    pa, pb, pout = [], [], []
+    for a in range(sp.size):
+        for b in range(sp.size):
+            if sp.degrees[a] + sp.degrees[b] <= sp.order:
+                pa.append(a)
+                pb.append(b)
+                pout.append(sp.index[tuple(sp.exponents[a] + sp.exponents[b])])
+    pa, pb, pout = (np.array(v, dtype=np.int64) for v in (pa, pb, pout))
+    srt = np.argsort(pout, kind="stable")
+    src, coef = [], []
+    for j in range(sp.dim):
+        step = np.eye(sp.dim, dtype=np.int64)[j]
+        raised = [sp.exponents[r] + step for r in range(sp.n_at[sp.order])]
+        src.append(np.array([sp.index[tuple(e)] for e in raised], dtype=np.int64))
+        coef.append(np.array([float(e[j]) for e in raised]))
+    return [pa[srt], pb[srt], pout[srt]], src, coef
+
+
+def same_table(a, b):
+    return a.dtype == b.dtype and np.array_equal(a, b)
+
+
+@pytest.mark.parametrize("dim", [1, 2, 3, 4, 5, 6])
+def test_jet_space_tables_equal_the_loop_builder(dim):
+    for order in range(1, 6):
+        sp = jets.JetSpace(dim, order)
+        graded = sorted(
+            (e for e in itertools.product(range(order + 1), repeat=dim) if sum(e) <= order),
+            key=lambda e: (sum(e), e),
+        )
+        assert same_table(sp.exponents, np.array(graded, dtype=np.int64).reshape(-1, dim))
+        pairs, src, coef = loop_tables(sp)
+        for table, ref in zip((sp.pair_a, sp.pair_b, sp.pair_out), pairs):
+            assert same_table(table, ref)
+        for j in range(dim):
+            assert same_table(sp.deriv_src[j], src[j])
+            assert same_table(sp.deriv_coef[j], coef[j])
 
 
 def test_truncation_is_prefix():
