@@ -119,6 +119,8 @@ def cmd_heat(args):
         est = heat.mc_semigroup(
             model, f, np.zeros(model.dim), args.t, args.paths, args.steps, args.seed
         )
+    except FloatingPointError as err:
+        return _bad_input(f"--t {args.t:g} is out of numeric range ({err})")
     except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     if not math.isfinite(est.value):
@@ -143,6 +145,8 @@ def cmd_distance(args):
     except OverflowError:
         # a Python float overflow, which the numpy error state does not cover
         return _bad_input(f"--x/--y overflow a float in the {args.model} distance")
+    except FloatingPointError as err:
+        return _bad_input(f"--x/--y are out of numeric range in the {args.model} distance ({err})")
     except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     _print({"x": list(x), "y": list(y), "estimate": est.to_json()})
@@ -153,6 +157,8 @@ def cmd_distance(args):
 def cmd_spectral(args):
     try:
         lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
+    except FloatingPointError as err:
+        return _bad_input(f"--rho {args.rho:g} is out of numeric range ({err})")
     except (ValueError, ArithmeticError) as err:
         return _bad_input(err)
     _print({"lambda1": lam1, "alpha_bound": alpha_chk, "gap_bound": gap_chk})

@@ -227,14 +227,11 @@ class HeisenbergHeatSolver:
     def l1_norm(self, u: np.ndarray) -> float:
         return float(np.abs(u).sum() * self.cell_volume)
 
-    def interpolate(self, u: np.ndarray, points: np.ndarray) -> np.ndarray:
-        """Trilinear interpolation of a grid field at coordinate points.
+    def _trilinear(self, points: np.ndarray):
+        """(x index, y index, z index, weight) of the eight corners of each point's cell.
 
-        Points must lie in the closed box; a point outside it (or NaN)
-        raises ValueError instead of reading the nearest face.
+        Raises ValueError for a point outside the closed box (or NaN).
         """
-        points = np.atleast_2d(np.asarray(points, dtype=float))
-        out = np.zeros(len(points))
         idx = []
         frac = []
         for k in range(3):
@@ -253,8 +250,33 @@ class HeisenbergHeatSolver:
                         * (frac[1] if by else 1 - frac[1])
                         * (frac[2] if bz else 1 - frac[2])
                     )
-                    out += w * u[idx[0] + bx, idx[1] + by, idx[2] + bz]
+                    yield idx[0] + bx, idx[1] + by, idx[2] + bz, w
+
+    def interpolate(self, u: np.ndarray, points: np.ndarray) -> np.ndarray:
+        """Trilinear interpolation of a grid field at coordinate points.
+
+        Points must lie in the closed box; a point outside it (or NaN)
+        raises ValueError instead of reading the nearest face.
+        """
+        points = np.atleast_2d(np.asarray(points, dtype=float))
+        out = np.zeros(len(points))
+        for ix, iy, iz, w in self._trilinear(points):
+            out += w * u[ix, iy, iz]
         return out if len(out) > 1 else out[0]
+
+    def reading(self, point) -> np.ndarray:
+        """The grid field w with (w * u).sum() = interpolate(u, point).
+
+        w holds the trilinear weights of the point's cell at its eight
+        corners and zero elsewhere; a point outside the box raises as in
+        `interpolate`.  The step matrix is symmetric, so evolving w reads
+        P_t phi(point) for every source phi as (phi * w_t).sum().
+        """
+        w = np.zeros(self.shape)
+        point = np.reshape(np.asarray(point, dtype=float), (1, 3))
+        for ix, iy, iz, weight in self._trilinear(point):
+            w[ix, iy, iz] = weight
+        return w
 
     # -- evolution --------------------------------------------------------
 

@@ -13,6 +13,7 @@ import srlab.heat as heat
 import srlab.pde as pde
 from srlab.jets import GaussianBump
 from srlab.models import get_model
+from srlab.suite import HARNACK_KERNEL_POINTS
 
 SHAPE = (41, 41, 33)
 BOUNDS = (4.0, 4.0, 2.5)
@@ -208,6 +209,28 @@ def test_interpolation_accepts_faces_and_rejects_points_outside(solver, bump):
     for bad in (outside, -outside, np.array([0.0, np.nan, 0.0])):
         with pytest.raises(ValueError):
             solver.interpolate(u0, np.vstack([np.zeros(3), bad]))
+
+
+def test_reading_route_equals_forward_kernel_sources():
+    # the step matrix is symmetric, so one evolution of the origin reading
+    # reads P_t phi(0) for every source phi: the harnack-kernel route
+    # against one forward evolution per source
+    s = pde.HeisenbergHeatSolver(get_model("heisenberg"), (6.0, 6.0, 4.0), (29, 29, 25), dt=0.04)
+    assert (s.system != s.system.T).nnz == 0
+    u = s.sample(GaussianBump(np.zeros(3), 0.5))
+    for x in np.random.default_rng(7).uniform(-1.0, 1.0, (5, 3)):  # off the grid nodes
+        w, value = s.reading(x), s.interpolate(u, x)
+        assert w.shape == s.shape and np.count_nonzero(w) == 8
+        assert abs((w * u).sum() - value) <= 1e-15 * value
+    with pytest.raises(ValueError):
+        s.reading(np.array([0.0, 0.0, np.nextafter(4.0, np.inf)]))
+    times = [0.4, 0.8]
+    reading = s.evolve(s.reading(np.zeros(3)), times)
+    for y in HARNACK_KERNEL_POINTS:
+        phi = pde.kernel_source(s, np.array(y))
+        for fwd, rd in zip(s.evolve(phi, times), reading):
+            forward = s.interpolate(fwd.values, np.zeros(3))
+            assert abs((phi * rd.values).sum() - forward) <= 1e-8 * forward
 
 
 def test_kernel_at_two_times_equals_separate_evolutions(solver):
