@@ -7,9 +7,11 @@ constants ``c[k, i, j]`` of a frame ``E_1..E_d``, meaning
 
 The frame is always split into a horizontal block (first ``dim_h``
 indices) and a vertical block (the rest).  Connection coefficients,
-curvature tensors and the exponential-chart coefficient series are all
-constant in the frame because the frame is left-invariant, so they are
-ordinary numpy arrays here.
+curvature tensors and the split into simple ideals are all constant in
+the frame because the frame is left-invariant, so they are ordinary
+numpy arrays here.  Functions of ad_u (the exponential chart's frame,
+Ad) are terminating series on nilpotent algebras and closed forms on
+each su(2) ideal otherwise, exact to rounding in both cases.
 """
 
 from __future__ import annotations
@@ -203,46 +205,15 @@ def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.nd
     return z
 
 
-#: series for z / (1 - e^(-z)); converges for |z| < 2 pi
-_SERIES_TERMS = 30
-_SERIES_SAFE_NORM = 4.0
-#: Taylor terms of the entire series exp(z) and (1 - e^(-z)) / z on
-#: non-nilpotent algebras: on su2-pair principal logs ad_u is skew with
-#: |ad_u|_2 <= 10.1 (measured on 300 000 elements), so the 80th term is
-#: below 1e-38 and exp(-ad_u) meets scipy's expm to 1e-13
-_ENTIRE_TERMS = 80
-
-
-def _bernoulli_plus_table(n: int) -> np.ndarray:
-    """B_0..B_n with B_1 = +1/2, each the correctly rounded exact rational.
-
-    The recurrence sum_{k <= m} C(m+1, k) B_k = 0 runs on integer
-    (numerator, denominator) pairs in lowest terms, and each number is
-    rounded once, by int true division.
-    """
-    exact = [(1, 1)]
-    for m in range(1, n + 1):
-        den = math.lcm(*(q for _, q in exact))
-        num = -sum(math.comb(m + 1, k) * p * (den // q) for k, (p, q) in enumerate(exact))
-        den *= m + 1
-        g = math.gcd(num, den)
-        exact.append((num // g, den // g))
-    table = np.array([p / q for p, q in exact])
-    table[1] = -table[1]
-    table.flags.writeable = False
-    return table
-
-
-_BERNOULLI_PLUS = _bernoulli_plus_table(_SERIES_TERMS)
-#: 0!, 1!, ... as running float products
-_FACTORIALS = np.cumprod([1.0] + [float(k) for k in range(1, _ENTIRE_TERMS + 2)])
+#: 0!..12!, as running float products: every step `nilpotency_step` reports
+_FACTORIALS = np.cumprod([1.0] + [float(k) for k in range(1, 13)])
 
 
 def bernoulli_plus(n: int) -> np.ndarray:
-    """Bernoulli numbers with the B_1 = +1/2 sign convention, orders 0..n <= 30."""
-    if n > _SERIES_TERMS:
-        raise ValueError(f"Bernoulli numbers are tabulated to order {_SERIES_TERMS}, not {n}")
-    return _BERNOULLI_PLUS[: n + 1]
+    """B_0..B_n with B_1 = +1/2: the chart series of nilpotency step n <= 3 reads no more."""
+    if n > 3:
+        raise ValueError(f"the chart series supports nilpotency step <= 3, not {n}")
+    return np.array([1.0, 0.5, 1.0 / 6.0, 0.0][: n + 1])
 
 
 def _ad_series(ad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
@@ -257,32 +228,134 @@ def _ad_series(ad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def adjoint_inverse(c: np.ndarray, u: np.ndarray, nil_step: int | None = None) -> np.ndarray:
+def simple_ideals(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Bases adapted to the simple ideals of a sum of copies of su(2).
+
+    Returns (P, Q) of shapes (r, d, 3) and (r, 3, d): the columns of P[k]
+    span ideal k and Q[k] P[l] = delta_kl I, so ad_u = sum_k P[k] B_k Q[k]
+    with the 3 x 3 blocks B_k = Q[k] ad_u P[k].  On a compact semisimple
+    algebra the commutant of every ad_{E_i} is spanned by the ideal
+    projectors, one per simple ideal; the eigenspaces of a generic element
+    of it give the bases, and one Newton step on the invariance equations
+    (Q[l] ad_i P[k] = 0 for l != k) refines them to roundoff.  Raises
+    ValueError unless the Killing form is negative definite and every
+    simple ideal is 3-dimensional, that is su(2).
+    """
+    d = c.shape[0]
+    eye = np.eye(d)
+    ads = np.moveaxis(c, 1, 0)  # ads[i] = ad_{E_i}
+    # X commutes with ad_i when (ad_i (x) I - I (x) ad_i^T) vec X = 0
+    rows = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in ads])
+    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
+    comm = vt[sv <= 1e-9 * sv[0]]
+    if 3 * len(comm) != d or np.linalg.eigvalsh(np.einsum("aib,bja->ij", c, c))[-1] >= 0.0:
+        raise ValueError("a non-nilpotent algebra must split into 3-dimensional simple ideals")
+    generic = (np.sqrt(np.arange(2.0, len(comm) + 2)) @ comm).reshape(d, d)
+    lam = np.sort(np.linalg.eigvals(generic).real)
+    p = np.concatenate([np.linalg.svd(generic - v * eye)[2][-3:] for v in lam[::3]]).T
+    # p (I + z) with z off the diagonal blocks makes every p^-1 ad_i p block
+    # diagonal to first order: [D_i, z] = -O_i for its blocks D_i and rest O_i
+    off = (np.arange(d)[:, None] // 3) != (np.arange(d)[None, :] // 3)
+    a = np.linalg.inv(p) @ ads @ p
+    lhs = np.concatenate([np.kron(m, eye) - np.kron(eye, m.T) for m in np.where(off, 0.0, a)])
+    z = np.zeros((d, d))
+    z[off] = np.linalg.lstsq(lhs[:, off.ravel()], -np.where(off, a, 0.0).ravel(), rcond=None)[0]
+    p = p + p @ z
+    q = np.linalg.inv(p)
+    if np.max(np.abs(np.where(off, q @ ads @ p, 0.0))) > 1e-12 * np.max(np.abs(c)):
+        raise ValueError("the commutant of ad did not separate the simple ideals")
+    return p.T.reshape(-1, 3, d).transpose(0, 2, 1), q.reshape(-1, 3, d)
+
+
+def stumpff(s: np.ndarray, top: int) -> np.ndarray:
+    """phi_n(s) = sum_m (-s)^m / (2m + n)! for n = 0..top, on a new first axis.
+
+    With a = sqrt(s): phi_0 = cos a, phi_1 = sin a / a and
+    phi_{n+2} = (1/n! - phi_n) / s.  Where s < (n+1)(n+2)/2 phi_n is the
+    sum of its first 20 terms, which fall by half or more each, so the
+    remainder is below 1e-20 of the sum.  Elsewhere it comes from cos
+    and sin through the recurrence, which there shrinks the relative
+    rounding at each step.
+    """
+    s = np.asarray(s, dtype=float)
+    big = np.maximum(s, 1.0)  # the recurrence serves only s >= 1
+    a = np.sqrt(big)
+    up = [np.cos(a), np.sin(a) / a]
+    for n in range(top - 1):
+        up.append((1.0 / math.factorial(n) - up[n]) / big)
+    n = np.arange(top + 1).reshape((-1,) + (1,) * s.ndim)
+    inv_fact = np.array([1.0 / math.factorial(k) for k in range(top + 40)])
+    series = np.zeros(n.shape)
+    for m in range(19, -1, -1):
+        series = inv_fact[2 * m + n] - s * series
+    return np.where(2.0 * s < (n + 1) * (n + 2), series, np.array(up[: top + 1]))
+
+
+def chart_coefficients(s: np.ndarray, order: int) -> np.ndarray:
+    """Taylor coefficients at s, orders 0..order, of g(s) = (1 - (a/2) cot(a/2)) / s.
+
+    On an su(2) block B of ad, where B^3 = -s B with s = a^2, the chart
+    function f(z) = z / (1 - e^(-z)) gives f(B) = I + B / 2 + g(s) B^2, and
+    g = (phi_3 - 2 phi_4) / (2 phi_2) in `stumpff` functions, which is
+    singular first at a = 2 pi.  Each phi_n is differentiated through
+    phi_n' = (n phi_{n+2} - phi_{n+1}) / 2, and the quotient is divided
+    as a power series.
+    """
+    top = 4 + 2 * order
+    phi = stumpff(s, top)
+    step = np.diag(np.arange(top - 1) / 2.0, -2) - np.diag(np.full(top, 0.5), -1)
+    w = np.zeros((top + 1, 2))
+    w[2, 0], w[3, 1], w[4, 1] = 2.0, 1.0, -2.0  # 2 phi_2 and phi_3 - 2 phi_4
+    den, g = [], []
+    for k in range(order + 1):
+        den_k, num_k = np.tensordot(w, phi, axes=(0, 0)) / math.factorial(k)
+        den.append(den_k)
+        g.append((num_k - sum(g[j] * den[k - j] for j in range(k))) / den[0])
+        w = step @ w
+    return np.array(g)
+
+
+def _ideal_parts(frame, u: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Per simple ideal k: ad_k, ad of the component of u in ideal k, its
+    square and s_k = -tr(ad_k^2) / 2, the squared angle, shaped to scale them."""
+    p, q = frame.ideals
+    ad = ad_matrix(frame.c, np.einsum("kja,kai,...i->k...j", p, q, u))
+    sq = ad @ ad
+    return ad, sq, -0.5 * np.trace(sq, axis1=-2, axis2=-1)[..., None, None]
+
+
+def adjoint_inverse(frame, u: np.ndarray) -> np.ndarray:
     """Ad of exp(u)^-1, the matrix exp(-ad_u), batched over u.
 
-    Column i holds the frame components of Ad_{exp(-u)} E_i.  The
-    series terminates on nilpotent algebras (nil_step given) and runs
-    `_ENTIRE_TERMS` terms otherwise.
+    Column i holds the frame components of Ad_{exp(-u)} E_i.  frame holds
+    the structure constants c, nil_step and, off nilpotent algebras, the
+    simple ideals (`models.OrthonormalFrame`).  The exponential series
+    terminates on nilpotent algebras; on each su(2) ideal Rodrigues'
+    formula exp(-B) = I - phi_1(s) B + phi_2(s) B^2 holds.
     """
-    terms = _ENTIRE_TERMS if nil_step is None else nil_step
-    return _ad_series(-ad_matrix(c, u), 1.0 / _FACTORIALS[: terms + 1])
+    u = np.asarray(u, dtype=float)
+    if frame.nil_step is not None:
+        return _ad_series(-ad_matrix(frame.c, u), 1.0 / _FACTORIALS[: frame.nil_step + 1])
+    ad, sq, s = _ideal_parts(frame, u)
+    phi = stumpff(s, 2)
+    return np.eye(len(frame.c)) + np.sum(phi[2] * sq - phi[1] * ad, axis=0)
 
 
-def frame_coefficients(
-    c: np.ndarray, points: np.ndarray, nil_step: int | None = None
-) -> np.ndarray:
+def frame_coefficients(frame, points: np.ndarray) -> np.ndarray:
     """Coefficient matrices of the left-invariant frame in exp coordinates.
 
     At the exponential-coordinate point u the frame field E_i equals
     sum_j F[j, i] d/du_j with F = f(ad_u) and f(z) = z / (1 - e^(-z)).
     Returns F with shape (..., d, d) for points of shape (..., d).
 
-    For nilpotent algebras (nil_step given) the Bernoulli series of f
-    terminates and is exact everywhere.  Otherwise F is the inverse of
-    the entire series (1 - e^(-z)) / z = sum_k (-z)^k / (k+1)!, which
-    is accurate up to the genuine singularities of the chart.
+    For nilpotent algebras the Bernoulli series of f terminates; on each
+    su(2) ideal f(B) = I + B / 2 + g(s) B^2 (`chart_coefficients`).  Both
+    are exact wherever f is analytic, that is away from block angles
+    2 pi k.
     """
-    ad = ad_matrix(c, np.asarray(points, dtype=float))
-    if nil_step is not None:
-        return _ad_series(ad, bernoulli_plus(nil_step) / _FACTORIALS[: nil_step + 1])
-    return np.linalg.inv(_ad_series(-ad, 1.0 / _FACTORIALS[1 : _ENTIRE_TERMS + 2]))
+    points = np.asarray(points, dtype=float)
+    if frame.nil_step is not None:
+        coeffs = bernoulli_plus(frame.nil_step) / _FACTORIALS[: frame.nil_step + 1]
+        return _ad_series(ad_matrix(frame.c, points), coeffs)
+    ad, sq, s = _ideal_parts(frame, points)
+    return np.eye(len(frame.c)) + np.sum(0.5 * ad + chart_coefficients(s, 0)[0] * sq, axis=0)

@@ -161,12 +161,12 @@ def _endpoint_jacobian(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.n
     in coordinates at the endpoint G, that is
     J_k = F(G) exp(-ad B_k) F(u_k)^-1 on the horizontal directions.
     """
-    c, step = model.onframe.c, model.onframe.nil_step
+    frame = model.onframe
     pieces, s = _suffix_products(model, v)
-    f_inv = np.linalg.inv(algebra.frame_coefficients(c, pieces, step))
+    f_inv = np.linalg.inv(algebra.frame_coefficients(frame, pieces))
     blocks = (
-        algebra.frame_coefficients(c, s[0], step)
-        @ algebra.adjoint_inverse(c, s[1:], step)
+        algebra.frame_coefficients(frame, s[0])
+        @ algebra.adjoint_inverse(frame, s[1:])
         @ f_inv[..., : model.dim_h]
     )
     return s[0], np.concatenate(blocks, axis=1)

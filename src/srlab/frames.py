@@ -1,13 +1,15 @@
 """Left-invariant frame fields acting on jets.
 
 The coordinate components of the frame in exponential coordinates are
-given by the series f(ad_u) with f(z) = z / (1 - e^(-z)); evaluating
-that series in jet arithmetic at a base point yields the component
-functions to any Taylor order, held as one jet with batch shape (d, d).
-Only the jet products whose factors can be nonzero, by the pattern of
-the structure constants, are formed; the chart is still bit-identical
-to the dense series (see `chart_field_jets`).  Applying a frame field
-to a jet is then a linear map on jet coefficients, assembled as small
+f(ad_u) with f(z) = z / (1 - e^(-z)); evaluating it in jet arithmetic
+at a base point yields the component functions to any Taylor order,
+held as one jet with batch shape (d, d).  On nilpotent models the
+series of f terminates, and only the jet products whose factors can be
+nonzero, by the pattern of the structure constants, are formed; the
+chart is still bit-identical to the dense series (see
+`chart_field_jets`).  On sums of su(2) f has a closed form on each
+ideal (`_su2_chart`), a few jet products per ideal.  Applying a frame
+field to a jet is then a linear map on jet coefficients, assembled as small
 dense matrices per differentiation order by a `FrameCalc` that is
 built per point and not cached.  The point-free index tables it reads
 (product pairs, derivative maps) live on the `JetSpace` of the
@@ -29,13 +31,14 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
 
     ``coeffs[j, i]`` is field i along coordinate j.  Components refer
     to the orthonormalized frame and its exponential chart.  For
-    nilpotent models the series terminates exactly; for compact models
-    it is truncated deep inside its convergence region.
+    nilpotent models the series f(ad) terminates exactly; on sums of
+    su(2) it has the closed form of `_su2_chart`.
 
-    Term k forms ad[m, l] power[l, col] only where c[m, :, l] is nonzero
-    somewhere and the boolean (k-1)-th power of that pattern is true at
-    (l, col), and sums over l in index order from +0.0.  A skipped
-    product is a signed zero, which changes no bit of such a sum.
+    Term k of the nilpotent series forms ad[m, l] power[l, col] only
+    where c[m, :, l] is nonzero somewhere and the boolean (k-1)-th power
+    of that pattern is true at (l, col), and sums over l in index order
+    from +0.0.  A skipped product is a signed zero, which changes no bit
+    of such a sum.
     """
     x = np.asarray(x, dtype=float)
     c = model.onframe.c
@@ -49,16 +52,8 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
         ad = ad + c[:, i, :, None] * coordinate_jet(i, x, order).coeffs
 
     if model.onframe.nil_step is None:
-        norm = float(np.linalg.norm(algebra.ad_matrix(c, x), ord=np.inf))
-        if norm > algebra._SERIES_SAFE_NORM:
-            raise ValueError(
-                f"base point too far from identity for the chart series "
-                f"(|ad| = {norm:.2f}); stay within the injectivity region"
-            )
-        terms = algebra._SERIES_TERMS
-    else:
-        terms = model.onframe.nil_step + 1
-
+        return _su2_chart(model, x, order, ad)
+    terms = model.onframe.nil_step
     bern = algebra.bernoulli_plus(terms)
     out = np.zeros((d, d, n))
     out[np.arange(d), np.arange(d), 0] = 1.0
@@ -81,6 +76,39 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
         fact *= k
         if bern[k] != 0.0:
             out = out + bern[k] / fact * power
+    return Jet(x, order, out)
+
+
+def _su2_chart(model: LieModel, x: np.ndarray, order: int, ad: np.ndarray) -> Jet:
+    """The chart on a sum of su(2) ideals: f(ad) = I + ad / 2 + sum_k P_k g(s_k) B_k^2 Q_k.
+
+    B_k = Q_k ad P_k is the 3 x 3 block of ideal k (`algebra.simple_ideals`)
+    and s_k = -tr(B_k^2) / 2 its squared angle, a quadratic polynomial in
+    u.  The jet of g(s_k) is the Taylor series of g at s_k(x)
+    (`algebra.chart_coefficients`) in the increment s_k - s_k(x), which has
+    no constant term, so the series ends at the jet order.
+    """
+    sp = get_space(model.dim, order)
+    out = 0.5 * ad
+    out[np.arange(model.dim), np.arange(model.dim), 0] += 1.0
+    for p, q in zip(*model.onframe.ideals):
+        b = np.einsum("ai,ijn,jb->abn", q, ad, p)
+        sq = sp.multiply(b[:, :, None], b[None], order).sum(axis=1)
+        s = -0.5 * (sq[0, 0] + sq[1, 1] + sq[2, 2])
+        if s[0] >= 4.0 * np.pi**2:
+            raise ValueError(
+                f"base point outside the chart: an su(2) block turns by "
+                f"{np.sqrt(s[0]):.2f} >= 2 pi"
+            )
+        g = algebra.chart_coefficients(s[0], order)
+        inc = s.copy()
+        inc[0] = 0.0
+        gs = np.zeros_like(s)
+        gs[0] = g[order]
+        for k in range(order - 1, -1, -1):
+            gs = sp.multiply(inc, gs, order)
+            gs[0] += g[k]
+        out = out + np.einsum("ja,abn,bi->jin", p, sp.multiply(gs, sq, order), q)
     return Jet(x, order, out)
 
 
@@ -163,9 +191,7 @@ def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:
 def frame_gradients(model: LieModel, f, points: np.ndarray) -> np.ndarray:
     """(E_a f)(points) for every frame index a; shape (..., dim)."""
     points = np.asarray(points, dtype=float)
-    F = algebra.frame_coefficients(
-        model.onframe.c, points, nil_step=model.onframe.nil_step
-    )
+    F = algebra.frame_coefficients(model.onframe, points)
     grads = f.eval_grad(points)
     return np.einsum("...ji,...j->...i", F, grads)
 

@@ -174,14 +174,13 @@ def mc_semigroup_many(
     grads = [f for f in integrands if isinstance(f, Gradient)]
     dirs = [frames.frame_slice(model, g.which) for g in grads]
     groups = grads + ([plain] if plain else [])
-    c, nil_step = model.onframe.c, model.onframe.nil_step
     # per group: sum, sum of squares and cross products of its rows
     sums = [[0.0, 0.0, 0.0] for _ in groups]
     for idx, size in enumerate(_chunks(paths)):
         ends = _evolve(model, x[None], t, steps, size, _stream(seed, idx))[0]
         pathwise = {}  # per Gradient f: its derivative along each frame direction, per path
         if grads:
-            ad_inv = algebra.adjoint_inverse(c, model.compose(model.inverse(x), ends), nil_step)
+            ad_inv = algebra.adjoint_inverse(model.onframe, model.compose(model.inverse(x), ends))
         for acc, g, sel in zip(sums, groups, dirs + [None]):
             if g is plain:
                 vals = _plain_values(plain, ends)

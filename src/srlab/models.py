@@ -51,6 +51,11 @@ class OrthonormalFrame:
     Tinv: np.ndarray
     nil_step: int | None   # nilpotency degree, None if not nilpotent
 
+    @cached_property
+    def ideals(self) -> tuple[np.ndarray, np.ndarray]:
+        """Bases of the su(2) ideals of a non-nilpotent algebra (`algebra.simple_ideals`)."""
+        return algebra.simple_ideals(self.c)
+
 
 class CompositionError(RuntimeError):
     """Raised when exact group composition is unavailable for a model."""

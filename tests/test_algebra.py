@@ -86,12 +86,12 @@ def test_bracket_batch_slices_equal_single_calls(name):
 
 
 def test_frame_coefficients_match_central_differences_on_su2_pair():
-    # most of these points lie outside the Bernoulli series' region
-    # |ad|_inf <= 4, where the frame comes from the entire inverse series
+    # most of these points lie beyond |ad|_inf = 4, where a truncated
+    # chart series would no longer be exact
     m = get_model("su2-pair")
     pts = np.random.default_rng(1).uniform(-1.0, 1.0, (200, 6))
     ad = algebra.ad_matrix(m.onframe.c, pts)
-    assert np.sum(np.linalg.norm(ad, ord=np.inf, axis=(-2, -1)) > algebra._SERIES_SAFE_NORM) > 150
+    assert np.sum(np.linalg.norm(ad, ord=np.inf, axis=(-2, -1)) > 4.0) > 150
     f = Polynomial.random(6, 3, np.random.default_rng(2))
     got = frames.frame_gradients(m, f, pts)
     fd = np.array(
@@ -107,14 +107,59 @@ def test_adjoint_inverse_equals_expm(name):
     rng = np.random.default_rng(16)
     # principal logs on su2-pair (the coordinates compose returns)
     u = m.compose(np.zeros(m.dim), 2.0 * rng.standard_normal((400, m.dim)))
-    got = algebra.adjoint_inverse(c, u, m.onframe.nil_step)
+    got = algebra.adjoint_inverse(m.onframe, u)
     expected = expm(-algebra.ad_matrix(c, u))
     assert np.max(np.abs(got - expected)) < 1e-13 * np.max(np.abs(expected))
     # Ad is a group homomorphism: Ad_{exp(-w)} Ad_{exp(-u)} = Ad_{(exp(u) exp(w))^-1}
     w = m.compose(np.zeros(m.dim), 0.5 * rng.standard_normal((400, m.dim)))
-    prod = algebra.adjoint_inverse(c, w, m.onframe.nil_step) @ got
-    both = algebra.adjoint_inverse(c, m.compose(u, w), m.onframe.nil_step)
+    prod = algebra.adjoint_inverse(m.onframe, w) @ got
+    both = algebra.adjoint_inverse(m.onframe, m.compose(u, w))
     assert np.allclose(prod, both, rtol=0.0, atol=1e-12)
+
+
+def _su2_sum(blocks, extra=0):
+    """Structure constants of blocks copies of su(2) plus an abelian part."""
+    d = 3 * blocks + extra
+    c = np.zeros((d, d, d))
+    for b in range(0, 3 * blocks, 3):
+        for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
+            c[b + k, b + i, b + j], c[b + k, b + j, b + i] = 1.0, -1.0
+    return c
+
+
+def test_simple_ideals_block_diagonalize_su2_sums():
+    rng = np.random.default_rng(21)
+    for blocks in (1, 2, 3):
+        c = _su2_sum(blocks)
+        d = len(c)
+        t = rng.standard_normal((d, d)) + 3.0 * np.eye(d)  # a frame mixing the ideals
+        c = np.einsum("pi,qj,kij,ka->apq", t, t, c, np.linalg.inv(t))
+        p, q = algebra.simple_ideals(c)
+        assert p.shape == (blocks, d, 3) and q.shape == (blocks, 3, d)
+        assert np.allclose(np.einsum("kai,lib->klab", q, p), np.eye(3) * np.eye(blocks)[:, :, None, None])
+        u = rng.standard_normal(d)
+        ad = algebra.ad_matrix(c, u)
+        scale = np.max(np.abs(ad))
+        blk = np.einsum("kai,ij,ljb->klab", q, ad, p)
+        for k in range(blocks):
+            for l in range(blocks):
+                if k != l:
+                    assert np.max(np.abs(blk[k, l])) < 1e-13 * scale
+            b = blk[k, k]
+            s = -0.5 * np.trace(b @ b)
+            assert np.allclose(b @ b @ b, -s * b, atol=1e-12 * scale**3)
+
+
+def test_simple_ideals_reject_other_algebras():
+    affine = np.zeros((2, 2, 2))
+    affine[1, 0, 1], affine[1, 1, 0] = 1.0, -1.0  # [X, Y] = Y
+    sl2 = np.zeros((3, 3, 3))  # [H, E] = 2E, [H, F] = -2F, [E, F] = H
+    sl2[1, 0, 1], sl2[1, 1, 0] = 2.0, -2.0
+    sl2[2, 0, 2], sl2[2, 2, 0] = -2.0, 2.0
+    sl2[0, 1, 2], sl2[0, 2, 1] = 1.0, -1.0
+    for c in (affine, _su2_sum(1, extra=1), sl2):
+        with pytest.raises(ValueError):
+            algebra.simple_ideals(c)
 
 
 @pytest.mark.parametrize(
@@ -130,12 +175,12 @@ def test_bracket_filtration_spans_the_generated_subalgebra(name, rank, step):
 
 
 def test_bernoulli_numbers_are_the_rounded_exact_rationals():
+    # the terminating chart series of nilpotency step <= 3 read B_0..B_3
     exact = [Fraction(1)]
-    for m in range(1, 31):
+    for m in range(1, 4):
         exact.append(-sum(math.comb(m + 1, k) * exact[k] for k in range(m)) / (m + 1))
     exact[1] = -exact[1]  # the B_1 = +1/2 convention
-    got = algebra.bernoulli_plus(30)
-    assert got.tolist() == [float(b) for b in exact]
+    assert algebra.bernoulli_plus(3).tolist() == [float(b) for b in exact]
     assert algebra.bernoulli_plus(3).tolist() == [1.0, 0.5, 1.0 / 6.0, 0.0]
     with pytest.raises(ValueError):
-        algebra.bernoulli_plus(31)
+        algebra.bernoulli_plus(4)

@@ -1,16 +1,21 @@
 """Frame-field oracles: the chart must reproduce the algebra.
 
-The bracket-consistency sweep is the main oracle validating the
-series-built chart coefficients against the structure constants, and
-the group-translation finite differences validate both against the
+The bracket-consistency sweep is the main oracle validating the chart
+coefficients (a terminating series on nilpotent models, a closed form
+per su(2) ideal on su2-pair) against the structure constants, and the
+group-translation finite differences validate both against the
 composition law.
 """
 
+import math
+from fractions import Fraction
+
 import numpy as np
 import pytest
+from scipy.linalg import expm
 
-from srlab import algebra, frames
-from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space
+from srlab import algebra, calculus, frames
+from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space, lift_polynomials
 from srlab.models import get_model
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -51,7 +56,7 @@ def test_chart_values_match_numeric_frame(name):
     rng = np.random.default_rng(23)
     for x in rng.uniform(-0.3, 0.3, (5, m.dim)):
         chart = frames.chart_field_jets(m, x, 3)
-        numeric = algebra.frame_coefficients(m.onframe.c, x, nil_step=m.onframe.nil_step)
+        numeric = algebra.frame_coefficients(m.onframe, x)
         np.testing.assert_allclose(chart.value, numeric, rtol=0, atol=1e-14)
 
 
@@ -148,6 +153,70 @@ def test_su2_chart_rejects_far_points():
         frames.chart_field_jets(m, np.full(6, 2.0), 3)
 
 
+def corner_of_expm(ad):
+    """G = (1 - e^(-ad)) / ad, the inverse of the frame F, as the corner of expm([[-ad, I], [0, 0]])."""
+    d = ad.shape[-1]
+    block = np.zeros(ad.shape[:-2] + (2 * d, 2 * d))
+    block[..., :d, :d] = -ad
+    block[..., :d, d:] = np.eye(d)
+    return np.array([expm(b)[:d, d:] for b in block.reshape(-1, 2 * d, 2 * d)])
+
+
+def su2_point(norm, seed):
+    """A seeded su2-pair point whose ad has infinity norm `norm`."""
+    m = get_model("su2-pair")
+    v = np.random.default_rng(seed).uniform(-1.0, 1.0, 6)
+    return norm * v / np.linalg.norm(algebra.ad_matrix(m.onframe.c, v), ord=np.inf)
+
+
+def block_angles(x):
+    m = get_model("su2-pair")
+    _, _, s = algebra._ideal_parts(m.onframe, x)
+    return np.sqrt(s.ravel())
+
+
+def test_su2_frame_matches_the_expm_corner():
+    # block angles from 0.2 up to 6, near the chart's limit 2 pi, where G
+    # is nearly singular
+    m = get_model("su2-pair")
+    x = np.array([su2_point(norm, seed) for seed in range(8) for norm in (1.0, 4.0, 9.0)])
+    x *= 6.0 / np.max(block_angles(x))
+    assert np.max(block_angles(x)) == pytest.approx(6.0)
+    g = corner_of_expm(algebra.ad_matrix(m.onframe.c, x))
+    f = algebra.frame_coefficients(m.onframe, x)
+    assert np.max(np.abs(np.linalg.inv(f) - g)) < 1e-13 * np.max(np.abs(g))
+
+
+def test_su2_chart_is_exact_past_the_old_series_guard():
+    # |ad|_inf = 8 (a truncated series guarded |ad|_inf <= 4), every block angle below 2 pi
+    m = get_model("su2-pair")
+    x = su2_point(8.0, 5)
+    assert 4.0 < np.max(block_angles(x)) < 2.0 * np.pi
+    chart = frames.chart_field_jets(m, x, 3)
+    g = corner_of_expm(algebra.ad_matrix(m.onframe.c, x))[0]
+    assert np.max(np.abs(chart.value @ g - np.eye(6))) < 1e-13
+    rng = np.random.default_rng(31)
+    j = Polynomial.random(6, 4, rng).lift(x, 4)
+    calc = frames.FrameCalc(m, x, 4)
+    for measure in (calculus._commutation, calculus._condb):
+        res, scale = measure(calc, j)
+        assert res / scale < 1e-13, measure
+
+
+def test_su2_jet_identities_hold_to_roundoff_where_the_series_did_not():
+    # at |ad|_inf = 3.9, inside the old guard |ad|_inf <= 4, the 30-term
+    # chart series left residual/scale 5.4e-12 (commutation) and 2.2e-12
+    # (condition-B) on these quartics
+    m = get_model("su2-pair")
+    x = su2_point(3.9, 3)
+    coeffs = np.random.default_rng(33).uniform(-1.0, 1.0, (20, get_space(6, 4).terms(4)))
+    calc = frames.FrameCalc(m, x, 4)
+    j = lift_polynomials(coeffs, 4, x, 4)
+    for measure in (calculus._commutation, calculus._condb):
+        res, scale = measure(calc, j)
+        assert np.max(res / scale) < 1e-13, measure
+
+
 # -- the per-point builders against their one-product-at-a-time forms ----
 
 
@@ -156,18 +225,25 @@ def same_bits(a, b):
     return a.shape == b.shape and a.tobytes() == b.tobytes()
 
 
-def reference_chart(m, x, order):
-    """The dense chart series: every product ad[m, l] power[l, col] is
-    formed, one jet product call per summand l."""
+def bernoulli_plus(n):
+    """B_0..B_n with B_1 = +1/2, each the rounded exact rational."""
+    exact = [Fraction(1)]
+    for m in range(1, n + 1):
+        exact.append(-sum(math.comb(m + 1, k) * exact[k] for k in range(m)) / (m + 1))
+    exact[1] = -exact[1]
+    return [float(b) for b in exact]
+
+
+def reference_chart(m, x, order, terms):
+    """The dense chart series to `terms` terms: every product ad[m, l]
+    power[l, col] is formed, one jet product call per summand l."""
     c, d = m.onframe.c, m.dim
     sp = get_space(d, order)
     n = sp.terms(order)
     ad = np.zeros((d, d, n))
     for i in range(d):
         ad = ad + c[:, i, :, None] * coordinate_jet(i, x, order).coeffs
-    nil = m.onframe.nil_step
-    terms = algebra._SERIES_TERMS if nil is None else nil + 1
-    bern = algebra.bernoulli_plus(terms)
+    bern = bernoulli_plus(terms)
     out = np.zeros((d, d, n))
     out[np.arange(d), np.arange(d), 0] = 1.0
     power = out
@@ -224,14 +300,25 @@ def reference_op(calc, i, m):
 
 @pytest.mark.parametrize("name", MODELS + ("free-nilpotent-2",))
 def test_chart_jets_equal_the_per_summand_products(name):
-    # equal bytes: the structured series skips only products that are
-    # signed zeros, and that must not move a value or the sign of a zero
+    # nilpotent models, equal bytes: the structured series skips only
+    # products that are signed zeros, and that must not move a value or
+    # the sign of a zero.  su2-pair: the closed form against 40 terms of
+    # the series, whose remainder is below 1e-19 at |ad|_inf <= 2
     m = get_model(name)
     rng = np.random.default_rng(101)
-    for x in np.vstack([np.zeros(m.dim), rng.uniform(-0.4, 0.4, (5, m.dim))]):
+    points = np.vstack([np.zeros(m.dim), rng.uniform(-0.4, 0.4, (5, m.dim))])
+    nil = m.onframe.nil_step
+    if nil is None:
+        points = np.vstack([points[:1]] + [su2_point(2.0, seed) for seed in range(5)])
+    for x in points:
         for order in (0, 1, 2, 3):
             chart = frames.chart_field_jets(m, x, order)
-            assert same_bits(chart.coeffs, reference_chart(m, x, order))
+            if nil is None:
+                np.testing.assert_allclose(
+                    chart.coeffs, reference_chart(m, x, order, 40), rtol=0, atol=1e-14
+                )
+            else:
+                assert same_bits(chart.coeffs, reference_chart(m, x, order, nil))
 
 
 @pytest.mark.parametrize(
@@ -240,22 +327,25 @@ def test_chart_jets_equal_the_per_summand_products(name):
         ("heisenberg", [2, 0]),
         ("free-nilpotent-3", [6, 0]),
         ("engel", [4, 2, 0]),
-        ("su2-pair", [18, 48] + [72] * 28),
+        ("su2-pair", [27, 1, 1, 1, 9] * 2),
     ],
 )
 def test_chart_series_multiplies_only_the_structural_nonzeros(name, batches, monkeypatch):
-    """One product call per term, over the triples (m, l, col) that can be
-    nonzero; the dense series would take d**3 (216 on su2-pair) each."""
+    """A FrameCalc(x, 4) build and its chart's jet product calls, each listed
+    by the number of jet pairs it multiplies.  Nilpotent models: one call per
+    series term, over the triples (m, l, col) that can be nonzero; the dense
+    series would take d**3 each.  su2-pair, per su(2) ideal: the square of
+    its 3 x 3 block, the Horner steps of g(s) and g(s) times the square."""
     seen = []
     multiply = JetSpace.multiply
 
     def counting(self, a, b, order):
-        seen.append(a.shape[0])
+        seen.append(math.prod(np.broadcast_shapes(a.shape[:-1], b.shape[:-1])))
         return multiply(self, a, b, order)
 
     monkeypatch.setattr(JetSpace, "multiply", counting)
     m = get_model(name)
-    frames.chart_field_jets(m, np.full(m.dim, 0.2), 3)
+    frames.FrameCalc(m, np.full(m.dim, 0.2), 4)
     assert seen == batches
 
 

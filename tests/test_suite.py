@@ -494,10 +494,10 @@ def test_perfbench_tiny_pass_grades_against_reference(workload):
 
 
 def test_su2_pair_jet_margins_at_roundoff():
-    # the chart series of su2-pair reads 30 Bernoulli numbers; with each
-    # one correctly rounded these identities hold to roundoff at the
-    # default sizes (scipy's bernoulli, wrong by 1.7e-12 from B_4 on,
-    # left -1.03e-12 and -2.27e-13)
+    # the su2-pair chart is closed-form on each su(2) ideal, so these
+    # identities hold to roundoff at the default sizes (a 30-term chart
+    # series with scipy's Bernoulli numbers, wrong by 1.7e-12 from B_4 on,
+    # once left -1.03e-12 and -2.27e-13)
     report, code = su.run_suite({"models": ["su2-pair"], "checks": ["commutation", "condition-b"]})
     assert code == 0
     margins = {row["check_id"]: row["margin"] for row in report["results"]}
