@@ -6,12 +6,13 @@ constants ``c[k, i, j]`` of a frame ``E_1..E_d``, meaning
     [E_i, E_j] = sum_k c[k, i, j] E_k.
 
 The frame is always split into a horizontal block (first ``dim_h``
-indices) and a vertical block (the rest).  Connection coefficients,
-curvature tensors and the split into simple ideals are all constant in
-the frame because the frame is left-invariant, so they are ordinary
-numpy arrays here.  Functions of ad_u (the exponential chart's frame,
-Ad) are terminating series on nilpotent algebras and closed forms on
-each su(2) ideal otherwise, exact to rounding in both cases.
+indices) and a vertical block (the rest).  Connection coefficients and
+curvature tensors are constant in the frame because the frame is
+left-invariant, so they are ordinary numpy arrays here.  Functions of
+ad_u (the exponential chart's frame, Ad) are terminating series on
+nilpotent algebras and closed forms on each su(2) ideal otherwise, exact
+to rounding in both cases; the ideals are the ones the model declares
+(`models.LieModel.su2_factors`), never searched for.
 """
 
 from __future__ import annotations
@@ -228,45 +229,6 @@ def _ad_series(ad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
     return out
 
 
-def simple_ideals(c: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Bases adapted to the simple ideals of a sum of copies of su(2).
-
-    Returns (P, Q) of shapes (r, d, 3) and (r, 3, d): the columns of P[k]
-    span ideal k and Q[k] P[l] = delta_kl I, so ad_u = sum_k P[k] B_k Q[k]
-    with the 3 x 3 blocks B_k = Q[k] ad_u P[k].  On a compact semisimple
-    algebra the commutant of every ad_{E_i} is spanned by the ideal
-    projectors, one per simple ideal; the eigenspaces of a generic element
-    of it give the bases, and one Newton step on the invariance equations
-    (Q[l] ad_i P[k] = 0 for l != k) refines them to roundoff.  Raises
-    ValueError unless the Killing form is negative definite and every
-    simple ideal is 3-dimensional, that is su(2).
-    """
-    d = c.shape[0]
-    eye = np.eye(d)
-    ads = np.moveaxis(c, 1, 0)  # ads[i] = ad_{E_i}
-    # X commutes with ad_i when (ad_i (x) I - I (x) ad_i^T) vec X = 0
-    rows = np.concatenate([np.kron(a, eye) - np.kron(eye, a.T) for a in ads])
-    _, sv, vt = np.linalg.svd(rows, full_matrices=False)
-    comm = vt[sv <= 1e-9 * sv[0]]
-    if 3 * len(comm) != d or np.linalg.eigvalsh(np.einsum("aib,bja->ij", c, c))[-1] >= 0.0:
-        raise ValueError("a non-nilpotent algebra must split into 3-dimensional simple ideals")
-    generic = (np.sqrt(np.arange(2.0, len(comm) + 2)) @ comm).reshape(d, d)
-    lam = np.sort(np.linalg.eigvals(generic).real)
-    p = np.concatenate([np.linalg.svd(generic - v * eye)[2][-3:] for v in lam[::3]]).T
-    # p (I + z) with z off the diagonal blocks makes every p^-1 ad_i p block
-    # diagonal to first order: [D_i, z] = -O_i for its blocks D_i and rest O_i
-    off = (np.arange(d)[:, None] // 3) != (np.arange(d)[None, :] // 3)
-    a = np.linalg.inv(p) @ ads @ p
-    lhs = np.concatenate([np.kron(m, eye) - np.kron(eye, m.T) for m in np.where(off, 0.0, a)])
-    z = np.zeros((d, d))
-    z[off] = np.linalg.lstsq(lhs[:, off.ravel()], -np.where(off, a, 0.0).ravel(), rcond=None)[0]
-    p = p + p @ z
-    q = np.linalg.inv(p)
-    if np.max(np.abs(np.where(off, q @ ads @ p, 0.0))) > 1e-12 * np.max(np.abs(c)):
-        raise ValueError("the commutant of ad did not separate the simple ideals")
-    return p.T.reshape(-1, 3, d).transpose(0, 2, 1), q.reshape(-1, 3, d)
-
-
 def stumpff(s: np.ndarray, top: int) -> np.ndarray:
     """phi_n(s) = sum_m (-s)^m / (2m + n)! for n = 0..top, on a new first axis.
 
@@ -329,7 +291,7 @@ def adjoint_inverse(frame, u: np.ndarray) -> np.ndarray:
 
     Column i holds the frame components of Ad_{exp(-u)} E_i.  frame holds
     the structure constants c, nil_step and, off nilpotent algebras, the
-    simple ideals (`models.OrthonormalFrame`).  The exponential series
+    declared su(2) ideals (`models.OrthonormalFrame`).  The exponential series
     terminates on nilpotent algebras; on each su(2) ideal Rodrigues'
     formula exp(-B) = I - phi_1(s) B + phi_2(s) B^2 holds.
     """

@@ -157,7 +157,8 @@ def cmd_distance(args):
 def cmd_spectral(args):
     try:
         lam1, alpha_chk, gap_chk = spectral.spectral_gap_su2_pair(args.rho, args.jmax)
-    except FloatingPointError as err:
+    except (FloatingPointError, np.linalg.LinAlgError) as err:
+        # the model's metric at this rho overflows, or underflows to singular
         return _bad_input(f"--rho {args.rho:g} is out of numeric range ({err})")
     except (ValueError, ArithmeticError) as err:
         return _bad_input(err)

@@ -17,7 +17,8 @@ Two routes:
   displacement) and the shorter one is reported.  Lower bounds come
   from projections: the abelianization on nilpotent models (horizontal
   curves project to Euclidean curves of the same length) and the
-  factor groups on su2-pair.
+  declared su(2) factors on su2-pair, each scaled by its horizontal
+  gain.
 """
 
 from __future__ import annotations
@@ -28,7 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import algebra
-from .models import LieModel, _su2_pair_coords_to_algebra, is_heisenberg
+from .models import LieModel, is_heisenberg
 
 #: piecewise-constant horizontal controls per shooting curve, seeded
 #: starts, the seed, and the SLSQP iteration cap of each start
@@ -119,19 +120,17 @@ def _nilpotent_upper(model: LieModel, rel: np.ndarray) -> float:
     return total
 
 
-def _su2_pair_lower(model: LieModel, rel: np.ndarray) -> float:
-    """Projection lower bound onto either group factor.
+def _su2_lower(model: LieModel, rel: np.ndarray) -> float:
+    """Projection lower bound onto the declared su(2) factors.
 
-    Both factor projections are Riemannian submersions once the base
-    metric is scaled to match the horizontal one, so the larger factor
-    distance bounds the horizontal distance from below.  The curvature
-    scale rho is read off the horizontal metric, <X_i, X_i> = 1 / (2 rho).
+    A unit-speed horizontal curve projects onto factor k with speed at
+    most its horizontal gain |factor_map[k][:, :dim_h]|_2 in the metric
+    |x| of X-coefficients, and the factor distance is |x| at the
+    principal logarithm, which rel holds (it comes from `compose`).
     """
-    rho = 0.5 / float(model.frame_metric[0, 0])
-    a, b = _su2_pair_coords_to_algebra(model, rel)
-    d1 = np.linalg.norm(a, axis=0) / np.sqrt(2.0 * rho)
-    d2 = np.linalg.norm(b, axis=0) / (2.0 * np.sqrt(2.0 * rho))
-    return float(max(d1, d2))
+    m = model.factor_map
+    gains = np.linalg.norm(m[..., : model.dim_h], ord=2, axis=(1, 2))
+    return float(np.max(np.linalg.norm(m @ rel, axis=1) / gains))
 
 
 def _suffix_products(model: LieModel, v: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -250,9 +249,9 @@ def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
             "path joins them"
         )
 
-    # compose has raised already unless the model is su2-pair or nilpotent
-    if model.group == "su2-pair":
-        lower = _su2_pair_lower(model, rel)
+    # compose has raised already unless the model declares su(2) factors or is nilpotent
+    if model.su2_factors is not None:
+        lower = _su2_lower(model, rel)
     else:
         lower = _nilpotent_lower(model, rel)
     upper = _shooting_upper(model, rel)

@@ -82,7 +82,7 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
 def _su2_chart(model: LieModel, x: np.ndarray, order: int, ad: np.ndarray) -> Jet:
     """The chart on a sum of su(2) ideals: f(ad) = I + ad / 2 + sum_k P_k g(s_k) B_k^2 Q_k.
 
-    B_k = Q_k ad P_k is the 3 x 3 block of ideal k (`algebra.simple_ideals`)
+    B_k = Q_k ad P_k is the 3 x 3 block of ideal k (`OrthonormalFrame.ideals`)
     and s_k = -tr(B_k^2) / 2 its squared angle, a quadratic polynomial in
     u.  The jet of g(s_k) is the Taylor series of g at s_k(x)
     (`algebra.chart_coefficients`) in the increment s_k - s_k(x), which has

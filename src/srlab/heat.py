@@ -11,8 +11,9 @@ P_t 1 is identically 1.  Path states stay in the group's native form
 axis: coordinates on nilpotent groups, a pair of unit quaternions on
 su2-pair, converted to coordinates by one log per path at the end of
 the walk.  Each increment is lifted from its horizontal part alone
-(`LieModel.lift_horizontal`); on su2-pair, where H_i = (X_i, 2 X_i),
-that is the pair (q, q^2) of one quaternion exponential.
+(`LieModel.lift_horizontal`); on su2-pair, whose declared factors give
+H_i = (X_i, 2 X_i), that is the pair (q, q^2) of one quaternion
+exponential.
 
 One path engine, `mc_semigroup_many`, makes every estimate over the
 paths from x alone: plain integrands are averaged at the endpoints,

@@ -12,14 +12,14 @@ relative to the orthonormalized frame: the coordinate vector ``u``
 labels the group element ``exp(sum_a u_a F_a)`` where ``F_a`` is the
 orthonormal frame.  Group multiplication in these coordinates is exact
 for the shipped models (polynomial BCH for nilpotent groups, closed
-form on SU(2) factors).  `LieModel.lift`, `mul` and `coords` expose the
-group's native form, so that a long product such as a random walk
-converts to coordinates only once.  Native states are component-first,
-shape (D, ...) with the batch axes after the component axis: the
-coordinates themselves on nilpotent groups (D = d), a pair of unit
-quaternions on SU(2) x SU(2) (D = 8).  `lift_horizontal` lifts a
-horizontal increment directly, without padding it with zero vertical
-coordinates.
+form on the SU(2) factors a model declares).  `LieModel.lift`, `mul`
+and `coords` expose the group's native form, so that a long product
+such as a random walk converts to coordinates only once.  Native states
+are component-first, shape (D, ...) with the batch axes after the
+component axis: the coordinates themselves on nilpotent groups
+(D = d), one unit quaternion per declared su(2) factor (D = 8 on
+SU(2) x SU(2)).  `lift_horizontal` lifts a horizontal increment
+directly, without padding it with zero vertical coordinates.
 """
 
 from __future__ import annotations
@@ -50,11 +50,20 @@ class OrthonormalFrame:
     T: np.ndarray          # F_a = sum_b T[a, b] E_b
     Tinv: np.ndarray
     nil_step: int | None   # nilpotency degree, None if not nilpotent
+    factors: np.ndarray | None  # T^-T B: column 3k + a is X^k_a, None if undeclared
 
     @cached_property
     def ideals(self) -> tuple[np.ndarray, np.ndarray]:
-        """Bases of the su(2) ideals of a non-nilpotent algebra (`algebra.simple_ideals`)."""
-        return algebra.simple_ideals(self.c)
+        """Bases of the declared su(2) ideals, P[k] of shape (d, 3) and Q[k] (3, d).
+
+        The columns of P[k] are X^k_1..X^k_3 and Q stacks the rows of
+        P^-1, so ad_u = sum_k P[k] B_k Q[k] with 3 x 3 blocks B_k.
+        """
+        if self.factors is None:
+            raise ValueError("a non-nilpotent algebra needs declared su(2) factors")
+        d = len(self.c)
+        return (self.factors.reshape(d, -1, 3).transpose(1, 0, 2),
+                np.linalg.inv(self.factors).reshape(-1, 3, d))
 
 
 class CompositionError(RuntimeError):
@@ -79,8 +88,13 @@ class LieModel:
         Positive definite, block diagonal over the H/V split.
     declared_constants : DeclaredConstants or None
         Reference (n, rho1, rho20, rho21) for cross-checks.
-    group : str
-        Composition backend: "nilpotent" or "su2-pair".
+    su2_factors : ndarray, shape (r, 3, d), or None
+        Standard bases of r su(2) ideals whose sum is the algebra:
+        X^k_a = sum_b su2_factors[k, a, b] E_b with
+        [X^k_a, X^k_b] = eps_abc X^k_c, checked against the structure
+        constants.  Declared factors give the quaternion group law, the
+        chart's ideal split and the factor distance bound; without them
+        only nilpotent models compose (by BCH).
     """
 
     name: str
@@ -89,7 +103,7 @@ class LieModel:
     structure_constants: np.ndarray
     frame_metric: np.ndarray
     declared_constants: DeclaredConstants | None = None
-    group: str = "nilpotent"
+    su2_factors: np.ndarray | None = None
 
     def __post_init__(self):
         c = np.ascontiguousarray(np.asarray(self.structure_constants, dtype=float))
@@ -105,6 +119,14 @@ class LieModel:
         m.setflags(write=False)
         object.__setattr__(self, "structure_constants", c)
         object.__setattr__(self, "frame_metric", m)
+        if self.su2_factors is not None:
+            f = np.array(self.su2_factors, dtype=float)
+            if f.shape != (d // 3, 3, d) or d % 3:
+                raise ValueError(f"su(2) factors have shape {f.shape}, expected {(d // 3, 3, d)}")
+            if not np.max(np.abs(_su2_sum(f) - c)) <= STRUCT_TOL * max(1.0, np.max(np.abs(c))):
+                raise ValueError("the declared su(2) factors do not meet the structure constants")
+            f.setflags(write=False)
+            object.__setattr__(self, "su2_factors", f)
 
     # -- derived structure ---------------------------------------------
 
@@ -117,12 +139,24 @@ class LieModel:
         c_on, T = algebra.orthonormalize_frame(
             self.structure_constants, self.frame_metric, self.dim_h
         )
+        Tinv, d = np.linalg.inv(T), self.dim
         return OrthonormalFrame(
             c=c_on,
             T=T,
-            Tinv=np.linalg.inv(T),
+            Tinv=Tinv,
             nil_step=algebra.nilpotency_step(c_on),
+            factors=None if self.su2_factors is None else Tinv.T @ self.su2_factors.reshape(d, d).T,
         )
+
+    @cached_property
+    def factor_map(self) -> np.ndarray:
+        """X-coefficients of the orthonormal frame, shape (r, 3, d), from B^-1 T^T.
+
+        factor_map[k, a, b] is the X^k_a-component of F_b, so the factor
+        k part of exp(u) is exp(sum_a (factor_map[k] u)_a X^k_a).
+        """
+        b = self.su2_factors.reshape(self.dim, self.dim).T
+        return (np.linalg.inv(b) @ self.onframe.T.T).reshape(self.su2_factors.shape)
 
     @cached_property
     def step(self) -> int:
@@ -139,52 +173,54 @@ class LieModel:
 
         Native states are component-first, shape (D,) + u.shape[:-1]:
         nilpotent groups hold their coordinates (D = d) as a contiguous
-        copy with the coordinate axis moved to the front; su2-pair holds
-        a pair of unit quaternions (D = 8, see `_su2_pair_lift`).
+        copy with the coordinate axis moved to the front; declared su(2)
+        factors hold one unit quaternion each (D = 4r, see `_su2_lift`).
         """
         u = np.asarray(u, dtype=float)
-        if self.group == "su2-pair":
-            return _su2_pair_lift(self, u)
+        if self.su2_factors is not None:
+            return _su2_lift(self, u)
         return np.ascontiguousarray(np.moveaxis(u, -1, 0))
 
     def lift_horizontal(self, v: np.ndarray) -> np.ndarray:
         """exp(sum_i v_i F_i) over the horizontal frame, in native form.
 
         v is component-first, shape (dim_h, ...).  The result equals
-        `lift` of v padded with zero vertical coordinates (on su2-pair to
-        rounding), without forming the padded vector.
+        `lift` of v padded with zero vertical coordinates (to rounding
+        on su2-pair, see `_su2_square_lift`), without forming the padded
+        vector where the factors allow.
         """
         v = np.asarray(v, dtype=float)
-        if self.group == "su2-pair":
-            return _su2_pair_lift_horizontal(self, v)
+        h = None if self.su2_factors is None else self.factor_map[..., : self.dim_h]
+        if h is not None and len(h) == 2 and np.array_equal(h[1], 2.0 * h[0]):
+            return _su2_square_lift(h[0], v)
         out = np.zeros((self.dim,) + v.shape[1:])
         out[: self.dim_h] = v
-        return out
+        return out if h is None else self.lift(np.moveaxis(out, 0, -1))
 
     def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
         """Product g h of native group elements.
 
         Both are component-first; their batch axes are aligned from the
         right and broadcast, as coordinates broadcast in `compose`.
+        Declared su(2) factors multiply as quaternions, nilpotent models
+        by BCH; any other model raises CompositionError.
         """
         batch = max(g.ndim, h.ndim) - 1
         g, h = (x.reshape(x.shape[:1] + (1,) * (batch + 1 - x.ndim) + x.shape[1:])
                 for x in (g, h))
-        if self.group == "su2-pair":
-            return _su2_pair_mul(g, h)
-        if self.group == "nilpotent":
-            step = self.onframe.nil_step
-            if step is None:
-                raise CompositionError(
-                    f"model {self.name!r} tagged nilpotent has no finite step"
-                )
-            return algebra.bch_compose(self.onframe.c, g, h, step)
-        raise CompositionError(f"no exact composition backend for {self.group!r}")
+        if self.su2_factors is not None:
+            prod = _quat_mul(_quats(g), _quats(h))
+            return prod.reshape((-1,) + prod.shape[2:])
+        if self.onframe.nil_step is None:
+            raise CompositionError(
+                f"model {self.name!r} is neither nilpotent nor declared su(2) factors"
+            )
+        return algebra.bch_compose(self.onframe.c, g, h, self.onframe.nil_step)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
         """Exponential coordinates, shape batch + (d,), of a native element (inverse of `lift`)."""
-        if self.group == "su2-pair":
-            return _su2_pair_coords(self, g)
+        if self.su2_factors is not None:
+            return _su2_coords(self, g)
         return np.ascontiguousarray(np.moveaxis(g, 0, -1))
 
     def compose(self, u: np.ndarray, w: np.ndarray) -> np.ndarray:
@@ -197,7 +233,7 @@ class LieModel:
 
 
 # ----------------------------------------------------------------------
-# SU(2) x SU(2) composition through unit quaternions
+# Composition on declared SU(2) factors through unit quaternions
 # ----------------------------------------------------------------------
 # su(2) is realized on pure quaternions: X_i = (0, e_i / 2), so that
 # [X_i, X_j] = eps_{ijk} X_k and exp(v . X) is the unit quaternion
@@ -251,35 +287,31 @@ def _quat_log(q: np.ndarray) -> np.ndarray:
     return out
 
 
-def _su2_pair_coords_to_algebra(model: LieModel, u: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """X-coefficients per group factor, each of shape (3,) + u.shape[:-1]."""
-    n = model.dim_h
+# A native element of r declared factors is a (4r, ...) array: row
+# r j + k holds quaternion component j of factor k, so that reshaping to
+# (4, r, ...) lets one quaternion operation act on every factor.
+
+
+def _quats(g: np.ndarray) -> np.ndarray:
+    return g.reshape((4, g.shape[0] // 4) + g.shape[1:])
+
+
+def _su2_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
     # C order: einsum would otherwise return a strided view of a
     # component-last buffer, which slows every quaternion operation
-    raw = np.einsum("ab,...a->b...", model.onframe.T, u, order="C")
-    rh, rv = raw[:n], raw[n:]
-    return rh + rv, 2.0 * rh
+    x = np.einsum("kab,...b->ak...", model.factor_map, u, order="C")
+    return _quat_exp(x).reshape((-1,) + x.shape[2:])
 
 
-# A native su2-pair element is an (8, ...) array: row 2k + f holds
-# quaternion component k of factor f, so that reshaping to (4, 2, ...)
-# lets one quaternion operation act on both factors.
+def _su2_square_lift(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+    """The pair (q, q^2), q = exp((h v) . X), for horizontal v of shape (n, ...).
 
-
-def _su2_pair_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
-    a, b = _su2_pair_coords_to_algebra(model, u)
-    return _quat_exp(np.stack([a, b], axis=1)).reshape((8,) + a.shape[1:])
-
-
-def _su2_pair_lift_horizontal(model: LieModel, v: np.ndarray) -> np.ndarray:
-    """exp(sum_i v_i F_i) for horizontal v, shape (3, ...), as the pair (q, q^2).
-
-    H_i = (X_i, 2 X_i) and T[:n, n:] = 0, so the factors are q = exp(r . X)
-    and exp(2 r . X) = q^2 with r = T[:n, :n]^T v; q^2 is
-    (q0^2 - |q_vec|^2, 2 q0 q_vec), one sine and cosine per path.
+    On su2-pair, H_i = (X_i, 2 X_i): the second factor's horizontal block
+    of `LieModel.factor_map` is twice the first's, h, so its factor is
+    exp(2 (h v) . X) = q^2, that is (q0^2 - |q_vec|^2, 2 q0 q_vec), one
+    sine and cosine per path.
     """
-    n = model.dim_h
-    q = _quat_exp(np.tensordot(model.onframe.T[:n, :n], v, axes=(0, 0)))
+    q = _quat_exp(np.tensordot(h, v, axes=(1, 0)))
     out = np.empty((4, 2) + q.shape[1:])
     out[:, 0] = q
     out[0, 1] = q[0] * q[0] - (q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
@@ -287,17 +319,11 @@ def _su2_pair_lift_horizontal(model: LieModel, v: np.ndarray) -> np.ndarray:
     return out.reshape((8,) + q.shape[1:])
 
 
-def _su2_pair_mul(g: np.ndarray, h: np.ndarray) -> np.ndarray:
-    """Product of native pairs whose batch axes broadcast as they stand."""
-    prod = _quat_mul(g.reshape((4, 2) + g.shape[1:]), h.reshape((4, 2) + h.shape[1:]))
-    return prod.reshape((8,) + prod.shape[2:])
-
-
-def _su2_pair_coords(model: LieModel, g: np.ndarray) -> np.ndarray:
-    a, b = _quat_log(g.reshape((4, 2) + g.shape[1:])).swapaxes(0, 1)
-    rh = 0.5 * b
-    rv = a - rh
-    return np.einsum("ab,b...->...a", model.onframe.Tinv.T, np.concatenate([rh, rv]))
+def _su2_coords(model: LieModel, g: np.ndarray) -> np.ndarray:
+    # two stages, the frame components sum_k,a x^k_a X^k_a and then T^-T,
+    # so that the su2-pair coordinates round as they always have
+    raw = np.einsum("kab,ak...->b...", model.su2_factors, _quat_log(_quats(g)))
+    return np.einsum("ab,b...->...a", model.onframe.Tinv.T, raw)
 
 
 # ----------------------------------------------------------------------
@@ -333,7 +359,6 @@ def build_free_nilpotent(n: int) -> LieModel:
         structure_constants=_algebra(d, [(i, j, n + s, 1.0) for s, (i, j) in enumerate(pairs)]),
         frame_metric=np.eye(d),
         declared_constants=DeclaredConstants(n, 0.0, 1.0 / (2.0 * (n - 1)), 0.0),
-        group="nilpotent",
     )
 
 
@@ -351,9 +376,7 @@ _HEISENBERG_C = build_heisenberg().structure_constants  # read-only
 
 def is_heisenberg(model: LieModel) -> bool:
     """Whether the orthonormal-frame constants, which `compose` uses, are heisenberg's."""
-    if model.group != "nilpotent" or (model.dim_h, model.dim) != (2, 3):
-        return False
-    return np.array_equal(model.onframe.c, _HEISENBERG_C)
+    return (model.dim_h, model.dim) == (2, 3) and np.array_equal(model.onframe.c, _HEISENBERG_C)
 
 
 def build_engel() -> LieModel:
@@ -369,12 +392,23 @@ def build_engel() -> LieModel:
         dim_v=2,
         structure_constants=_algebra(4, [(0, 1, 2, 1.0), (0, 2, 3, 1.0)]),
         frame_metric=np.eye(4),
-        group="nilpotent",
     )
 
 
-#: su(2): [X_i, X_j] = X_k for each cyclic (i, j, k)
-_SU2_CYCLES = [(0, 1, 2), (1, 2, 0), (2, 0, 1)]
+#: su(2): [X_a, X_b] = eps_abc X_c
+_SU2 = _algebra(3, [(0, 1, 2, 1.0), (1, 2, 0, 1.0), (2, 0, 1, 1.0)])
+
+
+def _su2_sum(factors: np.ndarray) -> np.ndarray:
+    """Structure constants of the frame in which `factors` are su(2) ideals.
+
+    With B of columns X^k_a, E_i = sum_k,a B^-1[(k, a), i] X^k_a, so
+    [E_i, E_j] expands over the brackets of the X's, which commute
+    across ideals.
+    """
+    d = factors.shape[-1]
+    w = np.linalg.inv(factors.reshape(d, d).T).reshape(factors.shape)
+    return np.einsum("kcm,cab,kai,kbj->mij", factors, _SU2, w, w) + 0.0
 
 
 def build_su2_pair(rho: float) -> LieModel:
@@ -385,21 +419,17 @@ def build_su2_pair(rho: float) -> LieModel:
     rho; the vertical frame V_s = (X_s, 0) carries 1/(4 rho) times the
     same inner product.  Both metrics are parallel for the adapted
     connection, and the construction realizes strictly positive
-    curvature-dimension constants.
+    curvature-dimension constants.  The model declares its two factors,
+    X^1_a = V_a and X^2_a = (H_a - V_a) / 2, and its brackets follow
+    from them: [H_i, H_j] = 2 H_k - V_k, [H_i, V_j] = [V_i, V_j] = V_k.
     """
     if rho <= 0:
         raise ValueError(f"curvature scale rho must be positive, got {rho}")
     # frame order: H_1..H_3, V_1..V_3
-    brackets = []
-    for i, j, k in _SU2_CYCLES:
-        brackets += [
-            (i, j, k, 2.0), (i, j, 3 + k, -1.0),  # [H_i, H_j] = 2 H_k - V_k
-            (i, 3 + j, 3 + k, 1.0), (j, 3 + i, 3 + k, -1.0),  # [H_i, V_j] = V_k = -[H_j, V_i]
-            (3 + i, 3 + j, 3 + k, 1.0),  # [V_i, V_j] = V_k
-        ]
+    eye = np.eye(6)
+    factors = np.stack([eye[3:], 0.5 * (eye[:3] - eye[3:])])
     # <X_i, X_j> = -(1/4 rho) tr(ad X_i ad X_j) = delta_ij / (2 rho)
-    su2 = _algebra(3, [(i, j, k, 1.0) for i, j, k in _SU2_CYCLES])
-    gram = -np.einsum("aib,bja->ij", su2, su2) / (4.0 * rho)
+    gram = -np.einsum("aib,bja->ij", _SU2, _SU2) / (4.0 * rho)
     metric = np.zeros((6, 6))
     metric[:3, :3] = gram
     metric[3:, 3:] = gram / (4.0 * rho)
@@ -407,10 +437,10 @@ def build_su2_pair(rho: float) -> LieModel:
         name=f"su2-pair-rho{rho:g}",
         dim_h=3,
         dim_v=3,
-        structure_constants=_algebra(6, brackets),
+        structure_constants=_su2_sum(factors),
         frame_metric=metric,
         declared_constants=DeclaredConstants(3, 4.0 * rho, 0.25, 0.0),
-        group="su2-pair",
+        su2_factors=factors,
     )
 
 
@@ -423,7 +453,6 @@ def build_abelian(dim_h: int = 2, dim_v: int = 1) -> LieModel:
         dim_v=dim_v,
         structure_constants=np.zeros((d, d, d)),
         frame_metric=np.eye(d),
-        group="nilpotent",
     )
 
 

@@ -2,16 +2,18 @@
 
 Functions on a compact group split over its irreducible unitary
 representations, and a left-invariant operator acts within each block.
-The horizontal operator of the diagonal-type model is
+The horizontal operator is
 
-    Delta_h = sum_i (W_i^(1) + 2 W_i^(2))^2
+    Delta_h = sum_i F_i^2
 
-over the inner-product-orthonormal su(2) basis W_i, so its full
-spectrum is the union over representation pairs (j1, j2) of the
-eigenvalues of a small dense matrix built from spin matrices.  We
-diagonalize those matrices directly; no closed form enters, which
-keeps this an independent oracle for the spectral-gap bounds derived
-from the curvature constants.
+over the model's orthonormal horizontal frame, whose fields are
+combinations of the declared factor bases X^1_a, X^2_a
+(`models.LieModel.factor_map`).  On the representation pair (j1, j2),
+X^k_a acts as -i J_a on spin j_k, so the full spectrum is the union over
+blocks of the eigenvalues of a small dense matrix built from spin
+matrices.  We diagonalize those matrices directly; no closed form
+enters, which keeps this an independent oracle for the spectral-gap
+bounds derived from the curvature constants.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+
+from . import geometry
+from .models import LieModel, build_su2_pair
+
+#: largest spin scan `spectral_gap` accepts: its cost grows about as j_max^6
+J_MAX_LIMIT = 4.0
 
 
 def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
@@ -35,26 +43,21 @@ def spin_matrices(j: float) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     return jx, jy, jz
 
 
-def horizontal_operator(rho: float, j1: float, j2: float) -> np.ndarray:
-    """Dense matrix of the horizontal operator on the (j1, j2) block."""
+def horizontal_operator(model: LieModel, j1: float, j2: float) -> np.ndarray:
+    """Dense matrix of the horizontal operator of an SU(2) x SU(2) model on the (j1, j2) block."""
     ms1 = spin_matrices(j1)
     ms2 = spin_matrices(j2)
-    d1 = ms1[0].shape[0]
-    d2 = ms2[0].shape[0]
-    scale = np.sqrt(2.0 * rho)
-    out = np.zeros((d1 * d2, d1 * d2), dtype=complex)
-    for k in range(3):
-        x1 = -1j * ms1[k]  # orthonormal basis elements are anti-Hermitian
-        x2 = -1j * ms2[k]
-        op = scale * (np.kron(x1, np.eye(d2)) + 2.0 * np.kron(np.eye(d1), x2))
-        out += op @ op
-    return out
+    eye1 = np.eye(ms1[0].shape[0])
+    eye2 = np.eye(ms2[0].shape[0])
+    # X^k_a is anti-Hermitian -i J_a on factor k; F_i = sum_k,a factor_map[k, a, i] X^k_a
+    x = np.array([[np.kron(-1j * m, eye2) for m in ms1], [np.kron(eye1, -1j * m) for m in ms2]])
+    ops = np.einsum("kai,kaxy->ixy", model.factor_map[..., : model.dim_h], x)
+    return sum(op @ op for op in ops)
 
 
-def block_eigenvalues(rho: float, j1: float, j2: float) -> np.ndarray:
+def block_eigenvalues(model: LieModel, j1: float, j2: float) -> np.ndarray:
     """Real eigenvalues of the horizontal operator on one block."""
-    h = horizontal_operator(rho, j1, j2)
-    return np.linalg.eigvalsh(h)
+    return np.linalg.eigvalsh(horizontal_operator(model, j1, j2))
 
 
 @dataclass
@@ -75,20 +78,22 @@ def spectral_gap(rho: float, j_max: float) -> SpectralGapResult:
     nonzero eigenvalue); stability under enlarging the scan by one
     spin level is the convergence certificate, since blocks grow
     monotonically in Casimir content.  One scan to j_max + 1 reads both
-    minima.  j_max must be a multiple of 1/2 and at least 1.
+    minima.  j_max must be a multiple of 1/2 between 1 and J_MAX_LIMIT.
+    Every eigenvalue scales with rho, and so does the zero tolerance.
     """
-    if j_max < 1:
-        raise ValueError("j_max must be at least 1")
+    if not 1 <= j_max <= J_MAX_LIMIT:
+        raise ValueError(f"j_max must lie in [1, {J_MAX_LIMIT:g}], got {j_max}")
     if not float(2 * j_max).is_integer():
         raise ValueError(f"j_max must be a multiple of 1/2, got {j_max}")
-    zero_tol = 1e-9 * max(rho, 1.0)
+    model = build_su2_pair(rho)
+    zero_tol = 1e-9 * rho
     best = {j_max: (np.inf, (0.0, 0.0)), j_max + 1.0: (np.inf, (0.0, 0.0))}
     spins = [0.5 * k for k in range(int(round(2 * j_max)) + 3)]
     for j1 in spins:
         for j2 in spins:
             if j1 == 0 and j2 == 0:
                 continue
-            eigs = block_eigenvalues(rho, j1, j2)
+            eigs = block_eigenvalues(model, j1, j2)
             nonzero = np.abs(eigs)[np.abs(eigs) > zero_tol]
             if not len(nonzero):
                 continue
@@ -112,9 +117,6 @@ def spectral_gap_su2_pair(rho: float, j_max: float):
     dict with the bound value, the measured -lambda1, and the margin
     -lambda1 - bound (nonnegative when the bound holds).
     """
-    from . import geometry
-    from .models import build_su2_pair
-
     result = spectral_gap(rho, j_max)
     consts = geometry.assemble_constants(build_su2_pair(rho))
     neg_l1 = -result.lambda1

@@ -1,13 +1,14 @@
 import math
+from dataclasses import replace
 from fractions import Fraction
 
 import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from srlab import algebra, frames
+from srlab import algebra, frames, models
 from srlab.jets import Polynomial
-from srlab.models import get_model
+from srlab.models import build_su2_pair, get_model
 
 SHIPPED = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
 
@@ -117,49 +118,41 @@ def test_adjoint_inverse_equals_expm(name):
     assert np.allclose(prod, both, rtol=0.0, atol=1e-12)
 
 
-def _su2_sum(blocks, extra=0):
-    """Structure constants of blocks copies of su(2) plus an abelian part."""
-    d = 3 * blocks + extra
-    c = np.zeros((d, d, d))
-    for b in range(0, 3 * blocks, 3):
-        for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
-            c[b + k, b + i, b + j], c[b + k, b + j, b + i] = 1.0, -1.0
-    return c
-
-
-def test_simple_ideals_block_diagonalize_su2_sums():
-    rng = np.random.default_rng(21)
-    for blocks in (1, 2, 3):
-        c = _su2_sum(blocks)
-        d = len(c)
-        t = rng.standard_normal((d, d)) + 3.0 * np.eye(d)  # a frame mixing the ideals
-        c = np.einsum("pi,qj,kij,ka->apq", t, t, c, np.linalg.inv(t))
-        p, q = algebra.simple_ideals(c)
-        assert p.shape == (blocks, d, 3) and q.shape == (blocks, 3, d)
-        assert np.allclose(np.einsum("kai,lib->klab", q, p), np.eye(3) * np.eye(blocks)[:, :, None, None])
-        u = rng.standard_normal(d)
-        ad = algebra.ad_matrix(c, u)
+@pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
+def test_declared_ideals_split_ad_into_cross_products(rho):
+    # P = T^-T B and Q = P^-1 from the declaration: Q ad_u P has the cross
+    # product of each ideal's component of u on its diagonal and zeros off it
+    m = build_su2_pair(rho)
+    p, q = m.onframe.ideals
+    assert p.shape == (2, 6, 3) and q.shape == (2, 3, 6)
+    assert np.allclose(np.einsum("kai,lib->klab", q, p), np.eye(3) * np.eye(2)[:, :, None, None],
+                       rtol=0.0, atol=1e-15)
+    for u in np.random.default_rng(21).uniform(-1.0, 1.0, (20, 6)):
+        ad = algebra.ad_matrix(m.onframe.c, u)
         scale = np.max(np.abs(ad))
         blk = np.einsum("kai,ij,ljb->klab", q, ad, p)
-        for k in range(blocks):
-            for l in range(blocks):
-                if k != l:
-                    assert np.max(np.abs(blk[k, l])) < 1e-13 * scale
-            b = blk[k, k]
-            s = -0.5 * np.trace(b @ b)
-            assert np.allclose(b @ b @ b, -s * b, atol=1e-12 * scale**3)
+        assert np.max(np.abs(blk[0, 1])) <= 1e-15 * scale
+        assert np.max(np.abs(blk[1, 0])) <= 1e-15 * scale
+        for k in range(2):
+            x = q[k] @ u
+            cross = np.array([[0.0, -x[2], x[1]], [x[2], 0.0, -x[0]], [-x[1], x[0], 0.0]])
+            assert np.allclose(blk[k, k], cross, rtol=0.0, atol=1e-15 * scale)
 
 
-def test_simple_ideals_reject_other_algebras():
-    affine = np.zeros((2, 2, 2))
-    affine[1, 0, 1], affine[1, 1, 0] = 1.0, -1.0  # [X, Y] = Y
-    sl2 = np.zeros((3, 3, 3))  # [H, E] = 2E, [H, F] = -2F, [E, F] = H
-    sl2[1, 0, 1], sl2[1, 1, 0] = 2.0, -2.0
-    sl2[2, 0, 2], sl2[2, 2, 0] = -2.0, 2.0
-    sl2[0, 1, 2], sl2[0, 2, 1] = 1.0, -1.0
-    for c in (affine, _su2_sum(1, extra=1), sl2):
+def test_declared_factors_must_meet_the_structure_constants():
+    m = build_su2_pair(1.0)
+    f = m.su2_factors
+    assert np.array_equal(m.structure_constants, models._su2_sum(f))
+    for bad in (
+        dict(su2_factors=np.stack([f[0], 2.0 * f[1]])),  # [2X_a, 2X_b] = 2 (2 X_c)
+        dict(su2_factors=f[:, [1, 0, 2]]),  # a left-handed basis
+        dict(su2_factors=np.stack([f[0], f[0]])),  # the factors do not span
+        dict(su2_factors=f[:1]),
+        dict(su2_factors=np.where(f == 0.5, np.nan, f)),
+        dict(structure_constants=-m.structure_constants),
+    ):
         with pytest.raises(ValueError):
-            algebra.simple_ideals(c)
+            replace(m, **bad)
 
 
 @pytest.mark.parametrize(

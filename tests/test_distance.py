@@ -14,7 +14,7 @@ import pytest
 
 import srlab.distance as dist
 from srlab.cli import main as cli_main
-from srlab.models import _su2_pair_coords_to_algebra, build_su2_pair, get_model
+from srlab.models import build_su2_pair, get_model
 
 
 @pytest.fixture(scope="module")
@@ -227,10 +227,15 @@ def test_bisected_angle_matches_scipy_root(heis):
 
 
 @pytest.mark.parametrize("rho", [0.3, 1.0, 2.5])
-def test_su2_pair_lower_bound_reads_rho_off_the_metric(rho):
+def test_su2_pair_lower_bound_reads_the_factor_map(rho):
+    # H_i = (X_i, 2 X_i) and V_i = (X_i, 0) at <H_i, H_i> = 1 / (2 rho): the
+    # factors of exp(sum u_a F_a) are exp(sqrt(2 rho) (h + sqrt(4 rho) v) . X)
+    # and exp(2 sqrt(2 rho) h . X), with horizontal gains sqrt(2 rho) and
+    # twice that
     m = build_su2_pair(rho)
     rel = np.random.default_rng(5).uniform(-0.5, 0.5, 6)
-    a, b = _su2_pair_coords_to_algebra(m, rel)
     scale = np.sqrt(2.0 * rho)
-    expected = max(np.linalg.norm(a, axis=0) / scale, np.linalg.norm(b, axis=0) / (2.0 * scale))
-    assert dist._su2_pair_lower(m, rel) == expected
+    a = scale * (rel[:3] + np.sqrt(4.0 * rho) * rel[3:])
+    b = 2.0 * scale * rel[:3]
+    expected = max(np.linalg.norm(a) / scale, np.linalg.norm(b) / (2.0 * scale))
+    assert dist._su2_lower(m, rel) == pytest.approx(expected, rel=1e-15, abs=0.0)

@@ -258,7 +258,7 @@ def test_native_walk_matches_compose_loop(name):
     starts = np.random.default_rng(31).uniform(-0.5, 0.5, (3, m.dim))
     got = heat._evolve(m, starts, 0.8, 60, 300, heat._stream(7, 0))
     ref = _compose_walk(m, starts, 0.8, 60, 300, heat._stream(7, 0))
-    if m.group == "nilpotent":
+    if m.su2_factors is None:
         # native form is the coordinates: the same arithmetic
         assert np.array_equal(got, ref)
     else:

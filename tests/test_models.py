@@ -3,9 +3,10 @@ import pytest
 from hypothesis import example, given, settings, strategies as st
 from scipy.linalg import expm
 
-from srlab import algebra
+from srlab import algebra, frames
 from srlab.models import (
     MODEL_BUILDERS,
+    CompositionError,
     DeclaredConstants,
     LieModel,
     _quat_exp,
@@ -46,7 +47,7 @@ def test_free_nilpotent_two_is_heisenberg():
     assert (a.name, h.name) == ("free-nilpotent-2", "heisenberg")
     assert a.structure_constants.tobytes() == h.structure_constants.tobytes()
     assert a.frame_metric.tobytes() == h.frame_metric.tobytes()
-    for field in ("dim_h", "dim_v", "declared_constants", "group"):
+    for field in ("dim_h", "dim_v", "declared_constants", "su2_factors"):
         assert getattr(a, field) == getattr(h, field), field
 
 
@@ -197,8 +198,11 @@ def test_engel_metric_preserving_but_not_parallel():
     assert rep.vertical_integrable
 
 
-def _so4_split_model():
-    """su(2)+su(2) with a step-3 horizontal plane and non-integrable complement."""
+def _so4_split_model(declared=False):
+    """su(2)+su(2) with a step-3 horizontal plane and non-integrable complement.
+
+    declared: whether the model declares its two su(2) factors (L and R).
+    """
     eps = np.zeros((3, 3, 3))
     for i, j, k in [(0, 1, 2), (1, 2, 0), (2, 0, 1)]:
         eps[k, i, j] = 1.0
@@ -223,8 +227,37 @@ def _so4_split_model():
         dim_v=3,
         structure_constants=c,
         frame_metric=np.eye(6),
-        group="generic",
+        su2_factors=tinv.reshape(2, 3, 6) if declared else None,
     )
+
+
+def test_undeclared_non_nilpotent_model_has_no_chart_ad_or_group_law():
+    m = _so4_split_model()
+    assert m.onframe.nil_step is None
+    u = np.full(6, 0.1)
+    with pytest.raises(ValueError, match="declared su"):
+        frames.chart_field_jets(m, u, 2)
+    with pytest.raises(ValueError, match="declared su"):
+        algebra.adjoint_inverse(m.onframe, u)
+    with pytest.raises(CompositionError):
+        m.compose(u, u)
+
+
+def test_declared_factors_serve_a_frame_that_mixes_them():
+    # the same algebra with its factors declared: Ad, the chart and the
+    # group law work, and the horizontal lift, which has no (q, q^2) form
+    # here, equals the lift of the padded vector
+    m = _so4_split_model(declared=True)
+    rng = np.random.default_rng(4)
+    u, w = rng.uniform(-0.5, 0.5, (2, 6))
+    ad = algebra.ad_matrix(m.onframe.c, u)
+    assert np.allclose(algebra.adjoint_inverse(m.onframe, u), expm(-ad), rtol=0.0, atol=1e-14)
+    chart = frames.chart_field_jets(m, u, 1)
+    assert np.allclose(chart.coeffs[..., 0], algebra.frame_coefficients(m.onframe, u), atol=1e-14)
+    assert np.allclose(m.compose(m.compose(u, w), -w), u, rtol=0.0, atol=1e-14)
+    v = rng.standard_normal((3, 7))
+    padded = np.concatenate([v, np.zeros((3, 7))]).T
+    assert np.array_equal(m.lift_horizontal(v), m.lift(padded))
 
 
 def test_non_integrable_complement_runs_trace_zero_check():
@@ -380,7 +413,7 @@ def test_lift_horizontal_is_lift_of_the_padded_vector(m):
     padded[..., :n] = np.moveaxis(v, 0, -1)
     got, ref = m.lift_horizontal(v), m.lift(padded)
     assert got.shape == ref.shape
-    if m.group == "nilpotent":
+    if m.su2_factors is None:
         assert np.array_equal(got, ref)
         return
     # H_i = (X_i, 2 X_i) and the frame change keeps H in H: the pair (q, q^2)

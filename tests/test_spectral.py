@@ -11,6 +11,9 @@ import numpy as np
 import pytest
 
 import srlab.spectral as sp
+from srlab.models import build_su2_pair
+
+SPINS = [0.5 * k for k in range(5)]
 
 
 def casimir_eigenvalues(rho, j1, j2):
@@ -32,15 +35,18 @@ def test_spin_matrices_commutation():
 
 
 def test_trivial_block_is_flat():
-    eigs = sp.block_eigenvalues(1.0, 0.0, 0.0)
+    eigs = sp.block_eigenvalues(build_su2_pair(1.0), 0.0, 0.0)
     assert np.allclose(eigs, 0.0, atol=1e-12)
 
 
-@pytest.mark.parametrize("j1,j2", [(0.5, 0.0), (0.5, 0.5), (1.0, 0.5), (1.0, 1.0)])
+@pytest.mark.parametrize("j1,j2", [(j1, j2) for j1 in SPINS for j2 in SPINS])
 def test_blocks_match_casimir_closed_form(j1, j2):
-    got = np.sort(sp.block_eigenvalues(1.3, j1, j2))
-    want = np.asarray(casimir_eigenvalues(1.3, j1, j2))
-    assert np.allclose(got, want, atol=1e-9)
+    # the operator comes from the model's orthonormal horizontal frame
+    # through its declared factors; the closed form from the Casimirs
+    for rho in (0.3, 1.0, 1.3, 2.5):
+        got = np.sort(sp.block_eigenvalues(build_su2_pair(rho), j1, j2))
+        want = np.asarray(casimir_eigenvalues(rho, j1, j2))
+        assert np.allclose(got, want, rtol=0.0, atol=1e-13 * rho * (1.0 + j1 + j2) ** 2)
 
 
 def test_gap_value_and_location():
@@ -74,3 +80,20 @@ def test_bounds_hold():
 def test_jmax_validation():
     with pytest.raises(ValueError):
         sp.spectral_gap(1.0, 0.5)
+
+
+def test_jmax_above_the_limit_is_rejected():
+    # the scan costs about j_max^6; 4.5 is cheap, but larger values are not
+    assert sp.J_MAX_LIMIT == 4.0
+    with pytest.raises(ValueError, match="j_max must lie in"):
+        sp.spectral_gap(1.0, 4.5)
+
+
+def test_gap_at_tiny_rho_is_three_halves_rho():
+    # the zero tolerance scales with rho, so the true gap 3 rho / 2 is
+    # not dropped as a zero eigenvalue below rho = 1
+    for rho in (1e-10, 1e-6):
+        res = sp.spectral_gap(rho, 2.0)
+        assert -res.lambda1 == pytest.approx(1.5 * rho, rel=1e-12)
+        assert res.attained_at in ((0.5, 0.0), (0.5, 0.5))
+        assert res.stable

@@ -427,6 +427,7 @@ def _run(args, pythonpath, **env):
         ["constants", "nosuch"],
         ["spectral", "--jmax", "0.5"],
         ["spectral", "--jmax", "1.3"],  # not a multiple of 1/2
+        ["spectral", "--jmax", "4.5"],  # above spectral.J_MAX_LIMIT
         ["spectral", "--rho", "0"],
         ["heat", "heisenberg", "--t", "-1"],
         ["cd-check", "heisenberg", "--points", "0"],
