@@ -9,9 +9,10 @@ The frame is always split into a horizontal block (first ``dim_h``
 indices) and a vertical block (the rest).  Connection coefficients and
 curvature tensors are constant in the frame because the frame is
 left-invariant, so they are ordinary numpy arrays here.  Functions of
-ad_u (the exponential chart's frame, Ad) are terminating series on
-nilpotent algebras and closed forms on each su(2) ideal otherwise, exact
-to rounding in both cases; the ideals are the ones the model declares
+ad_u (the exponential chart's frame, Ad) are closed forms: quadratics in
+ad_u on nilpotent algebras of step <= 3, where ad_u^3 = 0, and Stumpff
+functions on each su(2) ideal otherwise, exact to rounding in both
+cases; the ideals are the ones the model declares
 (`models.LieModel.su2_factors`), never searched for.
 """
 
@@ -186,6 +187,18 @@ def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     return out
 
 
+def check_step(step: int | None) -> None:
+    """Reject nilpotency steps above 3.
+
+    Every function of ad_u here (BCH, the chart's f(ad_u), exp(-ad_u)) is
+    written for ad_u^3 = 0, which holds up to step 3; beyond it the
+    dropped terms would silently bias the result.  None (not nilpotent)
+    passes: those models are served by their declared su(2) ideals.
+    """
+    if step is not None and step > 3:
+        raise ValueError(f"functions of ad_u support nilpotency step <= 3, got {step}")
+
+
 def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
     """log(exp(u) exp(w)) for a nilpotent algebra of degree <= 3.
 
@@ -195,8 +208,7 @@ def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.nd
     exactly at the nilpotency degree.  Degrees above 3 are rejected
     since the truncation would silently bias group products.
     """
-    if step > 3:
-        raise ValueError(f"exact BCH composition supports step <= 3, got {step}")
+    check_step(step)
     z = u + w
     if step >= 2:
         uw = bracket(c, u, w)
@@ -204,29 +216,6 @@ def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.nd
         if step >= 3:
             z = z + (bracket(c, u, uw) - bracket(c, w, uw)) / 12.0
     return z
-
-
-#: 0!..12!, as running float products: every step `nilpotency_step` reports
-_FACTORIALS = np.cumprod([1.0] + [float(k) for k in range(1, 13)])
-
-
-def bernoulli_plus(n: int) -> np.ndarray:
-    """B_0..B_n with B_1 = +1/2: the chart series of nilpotency step n <= 3 reads no more."""
-    if n > 3:
-        raise ValueError(f"the chart series supports nilpotency step <= 3, not {n}")
-    return np.array([1.0, 0.5, 1.0 / 6.0, 0.0][: n + 1])
-
-
-def _ad_series(ad: np.ndarray, coeffs: np.ndarray) -> np.ndarray:
-    """sum_k coeffs[k] ad^k on a (batch of) ad matrices."""
-    out = np.zeros_like(ad)
-    out[...] = coeffs[0] * np.eye(ad.shape[-1])
-    power = np.broadcast_to(np.eye(ad.shape[-1]), ad.shape).copy()
-    for a in coeffs[1:]:
-        power = power @ ad
-        if a != 0.0:
-            out = out + a * power
-    return out
 
 
 def stumpff(s: np.ndarray, top: int) -> np.ndarray:
@@ -291,13 +280,17 @@ def adjoint_inverse(frame, u: np.ndarray) -> np.ndarray:
 
     Column i holds the frame components of Ad_{exp(-u)} E_i.  frame holds
     the structure constants c, nil_step and, off nilpotent algebras, the
-    declared su(2) ideals (`models.OrthonormalFrame`).  The exponential series
-    terminates on nilpotent algebras; on each su(2) ideal Rodrigues'
-    formula exp(-B) = I - phi_1(s) B + phi_2(s) B^2 holds.
+    declared su(2) ideals (`models.OrthonormalFrame`).  On nilpotent
+    algebras of step <= 3, where ad_u^3 = 0, exp(-ad_u) = I - ad_u + ad_u^2 / 2,
+    and ad_u^2 = 0 below step 3; on each su(2) ideal Rodrigues' formula
+    exp(-B) = I - phi_1(s) B + phi_2(s) B^2 holds.
     """
     u = np.asarray(u, dtype=float)
+    check_step(frame.nil_step)
     if frame.nil_step is not None:
-        return _ad_series(-ad_matrix(frame.c, u), 1.0 / _FACTORIALS[: frame.nil_step + 1])
+        ad = ad_matrix(frame.c, u)
+        out = np.eye(len(frame.c)) - ad
+        return out + 0.5 * (ad @ ad) if frame.nil_step == 3 else out
     ad, sq, s = _ideal_parts(frame, u)
     phi = stumpff(s, 2)
     return np.eye(len(frame.c)) + np.sum(phi[2] * sq - phi[1] * ad, axis=0)
@@ -310,14 +303,17 @@ def frame_coefficients(frame, points: np.ndarray) -> np.ndarray:
     sum_j F[j, i] d/du_j with F = f(ad_u) and f(z) = z / (1 - e^(-z)).
     Returns F with shape (..., d, d) for points of shape (..., d).
 
-    For nilpotent algebras the Bernoulli series of f terminates; on each
-    su(2) ideal f(B) = I + B / 2 + g(s) B^2 (`chart_coefficients`).  Both
-    are exact wherever f is analytic, that is away from block angles
+    On nilpotent algebras of step <= 3, where ad_u^3 = 0, f(ad_u) is the
+    quadratic I + ad_u / 2 + ad_u^2 / 12, and ad_u^2 = 0 below step 3; on
+    each su(2) ideal f(B) = I + B / 2 + g(s) B^2 (`chart_coefficients`).
+    Both are exact wherever f is analytic, that is away from block angles
     2 pi k.
     """
     points = np.asarray(points, dtype=float)
+    check_step(frame.nil_step)
     if frame.nil_step is not None:
-        coeffs = bernoulli_plus(frame.nil_step) / _FACTORIALS[: frame.nil_step + 1]
-        return _ad_series(ad_matrix(frame.c, points), coeffs)
+        ad = ad_matrix(frame.c, points)
+        out = np.eye(len(frame.c)) + 0.5 * ad
+        return out + (1.0 / 12.0) * (ad @ ad) if frame.nil_step == 3 else out
     ad, sq, s = _ideal_parts(frame, points)
     return np.eye(len(frame.c)) + np.sum(0.5 * ad + chart_coefficients(s, 0)[0] * sq, axis=0)

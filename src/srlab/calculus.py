@@ -96,8 +96,7 @@ def gamma2(model: LieModel, f, x, which: str = "h", l: float | None = None):
 def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
     """Shared evaluation pipeline; j may be a batched jet of order >= 3.
 
-    want: "cd" for L/Gamma/Gamma2, "double" adds Gamma(Gamma) terms,
-    "condb" adds the commutation bracket of Gamma^h and Gamma^v.
+    want: "cd" for L/Gamma/Gamma2, "double" adds Gamma(Gamma) terms.
     """
     Af = calc.horizontal(j)
     Vf = calc.vertical(j)
@@ -109,16 +108,15 @@ def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
         "Gh": np.asarray(Gh.value),
         "Gv": np.asarray(Gv.value) if Gv is not None else 0.0,
     }
-    if want in ("cd", "double"):
-        LGh = calc.sublaplacian(Gh)
-        ALf = calc.horizontal(Lf)
-        out["G2h"] = 0.5 * np.asarray(LGh.value) - _pair_value(Af, ALf)
-        if Gv is not None:
-            LGv = calc.sublaplacian(Gv)
-            VLf = calc.vertical(Lf)
-            out["G2v"] = 0.5 * np.asarray(LGv.value) - _pair_value(Vf, VLf)
-        else:
-            out["G2v"] = 0.0
+    LGh = calc.sublaplacian(Gh)
+    ALf = calc.horizontal(Lf)
+    out["G2h"] = 0.5 * np.asarray(LGh.value) - _pair_value(Af, ALf)
+    if Gv is not None:
+        LGv = calc.sublaplacian(Gv)
+        VLf = calc.vertical(Lf)
+        out["G2v"] = 0.5 * np.asarray(LGv.value) - _pair_value(Vf, VLf)
+    else:
+        out["G2v"] = 0.0
     if want == "double":
         out["GhGh"] = sum(np.asarray(calc.apply(i, Gh).value) ** 2 for i in range(calc.model.dim_h))
         if Gv is not None:
@@ -127,11 +125,6 @@ def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
             )
         else:
             out["GhGv"] = 0.0
-    if want == "condb":
-        hv = _pair_value(Af, calc.horizontal(Gv)) if Gv is not None else 0.0
-        vh = _pair_value(Vf, calc.vertical(Gh)) if Vf else 0.0
-        out["condb"] = np.abs(hv - vh)
-        out["condb_scale"] = 1.0 + np.abs(hv) + np.abs(vh)
     return out
 
 
@@ -170,8 +163,13 @@ def _double_gamma(calc: FrameCalc, j: Jet, l: float, c: float, rho_h: float, m_h
 
 def _condb(calc: FrameCalc, j: Jet) -> tuple:
     """Condition-B residual (see `condb_residual`) and scale."""
-    v = _core_values(calc, j, want="condb")
-    return v["condb"], v["condb_scale"]
+    Af = calc.horizontal(j)
+    Vf = calc.vertical(j)
+    hv = vh = 0.0
+    if Vf:
+        hv = _pair_value(Af, calc.horizontal(_sum_squares(Vf)))
+        vh = _pair_value(Vf, calc.vertical(_sum_squares(Af)))
+    return np.abs(hv - vh), 1.0 + np.abs(hv) + np.abs(vh)
 
 
 def _commutation(calc: FrameCalc, j: Jet) -> tuple:

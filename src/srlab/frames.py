@@ -3,12 +3,11 @@
 The coordinate components of the frame in exponential coordinates are
 f(ad_u) with f(z) = z / (1 - e^(-z)); evaluating it in jet arithmetic
 at a base point yields the component functions to any Taylor order,
-held as one jet with batch shape (d, d).  On nilpotent models the
-series of f terminates, and only the jet products whose factors can be
-nonzero, by the pattern of the structure constants, are formed; the
-chart is still bit-identical to the dense series (see
-`chart_field_jets`).  On sums of su(2) f has a closed form on each
-ideal (`_su2_chart`), a few jet products per ideal.  Applying a frame
+held as one jet with batch shape (d, d).  f(ad_u) is a closed form on
+every model: a quadratic in ad_u on nilpotent models, whose square is
+formed only where the structure constants let it be nonzero and only
+at step 3, and I + ad_u / 2 + g(s) B^2 on each su(2) ideal, a few jet
+products per ideal (see `chart_field_jets`).  Applying a frame
 field to a jet is then a linear map on jet coefficients, assembled as small
 dense matrices per differentiation order by a `FrameCalc` that is
 built per point and not cached.  The point-free index tables it reads
@@ -30,18 +29,26 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     """Component jets of the frame fields at x, as one jet of batch (d, d).
 
     ``coeffs[j, i]`` is field i along coordinate j.  Components refer
-    to the orthonormalized frame and its exponential chart.  For
-    nilpotent models the series f(ad) terminates exactly; on sums of
-    su(2) it has the closed form of `_su2_chart`.
+    to the orthonormalized frame and its exponential chart, where the
+    fields are f(ad_u) = I + ad_u / 2 + ..., f(z) = z / (1 - e^(-z)).
 
-    Term k of the nilpotent series forms ad[m, l] power[l, col] only
-    where c[m, :, l] is nonzero somewhere and the boolean (k-1)-th power
-    of that pattern is true at (l, col), and sums over l in index order
-    from +0.0.  A skipped product is a signed zero, which changes no bit
-    of such a sum.
+    Nilpotent models of step <= 3 have ad_u^3 = 0, so f(ad_u) ends with
+    ad_u^2 / 12, which only step 3 does not annihilate.  Its jet forms
+    ad[m, l] ad[l, col] only where both factors can be nonzero by the
+    pattern of the structure constants, and sums over l in index order
+    from +0.0; a skipped product is a signed zero, which changes no bit
+    of such a sum.  On a sum of su(2) ideals f(ad_u) adds
+    P_k g(s_k) B_k^2 Q_k per ideal k: B_k = Q_k ad P_k is the 3 x 3 block
+    of the ideal (`OrthonormalFrame.ideals`) and s_k = -tr(B_k^2) / 2 its
+    squared angle, a quadratic polynomial in u.  The jet of g(s_k) is the
+    Taylor series of g at s_k(x) (`algebra.chart_coefficients`) in the
+    increment s_k - s_k(x), which has no constant term, so the series
+    ends at the jet order.
     """
     x = np.asarray(x, dtype=float)
-    c = model.onframe.c
+    frame = model.onframe
+    algebra.check_step(frame.nil_step)
+    c = frame.c
     d = model.dim
     sp = get_space(d, order)
     n = sp.terms(order)
@@ -50,65 +57,38 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     ad = np.zeros((d, d, n))
     for i in range(d):
         ad = ad + c[:, i, :, None] * coordinate_jet(i, x, order).coeffs
-
-    if model.onframe.nil_step is None:
-        return _su2_chart(model, x, order, ad)
-    terms = model.onframe.nil_step
-    bern = algebra.bernoulli_plus(terms)
-    out = np.zeros((d, d, n))
-    out[np.arange(d), np.arange(d), 0] = 1.0
-    power = out
-    ad_pat = np.any(c != 0, axis=1)
-    pow_pat = np.eye(d, dtype=bool)
-    fact = 1.0
-    for k in range(1, terms + 1):
-        # one product call, scattered as prods[l, m, col], +0.0 if skipped
-        m, l, col = np.nonzero(ad_pat[:, :, None] & pow_pat[None])
-        prods = np.zeros((d, d, d, n))
-        prods[l, m, col] = sp.multiply(ad[m, l], power[l, col], order)
-        nxt = np.zeros((d, d, n))
-        for term in prods:
-            nxt = nxt + term
-        power = nxt
-        pow_pat = ad_pat @ pow_pat
-        if not power.any():
-            break
-        fact *= k
-        if bern[k] != 0.0:
-            out = out + bern[k] / fact * power
-    return Jet(x, order, out)
-
-
-def _su2_chart(model: LieModel, x: np.ndarray, order: int, ad: np.ndarray) -> Jet:
-    """The chart on a sum of su(2) ideals: f(ad) = I + ad / 2 + sum_k P_k g(s_k) B_k^2 Q_k.
-
-    B_k = Q_k ad P_k is the 3 x 3 block of ideal k (`OrthonormalFrame.ideals`)
-    and s_k = -tr(B_k^2) / 2 its squared angle, a quadratic polynomial in
-    u.  The jet of g(s_k) is the Taylor series of g at s_k(x)
-    (`algebra.chart_coefficients`) in the increment s_k - s_k(x), which has
-    no constant term, so the series ends at the jet order.
-    """
-    sp = get_space(model.dim, order)
     out = 0.5 * ad
-    out[np.arange(model.dim), np.arange(model.dim), 0] += 1.0
-    for p, q in zip(*model.onframe.ideals):
-        b = np.einsum("ai,ijn,jb->abn", q, ad, p)
-        sq = sp.multiply(b[:, :, None], b[None], order).sum(axis=1)
-        s = -0.5 * (sq[0, 0] + sq[1, 1] + sq[2, 2])
-        if s[0] >= 4.0 * np.pi**2:
-            raise ValueError(
-                f"base point outside the chart: an su(2) block turns by "
-                f"{np.sqrt(s[0]):.2f} >= 2 pi"
-            )
-        g = algebra.chart_coefficients(s[0], order)
-        inc = s.copy()
-        inc[0] = 0.0
-        gs = np.zeros_like(s)
-        gs[0] = g[order]
-        for k in range(order - 1, -1, -1):
-            gs = sp.multiply(inc, gs, order)
-            gs[0] += g[k]
-        out = out + np.einsum("ja,abn,bi->jin", p, sp.multiply(gs, sq, order), q)
+    out[np.arange(d), np.arange(d), 0] += 1.0
+
+    if frame.nil_step == 3:
+        # one product call, scattered as prods[l, m, col], +0.0 if skipped
+        pat = np.any(c != 0, axis=1)
+        m, l, col = np.nonzero(pat[:, :, None] & pat[None])
+        prods = np.zeros((d, d, d, n))
+        prods[l, m, col] = sp.multiply(ad[m, l], ad[l, col], order)
+        sq = np.zeros((d, d, n))
+        for term in prods:
+            sq = sq + term
+        out = out + (1.0 / 12.0) * sq
+    elif frame.nil_step is None:
+        for p, q in zip(*frame.ideals):
+            b = np.einsum("ai,ijn,jb->abn", q, ad, p)
+            sq = sp.multiply(b[:, :, None], b[None], order).sum(axis=1)
+            s = -0.5 * (sq[0, 0] + sq[1, 1] + sq[2, 2])
+            if s[0] >= 4.0 * np.pi**2:
+                raise ValueError(
+                    f"base point outside the chart: an su(2) block turns by "
+                    f"{np.sqrt(s[0]):.2f} >= 2 pi"
+                )
+            g = algebra.chart_coefficients(s[0], order)
+            inc = s.copy()
+            inc[0] = 0.0
+            gs = np.zeros_like(s)
+            gs[0] = g[order]
+            for k in range(order - 1, -1, -1):
+                gs = sp.multiply(inc, gs, order)
+                gs[0] += g[k]
+            out = out + np.einsum("ja,abn,bi->jin", p, sp.multiply(gs, sq, order), q)
     return Jet(x, order, out)
 
 
@@ -125,10 +105,6 @@ class FrameCalc:
         # ops[i][m]: coefficients of E_i f at order m-1 from f at order m,
         # assembled lazily since most pipelines touch few orders
         self.ops: list[dict[int, np.ndarray]] = [dict() for _ in range(d)]
-        gam = algebra.adapted_gamma(model.onframe.c, model.dim_h)
-        lc = algebra.levi_civita_gamma(model.onframe.c)
-        self.kappa_h = np.einsum("kii->k", gam[:, : model.dim_h, : model.dim_h])
-        self.kappa_full = np.einsum("kaa->k", lc)
 
     def _op(self, i: int, m: int) -> np.ndarray:
         op = self.ops[i].get(m)
@@ -173,10 +149,10 @@ class FrameCalc:
         return out
 
     def sublaplacian(self, jet: Jet) -> Jet:
-        return self._laplacian(jet, range(self.model.dim_h), self.kappa_h)
+        return self._laplacian(jet, range(self.model.dim_h), self.model.onframe.kappa_h)
 
     def full_laplacian(self, jet: Jet) -> Jet:
-        return self._laplacian(jet, range(self.model.dim), self.kappa_full)
+        return self._laplacian(jet, range(self.model.dim), self.model.onframe.kappa_full)
 
 
 def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:

@@ -1,6 +1,4 @@
-import math
 from dataclasses import replace
-from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -165,15 +163,3 @@ def test_bracket_filtration_spans_the_generated_subalgebra(name, rank, step):
         span, got = algebra.bracket_filtration(c, m.dim_h)
         assert (span.shape, got) == ((rank, m.dim), step)
         assert np.allclose(span @ span.T, np.eye(rank))
-
-
-def test_bernoulli_numbers_are_the_rounded_exact_rationals():
-    # the terminating chart series of nilpotency step <= 3 read B_0..B_3
-    exact = [Fraction(1)]
-    for m in range(1, 4):
-        exact.append(-sum(math.comb(m + 1, k) * exact[k] for k in range(m)) / (m + 1))
-    exact[1] = -exact[1]  # the B_1 = +1/2 convention
-    assert algebra.bernoulli_plus(3).tolist() == [float(b) for b in exact]
-    assert algebra.bernoulli_plus(3).tolist() == [1.0, 0.5, 1.0 / 6.0, 0.0]
-    with pytest.raises(ValueError):
-        algebra.bernoulli_plus(4)

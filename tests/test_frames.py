@@ -1,7 +1,7 @@
 """Frame-field oracles: the chart must reproduce the algebra.
 
 The bracket-consistency sweep is the main oracle validating the chart
-coefficients (a terminating series on nilpotent models, a closed form
+coefficients (a quadratic in ad_u on nilpotent models, a closed form
 per su(2) ideal on su2-pair) against the structure constants, and the
 group-translation finite differences validate both against the
 composition law.
@@ -14,7 +14,7 @@ import numpy as np
 import pytest
 from scipy.linalg import expm
 
-from srlab import algebra, calculus, frames
+from srlab import algebra, calculus, frames, geometry
 from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space, lift_polynomials
 from srlab.models import get_model
 
@@ -37,7 +37,7 @@ def test_heisenberg_chart_fields():
 
 
 def test_engel_chart_fields():
-    # series chart: E2 = d2 + x1/2 d3 + x1^2/12 d4
+    # quadratic chart: E2 = d2 + x1/2 d3 + x1^2/12 d4
     m = get_model("engel")
     x = np.array([0.8, 0.3, -0.2, 0.5])
     chart = frames.chart_field_jets(m, x, 2)
@@ -51,7 +51,7 @@ def test_engel_chart_fields():
 
 @pytest.mark.parametrize("name", MODELS)
 def test_chart_values_match_numeric_frame(name):
-    """The jet chart's values equal the matrix series of the numeric route."""
+    """The jet chart's values equal the matrices of the numeric route."""
     m = get_model(name)
     rng = np.random.default_rng(23)
     for x in rng.uniform(-0.3, 0.3, (5, m.dim)):
@@ -234,6 +234,54 @@ def bernoulli_plus(n):
     return [float(b) for b in exact]
 
 
+def reference_series(ad, coeffs):
+    """sum_k coeffs[k] ad^k on a (batch of) ad matrices, the powers formed
+    by repeated products from the identity: the former numeric series."""
+    out = np.zeros_like(ad)
+    out[...] = coeffs[0] * np.eye(ad.shape[-1])
+    power = np.broadcast_to(np.eye(ad.shape[-1]), ad.shape).copy()
+    for a in coeffs[1:]:
+        power = power @ ad
+        if a != 0.0:
+            out = out + a * power
+    return out
+
+
+NILPOTENT = ("heisenberg", "free-nilpotent-2", "free-nilpotent-3", "free-nilpotent-4",
+             "engel", "abelian")
+
+
+def numeric_points(d, rng):
+    """2000 points in [-3, 3]^d with zero, -0.0 and purely vertical rows."""
+    pts = rng.uniform(-3.0, 3.0, (2000, d))
+    pts[0] = 0.0
+    pts[1] = -0.0
+    pts[2, : d // 2] = 0.0
+    pts[3:40, : d // 2] = -0.0
+    return pts
+
+
+@pytest.mark.parametrize(
+    "name", NILPOTENT + tuple(f"{n}/normalized" for n in NILPOTENT if n.startswith("free"))
+)
+def test_numeric_frame_and_ad_equal_the_terminating_series(name):
+    # the closed forms I + ad/2 + ad^2/12 and I - ad + ad^2/2 (ad^2 at step 3
+    # only) against the Bernoulli and exponential series, term by term to the
+    # step; "/normalized" takes the model with its normalized vertical metric
+    base, _, normalized = name.partition("/")
+    m = get_model(base)
+    frame = (geometry.normalize_vertical(m) if normalized else m).onframe
+    step = frame.nil_step
+    bern = np.array(bernoulli_plus(step))
+    fact = np.array([float(math.factorial(k)) for k in range(step + 1)])
+    rng = np.random.default_rng(211)
+    pts = numeric_points(len(frame.c), rng)
+    for batch in (pts, pts[7], pts[:16], pts.reshape(40, 50, -1)):
+        ad = algebra.ad_matrix(frame.c, batch)
+        assert same_bits(algebra.frame_coefficients(frame, batch), reference_series(ad, bern / fact))
+        assert same_bits(algebra.adjoint_inverse(frame, batch), reference_series(-ad, 1.0 / fact))
+
+
 def reference_chart(m, x, order, terms):
     """The dense chart series to `terms` terms: every product ad[m, l]
     power[l, col] is formed, one jet product call per summand l."""
@@ -300,7 +348,7 @@ def reference_op(calc, i, m):
 
 @pytest.mark.parametrize("name", MODELS + ("free-nilpotent-2",))
 def test_chart_jets_equal_the_per_summand_products(name):
-    # nilpotent models, equal bytes: the structured series skips only
+    # nilpotent models, equal bytes: the closed form skips only
     # products that are signed zeros, and that must not move a value or
     # the sign of a zero.  su2-pair: the closed form against 40 terms of
     # the series, whose remainder is below 1e-19 at |ad|_inf <= 2
@@ -324,18 +372,19 @@ def test_chart_jets_equal_the_per_summand_products(name):
 @pytest.mark.parametrize(
     "name,batches",
     [
-        ("heisenberg", [2, 0]),
-        ("free-nilpotent-3", [6, 0]),
-        ("engel", [4, 2, 0]),
+        ("heisenberg", []),
+        ("free-nilpotent-3", []),
+        ("engel", [2]),
         ("su2-pair", [27, 1, 1, 1, 9] * 2),
     ],
 )
 def test_chart_series_multiplies_only_the_structural_nonzeros(name, batches, monkeypatch):
     """A FrameCalc(x, 4) build and its chart's jet product calls, each listed
-    by the number of jet pairs it multiplies.  Nilpotent models: one call per
-    series term, over the triples (m, l, col) that can be nonzero; the dense
-    series would take d**3 each.  su2-pair, per su(2) ideal: the square of
-    its 3 x 3 block, the Horner steps of g(s) and g(s) times the square."""
+    by the number of jet pairs it multiplies.  Nilpotent models: none below
+    step 3, where the chart is I + ad / 2; at step 3 one call for ad^2, over
+    the triples (m, l, col) that can be nonzero, where the dense product
+    would take d**3.  su2-pair, per su(2) ideal: the square of its 3 x 3
+    block, the Horner steps of g(s) and g(s) times the square."""
     seen = []
     multiply = JetSpace.multiply
 

@@ -243,6 +243,26 @@ def test_undeclared_non_nilpotent_model_has_no_chart_ad_or_group_law():
         m.compose(u, u)
 
 
+def test_step_four_model_has_no_chart_ad_frame_or_group_law():
+    # filiform: [X1, X2] = X3, [X1, X3] = X4, [X1, X4] = X5, where ad_u^3 != 0
+    # and the quadratic closed forms in ad_u would drop a term
+    c = np.zeros((5, 5, 5))
+    for j in (1, 2, 3):
+        c[j + 1, 0, j], c[j + 1, j, 0] = 1.0, -1.0
+    m = LieModel(name="filiform-5", dim_h=2, dim_v=3, structure_constants=c,
+                 frame_metric=np.eye(5))
+    assert m.onframe.nil_step == 4
+    u = np.full(5, 0.1)
+    with pytest.raises(ValueError, match="step <= 3"):
+        frames.chart_field_jets(m, u, 2)
+    with pytest.raises(ValueError, match="step <= 3"):
+        algebra.frame_coefficients(m.onframe, u)
+    with pytest.raises(ValueError, match="step <= 3"):
+        algebra.adjoint_inverse(m.onframe, u)
+    with pytest.raises(ValueError, match="step <= 3"):
+        m.compose(u, u)
+
+
 def test_declared_factors_serve_a_frame_that_mixes_them():
     # the same algebra with its factors declared: Ad, the chart and the
     # group law work, and the horizontal lift, which has no (q, q^2) form
