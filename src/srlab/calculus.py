@@ -11,7 +11,9 @@ with A_i, V_s the orthonormalized horizontal and vertical frames.  All
 evaluation goes through exact jet arithmetic, so residuals of the
 curvature-dimension inequality and of the pointwise identities are
 computed without discretization error; on polynomials the only noise
-is floating point roundoff.
+is floating point roundoff.  Each measure forms a frame derivative of
+a jet once and hands it to every value that reads it, the Laplacians
+included.
 
 The CD inequality reads only the 2-jet of f at x: the third derivatives
 cancel from Gamma2.  `cd_forms` turns L, Gamma and Gamma2 at x into a
@@ -58,7 +60,7 @@ def _pair_value(parts1: list[Jet], parts2: list[Jet]) -> np.ndarray:
 def sublaplacian(model: LieModel, f, x):
     """L f at x."""
     calc, j = _at(model, f, x)
-    return calc.sublaplacian(j).value
+    return calc.sublaplacian(calc.horizontal(j)).value
 
 
 def gamma(model: LieModel, f, g=None, x=None, which: str = "h"):
@@ -93,38 +95,23 @@ def gamma2(model: LieModel, f, x, which: str = "h", l: float | None = None):
     raise ValueError(f"unknown selector {which!r}")
 
 
-def _core_values(calc: FrameCalc, j: Jet, want: str = "cd") -> dict:
-    """Shared evaluation pipeline; j may be a batched jet of order >= 3.
-
-    want: "cd" for L/Gamma/Gamma2, "double" adds Gamma(Gamma) terms.
-    """
+def _core_values(calc: FrameCalc, j: Jet) -> dict:
+    """L, Gamma, Gamma2 and Gamma^h of Gamma^h and Gamma^v; j may be a batched
+    jet of order >= 3.  Each frame derivative is formed once, and every
+    value that needs it reads that one jet."""
     Af = calc.horizontal(j)
     Vf = calc.vertical(j)
-    Lf = calc.sublaplacian(j)
-    Gh = _sum_squares(Af)
-    Gv = _sum_squares(Vf) if Vf else None
-    out = {
-        "L": np.asarray(Lf.value),
-        "Gh": np.asarray(Gh.value),
-        "Gv": np.asarray(Gv.value) if Gv is not None else 0.0,
-    }
-    LGh = calc.sublaplacian(Gh)
-    ALf = calc.horizontal(Lf)
-    out["G2h"] = 0.5 * np.asarray(LGh.value) - _pair_value(Af, ALf)
-    if Gv is not None:
-        LGv = calc.sublaplacian(Gv)
-        VLf = calc.vertical(Lf)
-        out["G2v"] = 0.5 * np.asarray(LGv.value) - _pair_value(Vf, VLf)
-    else:
-        out["G2v"] = 0.0
-    if want == "double":
-        out["GhGh"] = sum(np.asarray(calc.apply(i, Gh).value) ** 2 for i in range(calc.model.dim_h))
-        if Gv is not None:
-            out["GhGv"] = sum(
-                np.asarray(calc.apply(i, Gv).value) ** 2 for i in range(calc.model.dim_h)
-            )
-        else:
-            out["GhGv"] = 0.0
+    Lf = calc.sublaplacian(Af)
+    out = {"L": np.asarray(Lf.value), "Gv": 0.0, "G2v": 0.0, "GhGv": 0.0}
+    for s, parts, along in (("h", Af, calc.horizontal), ("v", Vf, calc.vertical)):
+        if not parts:
+            continue
+        G = _sum_squares(parts)
+        AG = calc.horizontal(G)
+        out[f"G{s}"] = np.asarray(G.value)
+        LG = calc.sublaplacian(AG)
+        out[f"G2{s}"] = 0.5 * np.asarray(LG.value) - _pair_value(parts, along(Lf))
+        out[f"GhG{s}"] = sum(np.asarray(g.value) ** 2 for g in AG)
     return out
 
 
@@ -151,7 +138,7 @@ def _double_gamma_inputs(model: LieModel) -> tuple[float, float]:
 
 def _double_gamma(calc: FrameCalc, j: Jet, l: float, c: float, rho_h: float, m_hv: float) -> tuple:
     """Slack of both gradient-of-gradient bounds (see `double_gamma_residuals`) and scale."""
-    v = _core_values(calc, j, want="double")
+    v = _core_values(calc, j)
     q1 = rho_h - 1.0 / c
     q2 = -c * m_hv**2
     first = v["Gh"] * (
@@ -174,8 +161,12 @@ def _condb(calc: FrameCalc, j: Jet) -> tuple:
 
 def _commutation(calc: FrameCalc, j: Jet) -> tuple:
     """|L (Delta f) - Delta (L f)| for the full Laplacian Delta, and scale."""
-    a = np.asarray(calc.sublaplacian(calc.full_laplacian(j)).value)
-    b = np.asarray(calc.full_laplacian(calc.sublaplacian(j)).value)
+    n = calc.model.dim_h
+    Ef = calc.horizontal(j) + calc.vertical(j)
+    Lf = calc.sublaplacian(Ef[:n])
+    ELf = calc.horizontal(Lf) + calc.vertical(Lf)
+    a = np.asarray(calc.sublaplacian(calc.horizontal(calc.full_laplacian(Lf, Ef))).value)
+    b = np.asarray(calc.full_laplacian(calc.sublaplacian(ELf[:n]), ELf).value)
     return np.abs(a - b), 1.0 + np.abs(a) + np.abs(b)
 
 
@@ -236,9 +227,10 @@ def log_identity_residuals(model: LieModel, f, x):
     calc, j = _at(model, f, x)
     logu = j.log()
     ulogu = j * logu
-    lhs1 = calc.sublaplacian(ulogu).value
-    Lu = calc.sublaplacian(j).value
-    Gh = _sum_squares(calc.horizontal(j)).value
+    Au = calc.horizontal(j)
+    lhs1 = calc.sublaplacian(calc.horizontal(ulogu)).value
+    Lu = calc.sublaplacian(Au).value
+    Gh = _sum_squares(Au).value
     u0 = j.value
     rhs1 = (np.log(u0) + 1.0) * np.asarray(Lu) + np.asarray(Gh) / np.asarray(u0)
     Ghlog = _sum_squares(calc.horizontal(logu)).value
@@ -270,9 +262,9 @@ def cd_forms(model: LieModel, x) -> dict:
     coeffs = np.zeros((n + len(a), sp.terms(order)))
     coeffs[:, 1 : n + 1] = np.concatenate([basis, basis[a] + basis[b]])
     values = _core_values(get_calc(model, x, order), Jet(x, order, coeffs))
-    forms = {"L": values.pop("L")[:n]}
-    for key, q in values.items():
-        q = np.broadcast_to(q, len(coeffs))
+    forms = {"L": values["L"][:n]}
+    for key in ("Gh", "Gv", "G2h", "G2v"):
+        q = np.broadcast_to(values[key], len(coeffs))
         form = np.diag(q[:n])
         form[a, b] = form[b, a] = 0.5 * (q[n:] - q[a] - q[b])
         forms[key] = form
@@ -306,14 +298,17 @@ def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: 
     return [(x, coeffs) for x in random_points(model, n_points, rng)]
 
 
-def _sweep(model: LieModel, draws, degree: int, measure) -> tuple:
-    """Every part of measure(calc, jet), stacked over (point, coeffs) draws."""
-    parts = []
-    for x, coeffs in draws:
-        calc = get_calc(model, x, DEFAULT_ORDER)
-        j = lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-        parts.append(np.broadcast_arrays(*measure(calc, j)))
+def _sweep(draws, at_point) -> tuple:
+    """Every part of at_point(x, coeffs), stacked over (point, coeffs) draws."""
+    parts = [np.broadcast_arrays(*at_point(x, coeffs)) for x, coeffs in draws]
     return tuple(np.stack(p) for p in zip(*parts))
+
+
+def _on_jets(model: LieModel, degree: int, measure):
+    """at_point for `_sweep`: measure(calc, jet) on the polynomials' jets at x."""
+    return lambda x, coeffs: measure(
+        get_calc(model, x, DEFAULT_ORDER), lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
+    )
 
 
 def cd_residual_sweep(
@@ -332,11 +327,12 @@ def cd_residual_sweep(
     of `cd_forms`; the scalar `cd_residual` is the jet route.
     """
     l_arr = np.asarray(list(l_grid), dtype=float)
-    parts = []
-    for x, coeffs in _draws(model, n_functions, n_points, 4, seed):
+
+    def at_point(x, coeffs):
         c = lift_polynomials(coeffs, 4, x, 2).coeffs[..., 1:]
-        parts.append(_cd(_form_values(cd_forms(model, x), c), l_arr, constants))
-    return tuple(np.stack(p) for p in zip(*parts))
+        return _cd(_form_values(cd_forms(model, x), c), l_arr, constants)
+
+    return _sweep(_draws(model, n_functions, n_points, 4, seed), at_point)
 
 
 def double_gamma_sweep(
@@ -345,7 +341,7 @@ def double_gamma_sweep(
     """Residuals of both gradient-of-gradient bounds over seeded cubics."""
     inputs = _double_gamma_inputs(model)
     draws = _draws(model, n_functions, n_points, 3, seed)
-    return _sweep(model, draws, 3, lambda calc, j: _double_gamma(calc, j, l, c, *inputs))
+    return _sweep(draws, _on_jets(model, 3, lambda calc, j: _double_gamma(calc, j, l, c, *inputs)))
 
 
 def condb_sweep(model: LieModel, n_samples: int, seed: int):
@@ -359,21 +355,22 @@ def condb_sweep(model: LieModel, n_samples: int, seed: int):
     n_terms = get_space(model.dim, 4).terms(4)
     points = random_points(model, n_points, rng)
     draws = ((x, rng.uniform(-1.0, 1.0, (50, n_terms))) for x in points)
-    res, scales = _sweep(model, draws, 4, _condb)
+    res, scales = _sweep(draws, _on_jets(model, 4, _condb))
     return res.reshape(-1)[:n_samples], scales.reshape(-1)[:n_samples]
 
 
 def commutation_sweep(model: LieModel, n_functions: int, n_points: int, seed: int):
     """Commutation residuals |[L, Delta] f| over seeded quartics."""
-    return _sweep(model, _draws(model, n_functions, n_points, 4, seed), 4, _commutation)
+    return _sweep(_draws(model, n_functions, n_points, 4, seed), _on_jets(model, 4, _commutation))
 
 
 def qform_oracle_residual(model: LieModel, f, x):
     """Two-route check of Gamma^h: frame sum vs (L(f^2) - 2 f L f)/2."""
     calc, j = _at(model, f, x)
-    frame_sum = np.asarray(_sum_squares(calc.horizontal(j)).value)
+    Af = calc.horizontal(j)
+    frame_sum = np.asarray(_sum_squares(Af).value)
     via_l = 0.5 * (
-        np.asarray(calc.sublaplacian(j * j).value)
-        - 2.0 * np.asarray(j.value) * np.asarray(calc.sublaplacian(j).value)
+        np.asarray(calc.sublaplacian(calc.horizontal(j * j)).value)
+        - 2.0 * np.asarray(j.value) * np.asarray(calc.sublaplacian(Af).value)
     )
     return np.abs(frame_sum - via_l), 1.0 + np.abs(frame_sum) + np.abs(via_l)

@@ -9,7 +9,7 @@ import sys
 
 import numpy as np
 
-from . import calculus, distance, geometry, heat, spectral, suite
+from . import calculus, distance, geometry, heat, pde, spectral, suite
 from .jets import Polynomial
 from .models import MODEL_BUILDERS, get_model, validate
 
@@ -186,6 +186,8 @@ def cmd_suite_run(args):
     except suite.ConfigError as err:
         print(f"configuration error: {err}", file=sys.stderr)
         return 2
+    except (pde.TruncationError, OSError) as err:
+        return _bad_input(err)
     summary = report["summary"]
     for row in report["results"]:
         print(

@@ -13,7 +13,8 @@ dense matrices per differentiation order by a `FrameCalc` that is
 built per point and not cached.  The point-free index tables it reads
 (product pairs, derivative maps) live on the `JetSpace` of the
 dimension; per point it builds only the chart and the operators it is
-asked for.
+asked for.  The Laplacians take the first derivatives their caller
+already holds, so no frame derivative of a jet is formed twice.
 """
 
 from __future__ import annotations
@@ -137,22 +138,26 @@ class FrameCalc:
     def vertical(self, jet: Jet) -> list[Jet]:
         return [self.apply(s, jet) for s in range(self.model.dim_h, self.model.dim)]
 
-    def _laplacian(self, jet: Jet, fields: range, kappa: np.ndarray) -> Jet:
-        """sum of E_i E_i f over fields, minus the trace correction kappa . E f."""
-        out = None
-        for i in fields:
-            term = self.apply(i, self.apply(i, jet))
+    def _laplacian(self, out: Jet | None, grads: list[Jet], start: int, kappa) -> Jet:
+        """out plus sum_i E_i (grads[i]) over i >= start, minus kappa . grads."""
+        for i in range(start, len(grads)):
+            term = self.apply(i, grads[i])
             out = term if out is None else out + term
-        for k in range(self.model.dim):
+        for k, g in enumerate(grads):
             if kappa[k] != 0.0:
-                out = out - kappa[k] * self.apply(k, jet)
+                out = out - kappa[k] * g
         return out
 
-    def sublaplacian(self, jet: Jet) -> Jet:
-        return self._laplacian(jet, range(self.model.dim_h), self.model.onframe.kappa_h)
+    def sublaplacian(self, grads: list[Jet]) -> Jet:
+        """L f from grads = `horizontal(f)`; kappa_h has no vertical entries."""
+        return self._laplacian(None, grads, 0, self.model.onframe.kappa_h)
 
-    def full_laplacian(self, jet: Jet) -> Jet:
-        return self._laplacian(jet, range(self.model.dim), self.model.onframe.kappa_full)
+    def full_laplacian(self, lf: Jet, grads: list[Jet]) -> Jet:
+        """The full Laplacian of f from lf = L f and grads = `horizontal(f) +
+        vertical(f)`: L f plus the vertical squares and the rest of the trace
+        correction, so that the horizontal squares are formed once."""
+        frame = self.model.onframe
+        return self._laplacian(lf, grads, self.model.dim_h, frame.kappa_full - frame.kappa_h)
 
 
 def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:

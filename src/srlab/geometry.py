@@ -325,14 +325,18 @@ def resolve_weight(report: GeometryReport) -> float:
 
 
 def assemble_constants(model: LieModel) -> CDConstants:
-    """Full constant record for one model, at the weight c of `resolve_weight`.
+    """Full constant record for one model, from its `geometry_report`."""
+    return report_constants(geometry_report(model), model.dim_h)
+
+
+def report_constants(report: GeometryReport, n: int) -> CDConstants:
+    """Full constant record of a geometry report with n horizontal
+    directions, at the weight c of `resolve_weight`.
 
     The dimensional constants and the spectral bound are populated when
     their hypotheses (rho20 > 0, and positivity where required) hold,
     otherwise left as None.
     """
-    report = geometry_report(model)
-    n = model.dim_h
     c_val = resolve_weight(report)
     rho1, rho20, rho21 = rho_constants(report, c_val)
     kappa = kappa_of(report)

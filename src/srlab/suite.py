@@ -183,6 +183,12 @@ def _check_values(cfg: dict) -> None:
             why = _value_error(default, cfg[section][key])
             if why:
                 raise ConfigError(f"{section}.{key} {why}, not {cfg[section][key]!r}")
+    dt = cfg["pde"]["dt"]
+    # every snapshot time must be a step of the time grid, within the 1e-9 of `pde.evolve`
+    times = {t for _, snapshots in PDE_SOURCES.values() for t in snapshots}
+    off = sorted(t for t in times if abs(np.rint(t / dt) * dt - t) > 1e-9)
+    if off:
+        raise ConfigError(f"pde.dt {dt!r} leaves the PDE snapshot times {off} off its grid")
     if min(cfg["pde"]["shape"]) < pde.MIN_AXIS_POINTS:
         raise ConfigError(f"pde.shape needs at least {pde.MIN_AXIS_POINTS} points per axis")
     if cfg["schedules"]["grid"] < schedules.MIN_GRID:
@@ -266,12 +272,18 @@ def _validated(model):
     return _run_memo(("validate", model), lambda: validate(model))
 
 
+def _geometry(name: str):
+    """geometry_report of the configured model `name`, once per open memo."""
+    return _run_memo(("geometry", name), lambda: geometry.geometry_report(_model(name)))
+
+
 def _constants_for(name: str):
     """Declared-constants route: normalized model plus its constants, once per open memo."""
 
     def build():
         model = _model(name)
-        return geometry.normalize_vertical(model), geometry.assemble_constants(model)
+        consts = geometry.report_constants(_geometry(name), model.dim_h)
+        return geometry.normalize_vertical(model), consts
 
     return _run_memo(("constants", name), build)
 
@@ -337,7 +349,7 @@ def _validation(cfg, seed, name):
 
 def _constants(cfg, seed, name):
     model = _model(name)
-    rep = geometry.geometry_report(model)
+    rep = _geometry(name)
     _, consts = _constants_for(name)
     dec = model.declared_constants
     dev = max(
@@ -929,6 +941,12 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
     seed = cfg["seed"]
     results: list[CheckResult] = []
     timings: dict[str, float] = {}
+    out = cfg["output"]
+    # an output directory that cannot be made stops the run before any check
+    if out.get("json"):
+        Path(out["json"]).parent.mkdir(parents=True, exist_ok=True)
+    if out.get("csv_dir"):
+        Path(out["csv_dir"]).mkdir(parents=True, exist_ok=True)
     with _memo_scope():
         for cid in requested:
             t0 = time.perf_counter()
@@ -949,12 +967,10 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
         "results": [r.to_json() for r in results],
     }
 
-    out = cfg["output"]
     if out.get("json"):
         Path(out["json"]).write_text(json.dumps(report, sort_keys=True, indent=1))
     if out.get("csv_dir"):
         csv_dir = Path(out["csv_dir"])
-        csv_dir.mkdir(parents=True, exist_ok=True)
         lines = [",".join(CSV_COLUMNS)]
         for r in results:
             row = r.to_json()

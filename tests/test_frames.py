@@ -430,3 +430,31 @@ def test_frame_ops_equal_the_sum_over_every_component(name):
         for i in range(m.dim):
             for order in (1, 2, 3, 4):
                 assert same_bits(calc._op(i, order), reference_sum_op(calc, i, order))
+
+
+@pytest.mark.parametrize("name", MODELS)
+def test_laplacians_of_derivative_lists_equal_the_direct_sums(name, monkeypatch):
+    """L f and the full Laplacian, from the first derivatives their caller
+    holds, equal sum_i E_i E_i f - kappa . E f formed directly.  kappa is zero
+    on every shipped model, so made-up horizontal kappa_h and full kappa_full
+    stand in; kappa_h never has vertical entries, as adapted_gamma never sets
+    gamma[V, H, H]."""
+    m = get_model(name)
+    h = m.dim_h
+    assert not algebra.adapted_gamma(m.onframe.c, h)[h:, :h, :h].any()
+    rng = np.random.default_rng(113)
+    kappa_h = np.zeros(m.dim)
+    kappa_h[:h] = rng.uniform(-1.0, 1.0, h)
+    kappa_full = rng.uniform(-1.0, 1.0, m.dim)
+    monkeypatch.setitem(m.onframe.__dict__, "kappa_h", kappa_h)
+    monkeypatch.setitem(m.onframe.__dict__, "kappa_full", kappa_full)
+    x = rng.uniform(-0.3, 0.3, m.dim)
+    calc = frames.FrameCalc(m, x, 4)
+    j = Polynomial.random(m.dim, 4, rng).lift(x, 4)
+    grads = calc.horizontal(j) + calc.vertical(j)
+    lf = calc.sublaplacian(grads[:h])
+    for got, fields, kappa in ((lf, range(h), kappa_h),
+                               (calc.full_laplacian(lf, grads), range(m.dim), kappa_full)):
+        want = sum(calc.apply(i, calc.apply(i, j)) for i in fields)
+        want = (want - sum(kappa[k] * grads[k] for k in range(m.dim))).coeffs
+        assert np.allclose(got.coeffs, want, rtol=0.0, atol=1e-12 * (1.0 + np.abs(want).max()))

@@ -109,6 +109,29 @@ PDE_CHECKS = ["li-yau", "harnack", "kernel-decay", "poincare-decay"]
 PDE_GRID = {"bounds": [5.5, 5.5, 3.3], "shape": [37, 37, 31], "dt": 0.01}
 
 
+def test_cli_suite_run_errors_exit_2(tmp_path, monkeypatch):
+    # a grid too small to hold the heat flow, and a report path that cannot be
+    # made, are bad input, not violations: one error line and exit 2
+    config = tmp_path / "truncating.json"
+    config.write_text(json.dumps({"checks": ["li-yau"], "pde": {"shape": [5, 5, 5]}}))
+    blocker = tmp_path / "file"
+    blocker.write_text("")
+    for args in (["--config", str(config)],
+                 ["--checks", "validate-models", "--json", str(blocker / "r.json")]):
+        proc = _run(["-m", "srlab.cli", "suite", "run", *args], ["src"])
+        assert proc.returncode == 2, proc.stderr
+        assert len(proc.stderr.splitlines()) == 1, proc.stderr
+        assert proc.stderr.startswith("error: "), proc.stderr
+    # the report's directory is made, as the CSV directory is
+    out = tmp_path / "new" / "dir" / "r.json"
+    assert cli_main(["suite", "run", "--checks", "validate-models", "--json", str(out)]) == 0
+    assert json.loads(out.read_text())["summary"]["fail"] == 0
+    # an unwritable path stops the run before the first check
+    monkeypatch.setitem(su.CHECKS, "validate-models", lambda cfg, seed: pytest.fail("ran"))
+    with pytest.raises(OSError):
+        su.run_suite({"checks": ["validate-models"], "output": {"json": str(blocker / "r.json")}})
+
+
 def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     solves = 0
     cg = pde.cg
@@ -344,6 +367,8 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         {"checks": ["cd-sharpness", "cd-sharpness"]},
         # the engines' own minima
         {"pde": {"shape": [3, 3, 3]}},
+        # a snapshot time off the time grid
+        {"checks": ["kernel-decay"], "pde": {"dt": 0.3}},
         {"schedules": {"grid": 2}},
         {"schedules": {"grid": 5}},
         # constants now, not keys: double-gamma reads l = c = 1, the
@@ -508,9 +533,10 @@ def test_su2_pair_jet_margins_at_roundoff():
 
 def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
     # selectors and measures share one model object, one validation
-    # report and one constant set per configured name, so a Heisenberg
-    # group registered as h3 (whose own name is still "heisenberg") keeps
-    # its own entry
+    # report and one geometry report and constant set per configured name
+    # (the constants rows read the report the constants are made of), so a
+    # Heisenberg group registered as h3 (whose own name is still
+    # "heisenberg") keeps its own entry
     monkeypatch.setitem(models.MODEL_BUILDERS, "h3", models.build_heisenberg)
     calls = []
     built = []
@@ -519,7 +545,7 @@ def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
         return lambda model: calls.append((fn.__name__, model.name)) or fn(model)
 
     monkeypatch.setattr(su, "validate", counted(su.validate))
-    monkeypatch.setattr(su.geometry, "assemble_constants", counted(su.geometry.assemble_constants))
+    monkeypatch.setattr(su.geometry, "geometry_report", counted(su.geometry.geometry_report))
     monkeypatch.setattr(su, "get_model", lambda name: built.append(name) or models.get_model(name))
     cfg = light_config(
         models=["heisenberg", "h3", "engel"],
@@ -529,8 +555,8 @@ def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
     assert code == 0
     assert {m for _, m in row_models(report)} == {"heisenberg", "h3", "engel"}
     assert sorted(calls) == [
-        ("assemble_constants", "heisenberg"),
-        ("assemble_constants", "heisenberg"),
+        ("geometry_report", "heisenberg"),
+        ("geometry_report", "heisenberg"),
         ("validate", "engel"),
         ("validate", "heisenberg"),
         ("validate", "heisenberg"),
