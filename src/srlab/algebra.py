@@ -167,7 +167,7 @@ def ad_matrix(c: np.ndarray, u: np.ndarray) -> np.ndarray:
     return np.einsum("...i,mij->...mj", u, c)
 
 
-def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
+def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray, out=None, tmp=None) -> np.ndarray:
     """[u, w]^k = sum_ij c[k, i, j] u_i w_j on component-first arrays.
 
     u and w have shape (d, ...): component first, then batch axes,
@@ -176,14 +176,17 @@ def bracket(c: np.ndarray, u: np.ndarray, w: np.ndarray) -> np.ndarray:
     on the nilpotent models), each adding c u_i w_j into its output row
     in turn, so every term reads two contiguous rows.  Every batch entry
     is computed alone, so a slice of a batched call equals the
-    unbatched call exactly.
+    unbatched call exactly.  A walk passes `out`, zeroed first, and
+    `tmp`, of one component's shape, for each term.
     """
     u = np.asarray(u)
     w = np.asarray(w)
-    shape = (c.shape[0],) + np.broadcast_shapes(u.shape[1:], w.shape[1:])
-    out = np.zeros(shape, dtype=np.result_type(c, u, w))
+    if out is None:
+        shape = (c.shape[0],) + np.broadcast_shapes(u.shape[1:], w.shape[1:])
+        out = np.empty(shape, dtype=np.result_type(c, u, w))
+    out[...] = 0.0
     for k, i, j in zip(*np.nonzero(c)):
-        out[k] += c[k, i, j] * u[i] * w[j]
+        out[k] += np.multiply(np.multiply(c[k, i, j], u[i], out=tmp), w[j], out=tmp)
     return out
 
 
@@ -199,22 +202,33 @@ def check_step(step: int | None) -> None:
         raise ValueError(f"functions of ad_u support nilpotency step <= 3, got {step}")
 
 
-def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int) -> np.ndarray:
+def bch_compose(c: np.ndarray, u: np.ndarray, w: np.ndarray, step: int,
+                out=None, scratch=None) -> np.ndarray:
     """log(exp(u) exp(w)) for a nilpotent algebra of degree <= 3.
 
     u and w are component-first, shape (d, ...), with batch axes that
     broadcast as they stand (`LieModel.mul` aligns them from the
     right).  Uses the Baker-Campbell-Hausdorff series, which terminates
     exactly at the nilpotency degree.  Degrees above 3 are rejected
-    since the truncation would silently bias group products.
+    since the truncation would silently bias group products.  A walk
+    passes `out`, not overlapping u or w, and `scratch`, three arrays
+    of out's shape; the rounding is the same without them.
     """
     check_step(step)
-    z = u + w
+    uw, b1, b2 = (None,) * 3 if scratch is None else scratch
+    tmp = None if out is None else out[0, ...]  # free until z is written
     if step >= 2:
-        uw = bracket(c, u, w)
-        z = z + 0.5 * uw
+        uw = bracket(c, u, w, uw, tmp)
         if step >= 3:
-            z = z + (bracket(c, u, uw) - bracket(c, w, uw)) / 12.0
+            b1 = bracket(c, u, uw, b1, tmp)
+            b1 -= bracket(c, w, uw, b2, tmp)
+            b1 /= 12.0
+        uw *= 0.5
+    z = np.add(u, w, out=out)
+    if step >= 2:
+        z += uw
+        if step >= 3:
+            z += b1
     return z
 
 

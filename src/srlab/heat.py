@@ -13,7 +13,11 @@ su2-pair, converted to coordinates by one log per path at the end of
 the walk.  Each increment is lifted from its horizontal part alone
 (`LieModel.lift_horizontal`); on su2-pair, whose declared factors give
 H_i = (X_i, 2 X_i), that is the pair (q, q^2) of one quaternion
-exponential.
+exponential.  A chunk's walk allocates its buffers once: each step draws
+its normals into one array, lifts the increment into another, and
+multiplies into the second of two state buffers, which swap roles.
+`LieModel.mul` runs the same kernels on fresh arrays, operation for
+operation, so the estimates do not depend on the buffers.
 
 One path engine, `mc_semigroup_many`, makes every estimate over the
 paths from x alone: plain integrands are averaged at the endpoints,
@@ -129,8 +133,8 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
 
     starts has shape (S, d); returns (S, size, d).  The walk multiplies
     native group elements (`LieModel.lift`/`mul`) by the lifted
-    horizontal increments and converts back to coordinates once, at
-    the end.
+    horizontal increments, in buffers allocated once per call, and
+    converts back to coordinates once, at the end.
     """
     n = model.dim_h
     d = model.dim
@@ -138,10 +142,13 @@ def _evolve(model: LieModel, starts: np.ndarray, t: float, steps: int, size: int
         return np.broadcast_to(starts[:, None, :], (starts.shape[0], size, d)).copy()
     h = t / steps
     sqh = np.sqrt(h)
-    g = model.lift(starts[:, None, :])
+    g = np.repeat(model.lift(starts[:, None, :]), size, axis=-1)
+    spare, scratch = np.empty_like(g), np.empty((3,) + g.shape)  # g and spare swap roles
+    xi, v, inc = np.empty((size, n)), np.empty((n, size)), None
     for _ in range(steps):
-        xi = rng.standard_normal((size, n))
-        g = model.mul(g, model.lift_horizontal(sqh * xi.T))
+        rng.standard_normal(out=xi)
+        inc = model.lift_horizontal(np.multiply(sqh, xi.T, out=v), out=inc)
+        g, spare = model.mul(g, inc, out=spare, scratch=scratch), g
     return model.coords(g)
 
 

@@ -337,6 +337,9 @@ class Polynomial:
         return lift_polynomials(self.coefficients, self.degree, x, order)
 
 
+MONOMIAL_BLOCK = 4096  # points per block of `_monomials`
+
+
 def _powers(points: np.ndarray, degree: int) -> np.ndarray:
     """points ** k for k = 0..degree, shape points.shape + (degree + 1,).
 
@@ -355,17 +358,24 @@ def _monomials(points: np.ndarray, dim: int, degree: int) -> np.ndarray:
     """The graded monomials up to degree at points, shape (..., terms).
 
     A single point gives shape (1, terms).  Each coordinate's powers are
-    computed once, by `_powers`.
+    computed once, by `_powers`; each monomial is their running product
+    over the coordinates in order, as np.prod forms it, per block of
+    `MONOMIAL_BLOCK` points, so that no factor is gathered for all points.
     """
     points = np.asarray(points, dtype=float)
     if points.ndim == 1:
         points = points[None]
-    powers = _powers(points, degree)
     sp = get_space(dim, degree)
-    mono = np.prod(powers[..., np.arange(dim), sp.exponents[: sp.terms(degree)]], axis=-1)
-    # the gather leaves mono strided, and a strided matmul can round
-    # differently from the contiguous one
-    return np.ascontiguousarray(mono)
+    e = sp.exponents[: sp.terms(degree)]
+    flat = points.reshape(-1, dim)
+    mono = np.empty((len(flat), len(e)))
+    for lo in range(0, len(flat), MONOMIAL_BLOCK):
+        powers = _powers(flat[lo: lo + MONOMIAL_BLOCK], degree)
+        block = mono[lo: lo + MONOMIAL_BLOCK]
+        block[:] = powers[:, 0, e[:, 0]]
+        for a in range(1, dim):
+            block *= powers[:, a, e[:, a]]
+    return mono.reshape(points.shape[:-1] + (len(e),))
 
 
 class GaussianBump:

@@ -173,6 +173,12 @@ class LieModel:
         return (np.linalg.inv(b) @ self.onframe.T.T).reshape(self.su2_factors.shape)
 
     @cached_property
+    def _square_factor(self) -> np.ndarray | None:
+        """h where the horizontal blocks of `factor_map` are (h, 2 h), as on su2-pair."""
+        h = None if self.su2_factors is None else self.factor_map[..., : self.dim_h]
+        return h[0] if h is not None and len(h) == 2 and np.array_equal(h[1], 2.0 * h[0]) else None
+
+    @cached_property
     def step(self) -> int:
         _, step = algebra.bracket_filtration(self.structure_constants, self.dim_h)
         return step
@@ -195,41 +201,45 @@ class LieModel:
             return _su2_lift(self, u)
         return np.ascontiguousarray(np.moveaxis(u, -1, 0))
 
-    def lift_horizontal(self, v: np.ndarray) -> np.ndarray:
+    def lift_horizontal(self, v: np.ndarray, out=None) -> np.ndarray:
         """exp(sum_i v_i F_i) over the horizontal frame, in native form.
 
         v is component-first, shape (dim_h, ...).  The result equals
         `lift` of v padded with zero vertical coordinates (to rounding
         on su2-pair, see `_su2_square_lift`), without forming the padded
-        vector where the factors allow.
+        vector where the factors allow.  A walk refills its previous
+        increment, passed as `out`, in place.
         """
         v = np.asarray(v, dtype=float)
-        h = None if self.su2_factors is None else self.factor_map[..., : self.dim_h]
-        if h is not None and len(h) == 2 and np.array_equal(h[1], 2.0 * h[0]):
-            return _su2_square_lift(h[0], v)
-        out = np.zeros((self.dim,) + v.shape[1:])
+        if self._square_factor is not None:
+            return _su2_square_lift(self._square_factor, v, out)
+        if out is None or self.su2_factors is not None:
+            out = np.zeros((self.dim,) + v.shape[1:])
         out[: self.dim_h] = v
-        return out if h is None else self.lift(np.moveaxis(out, 0, -1))
+        return out if self.su2_factors is None else self.lift(np.moveaxis(out, 0, -1))
 
-    def mul(self, g: np.ndarray, h: np.ndarray) -> np.ndarray:
+    def mul(self, g: np.ndarray, h: np.ndarray, out=None, scratch=None) -> np.ndarray:
         """Product g h of native group elements.
 
         Both are component-first; their batch axes are aligned from the
         right and broadcast, as coordinates broadcast in `compose`.
         Declared su(2) factors multiply as quaternions, nilpotent models
-        by BCH; any other model raises CompositionError.
+        by BCH; any other model raises CompositionError.  A walk writes
+        into `out`, not g or h, with `scratch`, three arrays of out's
+        shape; the arithmetic is that of a call without them.
         """
         batch = max(g.ndim, h.ndim) - 1
         g, h = (x.reshape(x.shape[:1] + (1,) * (batch + 1 - x.ndim) + x.shape[1:])
                 for x in (g, h))
         if self.su2_factors is not None:
-            prod = _quat_mul(_quats(g), _quats(h))
+            tmp = None if scratch is None else _quats(scratch[0])[:2]
+            prod = _quat_mul(_quats(g), _quats(h), None if out is None else _quats(out), tmp)
             return prod.reshape((-1,) + prod.shape[2:])
         if self.onframe.nil_step is None:
             raise CompositionError(
                 f"model {self.name!r} is neither nilpotent nor declared su(2) factors"
             )
-        return algebra.bch_compose(self.onframe.c, g, h, self.onframe.nil_step)
+        return algebra.bch_compose(self.onframe.c, g, h, self.onframe.nil_step, out, scratch)
 
     def coords(self, g: np.ndarray) -> np.ndarray:
         """Exponential coordinates, shape batch + (d,), of a native element (inverse of `lift`)."""
@@ -254,32 +264,58 @@ class LieModel:
 # (cos(|v|/2), sin(|v|/2) vhat).
 
 
-def _quat_mul(p: np.ndarray, q: np.ndarray) -> np.ndarray:
-    """Quaternion product on component-first arrays, shape (4, ...)."""
-    p0, p1, p2, p3 = p
-    q0, q1, q2, q3 = q
-    out = np.empty(np.broadcast_shapes(p.shape, q.shape))
-    out[0] = p0 * q0 - (p1 * q1 + p2 * q2 + p3 * q3)
-    out[1] = p0 * q1 + q0 * p1 + (p2 * q3 - p3 * q2)
-    out[2] = p0 * q2 + q0 * p2 + (p3 * q1 - p1 * q3)
-    out[3] = p0 * q3 + q0 * p3 + (p1 * q2 - p2 * q1)
+def _rows(x: np.ndarray) -> list:
+    """Views (1, ...) of x's rows, which a ufunc can write even where x is 1-D."""
+    return [x[i: i + 1] for i in range(len(x))]
+
+
+def _quat_mul(p: np.ndarray, q: np.ndarray, out=None, tmp=None) -> np.ndarray:
+    """Quaternion product on component-first arrays, shape (4, ...).
+
+    A walk passes `out`, not overlapping p or q, and `tmp`, two arrays of
+    one component's shape; the rounding is the same without them.
+    """
+    if out is None:
+        out = np.empty(np.broadcast_shapes(p.shape, q.shape))
+    a, b = _rows(np.empty((2,) + out.shape[1:]) if tmp is None else tmp)
+    p, q, o = _rows(p), _rows(q), _rows(out)
+    mul = np.multiply
+    np.subtract(mul(p[0], q[0], out=o[0]), _dot3(p[1:], q[1:], a, b), out=o[0])
+    for i, j, k in ((1, 2, 3), (2, 3, 1), (3, 1, 2)):
+        np.subtract(mul(p[j], q[k], out=a), mul(p[k], q[j], out=b), out=a)
+        mul(p[0], q[i], out=o[i])
+        o[i] += mul(q[0], p[i], out=b)
+        o[i] += a
     return out
 
 
-def _norm3(v: np.ndarray) -> np.ndarray:
+def _dot3(u, v, out=None, tmp=None) -> np.ndarray:
     # summed left to right, as np.linalg.norm sums a last axis of length 3
-    return np.sqrt(v[0] * v[0] + v[1] * v[1] + v[2] * v[2])
+    out = np.multiply(u[0], v[0], out=out)
+    out += np.multiply(u[1], v[1], out=tmp)
+    out += np.multiply(u[2], v[2], out=tmp)
+    return out
 
 
-def _quat_exp(v: np.ndarray) -> np.ndarray:
-    """exp of the algebra element with X-basis coefficients v, shape (3, ...)."""
-    theta = _norm3(v)
-    half = 0.5 * theta
+def _quat_exp(v: np.ndarray, out=None) -> np.ndarray:
+    """exp of the algebra element with X-basis coefficients v, shape (3, ...).
+
+    `out`'s rows hold the half angle, sinc and angle until overwritten.
+    """
+    if out is None:
+        out = np.empty((4,) + v.shape[1:])
+    o = _rows(out)
+    half, sinc, theta = o[:3]
+    np.sqrt(_dot3(v, v, theta, sinc), out=theta)
     small = theta < 1e-12
-    sinc = np.where(small, 0.5, np.sin(half) / np.where(small, 1.0, theta))
-    out = np.empty((4,) + theta.shape)
-    out[0] = np.cos(half)
-    out[1:] = sinc * v
+    np.multiply(0.5, theta, out=half)
+    np.sin(half, out=sinc)
+    np.copyto(theta, 1.0, where=small)
+    sinc /= theta
+    np.copyto(sinc, 0.5, where=small)
+    np.cos(half, out=o[0])
+    for i in (3, 2, 1):
+        np.multiply(sinc, v[i - 1], out=o[i])
     return out
 
 
@@ -291,7 +327,7 @@ def _quat_log(q: np.ndarray) -> np.ndarray:
     """
     w = q[0]
     v = q[1:]
-    vn = _norm3(v)
+    vn = np.sqrt(_dot3(v, v))
     theta = 2.0 * np.arctan2(vn, w)
     small = (vn < 1e-12) & (w > 0)
     cut = (vn == 0) & (w < 0)
@@ -317,20 +353,22 @@ def _su2_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
     return _quat_exp(x).reshape((-1,) + x.shape[2:])
 
 
-def _su2_square_lift(h: np.ndarray, v: np.ndarray) -> np.ndarray:
+def _su2_square_lift(h: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     """The pair (q, q^2), q = exp((h v) . X), for horizontal v of shape (n, ...).
 
     On su2-pair, H_i = (X_i, 2 X_i): the second factor's horizontal block
     of `LieModel.factor_map` is twice the first's, h, so its factor is
     exp(2 (h v) . X) = q^2, that is (q0^2 - |q_vec|^2, 2 q0 q_vec), one
-    sine and cosine per path.
+    sine and cosine per path.  `out`, shape (8, ...), receives the pair.
     """
-    q = _quat_exp(np.tensordot(h, v, axes=(1, 0)))
-    out = np.empty((4, 2) + q.shape[1:])
-    out[:, 0] = q
-    out[0, 1] = q[0] * q[0] - (q[1] * q[1] + q[2] * q[2] + q[3] * q[3])
-    out[1:, 1] = 2.0 * q[0] * q[1:]
-    return out.reshape((8,) + q.shape[1:])
+    pair = np.empty((4, 2) + v.shape[1:]) if out is None else out.reshape((4, 2) + v.shape[1:])
+    _quat_exp(np.tensordot(h, v, axes=(1, 0)), pair[:, 0])
+    q, sq = _rows(pair[:, 0]), _rows(pair[:, 1])
+    np.subtract(np.multiply(q[0], q[0], out=sq[0]), _dot3(q[1:], q[1:], sq[1], sq[2]), out=sq[0])
+    np.multiply(2.0, q[0], out=sq[1])
+    for i in (3, 2, 1):
+        np.multiply(sq[1], q[i], out=sq[i])
+    return pair.reshape((8,) + v.shape[1:])
 
 
 def _su2_coords(model: LieModel, g: np.ndarray) -> np.ndarray:

@@ -266,6 +266,29 @@ def test_native_walk_matches_compose_loop(name):
         assert np.allclose(got, ref, rtol=0.0, atol=1e-12)
 
 
+def _allocating_walk(m, starts, t, steps, size, rng):
+    """The walk with fresh arrays at every step: `lift_horizontal`, then `mul`."""
+    g = m.lift(starts[:, None, :])
+    sqh = np.sqrt(t / steps)
+    for _ in range(steps):
+        xi = rng.standard_normal((size, m.dim_h))
+        g = m.mul(g, m.lift_horizontal(sqh * xi.T))
+    return m.coords(g)
+
+
+@pytest.mark.parametrize("n_starts", [1, 3])
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
+def test_buffered_walk_equals_the_allocating_walk(name, n_starts):
+    # the walk's reused buffers change where each step's numbers are
+    # stored, not how they round, nor how many normals a walk draws
+    m = get_model(name)
+    starts = np.random.default_rng(35).uniform(-0.5, 0.5, (n_starts, m.dim))
+    rng, ref_rng = heat._stream(9, 0), heat._stream(9, 0)
+    got = heat._evolve(m, starts, 0.7, 25, 500, rng)
+    assert np.array_equal(got, _allocating_walk(m, starts, 0.7, 25, 500, ref_rng))
+    assert np.array_equal(rng.standard_normal(4), ref_rng.standard_normal(4))
+
+
 @pytest.mark.parametrize("name", ["heisenberg", "engel", "su2-pair"])
 def test_walk_without_time_or_steps_keeps_the_starts(name):
     m = get_model(name)

@@ -1,5 +1,6 @@
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -186,6 +187,24 @@ def test_polynomial_eval_matches_direct_formula(dim, degree):
         out = f.eval(pts)
         assert out.shape == shape[:-1]
         assert np.array_equal(out, direct_eval(f, pts))
+
+
+def test_polynomial_eval_memory_stays_near_its_monomial_table():
+    # the running product gathers one factor for one block of points at a
+    # time, never a (points, terms, dim) array; 16000 points span several
+    # blocks, each with the bits of the direct formula
+    rng = np.random.default_rng(47)
+    f = Polynomial.random(6, 2, rng)
+    pts = rng.uniform(-1.0, 1.0, (16000, 6))
+    table = pts.shape[0] * get_space(6, 2).terms(2) * 8
+    tracemalloc.start()
+    try:
+        out = f.eval(pts)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * table
+    assert np.array_equal(out, direct_eval(f, pts))
 
 
 @pytest.mark.parametrize("dim,degree", [(3, 0), (3, 2), (3, 3), (6, 0), (6, 2), (6, 3)])
