@@ -1,7 +1,8 @@
 """Pointwise carre-du-champ calculus for the sub-Laplacian.
 
-For the operator L = sum_i A_i^2 (plus its frame correction when the
-horizontal frame is not divergence-free) the forms evaluated here are
+For the operator L = sum_i A_i^2 (the chart rejects a horizontal frame
+with divergence, where L would have a first-order part) the forms
+evaluated here are
 
     Gamma^h(f, g)   = sum_i (A_i f)(A_i g)
     Gamma^v(f, g)   = sum_s (V_s f)(V_s g)

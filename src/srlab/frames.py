@@ -13,8 +13,12 @@ dense matrices per differentiation order by a `FrameCalc` that is
 built per point and not cached.  The point-free index tables it reads
 (product pairs, derivative maps) live on the `JetSpace` of the
 dimension; per point it builds only the chart and the operators it is
-asked for.  The Laplacians take the first derivatives their caller
-already holds, so no frame derivative of a jet is formed twice.
+asked for.  The Laplacians are sums of squares, L = sum_i E_i E_i over
+the horizontal frame and the full Laplacian over every frame field, as
+the MC walk simulates; the chart raises on a horizontal frame with
+divergence, where L would have a first-order part.  They take the first
+derivatives their caller already holds, so no frame derivative of a jet
+is formed twice.
 """
 
 from __future__ import annotations
@@ -23,7 +27,7 @@ import numpy as np
 
 from . import algebra
 from .jets import Jet, coordinate_jet, get_space
-from .models import LieModel
+from .models import STRUCT_TOL, LieModel
 
 
 def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
@@ -50,7 +54,15 @@ def chart_field_jets(model: LieModel, x: np.ndarray, order: int) -> Jet:
     frame = model.onframe
     algebra.check_step(frame.nil_step)
     c = frame.c
-    d = model.dim
+    d, h = model.dim, model.dim_h
+    # the sub-Laplacian is sum_i E_i E_i - kappa . E with kappa_k =
+    # sum_i c[i, k, i] over horizontal i; the Laplacians here drop kappa
+    kappa = np.trace(c[:h, :h, :h], axis1=0, axis2=2)
+    if np.max(np.abs(kappa), initial=0.0) > STRUCT_TOL * max(1.0, np.max(np.abs(c))):
+        raise ValueError(
+            f"the horizontal frame of {model.name!r} is not divergence-free: "
+            f"sum_i c[i, k, i] = {kappa.tolist()}, so L is not sum_i E_i^2"
+        )
     sp = get_space(d, order)
     n = sp.terms(order)
     # ad[m, l] = sum_i c[m, i, l] u_i.  Every sum here runs as a loop in
@@ -138,26 +150,23 @@ class FrameCalc:
     def vertical(self, jet: Jet) -> list[Jet]:
         return [self.apply(s, jet) for s in range(self.model.dim_h, self.model.dim)]
 
-    def _laplacian(self, out: Jet | None, grads: list[Jet], start: int, kappa) -> Jet:
-        """out plus sum_i E_i (grads[i]) over i >= start, minus kappa . grads."""
+    def _laplacian(self, out: Jet | None, grads: list[Jet], start: int) -> Jet:
+        """out plus sum_i E_i (grads[i]) over i >= start."""
         for i in range(start, len(grads)):
             term = self.apply(i, grads[i])
             out = term if out is None else out + term
-        for k, g in enumerate(grads):
-            if kappa[k] != 0.0:
-                out = out - kappa[k] * g
         return out
 
     def sublaplacian(self, grads: list[Jet]) -> Jet:
-        """L f from grads = `horizontal(f)`; kappa_h has no vertical entries."""
-        return self._laplacian(None, grads, 0, self.model.onframe.kappa_h)
+        """L f = sum_i E_i E_i f from grads = `horizontal(f)`."""
+        return self._laplacian(None, grads, 0)
 
     def full_laplacian(self, lf: Jet, grads: list[Jet]) -> Jet:
         """The full Laplacian of f from lf = L f and grads = `horizontal(f) +
-        vertical(f)`: L f plus the vertical squares and the rest of the trace
-        correction, so that the horizontal squares are formed once."""
-        frame = self.model.onframe
-        return self._laplacian(lf, grads, self.model.dim_h, frame.kappa_full - frame.kappa_h)
+        vertical(f)`: L f plus the vertical squares, so that the horizontal
+        squares are formed once.  Every algebra the chart accepts is
+        unimodular, so the full Laplacian has no first-order part."""
+        return self._laplacian(lf, grads, self.model.dim_h)
 
 
 def get_calc(model: LieModel, x: np.ndarray, order: int) -> FrameCalc:

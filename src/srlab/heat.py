@@ -22,8 +22,11 @@ operation, so the estimates do not depend on the buffers.
 One path engine, `mc_semigroup_many`, makes every estimate over the
 paths from x alone: plain integrands are averaged at the endpoints,
 and a `Gradient` entry averages the pathwise frame derivative there
-(see `Gradient`).  The estimates of one pass share their paths, so the
-two sides of an inequality share their noise.
+(see `Gradient`).  Each chunk evaluates each distinct function once at
+the path ends, its values and, when an entry reads them, its frame
+gradients; `Squared(f)` and `FrameGamma(f, ...)` are markers read from
+that table, as `Gradient(f)` is.  The estimates of one pass share their
+paths, so the two sides of an inequality share their noise.
 
 Streams are counter-based (Philox keyed by seed and chunk index), so
 estimates are bit-reproducible for fixed settings regardless of how
@@ -90,30 +93,61 @@ class Gradient:
     which: str = "h"
 
 
+@dataclass(frozen=True)
 class Squared:
-    """f^2 as an integrand.
+    """Integrand entry f^2: the square of f's values at the path ends."""
 
-    In a pass whose plain integrands list f before Squared(f), the pass
-    squares f's values instead of evaluating f again.
+    f: object
+
+
+@dataclass(frozen=True)
+class FrameGamma:
+    """Integrand entry (Gamma^which f)^power at the path ends.
+
+    which is "v" or "hv": the squared vertical frame gradient of f, or
+    Gamma^h f + Gamma^v f, each summed over its own block and then added.
+    power is 1 or 0.5; numpy computes x ** 0.5 as np.sqrt(x).  The entry
+    reads the frame gradients of f that a `Gradient` entry of f in the
+    same pass reads.
     """
 
-    def __init__(self, f):
-        self.f = f
+    f: object
+    which: str
+    power: float = 1.0
 
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        return np.asarray(self.f.eval(points)) ** 2
+    def __post_init__(self):
+        if self.which not in ("v", "hv"):
+            raise ValueError(f"unknown frame-gamma selector {self.which!r}")
 
 
-def _plain_values(plain: list, points: np.ndarray) -> np.ndarray:
-    """Each plain integrand at points, stacked; Squared(f) reuses f's row."""
-    rows, seen = [], {}
-    for f in plain:
-        if isinstance(f, Squared) and id(f.f) in seen:
-            rows.append(seen[id(f.f)] ** 2)
-            continue
-        rows.append(np.asarray(f.eval(points), dtype=float))
-        seen[id(f)] = rows[-1]
-    return np.stack(rows)
+class _Ends:
+    """The path ends of one chunk, with each function's values and frame
+    gradients there, formed once per function on first read."""
+
+    def __init__(self, model: LieModel, points: np.ndarray):
+        self.model = model
+        self.points = points
+        self.values, self.grads = {}, {}  # keyed by id(f)
+
+    def value(self, f) -> np.ndarray:
+        if id(f) not in self.values:
+            self.values[id(f)] = np.asarray(f.eval(self.points), dtype=float)
+        return self.values[id(f)]
+
+    def gradient(self, f) -> np.ndarray:
+        if id(f) not in self.grads:
+            self.grads[id(f)] = frames.frame_gradients(self.model, f, self.points)
+        return self.grads[id(f)]
+
+    def read(self, entry) -> np.ndarray:
+        """A plain entry's values at the path ends."""
+        if isinstance(entry, Squared):
+            return self.value(entry.f) ** 2
+        if isinstance(entry, FrameGamma):
+            g = self.gradient(entry.f)  # one block sum per letter of which, added in order
+            gamma = sum(frames.gamma_of_gradients(self.model, g, w) for w in entry.which)
+            return gamma**entry.power
+        return self.value(entry)
 
 
 def _chunks(paths: int) -> list[int]:
@@ -186,16 +220,16 @@ def mc_semigroup_many(
     sums = [[0.0, 0.0, 0.0] for _ in groups]
     for idx, size in enumerate(_chunks(paths)):
         ends = _evolve(model, x[None], t, steps, size, _stream(seed, idx))[0]
+        table = _Ends(model, ends)
         pathwise = {}  # per Gradient f: its derivative along each frame direction, per path
         if grads:
             ad_inv = algebra.adjoint_inverse(model.onframe, model.compose(model.inverse(x), ends))
         for acc, g, sel in zip(sums, groups, dirs + [None]):
             if g is plain:
-                vals = _plain_values(plain, ends)
+                vals = np.stack([table.read(f) for f in plain])
             else:
                 if id(g.f) not in pathwise:
-                    grad = frames.frame_gradients(model, g.f, ends)
-                    pathwise[id(g.f)] = np.einsum("pki,pk->ip", ad_inv, grad)
+                    pathwise[id(g.f)] = np.einsum("pki,pk->ip", ad_inv, table.gradient(g.f))
                 vals = pathwise[id(g.f)][sel]
             acc[0] = acc[0] + vals.sum(axis=1)
             acc[1] = acc[1] + (vals**2).sum(axis=1)
@@ -298,27 +332,3 @@ def mc_gamma_mixed(
     grads = [Gradient(f, "h"), Gradient(f, "v")]
     gh, gv = mc_semigroup_many(model, grads, x, t, paths, steps, seed)
     return gamma_mixed(gh, gv, l)
-
-
-class FrameGammaIntegrand:
-    """Pathwise evaluator of Gamma^which(f), usable as an MC integrand."""
-
-    def __init__(self, model: LieModel, f, which: str = "h", l: float = 1.0,
-                 transform=None):
-        self.model = model
-        self.f = f
-        self.which = which
-        self.l = l
-        self.transform = transform
-
-    def eval(self, points: np.ndarray) -> np.ndarray:
-        if self.which == "mixed":
-            g = frames.frame_gradients(self.model, self.f, points)
-            v = frames.gamma_of_gradients(self.model, g, "h") + (
-                self.l * frames.gamma_of_gradients(self.model, g, "v")
-            )
-        else:
-            v = frames.gamma_numeric(self.model, self.f, points, self.which)
-        if self.transform is not None:
-            v = self.transform(v)
-        return v

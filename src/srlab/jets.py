@@ -191,15 +191,6 @@ class Jet:
 
     __radd__ = __add__
 
-    def __neg__(self) -> "Jet":
-        return Jet(self.base_point, self.order, -self.coeffs)
-
-    def __sub__(self, other) -> "Jet":
-        return self + (-self._coerce(other))
-
-    def __rsub__(self, other) -> "Jet":
-        return self._coerce(other) - self
-
     def __mul__(self, other) -> "Jet":
         if not isinstance(other, Jet):
             return Jet(self.base_point, self.order, self.coeffs * np.asarray(other)[..., None])
@@ -208,9 +199,6 @@ class Jet:
         na = self.space.terms(m)
         coeffs = sp.multiply(self.coeffs[..., :na], other.coeffs[..., :na], m)
         return Jet(self.base_point, m, coeffs)
-
-    def __rmul__(self, other) -> "Jet":
-        return self.__mul__(other)
 
     def log(self) -> "Jet":
         """log of a jet with strictly positive value."""

@@ -51,19 +51,6 @@ class OrthonormalFrame:
     Tinv: np.ndarray
     nil_step: int | None   # nilpotency degree, None if not nilpotent
     factors: np.ndarray | None  # T^-T B: column 3k + a is X^k_a, None if undeclared
-    dim_h: int
-
-    @cached_property
-    def kappa_h(self) -> np.ndarray:
-        """Trace correction of the sub-Laplacian: sum_i gamma[k, i, i] over
-        horizontal i, for the adapted connection gamma."""
-        gam = algebra.adapted_gamma(self.c, self.dim_h)
-        return np.einsum("kii->k", gam[:, : self.dim_h, : self.dim_h])
-
-    @cached_property
-    def kappa_full(self) -> np.ndarray:
-        """Trace correction of the full Laplacian, from the Levi-Civita connection."""
-        return np.einsum("kaa->k", algebra.levi_civita_gamma(self.c))
 
     @cached_property
     def ideals(self) -> tuple[np.ndarray, np.ndarray]:
@@ -159,7 +146,6 @@ class LieModel:
             Tinv=Tinv,
             nil_step=algebra.nilpotency_step(c_on),
             factors=None if self.su2_factors is None else Tinv.T @ self.su2_factors.reshape(d, d).T,
-            dim_h=self.dim_h,
         )
 
     @cached_property

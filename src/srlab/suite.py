@@ -543,7 +543,7 @@ def _gradient_cases(model, cfg, seed):
 def _gradient(label, integrands, sides):
     """A gradient row: one MC pass per seeded case, the margin rhs - lhs.
 
-    integrands(model, f) lists what a case's pass estimates, and
+    integrands(f) lists what a case's pass estimates, and
     sides(consts, t, *estimates) turns the estimates into (lhs, rhs,
     std_error).
     """
@@ -554,21 +554,15 @@ def _gradient(label, integrands, sides):
         _, consts = _constants_for(name)
         for k, (f, x, t) in enumerate(_gradient_cases(model, cfg, seed)):
             s = derive_seed(seed, f"{label}:{k}")
-            ests = heat.mc_semigroup_many(
-                model, integrands(model, f), x, t, g["paths"], g["steps"], s
-            )
+            ests = heat.mc_semigroup_many(model, integrands(f), x, t, g["paths"], g["steps"], s)
             lhs, rhs, err = sides(consts, t, *ests)
             yield rhs - lhs, 3.0 * err, {"std_error": err, "case": k, "t": t, "lhs": lhs, "rhs": rhs}
 
     return measure
 
 
-def _bound_a_integrands(model, f):
-    return [
-        heat.Gradient(f, "h"),
-        heat.Gradient(f, "v"),
-        heat.FrameGammaIntegrand(model, f, "mixed", 1.0),
-    ]
+def _bound_a_integrands(f):
+    return [heat.Gradient(f, "h"), heat.Gradient(f, "v"), heat.FrameGamma(f, "hv")]
 
 
 def _bound_a_sides(consts, t, gh, gv, rhs_est):
@@ -579,7 +573,7 @@ def _bound_a_sides(consts, t, gh, gv, rhs_est):
     return lhs, rhs, float(np.hypot(lhs_err, np.exp(-alpha * t) * rhs_est.std_error))
 
 
-def _bound_b_integrands(model, f):
+def _bound_b_integrands(f):
     return [heat.Gradient(f, "h"), f, heat.Squared(f)]
 
 
@@ -591,11 +585,8 @@ def _bound_b_sides(consts, t, gh, est_f, est_f2):
     return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
 
 
-def _vertical_integrands(model, f):
-    return [
-        heat.Gradient(f, "v"),
-        heat.FrameGammaIntegrand(model, f, "v", transform=np.sqrt),
-    ]
+def _vertical_integrands(f):
+    return [heat.Gradient(f, "v"), heat.FrameGamma(f, "v", 0.5)]
 
 
 def _vertical_sides(consts, t, gv, rhs_est):

@@ -16,7 +16,7 @@ from scipy.linalg import expm
 
 from srlab import algebra, calculus, frames, geometry
 from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space, lift_polynomials
-from srlab.models import get_model
+from srlab.models import MODEL_BUILDERS, LieModel, get_model, validate
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
 
@@ -433,28 +433,36 @@ def test_frame_ops_equal_the_sum_over_every_component(name):
 
 
 @pytest.mark.parametrize("name", MODELS)
-def test_laplacians_of_derivative_lists_equal_the_direct_sums(name, monkeypatch):
+def test_laplacians_of_derivative_lists_equal_the_direct_sums(name):
     """L f and the full Laplacian, from the first derivatives their caller
-    holds, equal sum_i E_i E_i f - kappa . E f formed directly.  kappa is zero
-    on every shipped model, so made-up horizontal kappa_h and full kappa_full
-    stand in; kappa_h never has vertical entries, as adapted_gamma never sets
-    gamma[V, H, H]."""
+    holds, equal sum_i E_i E_i f formed directly."""
     m = get_model(name)
     h = m.dim_h
-    assert not algebra.adapted_gamma(m.onframe.c, h)[h:, :h, :h].any()
     rng = np.random.default_rng(113)
-    kappa_h = np.zeros(m.dim)
-    kappa_h[:h] = rng.uniform(-1.0, 1.0, h)
-    kappa_full = rng.uniform(-1.0, 1.0, m.dim)
-    monkeypatch.setitem(m.onframe.__dict__, "kappa_h", kappa_h)
-    monkeypatch.setitem(m.onframe.__dict__, "kappa_full", kappa_full)
     x = rng.uniform(-0.3, 0.3, m.dim)
     calc = frames.FrameCalc(m, x, 4)
     j = Polynomial.random(m.dim, 4, rng).lift(x, 4)
     grads = calc.horizontal(j) + calc.vertical(j)
     lf = calc.sublaplacian(grads[:h])
-    for got, fields, kappa in ((lf, range(h), kappa_h),
-                               (calc.full_laplacian(lf, grads), range(m.dim), kappa_full)):
+    for got, fields in ((lf, range(h)), (calc.full_laplacian(lf, grads), range(m.dim))):
         want = sum(calc.apply(i, calc.apply(i, j)) for i in fields)
-        want = (want - sum(kappa[k] * grads[k] for k in range(m.dim))).coeffs
-        assert np.allclose(got.coeffs, want, rtol=0.0, atol=1e-12 * (1.0 + np.abs(want).max()))
+        assert np.array_equal(got.coeffs, want.coeffs)
+
+
+def test_chart_rejects_a_horizontal_frame_with_divergence():
+    # the Heisenberg algebra in the frame (X, Y | Z + X): [E1, E2] = E3 - E1
+    # and [E2, E3] = E1 - E3, so sum_i c[i, 1, i] = 1 over horizontal i and
+    # L = E1^2 + E2^2 - E2, which the MC walk does not simulate; the
+    # algebra is unimodular and the model validates
+    c = np.zeros((3, 3, 3))
+    for k, i, j, v in ((2, 0, 1, 1.0), (0, 0, 1, -1.0), (0, 1, 2, 1.0), (2, 1, 2, -1.0)):
+        c[k, i, j], c[k, j, i] = v, -v
+    tilted = LieModel("tilted", 2, 1, c, np.eye(3))
+    assert validate(tilted).passed
+    with pytest.raises(ValueError, match="not divergence-free"):
+        frames.FrameCalc(tilted, np.zeros(3), 2)
+    for name in MODEL_BUILDERS:
+        m = get_model(name)
+        # abelian has no curvature for normalize_vertical to scale
+        for model in (m,) if name == "abelian" else (m, geometry.normalize_vertical(m)):
+            frames.FrameCalc(model, np.full(model.dim, 0.1), 2)

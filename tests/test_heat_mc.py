@@ -12,6 +12,7 @@ import pytest
 
 import srlab.frames as frames
 import srlab.heat as heat
+import srlab.suite as su
 from srlab.jets import GaussianBump, Polynomial, get_space
 from srlab.models import get_model
 
@@ -107,15 +108,7 @@ def test_vertical_gradient_bound_sample(heis):
     t = 0.5
     gv = heat.mc_gradient(heis, f, x, t, "v", 20000, 50, seed=16)
     lhs = np.sqrt(max(gv.value, 0.0))
-    rhs = heat.mc_semigroup(
-        heis,
-        heat.FrameGammaIntegrand(heis, f, "v", transform=np.sqrt),
-        x,
-        t,
-        20000,
-        50,
-        seed=16,
-    )
+    rhs = heat.mc_semigroup(heis, heat.FrameGamma(f, "v", 0.5), x, t, 20000, 50, seed=16)
     err = np.hypot(gv.std_error / max(2 * lhs, 1e-6), rhs.std_error)
     assert rhs.value - lhs >= -3.0 * err
 
@@ -181,16 +174,40 @@ def test_mc_variance_is_delta_method_on_one_pass(heis):
     assert heat.mc_variance(heis, f, np.zeros(3), 0.5, 3000, 20, 17) == expected
 
 
-@pytest.mark.parametrize("name", ["heisenberg", "engel"])
-def test_mixed_frame_gamma_equals_its_two_parts(name):
-    # one frame-gradient evaluation serves both parts, with the same bits
+def gamma_numeric(m, f, pts, which):
+    """Squared horizontal or vertical frame gradient of f at pts."""
+    g = frames.frame_gradients(m, f, pts)
+    return np.sum((g[:, : m.dim_h] if which == "h" else g[:, m.dim_h :]) ** 2, axis=-1)
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "engel", "su2-pair"])
+def test_frame_gamma_equals_the_block_sums(name):
+    # Gamma^h + Gamma^v sums each block on its own; power 0.5 is np.sqrt
     m = get_model(name)
     rng = np.random.default_rng(33)
     f = Polynomial.random(m.dim, 3, rng)
     pts = rng.uniform(-0.5, 0.5, (400, m.dim))
-    got = heat.FrameGammaIntegrand(m, f, "mixed", 0.7).eval(pts)
-    expected = frames.gamma_numeric(m, f, pts, "h") + 0.7 * frames.gamma_numeric(m, f, pts, "v")
-    assert np.array_equal(got, expected)
+    ends = heat._Ends(m, pts)
+    got = ends.read(heat.FrameGamma(f, "hv"))
+    assert np.array_equal(got, gamma_numeric(m, f, pts, "h") + gamma_numeric(m, f, pts, "v"))
+    got = ends.read(heat.FrameGamma(f, "v", 0.5))
+    assert np.array_equal(got, np.sqrt(gamma_numeric(m, f, pts, "v")))
+
+
+@pytest.mark.parametrize("integrands", [su._bound_a_integrands, su._vertical_integrands])
+def test_every_entry_reads_one_frame_gradient_per_chunk(heis, integrands, monkeypatch):
+    calls = []
+    frame_gradients = frames.frame_gradients
+
+    def counted(model, f, pts):
+        calls.append(len(pts))
+        return frame_gradients(model, f, pts)
+
+    monkeypatch.setattr(frames, "frame_gradients", counted)
+    monkeypatch.setattr(heat, "CHUNK", 100)
+    f = Polynomial.random(3, 3, np.random.default_rng(35))
+    heat.mc_semigroup_many(heis, integrands(f), np.array([0.1, -0.2, 0.3]), 0.5, 250, 5, 17)
+    assert calls == [100, 100, 50]
 
 
 def test_squared_reuses_the_values_of_its_function(heis):
@@ -222,10 +239,10 @@ def test_squared_reuses_the_values_of_its_function(heis):
     g = Counted(f)
     heat.mc_semigroup_many(heis, [g, heat.Squared(g)], *args)
     assert calls == [3000]
-    # a Squared listed before its function evaluates the function itself
+    # in either order
     calls.clear()
     heat.mc_semigroup_many(heis, [heat.Squared(g), g], *args)
-    assert calls == [3000, 3000]
+    assert calls == [3000]
 
 
 def test_mc_variance_estimator(heis):
@@ -328,5 +345,8 @@ def test_invalid_settings(heis, monkeypatch):
     for which in ("bogus", "hv"):
         with pytest.raises(ValueError, match="unknown gradient selector"):
             heat.mc_semigroup_many(heis, [f, heat.Gradient(f, which)], np.zeros(3), 1.0, 10, 10, 0)
+    for which in ("h", "mixed"):
+        with pytest.raises(ValueError, match="unknown frame-gamma selector"):
+            heat.FrameGamma(f, which)
     with pytest.raises(ValueError, match="integrand list is empty"):
         heat.mc_semigroup_many(heis, [], np.zeros(3), 1.0, 10, 10, seed=0)

@@ -573,7 +573,7 @@ def test_validate_and_constants_run_once_per_configured_model(monkeypatch):
 
 
 def test_su2_pair_gradients_keep_scipy_linalg_out():
-    # the pathwise gradient and the frame-gamma integrand on a
+    # the pathwise gradient and the frame-gamma entry on a
     # non-nilpotent model read Ad and the frame from power series
     script = (
         "import sys\n"
@@ -585,7 +585,7 @@ def test_su2_pair_gradients_keep_scipy_linalg_out():
         "f = Polynomial.random(6, 3, np.random.default_rng(1))\n"
         "x = np.full(6, 0.2)\n"
         "heat.mc_gradient(m, f, x, 0.5, 'h', 200, 5, 3)\n"
-        "heat.mc_semigroup(m, heat.FrameGammaIntegrand(m, f, 'mixed'), x, 0.5, 200, 5, 3)\n"
+        "heat.mc_semigroup(m, heat.FrameGamma(f, 'hv'), x, 0.5, 200, 5, 3)\n"
         "print('scipy.linalg' in sys.modules)\n"
     )
     proc = _run(["-c", script], ["src"])
