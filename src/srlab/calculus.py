@@ -27,7 +27,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from . import geometry
+from . import geometry, jets
 from .frames import FrameCalc, get_calc
 from .jets import Jet, get_space, lift_polynomials
 from .models import LieModel
@@ -291,25 +291,70 @@ def random_points(model: LieModel, n: int, rng: np.random.Generator) -> np.ndarr
     return rng.uniform(-r, r, (n, model.dim))
 
 
-def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: int) -> list:
-    """One seeded coefficient batch shared by seeded points, as (point, coeffs) pairs."""
-    rng = np.random.default_rng(seed)
+SWEEP_BLOCK = 2048  # coefficient rows per block of a sweep's shared batch
+
+
+def _draws(model: LieModel, n_functions: int, n_points: int, degree: int, seed: int) -> tuple:
+    """Seeded points and one coefficient batch shared by them, as (points, blocks).
+
+    The seed's stream holds the batch, (n_functions, n_terms) uniforms,
+    then the points.  The points are drawn first, from a second generator
+    advanced past the batch (PCG64 advances exactly, and each uniform
+    double takes one 64-bit output); `blocks` then yields the batch from
+    the first generator in blocks of `SWEEP_BLOCK` rows, so every draw
+    is the one a single call would give.
+    """
     n_terms = get_space(model.dim, degree).terms(degree)
-    coeffs = rng.uniform(-1.0, 1.0, (n_functions, n_terms))
-    return [(x, coeffs) for x in random_points(model, n_points, rng)]
+    rng = np.random.default_rng(seed)
+    ahead = np.random.default_rng(seed)
+    ahead.bit_generator.advance(n_functions * n_terms)
+    points = random_points(model, n_points, ahead)
+
+    def blocks():
+        for lo in range(0, n_functions, SWEEP_BLOCK):
+            yield rng.uniform(-1.0, 1.0, (min(SWEEP_BLOCK, n_functions - lo), n_terms))
+
+    return points, blocks()
 
 
-def _sweep(draws, at_point) -> tuple:
-    """Every part of at_point(x, coeffs), stacked over (point, coeffs) draws."""
-    parts = [np.broadcast_arrays(*at_point(x, coeffs)) for x, coeffs in draws]
-    return tuple(np.stack(p) for p in zip(*parts))
+def _sweep(points, blocks, n_functions: int, at_point) -> tuple:
+    """Every part of at_point(x)(coeffs), shape (n_points, n_functions, ...).
+
+    Blocks are outer and points inner, so each block is drawn once and
+    read at every point.  A point's set-up at_point(x) is built at its
+    first block and dropped after its last, so a sweep of one block
+    holds one point's set-up at a time.
+    """
+    setups = [None] * len(points)
+    out = None
+    lo = 0
+    for coeffs in blocks:
+        hi = lo + len(coeffs)
+        for p, x in enumerate(points):
+            evaluate = setups[p] or at_point(x)
+            setups[p] = evaluate if hi < n_functions else None
+            parts = evaluate(coeffs)
+            if out is None:
+                shape = np.broadcast_shapes(*(np.shape(part) for part in parts))
+                out = tuple(np.empty((len(points), n_functions) + shape[1:]) for _ in parts)
+            for o, part in zip(out, parts):
+                o[p, lo:hi] = part
+        lo = hi
+    return out
 
 
 def _on_jets(model: LieModel, degree: int, measure):
-    """at_point for `_sweep`: measure(calc, jet) on the polynomials' jets at x."""
-    return lambda x, coeffs: measure(
-        get_calc(model, x, DEFAULT_ORDER), lift_polynomials(coeffs, degree, x, DEFAULT_ORDER)
-    )
+    """at_point for `_sweep`: measure(calc, jet) on the polynomials' jets at x,
+    with the frame operators and the shift matrix built once per point."""
+
+    def at_point(x):
+        calc = get_calc(model, x, DEFAULT_ORDER)
+        shift = jets.polynomial_shift_matrix(x, len(x), degree, DEFAULT_ORDER)
+        return lambda coeffs: measure(
+            calc, lift_polynomials(coeffs, degree, x, DEFAULT_ORDER, shift)
+        )
+
+    return at_point
 
 
 def cd_residual_sweep(
@@ -329,11 +374,16 @@ def cd_residual_sweep(
     """
     l_arr = np.asarray(list(l_grid), dtype=float)
 
-    def at_point(x, coeffs):
-        c = lift_polynomials(coeffs, 4, x, 2).coeffs[..., 1:]
-        return _cd(_form_values(cd_forms(model, x), c), l_arr, constants)
+    def at_point(x):
+        forms = cd_forms(model, x)
+        shift = jets.polynomial_shift_matrix(x, len(x), 4, 2)
+        return lambda coeffs: _cd(
+            _form_values(forms, lift_polynomials(coeffs, 4, x, 2, shift).coeffs[..., 1:]),
+            l_arr,
+            constants,
+        )
 
-    return _sweep(_draws(model, n_functions, n_points, 4, seed), at_point)
+    return _sweep(*_draws(model, n_functions, n_points, 4, seed), n_functions, at_point)
 
 
 def double_gamma_sweep(
@@ -342,27 +392,32 @@ def double_gamma_sweep(
     """Residuals of both gradient-of-gradient bounds over seeded cubics."""
     inputs = _double_gamma_inputs(model)
     draws = _draws(model, n_functions, n_points, 3, seed)
-    return _sweep(draws, _on_jets(model, 3, lambda calc, j: _double_gamma(calc, j, l, c, *inputs)))
+    measure = _on_jets(model, 3, lambda calc, j: _double_gamma(calc, j, l, c, *inputs))
+    return _sweep(*draws, n_functions, measure)
 
 
 def condb_sweep(model: LieModel, n_samples: int, seed: int):
     """Condition-B residuals on n_samples random (quartic, point) pairs.
 
-    Each point gets its own 50 quartics; returns (residuals, scales)
-    flattened over the sample grid, cut to n_samples.
+    Each point gets its own 50 quartics, drawn after all the points;
+    returns (residuals, scales) flattened over the sample grid, cut to
+    n_samples.
     """
     rng = np.random.default_rng(seed)
     n_points = max(1, -(-n_samples // 50))
     n_terms = get_space(model.dim, 4).terms(4)
-    points = random_points(model, n_points, rng)
-    draws = ((x, rng.uniform(-1.0, 1.0, (50, n_terms))) for x in points)
-    res, scales = _sweep(draws, _on_jets(model, 4, _condb))
-    return res.reshape(-1)[:n_samples], scales.reshape(-1)[:n_samples]
+    at_point = _on_jets(model, 4, _condb)
+    parts = [
+        _sweep([x], [rng.uniform(-1.0, 1.0, (50, n_terms))], 50, at_point)
+        for x in random_points(model, n_points, rng)
+    ]
+    return tuple(np.concatenate(p, axis=None)[:n_samples] for p in zip(*parts))
 
 
 def commutation_sweep(model: LieModel, n_functions: int, n_points: int, seed: int):
     """Commutation residuals |[L, Delta] f| over seeded quartics."""
-    return _sweep(_draws(model, n_functions, n_points, 4, seed), _on_jets(model, 4, _commutation))
+    draws = _draws(model, n_functions, n_points, 4, seed)
+    return _sweep(*draws, n_functions, _on_jets(model, 4, _commutation))
 
 
 def qform_oracle_residual(model: LieModel, f, x):

@@ -253,12 +253,17 @@ def polynomial_shift_matrix(
 
 
 def lift_polynomials(
-    coeffs: np.ndarray, degree: int, x: np.ndarray, order: int
+    coeffs: np.ndarray, degree: int, x: np.ndarray, order: int, shift: np.ndarray | None = None
 ) -> Jet:
-    """Lift a batch of dense polynomials (coeffs shape (..., n_terms))."""
+    """Lift a batch of dense polynomials (coeffs shape (..., n_terms)).
+
+    A caller that lifts many batches at x passes the
+    `polynomial_shift_matrix` of (x, degree, order) it holds as `shift`.
+    """
     x = np.asarray(x, dtype=float)
-    m = polynomial_shift_matrix(x, len(x), degree, order)
-    return Jet(x, order, np.asarray(coeffs, dtype=float) @ m.T)
+    if shift is None:
+        shift = polynomial_shift_matrix(x, len(x), degree, order)
+    return Jet(x, order, np.asarray(coeffs, dtype=float) @ shift.T)
 
 
 # ----------------------------------------------------------------------

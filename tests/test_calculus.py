@@ -6,11 +6,13 @@ A1 z = -y/2, A2 z = x/2, hence Gamma^h(z) = (x^2 + y^2)/4,
 Gamma^v(z) = 1, L z = 0 and Gamma2^h(z) = L((x^2+y^2)/4)/2 = 1/2.
 """
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 import srlab.calculus as calc
-from srlab import geometry
+from srlab import geometry, suite
 from srlab.frames import FrameCalc, get_calc
 from srlab.jets import Polynomial, ShiftedSquare, get_space, lift_polynomials
 from srlab.models import build_abelian, get_model, validate
@@ -343,3 +345,87 @@ def test_calculus_forms_each_frame_derivative_once(name, monkeypatch):
         assert len(set(pairs)) == len(pairs), key
         counts[key] = len(pairs)
     assert counts == APPLY_CALLS[name]
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3"])
+@pytest.mark.parametrize("n_functions", [6, 7, 17])
+def test_draws_stream_the_batch_then_the_points(name, n_functions, monkeypatch):
+    """The blocks of `_draws`, then its points, are the batch and the points
+    one generator draws in turn, byte for byte: the points come first from
+    a generator advanced past the batch, the blocks after them."""
+    monkeypatch.setattr(calc, "SWEEP_BLOCK", 7)
+    m = get_model(name)
+    for degree in (3, 4):
+        points, blocks = calc._draws(m, n_functions, 3, degree, seed=11)
+        blocks = list(blocks)
+        assert [len(b) for b in blocks[:-1]] == [7] * (len(blocks) - 1)
+        want_points, want_coeffs = _shared_draws(m, n_functions, 3, degree, seed=11)
+        assert np.concatenate(blocks).tobytes() == want_coeffs.tobytes()
+        assert points.tobytes() == want_points.tobytes()
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
+def test_sweeps_do_not_depend_on_the_block_size(name, monkeypatch):
+    """Every sweep gives the same arrays at any SWEEP_BLOCK, and builds its
+    per-point set-up (cd_forms, FrameCalc) once per point, not per block.
+
+    Entries agree to roundoff, not bit for bit: BLAS picks a product's
+    kernel by its shape (OpenBLAS 0.3.31 switches dgemm to its small-matrix
+    kernel at M*N*K <= 1e6), so an entry's last bits can depend on how many
+    rows share its product.  Measured at these sizes: up to 5.2e-15 of the
+    entry's scale at blocks of 1 and 7 rows.
+    """
+    m = get_model(name)
+    n_points = 3
+    builds = {"cd_forms": 0, "FrameCalc": 0}
+    cd_forms, init = calc.cd_forms, FrameCalc.__init__
+
+    def counting_forms(*args):
+        builds["cd_forms"] += 1
+        return cd_forms(*args)
+
+    def counting_init(self, *args):
+        builds["FrameCalc"] += 1
+        init(self, *args)
+
+    monkeypatch.setattr(calc, "cd_forms", counting_forms)
+    monkeypatch.setattr(FrameCalc, "__init__", counting_init)
+    sweeps = {
+        "double-gamma": lambda: calc.double_gamma_sweep(m, 17, n_points, 1.0, 2.0, seed=6),
+        "commutation": lambda: calc.commutation_sweep(m, 17, n_points, seed=7),
+        "condition-b": lambda: calc.condb_sweep(m, 50 * n_points, seed=8),
+    }
+    if validate(m).step == 2:
+        work, consts = geometry.normalize_vertical(m), geometry.assemble_constants(m)
+        grid = np.logspace(-1.0, 1.0, 3)
+        sweeps["cd"] = lambda: calc.cd_residual_sweep(work, consts, 17, n_points, grid, seed=5)
+    runs = {}
+    for block in (calc.SWEEP_BLOCK, 7, 1):
+        monkeypatch.setattr(calc, "SWEEP_BLOCK", block)
+        for key, sweep in sweeps.items():
+            builds.update(cd_forms=0, FrameCalc=0)
+            runs[block, key] = sweep()
+            want = {"cd_forms": n_points if key == "cd" else 0, "FrameCalc": n_points}
+            assert builds == want, (name, key, block)
+    for (block, key), parts in runs.items():
+        ref = runs[calc.SWEEP_BLOCK, key]
+        if key == "condition-b":  # 50 functions per point, whatever the block
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(parts, ref)), (name, block)
+        for a, b in zip(parts, ref):
+            assert a.shape == b.shape
+            assert np.all(np.abs(a - b) <= 1e-14 * ref[-1]), (name, key, block)
+
+
+def test_cd_sweep_working_set_is_one_block():
+    """The cd sweep holds one block of its shared batch, not the batch:
+    14000 quartics on free-nilpotent-3 are 23.5 MB of coefficients."""
+    work, consts = suite._constants_for("free-nilpotent-3")
+    grid = suite._l_grid(9)
+    calc.cd_residual_sweep(work, consts, 10, 1, grid, seed=1)  # build the jet spaces
+    tracemalloc.start()
+    try:
+        calc.cd_residual_sweep(work, consts, 14000, 1, grid, seed=1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 15e6
