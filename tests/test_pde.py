@@ -2,6 +2,7 @@
 
 import dataclasses
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -49,6 +50,89 @@ def test_diagonal_operators_equal_their_csr_assembly_bitwise(shape):
     assert s.apply_laplacian(u).tobytes() == (lap @ u.ravel()).reshape(shape).tobytes()
     g = (a1 @ u.ravel()) ** 2 + (a2 @ u.ravel()) ** 2
     assert s.gamma_h(u).tobytes() == g.reshape(shape).tobytes()
+
+
+def reference_operators(bounds, shape, dt):
+    """The solver's operators as the one-expression assembly builds them,
+    with every intermediate alive until the end: (name, array) pairs."""
+    axes = [np.linspace(-b, b, n) for b, n in zip(bounds, shape)]
+    nx, ny, nz = shape
+    hx, hy, hz = (ax[1] - ax[0] for ax in axes)
+    ix, iy, iz = sp.identity(nx), sp.identity(ny), sp.identity(nz)
+    dx = sp.kron(sp.kron(pde._centered_diff(nx, hx), iy), iz)
+    dy = sp.kron(sp.kron(ix, pde._centered_diff(ny, hy)), iz)
+    dz = sp.kron(sp.kron(ix, iy), pde._centered_diff(nz, hz))
+    dxx = sp.kron(sp.kron(pde._second_diff(nx, hx), iy), iz)
+    dyy = sp.kron(sp.kron(ix, pde._second_diff(ny, hy)), iz)
+    dzz = sp.kron(sp.kron(ix, iy), pde._second_diff(nz, hz))
+    ymul = sp.kron(sp.kron(ix, sp.diags(axes[1])), iz)
+    xmul = sp.kron(sp.kron(sp.diags(axes[0]), iy), iz)
+    a1 = (dx - 0.5 * ymul @ dz).tocsr()
+    a2 = (dy + 0.5 * xmul @ dz).tocsr()
+    lap = (
+        dxx
+        + dyy
+        + 0.25 * (xmul @ xmul + ymul @ ymul) @ dzz
+        - ymul @ dx @ dz
+        + xmul @ dy @ dz
+    ).tocsr()
+    system = (sp.identity(lap.shape[0], format="csr") - 0.5 * dt * lap).tocsr()
+    out = []
+    for name, csr in (("a1", a1), ("a2", a2), ("lap", lap), ("step_op", system)):
+        dia = pde.row_ordered_dia(csr)
+        out += [(f"{name}.offsets", dia.offsets), (f"{name}.data", dia.data)]
+    return out + [(f"system.{k}", getattr(system, k)) for k in ("data", "indices", "indptr")]
+
+
+@pytest.mark.parametrize("shape", [(5, 5, 5), (5, 9, 7), (37, 37, 31), (51, 51, 41)])
+def test_staged_operators_equal_the_one_expression_assembly_bytewise(shape):
+    bounds, dt = (5.5, 5.5, 3.3), 0.01
+    ref = reference_operators(bounds, shape, dt)
+    s = pde.HeisenbergHeatSolver(get_model("heisenberg"), bounds, shape, dt)
+    assert len(ref) == 11
+    for name, want in ref:
+        owner, attr = name.split(".")
+        got = getattr(getattr(s, owner), attr)
+        assert got.dtype == want.dtype, name
+        assert got.shape == want.shape, name
+        assert got.tobytes() == want.tobytes(), name
+
+
+def test_operator_build_peak_stays_near_what_it_keeps():
+    # every CSR intermediate is dropped after its last reader; with all of
+    # them alive to the end of the build the peak read 1.79 times the kept bytes
+    model, bounds = get_model("heisenberg"), (5.5, 5.5, 3.3)
+    pde.HeisenbergHeatSolver(model, bounds, (5, 5, 5), 0.01)  # warm the imports
+    tracemalloc.start()
+    try:
+        s = pde.HeisenbergHeatSolver(model, bounds, (37, 37, 31), 0.01)
+        kept, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert kept > s.system.data.nbytes + s.lap.data.nbytes
+    assert peak < 1.3 * kept
+
+
+@pytest.mark.parametrize("bounds", [(0.0, 4.0, 4.0), (4.0, -4.0, 4.0), (4.0, 4.0, math.inf),
+                                    (math.nan, 4.0, 4.0)])
+def test_non_positive_or_non_finite_bounds_are_rejected(bounds):
+    with pytest.raises(ValueError, match="bounds must be positive and finite"):
+        pde.HeisenbergHeatSolver(get_model("heisenberg"), bounds, (5, 5, 5), 0.01)
+
+
+@pytest.mark.parametrize("dt", [0.0, -0.01, math.inf, math.nan])
+def test_non_positive_or_non_finite_dt_is_rejected(dt):
+    with pytest.raises(ValueError, match="dt must be positive and finite"):
+        pde.HeisenbergHeatSolver(get_model("heisenberg"), BOUNDS, (5, 5, 5), dt)
+
+
+def test_evolve_rejects_no_times_and_negative_times(solver, bump):
+    u0 = solver.sample(bump)
+    with pytest.raises(ValueError, match="at least one time"):
+        solver.evolve(u0, [])
+    for times in ([-0.01], [0.1, -0.1]):
+        with pytest.raises(ValueError, match="non-negative"):
+            solver.evolve(u0, times)
 
 
 def test_cg_repeats_scipy_bitwise(solver, bump):
