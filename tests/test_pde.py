@@ -126,12 +126,12 @@ def test_non_positive_or_non_finite_dt_is_rejected(dt):
         pde.HeisenbergHeatSolver(get_model("heisenberg"), BOUNDS, (5, 5, 5), dt)
 
 
-def test_evolve_rejects_no_times_and_negative_times(solver, bump):
+def test_evolve_rejects_no_times_and_negative_or_non_finite_times(solver, bump):
     u0 = solver.sample(bump)
     with pytest.raises(ValueError, match="at least one time"):
         solver.evolve(u0, [])
-    for times in ([-0.01], [0.1, -0.1]):
-        with pytest.raises(ValueError, match="non-negative"):
+    for times in ([-0.01], [0.1, -0.1], [math.nan, 0.02], [0.02, math.nan], [math.inf]):
+        with pytest.raises(ValueError, match="non-negative and finite"):
             solver.evolve(u0, times)
 
 
