@@ -83,10 +83,10 @@ def nilpotency_step(c: np.ndarray) -> int | None:
 
 def orthonormalize_frame(
     c: np.ndarray, metric: np.ndarray, dim_h: int
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Orthonormalize the frame blockwise through Cholesky factors.
 
-    Returns (c_on, T) where the new frame is F_a = sum_b T[a,b] E_b,
+    Returns (c_on, T, T^-1) where the new frame is F_a = sum_b T[a,b] E_b,
     T is block diagonal (it never mixes horizontal with vertical), and
     c_on holds the structure constants of F.  The frame metric of F is
     the identity.
@@ -100,7 +100,7 @@ def orthonormalize_frame(
             T[sl, sl] = np.linalg.inv(L)
     Tinv = np.linalg.inv(T)
     c_on = np.einsum("pi,qj,kij,ka->apq", T, T, c, Tinv)
-    return c_on, T
+    return c_on, T, Tinv
 
 
 def levi_civita_gamma(c: np.ndarray) -> np.ndarray:

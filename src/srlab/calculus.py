@@ -124,7 +124,7 @@ def _core_values(calc: FrameCalc, j: Jet) -> dict:
 
 def _cd(values: dict, l, constants) -> tuple:
     """CD residual (see `cd_residual`) and scale; the weights l take the last axes."""
-    n, rho1, rho20, rho21 = geometry.constants_tuple(constants)
+    n, rho1, rho20, rho21 = constants.n, constants.rho1, constants.rho20, constants.rho21
     axes = tuple(range(-np.ndim(l), 0))
     v = {k: np.expand_dims(val, axes) for k, val in values.items()}
     lhs = v["G2h"] + l * v["G2v"]

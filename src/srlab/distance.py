@@ -124,11 +124,12 @@ def _su2_lower(model: LieModel, rel: np.ndarray) -> float:
     """Projection lower bound onto the declared su(2) factors.
 
     A unit-speed horizontal curve projects onto factor k with speed at
-    most its horizontal gain |factor_map[k][:, :dim_h]|_2 in the metric
-    |x| of X-coefficients, and the factor distance is |x| at the
-    principal logarithm, which rel holds (it comes from `compose`).
+    most its horizontal gain |Q[k][:, :dim_h]|_2 in the metric |x| of
+    X-coefficients, Q = `onframe.ideals[1]`, and the factor distance is
+    |x| at the principal logarithm, which rel holds (it comes from
+    `compose`).
     """
-    m = model.factor_map
+    m = model.onframe.ideals[1]
     gains = np.linalg.norm(m[..., : model.dim_h], ord=2, axis=(1, 2))
     return float(np.max(np.linalg.norm(m @ rel, axis=1) / gains))
 

@@ -4,8 +4,8 @@ From the structure constants of the orthonormalized frame this module
 computes the bounds entering the generalized curvature-dimension
 inequality: the curvature operator bounds (M_R, m_R), the horizontal
 Ricci lower bound rho_H, the mixed bound M_HV, the vertical co-metric
-derivative bounds, and from them every derived constant: the tuple
-(n, rho1, rho20, rho21) for any weight c, the positivity threshold
+derivative bounds, and from them every derived constant: the set
+(n, rho1, rho20, rho21) at the weight c = inf, the positivity threshold
 kappa, the dimensional constants N and D, the gradient decay rate
 alpha and the spectral gap bound.
 
@@ -64,13 +64,6 @@ class CDConstants:
             if isinstance(v, float) and not np.isfinite(v):
                 doc[k] = str(v)
         return doc
-
-
-def constants_tuple(constants) -> tuple[int, float, float, float]:
-    """(n, rho1, rho20, rho21) of a constants record or a plain 4-tuple."""
-    if hasattr(constants, "rho1"):
-        return (constants.n, constants.rho1, constants.rho20, constants.rho21)
-    return tuple(constants)
 
 
 # ----------------------------------------------------------------------
@@ -250,21 +243,6 @@ def geometry_report(model: LieModel, normalize: bool = True) -> GeometryReport:
 # ----------------------------------------------------------------------
 
 
-def rho_constants(report: GeometryReport, c: float) -> tuple[float, float, float]:
-    """(rho1, rho20, rho21) for a given weight c (c may be inf)."""
-    mix = report.M_HV + report.M_grad_v
-    if np.isinf(c):
-        if mix > 1e-9:
-            raise ValueError("c = inf is admissible only when the mixed bounds vanish")
-        rho1 = report.rho_H
-        rho20 = 0.5 * report.m_R**2
-    else:
-        rho1 = report.rho_H - 1.0 / c
-        rho20 = 0.5 * report.m_R**2 - c * mix**2
-    rho21 = 0.5 * report.rho_Lv - report.M_grad_v**2
-    return rho1, rho20, rho21
-
-
 def kappa_of(report: GeometryReport) -> float:
     return 0.5 * report.m_R**2 * report.rho_H - report.M_HV**2
 
@@ -307,23 +285,6 @@ def spectral_gap_bound(n: int, rho1: float, rho20: float, rho21: float) -> float
     return float(n * rho20 / (n + rho20 * (n - 1)) * (rho1 - k2 / rho20))
 
 
-def resolve_weight(report: GeometryReport) -> float:
-    """The free weight c of the constants: c = inf, or a ValueError.
-
-    rho1 = rho_H - 1/c grows with c, and rho20 = m_R^2 / 2 - c mix^2,
-    mix = M_HV + M_grad_v, does not fall with it once the mixed bounds
-    vanish; then c = inf gives the largest of both.  Every shipped model
-    with a constant set has vanishing mixed bounds; any other raises.
-    """
-    mix = report.M_HV + report.M_grad_v
-    if mix > 1e-9:
-        raise ValueError(
-            f"the mixed bounds do not vanish (M_HV + M_grad_v = {mix:.6g}), "
-            "so the weight c = inf is not admissible"
-        )
-    return np.inf
-
-
 def assemble_constants(model: LieModel) -> CDConstants:
     """Full constant record for one model, from its `geometry_report`."""
     return report_constants(geometry_report(model), model.dim_h)
@@ -331,14 +292,25 @@ def assemble_constants(model: LieModel) -> CDConstants:
 
 def report_constants(report: GeometryReport, n: int) -> CDConstants:
     """Full constant record of a geometry report with n horizontal
-    directions, at the weight c of `resolve_weight`.
+    directions, at the weight c = inf, or a ValueError.
 
-    The dimensional constants and the spectral bound are populated when
-    their hypotheses (rho20 > 0, and positivity where required) hold,
-    otherwise left as None.
+    At weight c, rho1 = rho_H - 1/c grows with c, and
+    rho20 = m_R^2 / 2 - c mix^2, mix = M_HV + M_grad_v, does not fall
+    with it once the mixed bounds vanish; then c = inf gives the largest
+    of both.  Every shipped model with a constant set has vanishing
+    mixed bounds; any other raises.  The dimensional constants and the
+    spectral bound are populated when their hypotheses (rho20 > 0, and
+    positivity where required) hold, otherwise left as None.
     """
-    c_val = resolve_weight(report)
-    rho1, rho20, rho21 = rho_constants(report, c_val)
+    mix = report.M_HV + report.M_grad_v
+    if mix > 1e-9:
+        raise ValueError(
+            f"the mixed bounds do not vanish (M_HV + M_grad_v = {mix:.6g}), "
+            "so the weight c = inf is not admissible"
+        )
+    rho1 = report.rho_H
+    rho20 = 0.5 * report.m_R**2
+    rho21 = 0.5 * report.rho_Lv - report.M_grad_v**2
     kappa = kappa_of(report)
     nd = None
     dd = None
@@ -349,7 +321,7 @@ def report_constants(report: GeometryReport, n: int) -> CDConstants:
         rho1=rho1,
         rho20=rho20,
         rho21=rho21,
-        c=c_val,
+        c=np.inf,
         kappa=kappa,
         N=nd,
         D=dd,

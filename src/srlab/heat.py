@@ -207,8 +207,9 @@ def mc_semigroup_many(
     """
     if not integrands:
         raise ValueError("the integrand list is empty; give at least one integrand")
-    if paths < 1 or steps < 1:
-        raise ValueError("paths and steps must be >= 1")
+    if paths < 2 or steps < 1:
+        # one path has no spread to give a standard error
+        raise ValueError(f"paths must be >= 2 and steps >= 1, got {paths} and {steps}")
     if t < 0:
         raise ValueError("negative time")
     x = np.asarray(x, dtype=float)
@@ -236,7 +237,7 @@ def mc_semigroup_many(
             acc[2] = acc[2] + vals @ vals.T
 
     common = dict(t=t, paths=paths, steps=steps, seed=seed)
-    bessel = paths / (paths - 1) if paths > 1 else 1.0
+    bessel = paths / (paths - 1)
     grad_out, plain_out = [], []
     for g, (total, total_sq, cross) in zip(groups, sums):
         means = total / paths

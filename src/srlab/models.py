@@ -136,10 +136,10 @@ class LieModel:
 
     @cached_property
     def onframe(self) -> OrthonormalFrame:
-        c_on, T = algebra.orthonormalize_frame(
+        c_on, T, Tinv = algebra.orthonormalize_frame(
             self.structure_constants, self.frame_metric, self.dim_h
         )
-        Tinv, d = np.linalg.inv(T), self.dim
+        d = self.dim
         return OrthonormalFrame(
             c=c_on,
             T=T,
@@ -149,19 +149,9 @@ class LieModel:
         )
 
     @cached_property
-    def factor_map(self) -> np.ndarray:
-        """X-coefficients of the orthonormal frame, shape (r, 3, d), from B^-1 T^T.
-
-        factor_map[k, a, b] is the X^k_a-component of F_b, so the factor
-        k part of exp(u) is exp(sum_a (factor_map[k] u)_a X^k_a).
-        """
-        b = self.su2_factors.reshape(self.dim, self.dim).T
-        return (np.linalg.inv(b) @ self.onframe.T.T).reshape(self.su2_factors.shape)
-
-    @cached_property
     def _square_factor(self) -> np.ndarray | None:
-        """h where the horizontal blocks of `factor_map` are (h, 2 h), as on su2-pair."""
-        h = None if self.su2_factors is None else self.factor_map[..., : self.dim_h]
+        """h where the horizontal blocks of `onframe.ideals[1]` are (h, 2 h), as on su2-pair."""
+        h = None if self.su2_factors is None else self.onframe.ideals[1][..., : self.dim_h]
         return h[0] if h is not None and len(h) == 2 and np.array_equal(h[1], 2.0 * h[0]) else None
 
     @cached_property
@@ -335,7 +325,7 @@ def _quats(g: np.ndarray) -> np.ndarray:
 def _su2_lift(model: LieModel, u: np.ndarray) -> np.ndarray:
     # C order: einsum would otherwise return a strided view of a
     # component-last buffer, which slows every quaternion operation
-    x = np.einsum("kab,...b->ak...", model.factor_map, u, order="C")
+    x = np.einsum("kab,...b->ak...", model.onframe.ideals[1], u, order="C")
     return _quat_exp(x).reshape((-1,) + x.shape[2:])
 
 
@@ -343,7 +333,7 @@ def _su2_square_lift(h: np.ndarray, v: np.ndarray, out=None) -> np.ndarray:
     """The pair (q, q^2), q = exp((h v) . X), for horizontal v of shape (n, ...).
 
     On su2-pair, H_i = (X_i, 2 X_i): the second factor's horizontal block
-    of `LieModel.factor_map` is twice the first's, h, so its factor is
+    of `OrthonormalFrame.ideals[1]` is twice the first's, h, so its factor is
     exp(2 (h v) . X) = q^2, that is (q0^2 - |q_vec|^2, 2 q0 q_vec), one
     sine and cosine per path.  `out`, shape (8, ...), receives the pair.
     """

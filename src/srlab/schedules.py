@@ -22,8 +22,6 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .geometry import constants_tuple
-
 DEFAULT_GRID = 2048
 #: interior points at either end that the difference cross-check skips, at least
 _END_SKIP = 2
@@ -69,7 +67,7 @@ def _fd(t: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 def _margins(s: Schedule, constants, da, dl) -> tuple[np.ndarray, np.ndarray]:
     """Both conditions on the interior grid, with the derivatives da, dl there."""
-    n, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20, rho21 = constants.rho1, constants.rho20, constants.rho21
     it = s.interior()
     t, a, l, b = s.t[it], s.a[it], s.l[it], s.b[it]
     if np.any(a <= 0) or np.any(l <= 0):
@@ -142,7 +140,7 @@ def gradient_constant_weight(
     constants, T: float, l: float = 1.0, n: int = DEFAULT_GRID
 ) -> Schedule:
     """Constant l with exponentially decaying a; always admissible."""
-    _, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20, rho21 = constants.rho1, constants.rho20, constants.rho21
     alpha = min(rho1 - 1.0 / l, rho21 + rho20 / l)
     t = _grid(T, n)
     a = np.exp(-alpha * t)
@@ -162,7 +160,7 @@ def gradient_constant_weight(
 
 def gradient_variance_linear(constants, T: float, n: int = DEFAULT_GRID) -> Schedule:
     """Linear a and l vanishing at T; yields the variance bound."""
-    _, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20, rho21 = constants.rho1, constants.rho20, constants.rho21
     if rho20 <= 0:
         raise ValueError("variance schedule needs rho20 > 0")
     k1 = max(0.0, -rho1)
@@ -190,7 +188,7 @@ def gradient_variance_exponential(
 
     At rho1 = 0 it is the linear schedule grad-b (then k1 = k2 = 0).
     """
-    _, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20, rho21 = constants.rho1, constants.rho20, constants.rho21
     if rho1 < 0 or rho21 < 0 or rho20 <= 0:
         raise ValueError("exponential schedule needs rho1, rho21 >= 0 and rho20 > 0")
     if rho1 == 0:
@@ -222,7 +220,7 @@ def gradient_reverse(
     constants, T: float, l0: float = 1.0, n: int = DEFAULT_GRID
 ) -> Schedule:
     """Increasing a = t with negative C; bounds variance from below."""
-    _, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20, rho21 = constants.rho1, constants.rho20, constants.rho21
     if rho1 < 0 or rho20 < 0 or rho21 < 0:
         raise ValueError("reverse schedule needs nonnegative constants")
     t = _grid(T, n)
@@ -259,7 +257,7 @@ def liyau_schedule(
     both conditions hold with equality, so the margins here are a pure
     probe of the checker's numerical floor.
     """
-    _, rho1, rho20, rho21 = constants_tuple(constants)
+    rho1, rho20 = constants.rho1, constants.rho20
     if rho20 <= 0 or alpha <= 0:
         raise ValueError("power schedule needs rho20 > 0 and alpha > 0")
     t = _grid(T, n)

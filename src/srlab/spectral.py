@@ -8,7 +8,7 @@ The horizontal operator is
 
 over the model's orthonormal horizontal frame, whose fields are
 combinations of the declared factor bases X^1_a, X^2_a
-(`models.LieModel.factor_map`).  On the representation pair (j1, j2),
+(`models.OrthonormalFrame.ideals`).  On the representation pair (j1, j2),
 X^k_a acts as -i J_a on spin j_k, so the full spectrum is the union over
 blocks of the eigenvalues of a small dense matrix built from spin
 matrices.  We diagonalize those matrices directly; no closed form
@@ -49,9 +49,9 @@ def horizontal_operator(model: LieModel, j1: float, j2: float) -> np.ndarray:
     ms2 = spin_matrices(j2)
     eye1 = np.eye(ms1[0].shape[0])
     eye2 = np.eye(ms2[0].shape[0])
-    # X^k_a is anti-Hermitian -i J_a on factor k; F_i = sum_k,a factor_map[k, a, i] X^k_a
+    # X^k_a is anti-Hermitian -i J_a on factor k; F_i = sum_k,a Q[k, a, i] X^k_a, Q = ideals[1]
     x = np.array([[np.kron(-1j * m, eye2) for m in ms1], [np.kron(eye1, -1j * m) for m in ms2]])
-    ops = np.einsum("kai,kaxy->ixy", model.factor_map[..., : model.dim_h], x)
+    ops = np.einsum("kai,kaxy->ixy", model.onframe.ideals[1][..., : model.dim_h], x)
     return sum(op @ op for op in ops)
 
 

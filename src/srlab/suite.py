@@ -183,6 +183,9 @@ def _check_values(cfg: dict) -> None:
             why = _value_error(default, cfg[section][key])
             if why:
                 raise ConfigError(f"{section}.{key} {why}, not {cfg[section][key]!r}")
+    for section in ("mc", "gradient"):
+        if cfg[section]["paths"] < 2:
+            raise ConfigError(f"{section}.paths must be at least 2: one path has no standard error")
     dt = cfg["pde"]["dt"]
     # every snapshot time must be a step of the time grid, within the 1e-9 of `pde.evolve`
     times = {t for _, snapshots in PDE_SOURCES.values() for t in snapshots}
@@ -614,6 +617,9 @@ def _xlogx(u):
 # harnack-kernel reads p_t(0, y_j) at each point y_j
 HARNACK_KERNEL_POINTS = ((0.0, 0.0, 0.0), (0.5, 0.2, 0.0), (-0.3, 0.4, 0.1))
 
+# kernel-decay and kernel-dimension-bound read p_t(0, 0) at these times
+KERNEL_TIMES = (0.2, 0.4, 0.6, 0.8, 1.0)
+
 
 # source: (its initial field on a solver's grid, the snapshot times read);
 # at dt 0.01 a run makes 100 + 30 + 100 + 80 = 310 implicit steps
@@ -623,10 +629,7 @@ PDE_SOURCES = {
     # entropy-bound: f log f of the bump
     "entropy": (lambda solver: _xlogx(_bump(solver)), (0.3,)),
     # kernel-decay, kernel-dimension-bound
-    "origin-kernel": (
-        lambda solver: pde.kernel_source(solver, np.zeros(3)),
-        (0.2, 0.4, 0.6, 0.8, 1.0),
-    ),
+    "origin-kernel": (lambda solver: pde.kernel_source(solver, np.zeros(3)), KERNEL_TIMES),
     # harnack-kernel: the step matrix is symmetric, so the evolved
     # reading functional at the origin reads P_t phi(0) for every source phi
     "origin-reading": (lambda solver: solver.reading(np.zeros(3)), (0.4, 0.8)),
@@ -807,9 +810,6 @@ def _harnack_kernel(cfg, seed, name):
                 rhs = _harnack_rhs(consts, kernel[j][1], d, t0, t1)
                 worst = min(worst, (rhs - kernel[i][0]) / abs(rhs))
     return [(float(worst), 0.05, {"t0": t0, "t1": t1})]
-
-
-KERNEL_TIMES = (0.2, 0.4, 0.6, 0.8, 1.0)
 
 
 def _origin_kernel(cfg, name) -> np.ndarray:

@@ -19,7 +19,7 @@ import srlab.schedules as sch
 import srlab.spectral as spectral
 import srlab.suite as su
 from srlab.jets import Polynomial
-from srlab.models import build_free_nilpotent, build_su2_pair, get_model
+from srlab.models import DeclaredConstants, build_free_nilpotent, build_su2_pair, get_model
 
 SEED = 20260809
 
@@ -35,7 +35,7 @@ def test_c01_cd_sharpness_and_validity():
     """CD inequality valid on a large sweep, equality at the witness."""
     t0 = time.perf_counter()
     model = get_model("heisenberg")
-    constants = (2, 0.0, 0.5, 0.0)
+    constants = DeclaredConstants(2, 0.0, 0.5, 0.0)
     l_grid = np.logspace(-1, 1, 9)
 
     z = Polynomial.coordinate(3, 2)

@@ -15,9 +15,9 @@ import srlab.calculus as calc
 from srlab import geometry, suite
 from srlab.frames import FrameCalc, get_calc
 from srlab.jets import Polynomial, ShiftedSquare, get_space, lift_polynomials
-from srlab.models import build_abelian, get_model, validate
+from srlab.models import DeclaredConstants, build_abelian, get_model, validate
 
-HEIS_CONSTANTS = (2, 0.0, 0.5, 0.0)
+HEIS_CONSTANTS = DeclaredConstants(2, 0.0, 0.5, 0.0)
 
 
 @pytest.fixture(scope="module")
@@ -295,7 +295,7 @@ def test_cd_form_inertia_is_left_invariant(name, inertia):
     """
     m = get_model(name)
     work, consts = geometry.normalize_vertical(m), geometry.assemble_constants(m)
-    n, rho1, rho20, rho21 = geometry.constants_tuple(consts)
+    n, rho1, rho20, rho21 = consts.n, consts.rho1, consts.rho20, consts.rho21
     rng = np.random.default_rng(43)
     for x in np.vstack([np.zeros(m.dim), calc.random_points(work, 7, rng)]):
         f = calc.cd_forms(work, x)

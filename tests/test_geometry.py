@@ -12,7 +12,6 @@ import pytest
 import srlab.geometry as geo
 from srlab.models import (
     MODEL_BUILDERS,
-    DeclaredConstants,
     build_abelian,
     build_free_nilpotent,
     get_model,
@@ -128,15 +127,6 @@ def test_declared_constants_reproduced():
         assert c.rho21 == pytest.approx(d.rho21, abs=1e-9)
 
 
-def test_weight_monotonicity():
-    rep = geo.GeometryReport("synthetic", 1.0, 0.8, 2.0, 0.3, 0.1, -0.2, True)
-    cs = np.logspace(-1, 2, 40)
-    rho1 = np.array([geo.rho_constants(rep, c)[0] for c in cs])
-    rho20 = np.array([geo.rho_constants(rep, c)[1] for c in cs])
-    assert np.all(np.diff(rho1) >= 0)
-    assert np.all(np.diff(rho20) <= 0)
-
-
 def test_alpha_closed_form_su2():
     for rho in (0.5, 1.0, 3.0):
         from srlab.models import build_su2_pair
@@ -207,20 +197,7 @@ def test_constants_take_the_infinite_weight():
         rep = geo.geometry_report(get_model(name))
         if rep.M_HV + rep.M_grad_v <= 1e-9:
             vanishing.add(name)
-            assert geo.resolve_weight(rep) == np.inf
             assert geo.assemble_constants(get_model(name)).c == np.inf
     assert vanishing == set(MODEL_BUILDERS) - {"engel"}
     with pytest.raises(ValueError, match="mixed bounds do not vanish"):
         geo.assemble_constants(get_model("engel"))
-    # a finite weight still enters rho1 = rho_H - 1/c
-    rho1, _, _ = geo.rho_constants(geo.geometry_report(get_model("su2-pair")), 2.0)
-    assert rho1 == pytest.approx(4.0 - 0.5)
-
-
-def test_constants_tuple_reads_records_and_tuples():
-    cd = geo.assemble_constants(get_model("heisenberg"))
-    declared = DeclaredConstants(cd.n, cd.rho1, cd.rho20, cd.rho21)
-    plain = (cd.n, cd.rho1, cd.rho20, cd.rho21)
-    assert geo.constants_tuple(cd) == geo.constants_tuple(declared) == geo.constants_tuple(plain)
-    assert geo.constants_tuple(cd) == plain
-    assert geo.constants_tuple(list(plain)) == plain

@@ -320,6 +320,8 @@ def test_invalid_settings(heis, monkeypatch):
     f = Polynomial.constant(3, 1.0)
     with pytest.raises(ValueError):
         heat.mc_semigroup(heis, f, np.zeros(3), 1.0, 0, 10, seed=0)
+    with pytest.raises(ValueError, match="paths must be >= 2"):  # one path has no spread
+        heat.mc_semigroup(heis, f, np.zeros(3), 1.0, 1, 10, seed=0)
     with pytest.raises(ValueError):
         heat.mc_semigroup(heis, f, np.zeros(3), -1.0, 10, 10, seed=0)
     with pytest.raises(ValueError):

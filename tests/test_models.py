@@ -436,7 +436,11 @@ def test_lift_horizontal_is_lift_of_the_padded_vector(m):
     if m.su2_factors is None:
         assert np.array_equal(got, ref)
         return
-    # H_i = (X_i, 2 X_i) and the frame change keeps H in H: the pair (q, q^2)
+    # H_i = (X_i, 2 X_i) and the frame change keeps H in H: the pair (q, q^2).
+    # The horizontal blocks of onframe.ideals[1] must be exactly (h, 2 h):
+    # if rounding broke that, lift_horizontal would fall back to the
+    # generic lift, slower but equal to rounding, and only this would fail
+    assert m._square_factor is not None
     assert np.all(m.onframe.T[:n, n:] == 0.0)
     assert np.allclose(got, ref, rtol=0.0, atol=1e-15)
     q, q2 = np.moveaxis(got.reshape((4, 2) + v.shape[1:]), 1, 0)

@@ -4,9 +4,10 @@ import numpy as np
 import pytest
 
 import srlab.schedules as sch
+from srlab.models import DeclaredConstants
 
-HEIS = (2, 0.0, 0.5, 0.0)
-SU2 = (3, 4.0, 0.25, 0.0)
+HEIS = DeclaredConstants(2, 0.0, 0.5, 0.0)
+SU2 = DeclaredConstants(3, 4.0, 0.25, 0.0)
 
 
 def admissible(chk):
@@ -52,7 +53,7 @@ def test_constructed_violation_fails_by_one():
         a=np.ones_like(t),
         l=np.full_like(t, l),
         b=np.zeros_like(t),
-        C=-(HEIS[1] - 1.0 / l) - 1.0,
+        C=-(HEIS.rho1 - 1.0 / l) - 1.0,
         da=np.zeros_like(t),
         dl=np.zeros_like(t),
     )
@@ -73,7 +74,7 @@ def test_schedule_positivity_enforced():
 
 def test_hypothesis_violations_skip_schedules():
     # negative rho20 rules out every schedule that divides by it
-    consts = (2, 0.0, -0.5, 0.0)
+    consts = DeclaredConstants(2, 0.0, -0.5, 0.0)
     built, skipped = sch.builtin_schedules(consts, T=1.0)
     assert "grad-b" in skipped
     assert "grad-c" in skipped
@@ -95,8 +96,8 @@ def test_liyau_schedule_needs_positive_alpha():
 
 def test_entropy_kind_uses_reduced_condition():
     # for the entropy kind the second condition has no rho21 term
-    consts_with_rho21 = (2, 0.0, 0.5, -5.0)
-    g = sch.entropy_schedule((2, 0.0, 0.5, 0.0), 1.0, n=256)
+    consts_with_rho21 = DeclaredConstants(2, 0.0, 0.5, -5.0)
+    g = sch.entropy_schedule(HEIS, 1.0, n=256)
     chk = sch.admissibility_margins(g, consts_with_rho21)
     assert chk.margin_second >= -1e-8
 

@@ -383,9 +383,26 @@ def test_cli_bad_config_exits_2(tmp_path, capsys):
         assert capsys.readouterr().err.startswith("configuration error:"), doc
 
 
+def test_one_path_is_a_configuration_error(tmp_path, capsys):
+    # one path cannot show a violation, so it may not run and read as a fail
+    bad = tmp_path / "one-path.json"
+    for doc in ({"mc": {"paths": 1}}, {"gradient": {"paths": 1}}):
+        with pytest.raises(su.ConfigError, match="paths must be at least 2"):
+            su.load_config(doc)
+        bad.write_text(json.dumps(doc))
+        assert cli_main(["suite", "run", "--config", str(bad)]) == 2, doc
+        assert capsys.readouterr().err.startswith("configuration error:"), doc
+
+
+@pytest.mark.parametrize("path", sorted((ROOT / "configs").glob("*.json")), ids=lambda p: p.stem)
+def test_every_shipped_config_loads(path):
+    cfg = su.load_config(str(path))
+    if path.stem == "default":
+        # the shipped sizes live in DEFAULT_CONFIG; the file names the outputs only
+        assert {**cfg, "output": su.DEFAULT_CONFIG["output"]} == su.DEFAULT_CONFIG
+
+
 def test_shipped_configs_load_and_quick_passes(capsys):
-    for name in ("default", "quick"):
-        su.load_config(str(ROOT / "configs" / f"{name}.json"))
     assert cli_main(["suite", "run", "--config", str(ROOT / "configs" / "quick.json")]) == 0
     assert "fail=0 inconclusive=0" in capsys.readouterr().out
 
@@ -468,6 +485,7 @@ def _run(args, pythonpath, **env):
         ["spectral", "--rho", "1e308"],
         ["spectral", "--rho", "1e-308"],
         ["distance", "engel", "--x", "0", "0", "0", "0", "--y", "1e200", "0", "1", "0"],
+        ["heat", "heisenberg", "--paths", "1"],  # one path has no standard error
     ],
 )
 def test_cli_bad_input_exits_2(args):
