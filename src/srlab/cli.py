@@ -35,13 +35,14 @@ def _finite(text):
 _finite.__name__ = "float"  # argparse names the kind in its message
 
 
-def _positive(kind):
-    """argparse type: a number of the given kind that is > 0."""
+def _positive(kind, or_zero=False):
+    """argparse type: a number of the given kind that is > 0, or >= 0 with or_zero."""
 
     def parse(text):
         value = kind(text)
-        if not value > 0:
-            raise argparse.ArgumentTypeError(f"must be positive, got {text}")
+        if not (value > 0 or or_zero and value == 0):
+            what = "non-negative" if or_zero else "positive"
+            raise argparse.ArgumentTypeError(f"must be {what}, got {text}")
         return value
 
     parse.__name__ = kind.__name__  # argparse names the kind in its message
@@ -228,7 +229,7 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--functions", type=_positive(int), default=1000)
     q.add_argument("--points", type=_positive(int), default=10)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_positive(int, or_zero=True), default=0)
     q.set_defaults(fn=cmd_cd_check)
 
     q = sub.add_parser("heat", help="Monte Carlo semigroup sample")
@@ -236,14 +237,14 @@ def build_parser() -> argparse.ArgumentParser:
     q.add_argument("--t", type=_finite, default=1.0)
     q.add_argument("--paths", type=int, default=20000)
     q.add_argument("--steps", type=int, default=100)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_positive(int, or_zero=True), default=0)
     q.set_defaults(fn=cmd_heat)
 
     q = sub.add_parser("distance", help="Carnot-Caratheodory distance estimate")
     q.add_argument("model", choices=sorted(MODEL_BUILDERS))
     q.add_argument("--x", type=_finite, nargs="+", default=None)
     q.add_argument("--y", type=_finite, nargs="+", default=None)
-    q.add_argument("--seed", type=int, default=0)
+    q.add_argument("--seed", type=_positive(int, or_zero=True), default=0)
     q.set_defaults(fn=cmd_distance)
 
     q = sub.add_parser("spectral", help="spectral gap oracle on SU(2) x SU(2)")

@@ -28,6 +28,15 @@ gradients; `Squared(f)` and `FrameGamma(f, ...)` are markers read from
 that table, as `Gradient(f)` is.  The estimates of one pass share their
 paths, so the two sides of an inequality share their noise.
 
+A chunk fills one C-ordered table of shape (rows, paths), row by row:
+each `Gradient` entry's frame directions, in integrand order, then the
+plain entries.  A pass accumulates the table's row sums and the cross
+products of every pair of rows, each summed from its two rows alone by
+numpy's pairwise sum, never by BLAS.  An estimate reads its own block
+(its means and covariance, a plain entry's variance from the diagonal),
+so it has the same bits in any pass that holds its entry and at any
+BLAS thread count.
+
 Streams are counter-based (Philox keyed by seed and chunk index), so
 estimates are bit-reproducible for fixed settings regardless of how
 chunks are scheduled.
@@ -119,35 +128,10 @@ class FrameGamma:
         if self.which not in ("v", "hv"):
             raise ValueError(f"unknown frame-gamma selector {self.which!r}")
 
-
-class _Ends:
-    """The path ends of one chunk, with each function's values and frame
-    gradients there, formed once per function on first read."""
-
-    def __init__(self, model: LieModel, points: np.ndarray):
-        self.model = model
-        self.points = points
-        self.values, self.grads = {}, {}  # keyed by id(f)
-
-    def value(self, f) -> np.ndarray:
-        if id(f) not in self.values:
-            self.values[id(f)] = np.asarray(f.eval(self.points), dtype=float)
-        return self.values[id(f)]
-
-    def gradient(self, f) -> np.ndarray:
-        if id(f) not in self.grads:
-            self.grads[id(f)] = frames.frame_gradients(self.model, f, self.points)
-        return self.grads[id(f)]
-
-    def read(self, entry) -> np.ndarray:
-        """A plain entry's values at the path ends."""
-        if isinstance(entry, Squared):
-            return self.value(entry.f) ** 2
-        if isinstance(entry, FrameGamma):
-            g = self.gradient(entry.f)  # one block sum per letter of which, added in order
-            gamma = sum(frames.gamma_of_gradients(self.model, g, w) for w in entry.which)
-            return gamma**entry.power
-        return self.value(entry)
+    def read(self, model: LieModel, grads: np.ndarray) -> np.ndarray:
+        """The entry's values, from the frame gradients of f (one block sum
+        per letter of which, added in order)."""
+        return sum(frames.gamma_of_gradients(model, grads, w) for w in self.which) ** self.power
 
 
 def _chunks(paths: int) -> list[int]:
@@ -202,8 +186,8 @@ def mc_semigroup_many(
     `_evolve` call per chunk.  Sharing paths gives the estimates a
     common probability space, which the inequality checks need (their
     two sides must see the same noise).  The plain estimates carry the
-    covariance of their means in settings["mean_cov"], for downstream
-    linearised error bars.
+    covariance of the means of all plain entries in settings["mean_cov"],
+    for downstream linearised error bars.
     """
     if not integrands:
         raise ValueError("the integrand list is empty; give at least one integrand")
@@ -213,62 +197,59 @@ def mc_semigroup_many(
     if t < 0:
         raise ValueError("negative time")
     x = np.asarray(x, dtype=float)
-    plain = [f for f in integrands if not isinstance(f, Gradient)]
-    grads = [f for f in integrands if isinstance(f, Gradient)]
-    dirs = [frames.frame_slice(model, g.which) for g in grads]
-    groups = grads + ([plain] if plain else [])
-    # per group: sum, sum of squares and cross products of its rows
-    sums = [[0.0, 0.0, 0.0] for _ in groups]
+    grads = [e for e in integrands if isinstance(e, Gradient)]
+    plain = [e for e in integrands if not isinstance(e, Gradient)]
+    sels = [frames.frame_slice(model, g.which) for g in grads]
+    # the table's rows: each Gradient entry's frame directions, then the
+    # plain entries; blocks[-1] is the plain block
+    cuts = np.cumsum([0] + [s.stop - s.start for s in sels] + [len(plain)])
+    blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
+    # each function is evaluated once per chunk: its values, and its
+    # frame gradients when an entry reads them
+    graded = {id(e.f): e.f for e in integrands if isinstance(e, (Gradient, FrameGamma))}
+    valued = {id(f): f for f in (e.f if isinstance(e, Squared) else e for e in plain
+                                 if not isinstance(e, FrameGamma))}
+    total = cross = 0.0
     for idx, size in enumerate(_chunks(paths)):
         ends = _evolve(model, x[None], t, steps, size, _stream(seed, idx))[0]
-        table = _Ends(model, ends)
-        pathwise = {}  # per Gradient f: its derivative along each frame direction, per path
+        values = {k: np.asarray(f.eval(ends), dtype=float) for k, f in valued.items()}
+        gradients = {k: frames.frame_gradients(model, f, ends) for k, f in graded.items()}
+        vals = np.empty((cuts[-1], size))
         if grads:
             ad_inv = algebra.adjoint_inverse(model.onframe, model.compose(model.inverse(x), ends))
-        for acc, g, sel in zip(sums, groups, dirs + [None]):
-            if g is plain:
-                vals = np.stack([table.read(f) for f in plain])
+        for g, sel, rows in zip(grads, sels, blocks):
+            np.einsum("pki,pk->ip", ad_inv[..., sel], gradients[id(g.f)], out=vals[rows])
+        for row, e in zip(vals[blocks[-1]], plain):
+            if isinstance(e, FrameGamma):
+                row[:] = e.read(model, gradients[id(e.f)])
             else:
-                if id(g.f) not in pathwise:
-                    pathwise[id(g.f)] = np.einsum("pki,pk->ip", ad_inv, table.gradient(g.f))
-                vals = pathwise[id(g.f)][sel]
-            acc[0] = acc[0] + vals.sum(axis=1)
-            acc[1] = acc[1] + (vals**2).sum(axis=1)
-            acc[2] = acc[2] + vals @ vals.T
+                row[:] = values[id(e.f)] ** 2 if isinstance(e, Squared) else values[id(e)]
+        # each cross product is summed from its two rows alone, so no
+        # estimate's bits depend on the other rows or on the BLAS thread count
+        total = total + vals.sum(axis=1)
+        cross = cross + np.array([(row * vals).sum(axis=1) for row in vals])
 
-    common = dict(t=t, paths=paths, steps=steps, seed=seed)
-    bessel = paths / (paths - 1)
-    grad_out, plain_out = [], []
-    for g, (total, total_sq, cross) in zip(groups, sums):
-        means = total / paths
-        cov_mean = (cross / paths - np.outer(means, means)) * bessel / paths
-        if g is not plain:
-            var = float(4.0 * means @ cov_mean @ means + 2.0 * np.sum(cov_mean**2))
-            grad_out.append(
-                GradientEstimate(
-                    value=float(means @ means - np.trace(cov_mean)),
-                    std_error=float(np.sqrt(max(var, 0.0))),
-                    directional=means.tolist(),
-                    which=g.which,
-                    x=x.tolist(),
-                    **common,
-                )
-            )
-            continue
-        for i in range(len(plain)):
-            var = max(total_sq[i] / paths - means[i] ** 2, 0.0) * bessel
-            plain_out.append(
-                SemigroupEstimate(
-                    value=float(means[i]),
-                    std_error=float(np.sqrt(var / paths)),
-                    x=x.tolist(),
-                    method="mc",
-                    settings={"mean_cov": cov_mean.tolist(), "means": means.tolist()},
-                    **common,
-                )
-            )
-    grad_it, plain_it = iter(grad_out), iter(plain_out)
-    return [next(grad_it if isinstance(f, Gradient) else plain_it) for f in integrands]
+    means = total / paths
+    cov = (cross / paths - np.outer(means, means)) * (paths / (paths - 1)) / paths
+    common = dict(x=x.tolist(), t=t, paths=paths, steps=steps, seed=seed)
+    p = blocks[-1]
+    grad_blocks, plain_rows = iter(blocks), iter(range(p.start, p.stop))
+    out = []
+    for e in integrands:
+        if isinstance(e, Gradient):
+            rows = next(grad_blocks)
+            m, c = means[rows], cov[rows, rows]
+            var = float(4.0 * m @ c @ m + 2.0 * np.sum(c**2))
+            out.append(GradientEstimate(value=float(m @ m - np.trace(c)),
+                                        std_error=float(np.sqrt(max(var, 0.0))),
+                                        directional=m.tolist(), which=e.which, **common))
+        else:
+            k = next(plain_rows)
+            settings = {"mean_cov": cov[p, p].tolist(), "means": means[p].tolist()}
+            out.append(SemigroupEstimate(value=float(means[k]),
+                                         std_error=float(np.sqrt(max(cov[k, k], 0.0))),
+                                         method="mc", settings=settings, **common))
+    return out
 
 
 def mc_semigroup(

@@ -13,10 +13,12 @@ tolerance it must survive, and a verdict:
 
 Monte Carlo verdicts use a three-sigma tolerance and never coerce
 inconclusive to pass.  Reports are deterministic for a fixed seed on
-one host and BLAS thread count (the PDE rows' conjugate-gradient dot
-products follow the BLAS summation order): every check derives its own
-stream from (seed, check id), timings are kept out of the JSON
-payload, and results are sorted before writing.
+one host and BLAS thread count: every check derives its own stream
+from (seed, check id), timings are kept out of the JSON payload, and
+results are sorted before writing.  Two kinds of row follow the BLAS
+summation order, and so the thread count: the PDE rows, through the
+conjugate-gradient dot products, and commutation on su2-pair, through a
+jet product.  The Monte Carlo rows do not (see `heat`).
 
 The anchor field names the inequality catalog entry a result
 certifies; the catalog is documented in the README.

@@ -114,7 +114,7 @@ def test_vertical_gradient_bound_sample(heis):
 
 
 @pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3", "engel", "su2-pair"])
-def test_one_pass_equals_separate_passes(name):
+def test_one_pass_equals_separate_passes(name, monkeypatch):
     # the entries of one pass share its paths; each estimate keeps the
     # numbers it has when estimated alone
     m = get_model(name)
@@ -128,6 +128,20 @@ def test_one_pass_equals_separate_passes(name):
     assert gh == heat.mc_gradient(m, f, x, 0.4, "h", 600, 6, 23)
     assert gv == heat.mc_gradient(m, f, x, 0.4, "v", 600, 6, 23)
     assert eg == heat.mc_semigroup(m, g, x, 0.4, 600, 6, 23)
+    # one pass over the union of the three gradient checks' integrands,
+    # on three chunks: each entry sums its own rows of the table, so it
+    # keeps the bits of its own pass and of its check's pass
+    union = [heat.Gradient(f, "h"), heat.Gradient(f, "v"), heat.FrameGamma(f, "hv"),
+             heat.FrameGamma(f, "v", 0.5), f, heat.Squared(f)]
+    monkeypatch.setattr(heat, "CHUNK", 256)
+    shared = dict(zip(union, heat.mc_semigroup_many(m, union, x, 0.4, 600, 6, 23)))
+    passes = [[e] for e in union]
+    passes += [integrands(f) for integrands in (su._bound_a_integrands, su._bound_b_integrands,
+                                                su._vertical_integrands)]
+    for entries in passes:
+        for e, est in zip(entries, heat.mc_semigroup_many(m, entries, x, 0.4, 600, 6, 23)):
+            for key in ("value", "std_error", "directional"):
+                assert getattr(shared[e], key, None) == getattr(est, key, None), (e, key)
 
 
 def _stencil_means(m, f, x, which, t, steps, size, rng, delta=1e-3):
@@ -187,10 +201,10 @@ def test_frame_gamma_equals_the_block_sums(name):
     rng = np.random.default_rng(33)
     f = Polynomial.random(m.dim, 3, rng)
     pts = rng.uniform(-0.5, 0.5, (400, m.dim))
-    ends = heat._Ends(m, pts)
-    got = ends.read(heat.FrameGamma(f, "hv"))
+    grads = frames.frame_gradients(m, f, pts)
+    got = heat.FrameGamma(f, "hv").read(m, grads)
     assert np.array_equal(got, gamma_numeric(m, f, pts, "h") + gamma_numeric(m, f, pts, "v"))
-    got = ends.read(heat.FrameGamma(f, "v", 0.5))
+    got = heat.FrameGamma(f, "v", 0.5).read(m, grads)
     assert np.array_equal(got, np.sqrt(gamma_numeric(m, f, pts, "v")))
 
 

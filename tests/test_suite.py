@@ -11,6 +11,7 @@ from pathlib import Path
 
 import pytest
 
+import srlab.heat as heat
 import srlab.models as models
 import srlab.pde as pde
 import srlab.schedules as schedules
@@ -486,6 +487,10 @@ def _run(args, pythonpath, **env):
         ["spectral", "--rho", "1e-308"],
         ["distance", "engel", "--x", "0", "0", "0", "0", "--y", "1e200", "0", "1", "0"],
         ["heat", "heisenberg", "--paths", "1"],  # one path has no standard error
+        # numpy's generators take no negative seed
+        ["cd-check", "heisenberg", "--seed", "-1"],
+        ["distance", "engel", "--seed", "-1"],
+        ["heat", "heisenberg", "--seed", "-1"],
     ],
 )
 def test_cli_bad_input_exits_2(args):
@@ -501,6 +506,31 @@ def test_cli_bad_input_exits_2(args):
         # a finite value that numpy cannot carry is named by its option
         option = {"heat": "--t", "distance": "--x/--y", "spectral": "--rho"}[args[0]]
         assert option in proc.stderr, proc.stderr
+
+
+def test_mc_rows_are_byte_equal_at_one_and_two_blas_threads():
+    # each MC estimate sums its own rows of the path table without BLAS;
+    # a chunk of paths is long enough for a BLAS product over it to thread
+    cfg = {
+        "checks": ["semigroup-identity", "semigroup-x2", "gradient-bound-a",
+                   "gradient-bound-b", "vertical-gradient"],
+        "models": ["heisenberg"],
+        "mc": {"paths": heat.CHUNK, "steps": 2},
+        "gradient": {"paths": heat.CHUNK, "steps": 2, "cases": 3},
+    }
+    script = (
+        "import json, sys\n"
+        "from srlab.suite import run_suite\n"
+        "report, code = run_suite(json.loads(sys.argv[1]))\n"
+        "print(json.dumps(report['results']))\n"
+    )
+    rows = []
+    for threads in ("1", "2"):
+        proc = _run(["-c", script, json.dumps(cfg)], ["src"], OPENBLAS_NUM_THREADS=threads)
+        assert proc.returncode == 0, proc.stderr
+        rows.append(proc.stdout)
+    assert len(json.loads(rows[0])) == 12
+    assert rows[0] == rows[1]
 
 
 def test_cli_heat_su2_pair_at_huge_t_prints_an_estimate():
