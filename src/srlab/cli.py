@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import json
 import math
+import os
 import sys
 
 import numpy as np
@@ -264,9 +265,23 @@ def build_parser() -> argparse.ArgumentParser:
     return p
 
 
+#: exit status when the reader closes stdout before the output is written
+#: (`srlab ... | head`): 128 + SIGPIPE, as a shell reports a process that
+#: SIGPIPE ended, apart from 0 (pass), 1 (violation) and 2 (bad input)
+CLOSED_STDOUT = 141
+
+
 def main(argv=None) -> int:
-    args = build_parser().parse_args(argv)
-    return args.fn(args)
+    try:
+        args = build_parser().parse_args(argv)
+        code = args.fn(args)
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the rest of the output has nowhere to go; pointing stdout at
+        # devnull keeps the flush at exit from raising again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return CLOSED_STDOUT
+    return code
 
 
 if __name__ == "__main__":

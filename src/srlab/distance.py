@@ -2,12 +2,13 @@
 
 Two routes:
 
-* Heisenberg: exact geodesics.  Distances from the identity solve a
-  single scalar equation, increasing in the rotation angle of the
-  optimal control, which bisection solves down to adjacent floats;
-  left invariance reduces general pairs to this case.  Next to the
-  vertical axis, where the angle is unresolved, the triangle
-  inequality through (0, 0, z) brackets it.
+* Heisenberg: exact geodesics.  The distance from the identity to a
+  point solves a scalar equation, increasing in the rotation angle of
+  the optimal control; one vectorised bisection solves it for a whole
+  batch of points, each down to adjacent floats, and left invariance
+  reduces general pairs to this case.  Next to the vertical axis,
+  where the angle is unresolved, the triangle inequality through
+  (0, 0, z) brackets it.
 * Every other model: the length of an admissible curve, a true upper
   bound.  Shooting minimises the energy of piecewise-constant
   horizontal controls whose product of exponentials, taken with the
@@ -23,7 +24,6 @@ Two routes:
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -52,71 +52,101 @@ class DistanceEstimate:
         return dict(self.__dict__)
 
 
-def _heisenberg_from_identity(p: np.ndarray) -> float | None:
-    """Exact distance from the identity, None where the angle is unresolved."""
-    x, y, z = p
-    rho = float(np.hypot(x, y))
-    az = abs(float(z))
-    if az < 1e-14:
-        return rho
-    if rho < 1e-14:
-        return 2.0 * np.sqrt(np.pi * az)
-
-    # optimal control rotates at constant rate; the angle phi swept by
-    # the control solves m(phi) = 4 |z| / rho^2 with
-    # m(phi) = (phi - sin phi) / (2 sin^2(phi/2)), increasing on (0, 2 pi)
-    target = 4.0 * az / rho**2
-
-    def m(phi):
-        s = math.sin(0.5 * phi)
-        return (phi - math.sin(phi)) / (2.0 * s * s)
-
-    lo, hi = 1e-9, 2.0 * np.pi - 1e-9
-    if m(hi) < target:
-        # target beyond solver bracket (endpoint almost on the center)
-        return None
-    # bisect until lo and hi are adjacent floats
-    while lo < (mid := 0.5 * (lo + hi)) < hi:
-        lo, hi = (mid, hi) if m(mid) < target else (lo, mid)
-    phi = hi
-    value = float(rho * phi / (2.0 * np.sin(0.5 * phi)))
-    # as phi -> 2 pi the length loses its digits; d lies within rho of 2 sqrt(pi |z|)
-    return value if abs(value - 2.0 * np.sqrt(np.pi * az)) <= rho else None
+def _angle_m(phi: np.ndarray) -> np.ndarray:
+    """m(phi) = (phi - sin phi) / (2 sin^2(phi/2)), increasing on (0, 2 pi)."""
+    s = np.sin(0.5 * phi)
+    return (phi - np.sin(phi)) / (2.0 * s * s)
 
 
-def _nilpotent_lower(model: LieModel, rel: np.ndarray) -> float:
-    """Euclidean length of the horizontal part of the relative position.
+def _angle_lengths(rho: np.ndarray, az: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Geodesic lengths from the identity to points at horizontal radius rho
+    > 0 and height |z| = az > 0, and where they resolve the distance.
+
+    The optimal control rotates at constant rate; the angle phi it sweeps
+    solves m(phi) = 4 |z| / rho^2, which one bisection over every point
+    solves down to adjacent floats, each point stopping on its own.  The
+    length is rho phi / (2 sin(phi / 2)).  It is unresolved where the
+    target lies beyond the bracket of phi (the endpoint almost on the
+    axis) or where, as phi -> 2 pi, it has lost its digits: d lies within
+    rho of 2 sqrt(pi |z|).
+    """
+    # float_power is C pow, as Python's rho**2 is; np.square rounds
+    # differently in the last bit for some rho
+    target = 4.0 * az / np.float_power(rho, 2)
+    lo = np.full(target.shape, 1e-9)
+    hi = np.full(target.shape, 2.0 * np.pi - 1e-9)
+    inside = _angle_m(hi) >= target
+    while True:
+        mid = 0.5 * (lo + hi)
+        live = (lo < mid) & (mid < hi)
+        if not live.any():
+            break
+        below = _angle_m(mid) < target
+        lo = np.where(live & below, mid, lo)
+        hi = np.where(live & ~below, mid, hi)
+    length = rho * hi / (2.0 * np.sin(0.5 * hi))
+    return length, inside & (np.abs(length - 2.0 * np.sqrt(np.pi * az)) <= rho)
+
+
+def _heisenberg_estimates(model: LieModel, rel: np.ndarray) -> list[DistanceEstimate]:
+    """Exact distances from the identity to the rows of rel, one batch.
+
+    A row with z = 0 is at its horizontal radius rho (so a zero row at
+    +0.0, bounds included); one on the vertical axis at 2 sqrt(pi |z|).
+    Next to the axis, where `_angle_lengths` does not resolve the
+    angle, the triangle inequality through (0, 0, z) brackets the
+    distance within rho of that value (method "bracket").
+    """
+    rho = np.hypot(rel[:, 0], rel[:, 1])
+    az = np.abs(rel[:, 2])
+    value = rho.copy()
+    vertical = az >= 1e-14
+    value[vertical] = 2.0 * np.sqrt(np.pi * az[vertical])
+    resolved = np.ones(len(rel), dtype=bool)
+    solve = vertical & (rho >= 1e-14)
+    length, resolved[solve] = _angle_lengths(rho[solve], az[solve])
+    value[solve] = np.where(resolved[solve], length, value[solve])
+    lower = np.where(resolved, np.minimum(_nilpotent_lower(model, rel), value), value - rho)
+    upper = np.where(resolved, np.maximum(_nilpotent_upper(model, rel), value), value + rho)
+    return [
+        DistanceEstimate(float(v), float(lo), float(hi), "geodesic-shooting" if ok else "bracket")
+        for v, lo, hi, ok in zip(value, lower, upper, resolved)
+    ]
+
+
+def _nilpotent_lower(model: LieModel, rel: np.ndarray) -> np.ndarray:
+    """Euclidean length of the horizontal part of the relative positions (rows of rel).
 
     For nilpotent models the abelianization is a Riemannian submersion
     onto Euclidean space in these coordinates, so this is a true lower
-    bound.
+    bound.  np.vecdot takes each row's dot product as np.linalg.norm of
+    that row alone does.
     """
-    return float(np.linalg.norm(rel[: model.dim_h]))
+    h = rel[..., : model.dim_h]
+    return np.sqrt(np.vecdot(h, h))
 
 
-def _nilpotent_upper(model: LieModel, rel: np.ndarray) -> float:
-    """Length of an explicit admissible curve for step <= 2 models.
+def _nilpotent_upper(model: LieModel, rel: np.ndarray) -> np.ndarray:
+    """Length of an explicit admissible curve for step <= 2 models, per row of rel.
 
     Straight horizontal segment first, then one rectangular loop per
     remaining vertical coordinate: a loop of side s in the (i, j) plane
     translates by exp(s^2 [A_i, A_j]) at cost 4 s.
     """
     n = model.dim_h
-    length = float(np.linalg.norm(rel[:n]))
-    seg = np.zeros(model.dim)
-    seg[:n] = rel[:n]
+    total = _nilpotent_lower(model, rel)
+    seg = np.zeros(rel.shape)
+    seg[..., :n] = rel[..., :n]
     rest = model.compose(model.inverse(seg), rel)
     c = model.onframe.c
-    total = length
     for s in range(n, model.dim):
-        zs = rest[s]
-        if abs(zs) < 1e-15:
-            continue
-        block = c[s, :n, :n]
-        amp = np.max(np.abs(block))
+        zs = np.abs(rest[..., s])
+        skip = zs < 1e-15
+        amp = np.max(np.abs(c[s, :n, :n]))
         if amp <= 1e-14:
-            return np.inf
-        total += 4.0 * np.sqrt(abs(zs) / amp)
+            total = np.where(skip, total, np.inf)
+        else:
+            total = total + np.where(skip, 0.0, 4.0 * np.sqrt(zs / amp))
     return total
 
 
@@ -210,38 +240,39 @@ def _shooting_upper(model: LieModel, rel: np.ndarray) -> float:
 
 
 def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
-    """Distance estimate between coordinate points x and y.
-
-    Heisenberg pairs are exact (geodesic shooting) except next to the
-    vertical axis, where a triangle-inequality bracket is returned.  On
-    every other model value = upper is the length of the shortest
-    admissible curve found (method "shooting-upper"): the shooting
-    curve, or on step <= 2 models the commutator-loop curve if that is
-    shorter; ValueError is raised if neither exists.  On a model that
-    is not bracket-generating, endpoints that differ off the subgroup
-    the horizontal frame generates raise ValueError before any search.
-    """
+    """Distance estimate between coordinate points x and y: `cc_distances`
+    of one pair."""
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
-    rel = model.compose(model.inverse(x), y)
-    if not np.any(rel):
-        # the zero-length curve: exact, under each route's own label
-        return DistanceEstimate(
-            0.0, 0.0, 0.0, "geodesic-shooting" if is_heisenberg(model) else "shooting-upper"
-        )
+    return cc_distances(model, x[None], y[None])[0]
 
+
+def cc_distances(model: LieModel, xs, ys) -> list[DistanceEstimate]:
+    """Distance estimates between the coordinate points xs[k] and ys[k].
+
+    Heisenberg pairs are exact (geodesic shooting), all in one batch,
+    except next to the vertical axis, where a triangle-inequality
+    bracket is returned.  On every other model, pair by pair, value =
+    upper is the length of the shortest admissible curve found (method
+    "shooting-upper"): the shooting curve, or on step <= 2 models the
+    commutator-loop curve if that is shorter; ValueError is raised if
+    neither exists.  On a model that is not bracket-generating,
+    endpoints that differ off the subgroup the horizontal frame
+    generates raise ValueError before any search.  Coincident points
+    are at 0.0, bounds included, under each route's own label.
+    """
+    xs = np.asarray(xs, dtype=float)
+    ys = np.asarray(ys, dtype=float)
+    rel = model.compose(model.inverse(xs), ys)
     if is_heisenberg(model):
-        value = _heisenberg_from_identity(rel)
-        if value is None:
-            axis = float(2.0 * np.sqrt(np.pi * abs(rel[2])))
-            rho = float(np.hypot(rel[0], rel[1]))
-            return DistanceEstimate(axis, axis - rho, axis + rho, "bracket")
-        lower = _nilpotent_lower(model, rel)
-        upper = _nilpotent_upper(model, rel)
-        return DistanceEstimate(
-            value, min(lower, value), max(upper, value), "geodesic-shooting"
-        )
+        return _heisenberg_estimates(model, rel)
+    return [_shooting_estimate(model, r) for r in rel]
 
+
+def _shooting_estimate(model: LieModel, rel: np.ndarray) -> DistanceEstimate:
+    """The estimate of `cc_distances` off Heisenberg, from the identity to rel."""
+    if not np.any(rel):
+        return DistanceEstimate(0.0, 0.0, 0.0, "shooting-upper")
     span, _ = algebra.bracket_filtration(model.onframe.c, model.dim_h)
     if np.linalg.norm(rel - rel @ span.T @ span) > 1e-12 * (1.0 + np.linalg.norm(rel)):
         raise ValueError(
@@ -254,10 +285,10 @@ def cc_distance(model: LieModel, x, y) -> DistanceEstimate:
     if model.su2_factors is not None:
         lower = _su2_lower(model, rel)
     else:
-        lower = _nilpotent_lower(model, rel)
+        lower = float(_nilpotent_lower(model, rel))
     upper = _shooting_upper(model, rel)
     if model.onframe.nil_step in (1, 2):
-        upper = min(upper, _nilpotent_upper(model, rel))
+        upper = min(upper, float(_nilpotent_upper(model, rel)))
     if not np.isfinite(upper):
         raise ValueError(
             f"no shooting start reached the endpoint on {model.name}, "

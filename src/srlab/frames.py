@@ -8,13 +8,15 @@ every model: a quadratic in ad_u on nilpotent models, whose square is
 formed only where the structure constants let it be nonzero and only
 at step 3, and I + ad_u / 2 + g(s) B^2 on each su(2) ideal, a few jet
 products per ideal (see `chart_field_jets`).  Applying a frame
-field to a jet is then a linear map on jet coefficients, assembled as small
-dense matrices per differentiation order by a `FrameCalc` that is
-built per point and not cached.  The point-free index tables it reads
-(product pairs, derivative maps) live on the `JetSpace` of the
-dimension; per point it builds only the chart and the operators it is
-asked for.  The Laplacians are sums of squares, L = sum_i E_i E_i over
-the horizontal frame and the full Laplacian over every frame field, as
+field to a jet is then a linear map on jet coefficients: per
+differentiation order, one dense matrix filled by a single weighted
+`np.bincount` of the chart's components, by a `FrameCalc` that is built
+per point and not cached.  The point-free index tables it reads
+(product pairs, derivative maps and the operators' scatter keys,
+`JetSpace.frame_keys`) live on the `JetSpace` of the dimension; per
+point it builds only the chart and the operators it is asked for.
+The Laplacians are sums of squares, L = sum_i E_i E_i over the
+horizontal frame and the full Laplacian over every frame field, as
 the MC walk simulates; the chart raises on a horizontal frame with
 divergence, where L would have a first-order part.  They take the first
 derivatives their caller already holds, so no frame derivative of a jet
@@ -123,18 +125,14 @@ class FrameCalc:
         op = self.ops[i].get(m)
         if op is None:
             sp = self._space
-            n_out = sp.terms(m - 1)
-            op = np.zeros((n_out, sp.terms(m)))
-            for j in range(self.model.dim):
-                cj = self._chart.coeffs[j, i, :n_out]
-                if not cj.any():  # its matrix holds only +0.0
-                    continue
-                # (c_j * d/du_j f)_r: d/du_j moves coefficient deriv_src[j][r]
-                # to r, scaled by deriv_coef[j][r]; those columns are
-                # distinct and op holds no -0.0, so += adds the scatter
-                op[:, sp.deriv_src[j][:n_out]] += (
-                    sp.multiplication_matrix(cj, m - 1) * sp.deriv_coef[j][:n_out]
-                )
+            n_out, n_in = sp.terms(m - 1), sp.terms(m)
+            keys, j, a, coef = sp.frame_keys(m)
+            # bincount sums each entry's terms in input order (j-major)
+            # onto +0.0, as adding the per-field matrices in turn did; a
+            # -0.0 term (a -0.0 component) leaves a +0.0 entry +0.0
+            op = np.bincount(
+                keys, self._chart.coeffs[j, i, a] * coef, minlength=n_out * n_in
+            ).reshape(n_out, n_in)
             self.ops[i][m] = op
         return op
 

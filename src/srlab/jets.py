@@ -48,6 +48,7 @@ class JetSpace:
         self._build_product_table()
         self._build_derivative_maps()
         self._shift_tables: dict[tuple[int, int], tuple] = {}
+        self._frame_keys: dict[int, tuple] = {}
 
     def _find(self, exps: np.ndarray) -> np.ndarray:
         """Indices of exponent rows, through their base-(order + 1) codes."""
@@ -103,9 +104,11 @@ class JetSpace:
         """The point-free parts of `polynomial_shift_matrix`, built once.
 
         For monomials a of degree <= degree and b of degree <= order:
-        valid[b, a] says whether b <= a coordinatewise, diff[b, a] holds
-        a - b (0 where not valid) as int8, and binom[b, a] the product of
-        the coordinatewise binomials binom(a_k, b_k).
+        index[b, a] is the position of the exponent a - b in the graded
+        monomials of degree <= degree where b <= a coordinatewise, and 0
+        (the constant monomial) elsewhere; binom[b, a] is the product of
+        the coordinatewise binomials binom(a_k, b_k), which is 0 exactly
+        where b <= a fails.
         """
         key = (degree, order)
         tables = self._shift_tables.get(key)
@@ -114,15 +117,40 @@ class JetSpace:
             b = self.exponents[: self.terms(order)]
             diff = a[None, :, :] - b[:, None, :]
             valid = np.all(diff >= 0, axis=-1)
-            diff = np.where(valid[..., None], diff, 0).astype(np.int8)
+            index = np.zeros(valid.shape, dtype=np.intp)
+            index[valid] = self._find(diff[valid])
             top = max(degree, order) + 1
             pascal = np.array(
                 [[math.comb(n, k) for k in range(top)] for n in range(top)], dtype=float
             )
             binom = np.prod(pascal[a[None, :, :], b[:, None, :]], axis=-1)
-            tables = (valid, diff, binom)
+            tables = (index, binom)
             self._shift_tables[key] = tables
         return tables
+
+    def frame_keys(self, order: int) -> tuple:
+        """The point-free parts of `frames.FrameCalc`'s operators, built once.
+
+        For the operator from jets of order `order` to order - 1 of a
+        field with chart components c_j:
+        (c_j * d/du_j f)_r = sum over product pairs (a, s) -> r of
+        c_j[a] deriv_coef[j][s] f[deriv_src[j][s]].  Every (j, pair)
+        term is listed j-major, as the flat key r * terms(order) +
+        deriv_src[j][s] of the operator entry it adds to, with the
+        component index (j, a) and the factor deriv_coef[j][s] that
+        weigh it.  For one j the keys are distinct.
+        """
+        keys = self._frame_keys.get(order)
+        if keys is None:
+            n_pairs = self.pairs_at[order]
+            out = self.pair_out[:n_pairs]
+            a = self.pair_a[:n_pairs]
+            s = self.pair_b[:n_pairs]
+            j = np.repeat(np.arange(self.dim), n_pairs)
+            flat = (out * self.terms(order) + self.deriv_src[:, s]).ravel()
+            keys = (flat, j, np.tile(a, self.dim), self.deriv_coef[:, s].ravel())
+            self._frame_keys[order] = keys
+        return keys
 
 
 _SPACES: dict[int, JetSpace] = {}
@@ -242,14 +270,13 @@ def polynomial_shift_matrix(
 
     For p(u) = sum_alpha c_alpha u^alpha, the jet of p at x has
     coefficients jet_beta = sum_alpha c_alpha binom(alpha, beta)
-    x^(alpha - beta); returns M with jet = c @ M.T.  Only the powers
-    x_k^e, e <= degree, depend on x; the exponents, the binomials and
-    the mask come from the space's `shift_tables`.
+    x^(alpha - beta); returns M with jet = c @ M.T.  Only the monomials
+    of degree <= degree at x depend on x: one row of `_monomials`, read
+    through the space's point-free `shift_tables`, where the binomials
+    also zero every entry with beta > alpha.
     """
-    valid, diff, binom = get_space(dim, max(degree, order)).shift_tables(degree, order)
-    table = _powers(np.asarray(x, dtype=float), degree)
-    powers = np.prod(table[np.arange(dim), diff], axis=-1)
-    return np.where(valid, binom * powers, 0.0)
+    index, binom = get_space(dim, max(degree, order)).shift_tables(degree, order)
+    return binom * _monomials(x, dim, degree)[0, index]
 
 
 def lift_polynomials(

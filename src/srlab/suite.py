@@ -478,14 +478,10 @@ def _schedules(cfg, seed, name):
 def _distance_triangle(cfg, seed, name):
     model = _model(name)
     rng = np.random.default_rng(derive_seed(seed, "dist"))
-    worst = np.inf
-    for _ in range(100):
-        a, b, c = rng.uniform(-1.0, 1.0, (3, 3))
-        dab = distance.cc_distance(model, a, b).value
-        dbc = distance.cc_distance(model, b, c).value
-        dac = distance.cc_distance(model, a, c).value
-        worst = min(worst, dab + dbc - dac)
-    return [(float(worst), 1e-9, {"triples": 100})]
+    a, b, c = rng.uniform(-1.0, 1.0, (100, 3, 3)).transpose(1, 0, 2)
+    est = distance.cc_distances(model, np.concatenate([a, b, a]), np.concatenate([b, c, c]))
+    dab, dbc, dac = np.array([e.value for e in est]).reshape(3, 100)
+    return [(float(np.min(dab + dbc - dac)), 1e-9, {"triples": 100})]
 
 
 def _distance_unit(cfg, seed, name):
@@ -775,16 +771,19 @@ def _harnack(cfg, seed, name):
     pairs_t = [(0.3, 0.5), (0.4, 0.8), (0.5, 1.0)]
     fields = _pde_fields(solver, "bump", {t for p in pairs_t for t in p})
     rng = np.random.default_rng(derive_seed(seed, "harnack-pts"))
-    worst = np.inf
+    samples = []
     for t0, t1 in pairs_t:
         for _ in range(7):
             x = _sample_points(rng, 1)[0] * 0.8
-            y = x + rng.uniform(-0.6, 0.6, 3) * np.array([1, 1, 0.3])
-            # conservative: the lower distance bound in the exponent
-            d = distance.cc_distance(model, x, y).lower
-            lhs = float(solver.interpolate(fields[t0].values, x))
-            rhs = _harnack_rhs(consts, float(solver.interpolate(fields[t1].values, y)), d, t0, t1)
-            worst = min(worst, (rhs - lhs) / abs(rhs))
+            samples.append((t0, t1, x, x + rng.uniform(-0.6, 0.6, 3) * np.array([1, 1, 0.3])))
+    _, _, xs, ys = zip(*samples)
+    worst = np.inf
+    for (t0, t1, x, y), est in zip(samples, distance.cc_distances(model, xs, ys)):
+        # conservative: the lower distance bound in the exponent
+        lhs = float(solver.interpolate(fields[t0].values, x))
+        p1 = float(solver.interpolate(fields[t1].values, y))
+        rhs = _harnack_rhs(consts, p1, est.lower, t0, t1)
+        worst = min(worst, (rhs - lhs) / abs(rhs))
     details = {
         "samples": 7 * len(pairs_t),
         "note": "conservative direction: lower distance bound in the exponent",
@@ -804,13 +803,12 @@ def _harnack_kernel(cfg, seed, name):
     for point in pts:
         phi = pde.kernel_source(solver, point)
         kernel.append([float((phi * fields[t].values).sum()) for t in (t0, t1)])
+    pairs = [(i, j) for i in range(1, len(pts)) for j in range(len(pts)) if j != i]
+    dists = distance.cc_distances(model, [pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
     worst = np.inf
-    for i in range(1, len(pts)):
-        for j in range(len(pts)):
-            if j != i:
-                d = distance.cc_distance(model, pts[i], pts[j]).lower
-                rhs = _harnack_rhs(consts, kernel[j][1], d, t0, t1)
-                worst = min(worst, (rhs - kernel[i][0]) / abs(rhs))
+    for (i, j), est in zip(pairs, dists):
+        rhs = _harnack_rhs(consts, kernel[j][1], est.lower, t0, t1)
+        worst = min(worst, (rhs - kernel[i][0]) / abs(rhs))
     return [(float(worst), 0.05, {"t0": t0, "t1": t1})]
 
 

@@ -8,6 +8,7 @@ area z).
 
 import dataclasses
 import json
+import math
 
 import numpy as np
 import pytest
@@ -15,6 +16,7 @@ import pytest
 import srlab.distance as dist
 from srlab.cli import main as cli_main
 from srlab.models import build_su2_pair, get_model
+from srlab.suite import DEFAULT_CONFIG, derive_seed
 
 
 @pytest.fixture(scope="module")
@@ -62,6 +64,74 @@ def test_renamed_heisenberg_takes_closed_form(heis):
 def test_coincident_points(heis):
     est = dist.cc_distance(heis, [0.3, 0.2, 0.1], [0.3, 0.2, 0.1])
     assert est.value == 0.0
+
+
+def reference_estimate(model, x, y):
+    """The Heisenberg estimate pair by pair in Python floats: the scalar
+    bisection with math.sin, and 1-D norms."""
+    rel = model.compose(model.inverse(np.asarray(x, dtype=float)), np.asarray(y, dtype=float))
+    rho = float(np.hypot(rel[0], rel[1]))
+    az = abs(float(rel[2]))
+    axis = 2.0 * np.sqrt(np.pi * az)
+    value = rho if az < 1e-14 else axis
+    if az >= 1e-14 and rho >= 1e-14:
+        target = 4.0 * az / rho**2
+
+        def m(phi):
+            s = math.sin(0.5 * phi)
+            return (phi - math.sin(phi)) / (2.0 * s * s)
+
+        lo, hi = 1e-9, 2.0 * np.pi - 1e-9
+        if m(hi) < target:
+            return dist.DistanceEstimate(axis, axis - rho, axis + rho, "bracket")
+        while lo < (mid := 0.5 * (lo + hi)) < hi:
+            lo, hi = (mid, hi) if m(mid) < target else (lo, mid)
+        value = float(rho * hi / (2.0 * np.sin(0.5 * hi)))
+        if abs(value - axis) > rho:
+            return dist.DistanceEstimate(axis, axis - rho, axis + rho, "bracket")
+    lower = float(np.linalg.norm(rel[:2]))
+    rest = model.compose(-np.array([rel[0], rel[1], 0.0]), rel)
+    upper = lower
+    if abs(rest[2]) >= 1e-15:
+        upper += 4.0 * np.sqrt(abs(rest[2]) / np.max(np.abs(model.onframe.c[2, :2, :2])))
+    return dist.DistanceEstimate(value, min(lower, value), max(upper, value), "geodesic-shooting")
+
+
+def _bits(est):
+    return tuple(np.float64(v).tobytes() for v in (est.value, est.lower, est.upper)) + (
+        est.method,
+    )
+
+
+def test_batched_distances_equal_the_pairwise_ones(heis):
+    # distance-triangle's 300 seeded pairs at the default seed, then the
+    # edge cases: coincident points, z = 0, the vertical axis, the
+    # near-axis bracket, and a radius whose square by C pow (Python's
+    # rho**2) is one ulp off rho * rho, which moves the angle's target;
+    # the harnack rows read .lower
+    rng = np.random.default_rng(derive_seed(DEFAULT_CONFIG["seed"], "dist"))
+    a, b, c = rng.uniform(-1.0, 1.0, (100, 3, 3)).transpose(1, 0, 2)
+    xs = list(np.concatenate([a, b, a])) + [
+        np.array([0.3, 0.2, 0.1]), np.zeros(3), np.zeros(3), np.zeros(3),
+        np.zeros(3), np.zeros(3), np.array([0.2, -0.1, 0.4]), np.zeros(3),
+    ]
+    ys = list(np.concatenate([b, c, c])) + [
+        np.array([0.3, 0.2, 0.1]), np.array([0.4, -0.3, 0.0]), np.array([0.0, 0.0, 0.7]),
+        np.array([0.0, 0.0, -2.0]), np.array([1e-9, 0.0, 1.0]), np.array([1e-7, 0.0, 1.0]),
+        np.array([0.2 + 1e-10, -0.1, 1.4]), np.array([1.1604825636167093, 0.0, 0.5]),
+    ]
+    renamed = dataclasses.replace(heis, name="h3")
+    for model in (heis, renamed):
+        batch = dist.cc_distances(model, xs, ys)
+        assert [_bits(e) for e in batch] == [
+            _bits(dist.cc_distance(model, x, y)) for x, y in zip(xs, ys)
+        ]
+        assert [_bits(e) for e in batch] == [
+            _bits(reference_estimate(model, x, y)) for x, y in zip(xs, ys)
+        ]
+        assert {e.method for e in batch} == {"geodesic-shooting", "bracket"}
+        assert _bits(batch[300]) == _bits(dist.DistanceEstimate(0.0, 0.0, 0.0, "geodesic-shooting"))
+        assert all(type(v) is float for e in batch for v in (e.value, e.lower, e.upper))
 
 
 def test_bracket_ordering(heis):

@@ -15,7 +15,7 @@ import pytest
 from scipy.linalg import expm
 
 from srlab import algebra, calculus, frames, geometry
-from srlab.jets import JetSpace, Polynomial, coordinate_jet, get_space, lift_polynomials
+from srlab.jets import Jet, JetSpace, Polynomial, coordinate_jet, get_space, lift_polynomials
 from srlab.models import MODEL_BUILDERS, LieModel, get_model, validate
 
 MODELS = ("heisenberg", "free-nilpotent-3", "engel", "su2-pair")
@@ -430,6 +430,49 @@ def test_frame_ops_equal_the_sum_over_every_component(name):
         for i in range(m.dim):
             for order in (1, 2, 3, 4):
                 assert same_bits(calc._op(i, order), reference_sum_op(calc, i, order))
+
+
+@pytest.mark.parametrize("name", ["heisenberg", "free-nilpotent-3"])
+def test_frame_op_scatter_keeps_signed_zeros_and_exact_cancellations(name):
+    """A chart of values in {-1, -1/2, -0, +0, 1/2, 1}, with every entry of
+    one field's component along coordinate 0 set to -0.0: the terms are
+    exact, so many operator entries sum to an exact zero, and the
+    scatter must give the bits of the per-field matrices summed in
+    order, +0.0 wherever the terms cancel."""
+    m = get_model(name)
+    calc = frames.FrameCalc(m, np.full(m.dim, 0.3), 4)
+    rng = np.random.default_rng(113)
+    coeffs = rng.choice([-1.0, -0.5, -0.0, 0.0, 0.5, 1.0], calc._chart.coeffs.shape)
+    coeffs[0, 1] = -0.0
+    calc._chart = Jet(calc.x, calc._chart.order, coeffs)
+    cancelled = 0
+    for i in range(m.dim):
+        for order in (1, 2, 3, 4):
+            op = calc._op(i, order)
+            assert same_bits(op, reference_sum_op(calc, i, order))
+            assert not np.signbit(op[op == 0.0]).any()
+            # entries that some nonzero term reaches but that sum to zero
+            keys, j, a, coef = calc._space.frame_keys(order)
+            reached = np.bincount(keys, coeffs[j, i, a] != 0.0, minlength=op.size)
+            cancelled += np.count_nonzero((reached.reshape(op.shape) > 1) & (op == 0.0))
+    assert cancelled > 0
+
+
+def test_frame_calcs_on_one_space_share_the_scatter_keys():
+    m = get_model("free-nilpotent-3")
+    sp = get_space(m.dim, 4)
+    first = frames.FrameCalc(m, np.full(m.dim, 0.2), 4)
+    for i in range(m.dim):
+        for order in (1, 2, 3, 4):
+            first._op(i, order)
+    keys = dict(sp._frame_keys)
+    assert sorted(keys) == [1, 2, 3, 4]
+    second = frames.FrameCalc(m, np.full(m.dim, -0.3), 4)
+    for i in range(m.dim):
+        for order in (1, 2, 3, 4):
+            second._op(i, order)
+    assert second._space is sp
+    assert all(sp._frame_keys[order] is keys[order] for order in keys)
 
 
 @pytest.mark.parametrize("name", MODELS)

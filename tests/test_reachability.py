@@ -39,6 +39,7 @@ ALLOWED = {
     "cli._bad_input": ERROR_PATH,
     "cli._Parser.error": ERROR_PATH,
     "frames.gamma_numeric": PATCHED,
+    "jets.JetSpace.multiplication_matrix": PATCHED,
     "heat.mc_variance": PATCHED,
     "heat.mc_gradient": PATCHED,
     "heat.mc_gamma_mixed": PATCHED,

@@ -16,6 +16,7 @@ import srlab.models as models
 import srlab.pde as pde
 import srlab.schedules as schedules
 import srlab.suite as su
+from srlab.cli import CLOSED_STDOUT
 from srlab.cli import main as cli_main
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -543,6 +544,33 @@ def test_cli_heat_su2_pair_at_huge_t_prints_an_estimate():
     est = json.loads(proc.stdout)
     assert est["t"] == 1e308
     assert math.isfinite(est["value"]) and math.isfinite(est["std_error"])
+
+
+@pytest.mark.parametrize(
+    "args",
+    [
+        ["heat", "heisenberg", "--paths", "100", "--steps", "2"],
+        ["suite", "run", "--checks", "schedules", "--json", "{tmp}/r.json"],
+    ],
+)
+def test_cli_on_a_closed_stdout_exits_without_a_traceback(args, tmp_path):
+    # `srlab ... | head -1`, made deterministic: the pipe's read end is
+    # closed before the command starts, so its first write fails
+    read, write = os.pipe()
+    os.close(read)
+    env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+    args = [a.format(tmp=tmp_path) for a in args]
+    try:
+        proc = subprocess.run([sys.executable, "-m", "srlab.cli", *args], env=env,
+                              stdout=write, stderr=subprocess.PIPE, text=True)
+    finally:
+        os.close(write)
+    assert proc.returncode == CLOSED_STDOUT == 141, proc.stderr
+    assert proc.stderr == ""
+    if args[0] == "suite":
+        # the report is written before the verdict lines are printed
+        report = json.loads((tmp_path / "r.json").read_text())
+        assert {row["check_id"] for row in report["results"]} == {"schedules"}
 
 
 def test_perfbench_tracer_installs():
