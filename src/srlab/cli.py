@@ -134,7 +134,9 @@ def cmd_heat(args):
 @_raise_fp
 def cmd_distance(args):
     model = get_model(args.model)
-    if args.x is None or args.y is None:
+    if (args.x is None) != (args.y is None):
+        return _bad_input("give both --x and --y, or neither for two random points")
+    if args.x is None:
         rng = np.random.default_rng(args.seed)
         x, y = rng.uniform(-0.5, 0.5, (2, model.dim))
     else:

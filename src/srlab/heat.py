@@ -24,18 +24,18 @@ paths from x alone: plain integrands are averaged at the endpoints,
 and a `Gradient` entry averages the pathwise frame derivative there
 (see `Gradient`).  Each chunk evaluates each distinct function once at
 the path ends, its values and, when an entry reads them, its frame
-gradients; `Squared(f)` and `FrameGamma(f, ...)` are markers read from
+gradients; `Variance(f)` and `FrameGamma(f, ...)` are markers read from
 that table, as `Gradient(f)` is.  The estimates of one pass share their
 paths, so the two sides of an inequality share their noise.
 
-A chunk fills one C-ordered table of shape (rows, paths), row by row:
-each `Gradient` entry's frame directions, in integrand order, then the
-plain entries.  A pass accumulates the table's row sums and the cross
-products of every pair of rows, each summed from its two rows alone by
-numpy's pairwise sum, never by BLAS.  An estimate reads its own block
-(its means and covariance, a plain entry's variance from the diagonal),
-so it has the same bits in any pass that holds its entry and at any
-BLAS thread count.
+A chunk fills one C-ordered table of shape (rows, paths), in which
+every entry owns one block of rows, in integrand order: a `Gradient`
+entry its frame directions, a `Variance` entry the rows f and f^2, any
+other entry one row.  A pass accumulates the table's row sums and the
+cross products of every pair of rows, each summed from its two rows
+alone by numpy's pairwise sum, never by BLAS.  An estimate reads only
+its own block's means and covariance, so it has the same bits in any
+pass that holds its entry and at any BLAS thread count.
 
 Streams are counter-based (Philox keyed by seed and chunk index), so
 estimates are bit-reproducible for fixed settings regardless of how
@@ -44,7 +44,7 @@ chunks are scheduled.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -66,7 +66,6 @@ class SemigroupEstimate:
     paths: int
     steps: int
     seed: int
-    settings: dict = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return dict(self.__dict__)
@@ -103,8 +102,12 @@ class Gradient:
 
 
 @dataclass(frozen=True)
-class Squared:
-    """Integrand entry f^2: the square of f's values at the path ends."""
+class Variance:
+    """Integrand entry estimating P_t f^2 - (P_t f)^2 from the rows f and f^2.
+
+    The error bar linearises the difference about the two means (the
+    delta method), with the covariance of those means.
+    """
 
     f: object
 
@@ -181,13 +184,12 @@ def mc_semigroup_many(
 ) -> list:
     """Estimate several integrands at x over one set of paths.
 
-    A plain integrand f gives a SemigroupEstimate of P_t f(x); a
-    `Gradient` entry gives a GradientEstimate.  Only x is evolved, one
-    `_evolve` call per chunk.  Sharing paths gives the estimates a
-    common probability space, which the inequality checks need (their
-    two sides must see the same noise).  The plain estimates carry the
-    covariance of the means of all plain entries in settings["mean_cov"],
-    for downstream linearised error bars.
+    A plain integrand f gives a SemigroupEstimate of P_t f(x), a
+    `Variance` entry one of P_t f^2 - (P_t f)^2, and a `Gradient` entry
+    a GradientEstimate.  Only x is evolved, one `_evolve` call per
+    chunk.  Sharing paths gives the estimates a common probability
+    space, which the inequality checks need (their two sides must see
+    the same noise).
     """
     if not integrands:
         raise ValueError("the integrand list is empty; give at least one integrand")
@@ -197,33 +199,32 @@ def mc_semigroup_many(
     if t < 0:
         raise ValueError("negative time")
     x = np.asarray(x, dtype=float)
-    grads = [e for e in integrands if isinstance(e, Gradient)]
-    plain = [e for e in integrands if not isinstance(e, Gradient)]
-    sels = [frames.frame_slice(model, g.which) for g in grads]
-    # the table's rows: each Gradient entry's frame directions, then the
-    # plain entries; blocks[-1] is the plain block
-    cuts = np.cumsum([0] + [s.stop - s.start for s in sels] + [len(plain)])
+    cuts = np.cumsum([0] + [_width(model, e) for e in integrands])
     blocks = [slice(a, b) for a, b in zip(cuts, cuts[1:])]
     # each function is evaluated once per chunk: its values, and its
     # frame gradients when an entry reads them
     graded = {id(e.f): e.f for e in integrands if isinstance(e, (Gradient, FrameGamma))}
-    valued = {id(f): f for f in (e.f if isinstance(e, Squared) else e for e in plain
-                                 if not isinstance(e, FrameGamma))}
+    valued = {id(f): f for f in (e.f if isinstance(e, Variance) else e for e in integrands
+                                 if not isinstance(e, (Gradient, FrameGamma)))}
+    pathwise = any(isinstance(e, Gradient) for e in integrands)
     total = cross = 0.0
     for idx, size in enumerate(_chunks(paths)):
         ends = _evolve(model, x[None], t, steps, size, _stream(seed, idx))[0]
         values = {k: np.asarray(f.eval(ends), dtype=float) for k, f in valued.items()}
         gradients = {k: frames.frame_gradients(model, f, ends) for k, f in graded.items()}
         vals = np.empty((cuts[-1], size))
-        if grads:
+        if pathwise:
             ad_inv = algebra.adjoint_inverse(model.onframe, model.compose(model.inverse(x), ends))
-        for g, sel, rows in zip(grads, sels, blocks):
-            np.einsum("pki,pk->ip", ad_inv[..., sel], gradients[id(g.f)], out=vals[rows])
-        for row, e in zip(vals[blocks[-1]], plain):
-            if isinstance(e, FrameGamma):
-                row[:] = e.read(model, gradients[id(e.f)])
+        for e, rows in zip(integrands, blocks):
+            if isinstance(e, Gradient):
+                sel = frames.frame_slice(model, e.which)
+                np.einsum("pki,pk->ip", ad_inv[..., sel], gradients[id(e.f)], out=vals[rows])
+            elif isinstance(e, FrameGamma):
+                vals[rows] = e.read(model, gradients[id(e.f)])
+            elif isinstance(e, Variance):
+                vals[rows] = values[id(e.f)], values[id(e.f)] ** 2
             else:
-                row[:] = values[id(e.f)] ** 2 if isinstance(e, Squared) else values[id(e)]
+                vals[rows] = values[id(e)]
         # each cross product is summed from its two rows alone, so no
         # estimate's bits depend on the other rows or on the BLAS thread count
         total = total + vals.sum(axis=1)
@@ -232,24 +233,32 @@ def mc_semigroup_many(
     means = total / paths
     cov = (cross / paths - np.outer(means, means)) * (paths / (paths - 1)) / paths
     common = dict(x=x.tolist(), t=t, paths=paths, steps=steps, seed=seed)
-    p = blocks[-1]
-    grad_blocks, plain_rows = iter(blocks), iter(range(p.start, p.stop))
     out = []
-    for e in integrands:
+    for e, rows in zip(integrands, blocks):
+        m, c = means[rows], cov[rows, rows]
         if isinstance(e, Gradient):
-            rows = next(grad_blocks)
-            m, c = means[rows], cov[rows, rows]
             var = float(4.0 * m @ c @ m + 2.0 * np.sum(c**2))
             out.append(GradientEstimate(value=float(m @ m - np.trace(c)),
                                         std_error=float(np.sqrt(max(var, 0.0))),
                                         directional=m.tolist(), which=e.which, **common))
+            continue
+        if isinstance(e, Variance):
+            m1, m2 = float(m[0]), float(m[1])
+            grad = np.array([-2.0 * m1, 1.0])
+            value, var = m2 - m1**2, float(grad @ c @ grad)
         else:
-            k = next(plain_rows)
-            settings = {"mean_cov": cov[p, p].tolist(), "means": means[p].tolist()}
-            out.append(SemigroupEstimate(value=float(means[k]),
-                                         std_error=float(np.sqrt(max(cov[k, k], 0.0))),
-                                         method="mc", settings=settings, **common))
+            value, var = float(m[0]), c[0, 0]
+        out.append(SemigroupEstimate(value=value, std_error=float(np.sqrt(max(var, 0.0))),
+                                     method="mc", **common))
     return out
+
+
+def _width(model: LieModel, entry) -> int:
+    """The number of rows of the chunk table that an integrand entry owns."""
+    if isinstance(entry, Gradient):
+        sel = frames.frame_slice(model, entry.which)
+        return sel.stop - sel.start
+    return 2 if isinstance(entry, Variance) else 1
 
 
 def mc_semigroup(
@@ -259,26 +268,12 @@ def mc_semigroup(
     return mc_semigroup_many(model, [f], x, t, paths, steps, seed)[0]
 
 
-def variance(est_f: SemigroupEstimate, est_f2: SemigroupEstimate) -> tuple[float, float]:
-    """P_t f^2 - (P_t f)^2 with a linearised error bar.
-
-    est_f and est_f2 are the estimates of f and `Squared(f)`, the only
-    plain integrands of one `mc_semigroup_many` pass.
-    """
-    m1, m2 = est_f.value, est_f2.value
-    cov = np.asarray(est_f.settings["mean_cov"])
-    if cov.shape != (2, 2):
-        raise ValueError("variance needs a pass whose plain integrands are f and f^2")
-    grad = np.array([-2.0 * m1, 1.0])
-    var = float(grad @ cov @ grad)
-    return m2 - m1**2, float(np.sqrt(max(var, 0.0)))
-
-
 def mc_variance(
     model: LieModel, f, x, t: float, paths: int, steps: int, seed: int
 ) -> tuple[float, float]:
-    """Estimate of P_t f^2 - (P_t f)^2 with a linearised error bar."""
-    return variance(*mc_semigroup_many(model, [f, Squared(f)], x, t, paths, steps, seed))
+    """Estimate of P_t f^2 - (P_t f)^2 with a linearised error bar (see `Variance`)."""
+    est = mc_semigroup_many(model, [Variance(f)], x, t, paths, steps, seed)[0]
+    return est.value, est.std_error
 
 
 def mc_gradient(

@@ -36,7 +36,6 @@ class Schedule:
 
     label: str
     kind: str                    # "gradient" or "entropy"
-    T: float
     t: np.ndarray
     a: np.ndarray
     l: np.ndarray
@@ -147,7 +146,6 @@ def gradient_constant_weight(
     return Schedule(
         label=f"grad-a(l={l:g})",
         kind="gradient",
-        T=T,
         t=t,
         a=a,
         l=np.full_like(t, l),
@@ -170,7 +168,6 @@ def gradient_variance_linear(constants, T: float, n: int = DEFAULT_GRID) -> Sche
     return Schedule(
         label="grad-b",
         kind="gradient",
-        T=T,
         t=t,
         a=T - t,
         l=slope * (T - t),
@@ -205,7 +202,6 @@ def gradient_variance_exponential(
     return Schedule(
         label="grad-c",
         kind="gradient",
-        T=T,
         t=t,
         a=a,
         l=l,
@@ -228,7 +224,6 @@ def gradient_reverse(
     return Schedule(
         label=f"grad-d(l0={l0:g})",
         kind="gradient",
-        T=T,
         t=t,
         a=t.copy(),
         l=slope * t,
@@ -270,7 +265,6 @@ def liyau_schedule(
     return Schedule(
         label=f"liyau(alpha={alpha:g})",
         kind="entropy",
-        T=T,
         t=t,
         a=a,
         l=l,

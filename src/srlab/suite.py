@@ -283,12 +283,12 @@ def _geometry(name: str):
 
 
 def _constants_for(name: str):
-    """Declared-constants route: normalized model plus its constants, once per open memo."""
+    """The model that the geometry report's bounds hold on, with its constants, once per memo."""
 
     def build():
-        model = _model(name)
-        consts = geometry.report_constants(_geometry(name), model.dim_h)
-        return geometry.normalize_vertical(model), consts
+        model, report = _model(name), _geometry(name)
+        consts = geometry.report_constants(report, model.dim_h)
+        return geometry.normalize_vertical(model) if report.normalized else model, consts
 
     return _run_memo(("constants", name), build)
 
@@ -575,15 +575,15 @@ def _bound_a_sides(consts, t, gh, gv, rhs_est):
 
 
 def _bound_b_integrands(f):
-    return [heat.Gradient(f, "h"), f, heat.Squared(f)]
+    return [heat.Gradient(f, "h"), heat.Variance(f)]
 
 
-def _bound_b_sides(consts, t, gh, est_f, est_f2):
-    var, var_err = heat.variance(est_f, est_f2)
+def _bound_b_sides(consts, t, gh, var):
     k1 = max(0.0, -consts.rho1)
     k2 = max(0.0, -consts.rho21)
     factor = 1.0 + 2.0 / consts.rho20 + (k1 + k2 / consts.rho20) * t
-    return t * gh.value, factor * var, float(np.hypot(factor * var_err, t * gh.std_error))
+    err = float(np.hypot(factor * var.std_error, t * gh.std_error))
+    return t * gh.value, factor * var.value, err
 
 
 def _vertical_integrands(f):

@@ -132,7 +132,7 @@ def test_one_pass_equals_separate_passes(name, monkeypatch):
     # on three chunks: each entry sums its own rows of the table, so it
     # keeps the bits of its own pass and of its check's pass
     union = [heat.Gradient(f, "h"), heat.Gradient(f, "v"), heat.FrameGamma(f, "hv"),
-             heat.FrameGamma(f, "v", 0.5), f, heat.Squared(f)]
+             heat.FrameGamma(f, "v", 0.5), f, heat.Variance(f)]
     monkeypatch.setattr(heat, "CHUNK", 256)
     shared = dict(zip(union, heat.mc_semigroup_many(m, union, x, 0.4, 600, 6, 23)))
     passes = [[e] for e in union]
@@ -174,18 +174,22 @@ def test_pathwise_gradient_equals_the_stencil_on_shared_paths(name):
 
 
 def test_mc_variance_is_delta_method_on_one_pass(heis):
-    f = Polynomial.monomial(3, (2, 0, 0))
-
-    class Sq:
-        def eval(self, pts):
-            return np.asarray(f.eval(pts)) ** 2
-
-    est_f, est_f2 = heat.mc_semigroup_many(heis, [f, Sq()], np.zeros(3), 0.5, 3000, 20, 17)
-    m1, m2 = est_f.value, est_f2.value
+    # P_t f^2 - (P_t f)^2 from the means and covariance of the rows f and
+    # f^2 of one chunk's paths, linearised about the two means
+    f = Polynomial.random(3, 2, np.random.default_rng(17))
+    x, t, paths, steps, seed = np.array([0.2, -0.1, 0.3]), 0.5, 3000, 20, 17
+    ends = heat._evolve(heis, x[None], t, steps, paths, heat._stream(seed, 0))[0]
+    v = np.asarray(f.eval(ends), dtype=float)
+    table = np.array([v, v**2])
+    means = table.sum(axis=1) / paths
+    cross = np.array([(row * table).sum(axis=1) for row in table])
+    cov = (cross / paths - np.outer(means, means)) * (paths / (paths - 1)) / paths
+    m1, m2 = float(means[0]), float(means[1])
     grad = np.array([-2.0 * m1, 1.0])
-    var = float(grad @ np.asarray(est_f.settings["mean_cov"]) @ grad)
-    expected = (m2 - m1**2, float(np.sqrt(max(var, 0.0))))
-    assert heat.mc_variance(heis, f, np.zeros(3), 0.5, 3000, 20, 17) == expected
+    expected = (m2 - m1**2, float(np.sqrt(max(float(grad @ cov @ grad), 0.0))))
+    est = heat.mc_semigroup_many(heis, [heat.Variance(f)], x, t, paths, steps, seed)[0]
+    assert (est.value, est.std_error) == expected
+    assert heat.mc_variance(heis, f, x, t, paths, steps, seed) == expected
 
 
 def gamma_numeric(m, f, pts, which):
@@ -224,7 +228,7 @@ def test_every_entry_reads_one_frame_gradient_per_chunk(heis, integrands, monkey
     assert calls == [100, 100, 50]
 
 
-def test_squared_reuses_the_values_of_its_function(heis):
+def test_variance_reuses_the_values_of_its_function(heis, monkeypatch):
     calls = []
 
     class Counted:
@@ -235,28 +239,16 @@ def test_squared_reuses_the_values_of_its_function(heis):
             calls.append(len(pts))
             return self.f.eval(pts)
 
-    class EvalSquared:
-        """f^2 by evaluating f itself."""
-
-        def __init__(self, f):
-            self.f = f
-
-        def eval(self, pts):
-            return np.asarray(self.f.eval(pts)) ** 2
-
-    f = Polynomial.random(3, 3, np.random.default_rng(34))
-    x = np.array([0.1, -0.2, 0.3])
-    args = (x, 0.5, 3000, 20, 17)
-    got = heat.mc_semigroup_many(heis, [heat.Gradient(f, "h"), f, heat.Squared(f)], *args)
-    expected = heat.mc_semigroup_many(heis, [heat.Gradient(f, "h"), f, EvalSquared(f)], *args)
-    assert got == expected
-    g = Counted(f)
-    heat.mc_semigroup_many(heis, [g, heat.Squared(g)], *args)
-    assert calls == [3000]
-    # in either order
-    calls.clear()
-    heat.mc_semigroup_many(heis, [heat.Squared(g), g], *args)
-    assert calls == [3000]
+    g = Counted(Polynomial.random(3, 3, np.random.default_rng(34)))
+    args = (np.array([0.1, -0.2, 0.3]), 0.5, 2500, 20, 17)
+    monkeypatch.setattr(heat, "CHUNK", 1000)
+    alone = [heat.mc_semigroup_many(heis, [e], *args)[0] for e in (g, heat.Variance(g))]
+    # once per chunk in either order, and each estimate keeps its bits
+    for entries in ([g, heat.Variance(g)], [heat.Variance(g), g]):
+        calls.clear()
+        got = heat.mc_semigroup_many(heis, entries, *args)
+        assert calls == [1000, 1000, 500]
+        assert got == (alone if entries[0] is g else alone[::-1])
 
 
 def test_mc_variance_estimator(heis):

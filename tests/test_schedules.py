@@ -48,7 +48,6 @@ def test_constructed_violation_fails_by_one():
     s = sch.Schedule(
         label="violation",
         kind="gradient",
-        T=1.0,
         t=t,
         a=np.ones_like(t),
         l=np.full_like(t, l),
@@ -65,7 +64,7 @@ def test_constructed_violation_fails_by_one():
 def test_schedule_positivity_enforced():
     t = np.linspace(0.0, 1.0, 101)
     s = sch.Schedule(
-        "neg", "gradient", 1.0, t, a=t - 0.5, l=np.ones_like(t), b=np.zeros_like(t),
+        "neg", "gradient", t, a=t - 0.5, l=np.ones_like(t), b=np.zeros_like(t),
         C=0.0, da=np.ones_like(t), dl=np.zeros_like(t),
     )
     with pytest.raises(ValueError):

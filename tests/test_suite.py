@@ -441,6 +441,18 @@ def test_cli_cd_check_reports_infeasible_constants(capsys):
     assert "mixed bounds do not vanish" in doc["constants_error"]
 
 
+def test_cli_cd_check_runs_on_a_flat_model(capsys):
+    # abelian has no curvature to normalize; its constants hold on the
+    # model as given, as `srlab constants abelian` reports them
+    assert cli_main(["cd-check", "abelian", "--functions", "200", "--points", "3"]) == 0
+    doc = json.loads(capsys.readouterr().out)
+    assert doc["violations"] == 0
+    assert cli_main(["constants", "abelian"]) == 0
+    constants = json.loads(capsys.readouterr().out)
+    assert constants["geometry"]["normalized"] is False
+    assert doc["constants"] == constants["constants"]
+
+
 def test_cli_spectral_and_distance(capsys):
     assert cli_main(["spectral", "--rho", "1.0", "--jmax", "2"]) == 0
     assert cli_main(["distance", "heisenberg", "--x", "0", "0", "0",
@@ -468,6 +480,8 @@ def _run(args, pythonpath, **env):
         ["distance", "abelian"],
         ["constants", "heisenberg", "--objective", "max_alpha"],  # removed option
         ["distance", "heisenberg", "--x", "0", "0", "--y", "1", "0", "0"],
+        ["distance", "heisenberg", "--x", "1", "0", "0"],  # one endpoint alone
+        ["distance", "heisenberg", "--y", "1", "0", "0"],
         ["constants", "nosuch"],
         ["spectral", "--jmax", "0.5"],
         ["spectral", "--jmax", "1.3"],  # not a multiple of 1/2
