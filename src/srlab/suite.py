@@ -40,11 +40,13 @@ constants are made once per memo too.
 from __future__ import annotations
 
 import contextlib
+import csv
 import hashlib
 import json
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
+from types import MappingProxyType
 
 import numpy as np
 
@@ -64,23 +66,13 @@ class CheckResult:
     model: str
     margin: float
     tolerance: float
+    std_error: float | None
     verdict: str
-    std_error: float | None = None
-    digest: str = ""
-    details: dict = field(default_factory=dict)
+    digest: str
+    details: dict
 
     def to_json(self) -> dict:
-        return {
-            "check_id": self.check_id,
-            "anchor": self.anchor,
-            "model": self.model,
-            "margin": self.margin,
-            "tolerance": self.tolerance,
-            "std_error": self.std_error,
-            "verdict": self.verdict,
-            "digest": self.digest,
-            "details": self.details,
-        }
+        return dict(self.__dict__)
 
 
 def verdict_of(margin: float, tolerance: float, std_error: float | None = None) -> str:
@@ -102,8 +94,8 @@ def _mk(check_id, anchor, model, margin, tolerance, seed, std_error=None, **deta
         model=model,
         margin=float(margin),
         tolerance=float(tolerance),
-        verdict=verdict_of(margin, tolerance, std_error),
         std_error=None if std_error is None else float(std_error),
+        verdict=verdict_of(margin, tolerance, std_error),
         digest=hashlib.sha256(payload.encode()).hexdigest()[:16],
         details=details,
     )
@@ -601,7 +593,8 @@ def _vertical_sides(consts, t, gv, rhs_est):
 # The PDE rows read one heat semigroup.  Each open memo (a suite run, or
 # a check called on its own) holds one solver per model and `pde` config
 # and one evolution per source, run once to every snapshot time the
-# source declares.  Sources are evolved only here, through `_pde_fields`.
+# source declares.  Sources are evolved only here, in `_pde`, and rows
+# index its table of snapshots by declared time.
 
 
 def _bump(solver):
@@ -634,29 +627,21 @@ PDE_SOURCES = {
 }
 
 
-def _pde_solver(cfg, name):
+def _pde(cfg, name, source):
+    """The solver of model `name` under cfg's `pde` settings, and a read-only
+    table from each time `source` declares to its snapshot, made once per memo."""
     p = cfg["pde"]
-    return _run_memo(
+    solver = _run_memo(
         ("solver", name, json.dumps(p, sort_keys=True)),
         lambda: pde.HeisenbergHeatSolver(_model(name), p["bounds"], p["shape"], p["dt"]),
     )
-
-
-def _pde_fields(solver, source, times) -> dict:
-    """Snapshots of a PDE source at the given times, keyed by time.
-
-    Times outside the source's declared set raise ValueError.
-    """
-    initial, declared = PDE_SOURCES[source]
-    undeclared = sorted(set(times) - set(declared))
-    if undeclared:
-        raise ValueError(f"times {undeclared} are not declared for PDE source {source!r}")
-    declared = sorted(set(declared))  # evolve returns snapshots in time order
+    initial, times = PDE_SOURCES[source]
+    times = sorted(set(times))  # evolve returns snapshots in time order
     fields = _run_memo(
         (source, solver),
-        lambda: dict(zip(declared, solver.evolve(initial(solver), declared))),
+        lambda: MappingProxyType(dict(zip(times, solver.evolve(initial(solver), times)))),
     )
-    return {t: fields[t] for t in times}
+    return solver, fields
 
 
 def _sample_points(rng, n, radius=1.2):
@@ -667,14 +652,13 @@ def _sample_points(rng, n, radius=1.2):
 
 def _liyau_samples(cfg, seed, name):
     """(t, u, L u, Gamma^h u) of the bump at the origin and 8 seeded points."""
-    solver = _pde_solver(cfg, name)
+    solver, bump = _pde(cfg, name, "bump")
 
     def build():
-        fields = _pde_fields(solver, "bump", (0.3, 0.5, 1.0))
         rng = np.random.default_rng(derive_seed(seed, "liyau-pts"))
         pts = np.vstack([np.zeros((1, 3)), _sample_points(rng, 8, radius=0.8)])
         out = []
-        for fld in fields.values():
+        for fld in (bump[0.3], bump[0.5], bump[1.0]):
             u = fld.values
             lu, gh = solver.apply_laplacian(u), solver.gamma_h(u)
             out.append((fld.t, *(solver.interpolate(v, pts) for v in (u, lu, gh))))
@@ -714,9 +698,9 @@ def _liyau_family(cfg, seed, name):
 def _entropy_bound(cfg, seed, name):
     # off the bump center, at the first li-yau time
     _, consts = _constants_for(name)
-    solver = _pde_solver(cfg, name)
-    fld = _pde_fields(solver, "bump", [0.3])[0.3]
-    ent_fld = _pde_fields(solver, "entropy", [0.3])[0.3]
+    solver, bump = _pde(cfg, name, "bump")
+    _, entropy = _pde(cfg, name, "entropy")
+    fld, ent_fld = bump[0.3], entropy[0.3]
     x0 = np.array([0.5, 0.3, 0.0])
     u = fld.values
     c0 = float(solver.interpolate(u, x0))
@@ -740,8 +724,8 @@ def _log_identity_jet(cfg, seed, name):
 
 
 def _log_identity_grid(cfg, seed, name):
-    solver = _pde_solver(cfg, name)
-    u = _pde_fields(solver, "bump", [0.3])[0.3].values
+    solver, bump = _pde(cfg, name, "bump")
+    u = bump[0.3].values
     mask = u > 0.25 * u.max()
     floor = 1e-12 * u.max()
     uc = np.clip(u, floor, None)
@@ -767,9 +751,8 @@ def _harnack_rhs(consts, p1, d, t0, t1):
 def _harnack(cfg, seed, name):
     model = _model(name)
     _, consts = _constants_for(name)
-    solver = _pde_solver(cfg, name)
+    solver, bump = _pde(cfg, name, "bump")
     pairs_t = [(0.3, 0.5), (0.4, 0.8), (0.5, 1.0)]
-    fields = _pde_fields(solver, "bump", {t for p in pairs_t for t in p})
     rng = np.random.default_rng(derive_seed(seed, "harnack-pts"))
     samples = []
     for t0, t1 in pairs_t:
@@ -780,8 +763,8 @@ def _harnack(cfg, seed, name):
     worst = np.inf
     for (t0, t1, x, y), est in zip(samples, distance.cc_distances(model, xs, ys)):
         # conservative: the lower distance bound in the exponent
-        lhs = float(solver.interpolate(fields[t0].values, x))
-        p1 = float(solver.interpolate(fields[t1].values, y))
+        lhs = float(solver.interpolate(bump[t0].values, x))
+        p1 = float(solver.interpolate(bump[t1].values, y))
         rhs = _harnack_rhs(consts, p1, est.lower, t0, t1)
         worst = min(worst, (rhs - lhs) / abs(rhs))
     details = {
@@ -795,14 +778,13 @@ def _harnack_kernel(cfg, seed, name):
     # p_t(0, y_j) at t0 and t1 for each point y_j, read off one evolution
     model = _model(name)
     _, consts = _constants_for(name)
-    solver = _pde_solver(cfg, name)
+    solver, reading = _pde(cfg, name, "origin-reading")
     t0, t1 = 0.4, 0.8
-    fields = _pde_fields(solver, "origin-reading", [t0, t1])
     pts = [np.array(point) for point in HARNACK_KERNEL_POINTS]
     kernel = []
     for point in pts:
         phi = pde.kernel_source(solver, point)
-        kernel.append([float((phi * fields[t].values).sum()) for t in (t0, t1)])
+        kernel.append([float((phi * reading[t].values).sum()) for t in (t0, t1)])
     pairs = [(i, j) for i in range(1, len(pts)) for j in range(len(pts)) if j != i]
     dists = distance.cc_distances(model, [pts[i] for i, _ in pairs], [pts[j] for _, j in pairs])
     worst = np.inf
@@ -814,9 +796,8 @@ def _harnack_kernel(cfg, seed, name):
 
 def _origin_kernel(cfg, name) -> np.ndarray:
     """The on-diagonal kernel p_t(0, 0) at KERNEL_TIMES."""
-    solver = _pde_solver(cfg, name)
-    fields = _pde_fields(solver, "origin-kernel", KERNEL_TIMES)
-    return np.array([float(solver.interpolate(fields[t].values, np.zeros(3))) for t in KERNEL_TIMES])
+    solver, kernel = _pde(cfg, name, "origin-kernel")
+    return np.array([float(solver.interpolate(kernel[t].values, np.zeros(3))) for t in KERNEL_TIMES])
 
 
 def _kernel_decay(cfg, seed, name):
@@ -842,10 +823,9 @@ def _kernel_dimension_bound(cfg, seed, name):
 
 def _poincare_decay(cfg, seed, name):
     _, consts = _constants_for(name)
-    solver = _pde_solver(cfg, name)
+    solver, bump = _pde(cfg, name, "bump")
     times = (0.0, 0.2, 0.4, 0.6, 0.8, 1.0)
-    fields = _pde_fields(solver, "bump", times)
-    norms = [solver.l1_norm(solver.gamma_h(fields[t].values)) for t in times]
+    norms = [solver.l1_norm(solver.gamma_h(bump[t].values)) for t in times]
     k = min(consts.rho1, consts.rho21)
     margins = [(np.exp(-k * t) * norms[0] - nv) / norms[0] for t, nv in zip(times[1:], norms[1:])]
     details = {"rate": k, "norms": {f"{t:g}": float(v) for t, v in zip(times, norms)}}
@@ -908,16 +888,7 @@ CHECKS = {
     ),
 }
 
-CSV_COLUMNS = [
-    "check_id",
-    "anchor",
-    "model",
-    "margin",
-    "tolerance",
-    "std_error",
-    "verdict",
-    "digest",
-]
+CSV_COLUMNS = ["check_id", "anchor", "model", "margin", "tolerance", "std_error", "verdict", "digest"]
 
 
 def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
@@ -945,9 +916,7 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
             timings[cid] = time.perf_counter() - t0
 
     results.sort(key=lambda r: (r.check_id, r.model, r.digest))
-    counts = {"pass": 0, "fail": 0, "inconclusive": 0}
-    for r in results:
-        counts[r.verdict] += 1
+    counts = {v: sum(r.verdict == v for r in results) for v in ("pass", "fail", "inconclusive")}
     cfg_for_digest = json.dumps(
         {k: v for k, v in cfg.items() if k != "output"}, sort_keys=True
     )
@@ -961,20 +930,13 @@ def run_suite(config: dict | str | None = None) -> tuple[dict, int]:
     if out.get("json"):
         Path(out["json"]).write_text(json.dumps(report, sort_keys=True, indent=1))
     if out.get("csv_dir"):
-        csv_dir = Path(out["csv_dir"])
-        lines = [",".join(CSV_COLUMNS)]
-        for r in results:
-            row = r.to_json()
-            lines.append(
-                ",".join(
-                    "" if row[c] is None else str(row[c]) for c in CSV_COLUMNS
-                )
-            )
-        (csv_dir / "results.csv").write_text("\n".join(lines) + "\n")
-        tlines = ["check_id,seconds"]
-        for cid in requested:
-            tlines.append(f"{cid},{timings[cid]:.3f}")
-        (csv_dir / "timings.csv").write_text("\n".join(tlines) + "\n")
+        tables = {
+            "results.csv": [CSV_COLUMNS, *([getattr(r, c) for c in CSV_COLUMNS] for r in results)],
+            "timings.csv": [["check_id", "seconds"], *([c, f"{timings[c]:.3f}"] for c in requested)],
+        }
+        for fname, rows in tables.items():
+            with open(Path(out["csv_dir"]) / fname, "w", newline="") as fh:
+                csv.writer(fh, lineterminator="\n").writerows(rows)
 
     exit_code = 1 if counts["fail"] else 0
     return report, exit_code

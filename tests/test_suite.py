@@ -7,6 +7,7 @@ import os
 import re
 import subprocess
 import sys
+from collections.abc import Mapping
 from pathlib import Path
 
 import pytest
@@ -109,6 +110,7 @@ def test_schedules_row_fails_on_a_wrong_derivative(monkeypatch):
 
 PDE_CHECKS = ["li-yau", "harnack", "kernel-decay", "poincare-decay"]
 PDE_GRID = {"bounds": [5.5, 5.5, 3.3], "shape": [37, 37, 31], "dt": 0.01}
+TINY_PDE_GRID = {"bounds": [4.0, 4.0, 4.0], "shape": [9, 9, 9], "dt": 0.01}
 
 
 def test_cli_suite_run_errors_exit_2(tmp_path, monkeypatch):
@@ -144,6 +146,32 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
         return cg(*args, **kwargs)
 
     monkeypatch.setattr(pde, "cg", counting_cg)
+    reads = set()
+    tables = su._pde
+
+    class Recorded(Mapping):
+        """A source's snapshot table that records the times read from it."""
+
+        def __init__(self, source, fields):
+            self.source, self.fields = source, fields
+
+        def __getitem__(self, t):
+            reads.add((self.source, t))
+            return self.fields[t]
+
+        def __iter__(self):
+            return iter(self.fields)
+
+        def __len__(self):
+            return len(self.fields)
+
+    def recording(cfg, name, source):
+        solver, fields = tables(cfg, name, source)
+        return solver, Recorded(source, fields)
+
+    monkeypatch.setattr(su, "_pde", recording)
+    # every declared time of every source is read, so no step evolves an unread snapshot
+    declared = {(source, t) for source, (_, times) in su.PDE_SOURCES.items() for t in times}
     cfg = su.load_config({"pde": PDE_GRID})
     # the unshared route: each check called on its own, outside a run
     direct = [r.to_json() for cid in PDE_CHECKS for r in su.CHECKS[cid](cfg, cfg["seed"])]
@@ -151,9 +179,12 @@ def test_pde_checks_share_one_evolution_per_source(monkeypatch):
     # li-yau 100 + 30 (bump, entropy), harnack 100 + 80 (bump, origin
     # reading), kernel-decay 100 (origin kernel), poincare-decay 100 (bump)
     assert solves == 510
+    assert reads == declared
     solves = 0
+    reads.clear()
     report, code = su.run_suite({"checks": PDE_CHECKS, "pde": PDE_GRID})
     assert solves == 310
+    assert reads == declared
     assert code == 0
     assert json.dumps(report["results"], sort_keys=True) == json.dumps(direct, sort_keys=True)
 
@@ -184,23 +215,29 @@ def test_pde_rows_equal_the_csr_scipy_route():
     assert json.dumps(shipped["results"]) == json.dumps(csr["results"])
 
 
-def test_pde_source_rejects_undeclared_times():
-    solver = pde.HeisenbergHeatSolver(
-        models.get_model("heisenberg"), (4.0, 4.0, 4.0), (5, 5, 5), 0.01
-    )
-    with pytest.raises(ValueError, match="not declared"):
-        su._pde_fields(solver, "bump", [0.3, 0.7])
-    with pytest.raises(ValueError, match="not declared"):
-        su._pde_fields(solver, "origin-kernel", [0.0])
+def test_pde_source_rejects_undeclared_times(monkeypatch):
+    # a few steps per source; the kernel source is a few cells wide, so it
+    # truncates on this grid, and entropy stands in as the second source
+    for source in ("bump", "entropy"):
+        initial, _ = su.PDE_SOURCES[source]
+        monkeypatch.setitem(su.PDE_SOURCES, source, (initial, (0.01, 0.02)))
+    cfg = su.load_config({"pde": TINY_PDE_GRID})
+    _, bump = su._pde(cfg, "heisenberg", "bump")
+    assert bump[0.02].t == 0.02
+    with pytest.raises(KeyError):
+        bump[0.03]
+    _, entropy = su._pde(cfg, "heisenberg", "entropy")
+    with pytest.raises(KeyError):
+        entropy[0.0]
+    # the table is read-only
+    with pytest.raises(TypeError):
+        bump[0.03] = bump[0.02]
 
 
 def test_pde_source_times_need_not_be_sorted(monkeypatch):
-    solver = pde.HeisenbergHeatSolver(
-        models.get_model("heisenberg"), (4.0, 4.0, 4.0), (9, 9, 9), 0.01
-    )
     initial, _ = su.PDE_SOURCES["bump"]
     monkeypatch.setitem(su.PDE_SOURCES, "bump", (initial, (0.02, 0.0, 0.01, 0.02)))
-    fields = su._pde_fields(solver, "bump", [0.02, 0.0, 0.01])
+    _, fields = su._pde(su.load_config({"pde": TINY_PDE_GRID}), "heisenberg", "bump")
     assert {t: f.t for t, f in fields.items()} == {0.02: 0.02, 0.0: 0.0, 0.01: 0.01}
 
 
@@ -208,13 +245,17 @@ def test_report_files(tmp_path):
     out_json = tmp_path / "report.json"
     csv_dir = tmp_path / "csv"
     cfg = light_config(output={"json": str(out_json), "csv_dir": str(csv_dir)})
-    su.run_suite(cfg)
+    report, _ = su.run_suite(cfg)
     doc = json.loads(out_json.read_text())
     assert doc["summary"]["fail"] == 0
     lines = (csv_dir / "results.csv").read_text().strip().splitlines()
     assert lines[0] == ",".join(su.CSV_COLUMNS)
     assert len(lines) == len(doc["results"]) + 1
-    assert (csv_dir / "timings.csv").exists()
+    # each row as the report holds it: None as an empty field, a number as str prints it
+    for line, row in zip(lines[1:], report["results"]):
+        assert line == ",".join("" if row[c] is None else str(row[c]) for c in su.CSV_COLUMNS)
+    timings = (csv_dir / "timings.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in timings] == ["check_id", *LIGHT_CHECKS]
     # runtimes never enter the JSON payload
     assert "runtime" not in json.dumps(doc)
 
